@@ -40,8 +40,9 @@ COMMANDS:
              with a CPI error bar; implies functional fast-forward)
              --ckpt-dir DIR  (on-disk checkpoint store for warm-up reuse)
              --profile-stages  (wall-clock per-stage breakdown of the
-             simulator itself, printed to stderr; simulated results are
-             byte-identical with or without it)
+             simulator itself from 1 stepped cycle in 64, scaled up and
+             printed to stderr with the measured timer cost; simulated
+             results are byte-identical with or without it)
              --profile-json FILE  (append the stage profile to FILE as
              one JSON line per label; scripts/diff_stage_profile.py
              diffs two such files across commits)

@@ -96,14 +96,6 @@ impl Machine {
                 "per-cluster tallies disagree with the entries".into(),
             ));
         }
-        if !self.iq.waiting_lists_consistent() {
-            return Err(self.violation(
-                InvariantKind::IqConsistency,
-                "per-cluster ready lists disagree with the slot arena \
-                 (missing/stale entry or age order broken)"
-                    .into(),
-            ));
-        }
         if !self.iq.ready_lists_consistent() {
             return Err(self.violation(
                 InvariantKind::IqConsistency,

@@ -14,16 +14,16 @@
 //! instruction. Two side structures keep the per-cycle scans off the
 //! arena:
 //!
-//! - per-cluster *waiting lists* (slot indices, age-sorted by `seq`) — the
-//!   issue stage walks only waiting entries, oldest first, instead of
-//!   rescanning every slot;
+//! - per-cluster *ready lists* (`(seq, slot)`, age-sorted) — the
+//!   incrementally maintained set of issue-eligible waiting entries, so
+//!   event-driven select takes each list's head;
 //! - a FIFO *release queue* of confirmed entries — confirmation delay is a
 //!   machine constant, so `free_at` values are confirmed in nondecreasing
 //!   order and releasing due entries only inspects the queue front.
 //!
 //! Squashes clear slots in place; stale release-queue records are
 //! recognized (and skipped) by the entry's unique `seq`. Steady-state
-//! operation allocates nothing: the arena, free-list, waiting lists and
+//! operation allocates nothing: the arena, free-list, ready lists and
 //! release queue all retain their high-water capacity.
 
 use crate::dyninst::InstId;
@@ -84,15 +84,13 @@ pub struct IssueQueue {
     meta: Vec<SlotMeta>,
     /// Reusable slot indices (LIFO).
     free: Vec<u32>,
-    /// Per-cluster waiting entries as `(seq, slot)` pairs, `seq`-ascending.
-    /// The seq is denormalized into the list so ordered insertion and
-    /// removal probe local memory instead of chasing slot-arena pointers.
-    waiting: Vec<Vec<(u64, u32)>>,
     /// Per-cluster *ready* waiting entries (`(seq, slot)`, `seq`-ascending):
-    /// the incrementally maintained subset of `waiting` whose operands have
-    /// all arrived and whose store-wait gate is clear. Select pops the
-    /// front instead of re-evaluating the whole waiting list.
-    ready: Vec<Vec<(u64, u32)>>,
+    /// the incrementally maintained set of waiting entries whose operands
+    /// have all arrived and whose store-wait gate is clear. Select pops the
+    /// front instead of re-evaluating every waiting entry. The seq is
+    /// denormalized into the list so ordered insertion and removal probe
+    /// local memory instead of chasing slot-arena pointers.
+    ready: Vec<VecDeque<(u64, u32)>>,
     /// Total entries across all ready lists.
     ready_count: usize,
     /// Confirmed entries in confirmation order: `(free_at, slot, seq)`.
@@ -118,8 +116,7 @@ impl IssueQueue {
             meta: vec![SlotMeta::default(); capacity],
             // Reversed so slot 0 is handed out first.
             free: (0..capacity as u32).rev().collect(),
-            waiting: vec![Vec::new(); clusters],
-            ready: vec![Vec::new(); clusters],
+            ready: vec![VecDeque::new(); clusters],
             ready_count: 0,
             release_q: VecDeque::new(),
             per_cluster: vec![0; clusters],
@@ -188,29 +185,6 @@ impl IssueQueue {
         counts == self.per_cluster
     }
 
-    /// True when every waiting list holds exactly the `Waiting` entries of
-    /// its cluster, age-sorted (auditor check).
-    pub fn waiting_lists_consistent(&self) -> bool {
-        let mut listed = 0;
-        for (cluster, list) in self.waiting.iter().enumerate() {
-            let mut prev = None;
-            for &(seq, slot) in list {
-                let Some(e) = self.slots.get(slot as usize).and_then(Option::as_ref) else {
-                    return false;
-                };
-                if e.cluster != cluster || e.state != IqState::Waiting || e.seq != seq {
-                    return false;
-                }
-                if prev.is_some_and(|p| p >= e.seq) {
-                    return false;
-                }
-                prev = Some(e.seq);
-                listed += 1;
-            }
-        }
-        listed == self.len - self.not_waiting
-    }
-
     /// True when every ready list holds a subset of its cluster's waiting
     /// entries, age-sorted, with the `in_ready` flags in agreement
     /// (auditor check — structural half of the ready-list invariant; the
@@ -252,7 +226,6 @@ impl IssueQueue {
         self.per_cluster[entry.cluster] += 1;
         self.len += 1;
         self.peak = self.peak.max(self.len);
-        self.waiting_insert(entry.cluster, slot, entry.seq);
         self.slots[slot as usize] = Some(entry);
         self.begin_waiting_tenure(slot);
         Some(slot)
@@ -322,8 +295,8 @@ impl IssueQueue {
         let list = &mut self.ready[cluster];
         // Readiness usually arrives in age order: youngest-at-the-back is
         // the overwhelmingly common case, so try a plain push first.
-        if list.last().is_none_or(|&(s, _)| s < seq) {
-            list.push((seq, slot));
+        if list.back().is_none_or(|&(s, _)| s < seq) {
+            list.push_back((seq, slot));
         } else {
             let pos = list.partition_point(|&(s, _)| s < seq);
             list.insert(pos, (seq, slot));
@@ -333,14 +306,19 @@ impl IssueQueue {
     }
 
     /// Drop `slot` (holding `seq`, in `cluster`) from its ready list.
+    /// Select issues the oldest entry, so the front is the common case.
     fn ready_remove(&mut self, cluster: usize, slot: u32, seq: u64) {
         let list = &mut self.ready[cluster];
-        let pos = list.partition_point(|&(s, _)| s < seq);
-        debug_assert!(
-            pos < list.len() && list[pos] == (seq, slot),
-            "ready list holds the entry"
-        );
-        list.remove(pos);
+        if list.front() == Some(&(seq, slot)) {
+            list.pop_front();
+        } else {
+            let pos = list.partition_point(|&(s, _)| s < seq);
+            debug_assert!(
+                pos < list.len() && list[pos] == (seq, slot),
+                "ready list holds the entry"
+            );
+            list.remove(pos);
+        }
         self.meta[slot as usize].in_ready = false;
         self.ready_count -= 1;
     }
@@ -360,7 +338,7 @@ impl IssueQueue {
     /// The oldest ready entry of `cluster`, if any.
     #[inline]
     pub fn ready_front(&self, cluster: usize) -> Option<&IqEntry> {
-        let &(_, slot) = self.ready[cluster].first()?;
+        let &(_, slot) = self.ready[cluster].front()?;
         // invariant: ready lists reference live slots only.
         Some(self.slots[slot as usize].as_ref().expect("live ready slot"))
     }
@@ -380,45 +358,6 @@ impl IssueQueue {
         })
     }
 
-    /// Age-ordered insertion into a cluster's waiting list. Insertions
-    /// come in program order except for replays, so try the back first.
-    fn waiting_insert(&mut self, cluster: usize, slot: u32, seq: u64) {
-        let list = &mut self.waiting[cluster];
-        if list.last().is_none_or(|&(s, _)| s < seq) {
-            list.push((seq, slot));
-        } else {
-            let pos = list.partition_point(|&(s, _)| s < seq);
-            list.insert(pos, (seq, slot));
-        }
-    }
-
-    /// Remove `slot` (holding `seq`) from a cluster's waiting list.
-    fn waiting_remove(&mut self, cluster: usize, slot: u32, seq: u64) {
-        let list = &mut self.waiting[cluster];
-        let pos = list.partition_point(|&(s, _)| s < seq);
-        debug_assert!(
-            pos < list.len() && list[pos] == (seq, slot),
-            "waiting list holds the entry"
-        );
-        list.remove(pos);
-    }
-
-    /// Waiting entries of `cluster` (age-ascending walk for select).
-    #[inline]
-    pub fn waiting_len(&self, cluster: usize) -> usize {
-        self.waiting[cluster].len()
-    }
-
-    /// The `i`-th oldest waiting entry of `cluster`.
-    #[inline]
-    pub fn waiting_entry(&self, cluster: usize, i: usize) -> &IqEntry {
-        let (_, slot) = self.waiting[cluster][i];
-        // invariant: waiting lists reference live slots only.
-        self.slots[slot as usize]
-            .as_ref()
-            .expect("live waiting slot")
-    }
-
     /// Entry at `slot` if it is live and holds `id` (the `iq_slot` hint on
     /// a dynamic instruction may be stale after a squash).
     fn entry_at(&mut self, slot: u32, id: InstId) -> Option<&mut IqEntry> {
@@ -428,7 +367,7 @@ impl IssueQueue {
             .filter(|e| e.id == id)
     }
 
-    /// Waiting → Issued (select); drops the entry from its waiting list.
+    /// Waiting → Issued (select); drops the entry from its ready list.
     pub fn mark_issued(&mut self, slot: u32, id: InstId) {
         let Some(e) = self.entry_at(slot, id) else {
             return;
@@ -440,15 +379,13 @@ impl IssueQueue {
         e.state = IqState::Issued;
         let (cluster, seq) = (e.cluster, e.seq);
         self.not_waiting += 1;
-        self.waiting_remove(cluster, slot, seq);
         if self.meta[slot as usize].in_ready {
             self.ready_remove(cluster, slot, seq);
         }
         self.meta[slot as usize].gated = false;
     }
 
-    /// Issued → Waiting (replay); the entry rejoins its waiting list in
-    /// age order.
+    /// Issued → Waiting (replay); the entry starts a new waiting tenure.
     pub fn mark_waiting(&mut self, slot: u32, id: InstId) {
         let Some(e) = self.entry_at(slot, id) else {
             return;
@@ -461,9 +398,7 @@ impl IssueQueue {
             return;
         }
         e.state = IqState::Waiting;
-        let (cluster, seq) = (e.cluster, e.seq);
         self.not_waiting -= 1;
-        self.waiting_insert(cluster, slot, seq);
         self.begin_waiting_tenure(slot);
     }
 
@@ -547,7 +482,6 @@ impl IssueQueue {
                 continue;
             }
             if e.state == IqState::Waiting {
-                self.waiting_remove(e.cluster, slot, e.seq);
                 if self.meta[slot as usize].in_ready {
                     self.ready_remove(e.cluster, slot, e.seq);
                 }
@@ -630,7 +564,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.free_slots(), 0);
         assert!(q.cluster_counts_consistent());
-        assert!(q.waiting_lists_consistent());
+        assert!(q.ready_lists_consistent());
     }
 
     #[test]
@@ -650,13 +584,18 @@ mod tests {
     fn squash_removes_matching() {
         let mut q = IssueQueue::new(8, 4);
         for s in 1..=5 {
-            q.insert(entry(s, 0));
+            let (slot, _) = put(&mut q, s, 0);
+            q.ready_push(slot);
         }
         let killed = q.squash(|e| e.seq > 3);
         assert_eq!(killed, 2);
         assert_eq!(q.len(), 3);
         assert!(q.cluster_counts_consistent());
-        assert!(q.waiting_lists_consistent());
+        assert!(q.ready_lists_consistent());
+        assert_eq!(
+            q.ready_iter(0).map(|(_, e)| e.seq).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
     }
 
     #[test]
@@ -673,29 +612,27 @@ mod tests {
     }
 
     #[test]
-    fn waiting_lists_stay_age_sorted_across_replay() {
+    fn ready_lists_stay_age_sorted_across_replay() {
         let mut q = IssueQueue::new(8, 2);
         // Out-of-order insertion (SMT threads interleave seqs).
         let (s3, id3) = put(&mut q, 3, 1);
-        let (s1, _id1) = put(&mut q, 1, 1);
-        let (_s5, _id5) = put(&mut q, 5, 1);
-        assert_eq!(
-            (0..q.waiting_len(1))
-                .map(|i| q.waiting_entry(1, i).seq)
-                .collect::<Vec<_>>(),
-            vec![1, 3, 5]
-        );
-        // Issue the oldest two, replay one: it rejoins in age order.
-        q.mark_issued(s1, entry(1, 1).id);
+        let (s1, id1) = put(&mut q, 1, 1);
+        let (s5, _id5) = put(&mut q, 5, 1);
+        for slot in [s3, s1, s5] {
+            q.ready_push(slot);
+        }
+        let ready = |q: &IssueQueue| q.ready_iter(1).map(|(_, e)| e.seq).collect::<Vec<_>>();
+        assert_eq!(ready(&q), vec![1, 3, 5]);
+        // Issue the oldest two, replay one: its new tenure starts off the
+        // ready list and rejoins in age order once woken again.
+        q.mark_issued(s1, id1);
         q.mark_issued(s3, id3);
         q.mark_waiting(s3, id3);
-        assert_eq!(
-            (0..q.waiting_len(1))
-                .map(|i| q.waiting_entry(1, i).seq)
-                .collect::<Vec<_>>(),
-            vec![3, 5]
-        );
-        assert!(q.waiting_lists_consistent());
+        assert_eq!(ready(&q), vec![5]);
+        assert!(!q.in_ready(s3));
+        q.ready_push(s3);
+        assert_eq!(ready(&q), vec![3, 5]);
+        assert!(q.ready_lists_consistent());
     }
 
     #[test]

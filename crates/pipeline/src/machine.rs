@@ -17,6 +17,7 @@ use crate::error::{DeadlockError, PipelineSnapshot, SimError, ThreadSnapshot};
 use crate::faults::FaultInjector;
 use crate::iq::{IqEntry, IqState, IssueQueue};
 use crate::lsq::{contains, forward_value, overlaps, StoreWaitTable};
+use crate::profile::{NoProbe, Probe, Stopwatch};
 use crate::stats::{CpiComponent, SimStats};
 use crate::trace::PipelineTracer;
 use crate::wheel::{Due, TimingWheel};
@@ -47,9 +48,6 @@ const WHEEL_HORIZON: u64 = 256;
 /// buffers keep their high-water capacity across cycles.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Per-thread "cannot make further progress this cycle" flags, shared
-    /// by the rename / insert / retire round-robin loops.
-    blocked: Vec<bool>,
     /// do_issue: per-cluster oldest-ready selection.
     picks: Vec<Option<(u64, InstId)>>,
     /// Events drained from `exec_events` this cycle.
@@ -161,9 +159,15 @@ pub struct Machine {
     /// Per physical register: cycle the value was actually produced
     /// (`u64::MAX` while in flight).
     pub(crate) avail_cycle: Vec<u64>,
-    /// Per physical register: bumped whenever `ready_at` is rewritten, so
-    /// consumers blocked on a failed wake-up know when to retry.
+    /// Per physical register: bumped whenever `ready_at` is rewritten (or
+    /// re-broadcast to a blocked consumer), so consumers blocked on a
+    /// failed wake-up know when to retry.
     pub(crate) ready_version: Vec<u32>,
+    /// Per physical register: some consumer recorded the current
+    /// `ready_version` as its `blocked_version`. Set by `execute_one`,
+    /// cleared by the next version bump. While clear, a broadcast that
+    /// leaves `ready_at` unchanged cannot change any consumer's readiness.
+    pub(crate) version_blocked: Vec<bool>,
     // Memory.
     pub(crate) hier: MemHierarchy,
     pub(crate) data_mem: FlatMemory,
@@ -190,6 +194,12 @@ pub struct Machine {
     /// for every source register that is not yet *settled* (produced and
     /// past its wake-up cycle); drained by [`Machine::set_ready_at`].
     pub(crate) preg_consumers: Vec<Vec<(u32, u32)>>,
+    /// Per IQ slot: what the slot's current waiting tenure waits on,
+    /// copied from the instruction by [`Machine::begin_tenure`]. Only
+    /// execute and replay rewrite those operand fields, and both end the
+    /// tenure, so `reeval_entry` reads this compact record instead of the
+    /// instruction slab.
+    pub(crate) tenures: Vec<Tenure>,
     /// Per thread: `(slot, epoch)` records of waiting loads parked behind
     /// the store-wait predictor (an older address-unknown store exists).
     /// Drained when a store's address resolves or the queue is squashed.
@@ -258,7 +268,10 @@ impl Machine {
                 crc_policy,
             } => (
                 (0..cfg.clusters)
-                    .map(|_| ClusterRegCache::with_policy(crc_entries, crc_policy))
+                    .map(|_| {
+                        ClusterRegCache::with_policy(crc_entries, crc_policy)
+                            .sized_for(cfg.phys_regs)
+                    })
                     .collect(),
                 (0..cfg.clusters)
                     .map(|_| InsertionTable::new(cfg.phys_regs))
@@ -297,6 +310,7 @@ impl Machine {
             ready_at: vec![0; cfg.phys_regs],
             avail_cycle: vec![0; cfg.phys_regs],
             ready_version: vec![0; cfg.phys_regs],
+            version_blocked: vec![false; cfg.phys_regs],
             hier: MemHierarchy::new(cfg.mem),
             pred: build_predictor(cfg.predictor),
             btb: Btb::new(cfg.btb_entries),
@@ -317,6 +331,7 @@ impl Machine {
             wakeup_events: TimingWheel::new(WHEEL_HORIZON),
             ready_events: TimingWheel::new(WHEEL_HORIZON),
             preg_consumers: vec![Vec::new(); cfg.phys_regs],
+            tenures: vec![Tenure::default(); cfg.iq_entries],
             gated_loads: vec![Vec::new(); cfg.threads],
             // Default on; `LOOSELOOPS_NAIVE=1` forces the reference
             // per-cycle engine process-wide (an A/B escape hatch — the
@@ -677,33 +692,58 @@ impl Machine {
 
     /// Advance exactly one cycle.
     pub fn step_cycle(&mut self) {
-        if self.profile.is_some() {
-            self.step_cycle_profiled();
-        } else {
-            self.step_cycle_plain();
+        let Some(p) = self.profile.as_deref_mut() else {
+            self.step_stages(&mut NoProbe);
+            return;
+        };
+        let timed = p.samples_next();
+        p.stepped_cycles += 1;
+        if !timed {
+            self.step_stages(&mut NoProbe);
+            return;
         }
+        let mut watch = Stopwatch::start();
+        self.step_stages(&mut watch);
+        let p = self.profile.as_deref_mut().expect("profiling enabled");
+        for (total, stage) in p.stage_ns.iter_mut().zip(&watch.ns) {
+            *total += stage;
+        }
+        p.sampled_cycles += 1;
     }
 
-    fn step_cycle_plain(&mut self) {
+    /// The stages of one cycle, in `profile::STAGE_NAMES` order; `probe`
+    /// marks each stage boundary (a no-op unless the cycle is timed).
+    #[inline(always)]
+    fn step_stages<P: Probe>(&mut self, probe: &mut P) {
         self.progressed = false;
         let now = self.cycle;
         let retired = self.do_retire(now);
         self.progressed |= retired > 0;
+        probe.lap(0);
         // Attribution reads the machine exactly as retire left it, before
         // later (earlier-in-pipe) stages mutate phases for the next cycle.
         self.attribute_cycle(now, retired);
+        probe.lap(1);
         self.do_complete(now);
+        probe.lap(2);
         // Write-back runs before execute: a value leaving the forwarding
         // buffer this cycle is already in the register file / CRCs when
         // this cycle's executions read operands (the hardware's write-back
         // bypass wire).
         self.do_writeback(now);
+        probe.lap(3);
         self.do_execute(now);
+        probe.lap(4);
         self.do_wakeups(now);
+        probe.lap(5);
         self.do_issue(now);
+        probe.lap(6);
         self.do_insert(now);
+        probe.lap(7);
         self.do_rename(now);
+        probe.lap(8);
         self.do_fetch(now);
+        probe.lap(9);
         self.progressed |= self.iq.next_release().is_some_and(|r| r <= now);
         self.iq.release_confirmed(now);
         self.iq.sample_occupancy();
@@ -712,50 +752,7 @@ impl Machine {
         }
         self.stats.cycles += 1;
         self.cycle += 1;
-    }
-
-    /// `step_cycle_plain` with a wall-clock timestamp around every stage.
-    /// Kept as a separate body so the hot path pays nothing for the
-    /// instrumentation when profiling is off.
-    fn step_cycle_profiled(&mut self) {
-        use std::time::Instant;
-        let mut ns = [0u64; crate::profile::STAGE_COUNT];
-        macro_rules! timed {
-            ($idx:expr, $body:expr) => {{
-                let t = Instant::now();
-                let r = $body;
-                ns[$idx] += t.elapsed().as_nanos() as u64;
-                r
-            }};
-        }
-        self.progressed = false;
-        let now = self.cycle;
-        let retired = timed!(0, self.do_retire(now));
-        self.progressed |= retired > 0;
-        timed!(1, self.attribute_cycle(now, retired));
-        timed!(2, self.do_complete(now));
-        timed!(3, self.do_writeback(now));
-        timed!(4, self.do_execute(now));
-        timed!(5, self.do_wakeups(now));
-        timed!(6, self.do_issue(now));
-        timed!(7, self.do_insert(now));
-        timed!(8, self.do_rename(now));
-        timed!(9, self.do_fetch(now));
-        timed!(10, {
-            self.progressed |= self.iq.next_release().is_some_and(|r| r <= now);
-            self.iq.release_confirmed(now);
-            self.iq.sample_occupancy();
-            if now < self.frontend_stall_until {
-                self.stats.operand_miss_stall_cycles += 1;
-            }
-            self.stats.cycles += 1;
-            self.cycle += 1;
-        });
-        let p = self.profile.as_mut().expect("profiling enabled");
-        for (total, stage) in p.stage_ns.iter_mut().zip(&ns) {
-            *total += stage;
-        }
-        p.stepped_cycles += 1;
+        probe.lap(10);
     }
 
     fn finalize_stats(&mut self) {
@@ -782,11 +779,20 @@ impl Machine {
     }
 
     /// Rewrite a register's wake-up schedule and bump its version so
-    /// blocked consumers re-evaluate.
+    /// blocked consumers re-evaluate. A broadcast that repeats the stored
+    /// cycle while no consumer is blocked on the current version is a
+    /// no-op: every registered consumer already reflects that cycle (a
+    /// ready-list entry, a timer at it, or a wait on another source), and
+    /// a version bump only matters to a blocked consumer.
     #[inline]
     fn set_ready_at(&mut self, p: PhysReg, v: u64) {
-        self.ready_at[p.index()] = v;
-        self.ready_version[p.index()] = self.ready_version[p.index()].wrapping_add(1);
+        let i = p.index();
+        if self.ready_at[i] == v && !self.version_blocked[i] {
+            return;
+        }
+        self.ready_at[i] = v;
+        self.ready_version[i] = self.ready_version[i].wrapping_add(1);
+        self.version_blocked[i] = false;
         self.drain_consumers(p);
     }
 
@@ -822,23 +828,42 @@ impl Machine {
             && self.threads[e.thread].oldest_unknown_seq < di.seq
     }
 
-    /// Register the waiting tenure in `slot` on the consumer list of every
-    /// source register that could still change its readiness (see the
-    /// *settled* rule above). Called exactly once per tenure, right after
-    /// the entry enters `Waiting` (insert or replay).
-    fn register_entry(&mut self, slot: u32, now: u64) {
+    /// [`Machine::entry_gated`] for a tenure's copied facts.
+    #[inline]
+    fn tenure_gated(&self, t: &Tenure) -> bool {
+        t.load_pc.is_some_and(|pc| self.store_wait.must_wait(pc))
+            && self.threads[t.thread].oldest_unknown_seq < t.seq
+    }
+
+    /// Start the waiting tenure in `slot` (after insert or replay): copy
+    /// what it waits on into `tenures`, register it on the consumer list
+    /// of every source register that could still change its readiness
+    /// (see the *settled* rule above), and place it.
+    fn begin_tenure(&mut self, slot: u32, now: u64) {
         let Some(e) = self.iq.waiting_slot(slot) else {
             return;
         };
-        let id = e.id;
+        let (id, thread) = (e.id, e.thread);
         let epoch = self.iq.epoch_of(slot);
-        let srcs = self.slab.expect(id).srcs;
+        let di = self.slab.expect(id);
+        let mut tenure = Tenure {
+            seq: di.seq,
+            thread,
+            load_pc: (di.class == Class::Load).then_some(di.pc),
+            srcs: [SrcWait::None; 2],
+        };
         let mut first: Option<PhysReg> = None;
-        for src in srcs.iter().flatten() {
+        for (wait, src) in tenure.srcs.iter_mut().zip(di.srcs) {
+            let Some(src) = src else { continue };
             if src.payload_valid {
+                *wait = SrcWait::At(src.ready_at);
                 continue;
             }
             let p = src.phys;
+            *wait = SrcWait::Reg {
+                phys: p.index() as u32,
+                blocked: src.blocked_version,
+            };
             if first == Some(p) {
                 continue; // both sources name the same register
             }
@@ -849,6 +874,8 @@ impl Machine {
                 self.preg_consumers[p.index()].push((slot, epoch));
             }
         }
+        self.tenures[slot as usize] = tenure;
+        self.reeval_entry(slot, now);
     }
 
     /// Re-evaluate the waiting entry in `slot` against current wake-up and
@@ -857,37 +884,38 @@ impl Machine {
     /// spurious calls (stale timers, duplicate consumer records) are
     /// harmless. The caller must have validated that `slot` is `Waiting`.
     fn reeval_entry(&mut self, slot: u32, now: u64) {
-        let e = *self
-            .iq
-            .waiting_slot(slot)
-            .expect("reeval_entry: slot not waiting");
-        // One slab lookup serves both the store-wait gate check (the
-        // in-place `entry_gated`) and the earliest-issue-cycle computation
-        // — the cycle-comparison mirror of `src_ready`: `u64::MAX` when
-        // unbounded (producer unscheduled, or a source blocked on a
-        // wake-up version that has not been rewritten).
-        let di = self.slab.expect(e.id);
-        let gated = di.class == Class::Load
-            && self.store_wait.must_wait(di.pc)
-            && self.threads[e.thread].oldest_unknown_seq < di.seq;
+        debug_assert!(
+            self.iq.waiting_slot(slot).is_some(),
+            "reeval_entry: slot not waiting"
+        );
+        let t = self.tenures[slot as usize];
+        let gated = self.tenure_gated(&t);
+        // The earliest issue cycle — the cycle-comparison mirror of
+        // `src_ready`: `u64::MAX` when unbounded (producer unscheduled, or
+        // a source blocked on a wake-up version that has not been
+        // rewritten).
         let mut r = 0u64;
         if !gated {
-            for src in di.srcs.iter().flatten() {
-                let t = if src.payload_valid {
-                    src.ready_at
-                } else if src.blocked_version == Some(self.ready_version[src.phys.index()]) {
-                    u64::MAX
-                } else {
-                    self.ready_at[src.phys.index()]
+            for src in t.srcs {
+                let c = match src {
+                    SrcWait::None => 0,
+                    SrcWait::At(c) => c,
+                    SrcWait::Reg { phys, blocked } => {
+                        if blocked == Some(self.ready_version[phys as usize]) {
+                            u64::MAX
+                        } else {
+                            self.ready_at[phys as usize]
+                        }
+                    }
                 };
-                r = r.max(t);
+                r = r.max(c);
             }
         }
         if gated {
             self.iq.ready_withdraw(slot);
             if !self.iq.is_gated(slot) {
                 self.iq.set_gated(slot, true);
-                self.gated_loads[e.thread].push((slot, self.iq.epoch_of(slot)));
+                self.gated_loads[t.thread].push((slot, self.iq.epoch_of(slot)));
             }
             return;
         }
@@ -972,12 +1000,9 @@ impl Machine {
         let mut sweep = std::mem::take(&mut self.scratch.gate_sweep);
         sweep.clear();
         for cluster in 0..self.cfg.clusters {
-            for (slot, e) in self.iq.ready_iter(cluster) {
-                let di = self.slab.expect(e.id);
-                if di.pc == pc
-                    && di.class == Class::Load
-                    && self.threads[e.thread].oldest_unknown_seq < di.seq
-                {
+            for (slot, _) in self.iq.ready_iter(cluster) {
+                let t = &self.tenures[slot as usize];
+                if t.load_pc == Some(pc) && self.threads[t.thread].oldest_unknown_seq < t.seq {
                     sweep.push(slot);
                 }
             }
@@ -1182,10 +1207,6 @@ impl Machine {
     /// Process due wake-up corrections (the delayed miss notifications of
     /// the load-resolution loop).
     fn do_wakeups(&mut self, now: u64) {
-        // Nothing due: skip the drain entirely (O(1) cached check).
-        if self.wakeup_events.next_due().is_none_or(|d| d > now) {
-            return;
-        }
         let mut list = std::mem::take(&mut self.scratch.wakeup_due);
         self.wakeup_events.drain_due(now, &mut list);
         self.progressed |= !list.is_empty();
@@ -1361,24 +1382,21 @@ impl Machine {
         // in-flight count can be carried locally instead of re-summing the
         // per-thread ROB lengths for each candidate.
         let mut in_flight = self.total_in_flight();
-        // Round-robin across threads, in per-thread program order.
+        // Round-robin across threads, in per-thread program order, until
+        // the budget runs out or every thread is blocked.
         let nthreads = self.threads.len();
-        let mut blocked = std::mem::take(&mut self.scratch.blocked);
-        blocked.clear();
-        blocked.resize(nthreads, false);
-        #[allow(clippy::needless_range_loop)] // t also indexes self.threads
-        'outer: while budget > 0 {
-            let mut progress = false;
+        let mut blocked = ThreadMask::default();
+        while budget > 0 && !blocked.all(nthreads) {
             for t in 0..nthreads {
                 if budget == 0 {
-                    break 'outer;
+                    break;
                 }
-                if blocked[t] {
+                if blocked.has(t) {
                     continue;
                 }
                 let th = &self.threads[t];
                 let Some(&(ready, id)) = th.decode_q.front() else {
-                    blocked[t] = true;
+                    blocked.set(t);
                     continue;
                 };
                 if ready > now
@@ -1389,25 +1407,20 @@ impl Machine {
                     if ready <= now {
                         self.stats.rename_stall_cycles += 1;
                     }
-                    blocked[t] = true;
+                    blocked.set(t);
                     continue;
                 }
                 if !self.rename_one(t, id, now) {
                     self.stats.rename_stall_cycles += 1;
-                    blocked[t] = true;
+                    blocked.set(t);
                     continue;
                 }
                 self.threads[t].decode_q.pop_front();
                 in_flight += 1;
                 budget -= 1;
-                progress = true;
                 self.progressed = true;
             }
-            if !progress {
-                break;
-            }
         }
-        self.scratch.blocked = blocked;
     }
 
     fn total_in_flight(&self) -> usize {
@@ -1466,11 +1479,17 @@ impl Machine {
             }
             looseloops_isa::ClusterAffinity::Any => 0..self.cfg.clusters,
         };
-        // invariant: validate() guarantees fp_clusters and mem_clusters are
-        // both in 1..=clusters, so every eligibility range is non-empty.
-        let cluster = eligible
-            .min_by_key(|&c| (self.iq.cluster_len(c) + self.cluster_pressure[c], c))
-            .expect("at least one cluster");
+        // validate() guarantees fp_clusters and mem_clusters are both in
+        // 1..=clusters, so every eligibility range is non-empty.
+        let load = |c: usize| self.iq.cluster_len(c) + self.cluster_pressure[c];
+        let mut cluster = eligible.start;
+        let mut least = load(cluster);
+        for c in eligible.start + 1..eligible.end {
+            if load(c) < least {
+                least = load(c);
+                cluster = c;
+            }
+        }
 
         // Sources.
         let mut srcs: [Option<SrcOperand>; 2] = [None, None];
@@ -1583,22 +1602,18 @@ impl Machine {
             return;
         }
         let nthreads = self.threads.len();
-        let mut blocked = std::mem::take(&mut self.scratch.blocked);
-        blocked.clear();
-        blocked.resize(nthreads, false);
-        #[allow(clippy::needless_range_loop)] // t also indexes self.threads
-        loop {
-            let mut progress = false;
+        let mut blocked = ThreadMask::default();
+        while !blocked.all(nthreads) {
             for t in 0..nthreads {
-                if blocked[t] {
+                if blocked.has(t) {
                     continue;
                 }
                 let Some(&(ready, id)) = self.threads[t].transit_q.front() else {
-                    blocked[t] = true;
+                    blocked.set(t);
                     continue;
                 };
                 if ready > now || self.iq.free_slots() == 0 {
-                    blocked[t] = true;
+                    blocked.set(t);
                     continue;
                 }
                 let di = self.slab.expect(id);
@@ -1624,17 +1639,11 @@ impl Machine {
                 self.threads[t].transit_q.pop_front();
                 if let Some(slot) = slot {
                     // New waiting tenure: hook up incremental readiness.
-                    self.register_entry(slot, now);
-                    self.reeval_entry(slot, now);
+                    self.begin_tenure(slot, now);
                 }
-                progress = true;
                 self.progressed = true;
             }
-            if !progress {
-                break;
-            }
         }
-        self.scratch.blocked = blocked;
     }
 
     // ----------------------------------------------------------------- issue
@@ -1676,20 +1685,17 @@ impl Machine {
     fn do_issue(&mut self, now: u64) {
         // Fire due readiness timers (scheduled whenever a wake-up named a
         // finite future cycle). Stale records — the tenure ended, or the
-        // wake-up moved again — are dropped or handled idempotently. The
-        // O(1) cached `next_due` gate skips the drain when nothing fires.
-        if self.ready_events.next_due().is_some_and(|d| d <= now) {
-            let mut due = std::mem::take(&mut self.scratch.ready_due);
-            self.ready_events.drain_due(now, &mut due);
-            self.progressed |= !due.is_empty();
-            for e in &due {
-                let (slot, epoch) = e.payload;
-                if self.iq.waiting_at_epoch(slot, epoch).is_some() {
-                    self.reeval_entry(slot, now);
-                }
+        // wake-up moved again — are dropped or handled idempotently.
+        let mut due = std::mem::take(&mut self.scratch.ready_due);
+        self.ready_events.drain_due(now, &mut due);
+        self.progressed |= !due.is_empty();
+        for e in &due {
+            let (slot, epoch) = e.payload;
+            if self.iq.waiting_at_epoch(slot, epoch).is_some() {
+                self.reeval_entry(slot, now);
             }
-            self.scratch.ready_due = due;
         }
+        self.scratch.ready_due = due;
 
         // One selection per cluster: oldest ready waiting entry.
         if self.event_driven && self.iq.ready_total() == 0 {
@@ -1708,15 +1714,14 @@ impl Machine {
                 }
             }
         } else {
-            // Naive reference: walk the age-sorted waiting lists and
-            // evaluate every entry.
-            for (cluster, pick) in picks.iter_mut().enumerate() {
-                for i in 0..self.iq.waiting_len(cluster) {
-                    let e = self.iq.waiting_entry(cluster, i);
-                    if self.entry_ready(e, now) {
-                        *pick = Some((e.seq, e.id));
-                        break;
-                    }
+            // Naive reference: evaluate every waiting entry from scratch
+            // and keep each cluster's oldest ready one.
+            for e in self.iq.iter() {
+                if e.state == IqState::Waiting
+                    && picks[e.cluster].is_none_or(|(seq, _)| e.seq < seq)
+                    && self.entry_ready(e, now)
+                {
+                    picks[e.cluster] = Some((e.seq, e.id));
                 }
             }
         }
@@ -1780,11 +1785,6 @@ impl Machine {
     // --------------------------------------------------------------- execute
 
     fn do_execute(&mut self, now: u64) {
-        // Nothing due: draining would be a no-op, so skip the buffer churn.
-        // `next_due` is the cached drain cycle, so this gate is O(1).
-        if self.exec_events.next_due().is_none_or(|d| d > now) {
-            return;
-        }
         let mut due = std::mem::take(&mut self.scratch.exec_due);
         self.exec_events.drain_due(now, &mut due);
         // Oldest-first so same-cycle store→load forwarding within a thread
@@ -1894,18 +1894,12 @@ impl Machine {
                 // Block until the producer re-broadcasts its wake-up —
                 // unless the value is completing this very cycle (no
                 // further broadcast is coming; a plain retry suffices).
-                {
-                    let version = {
-                        let di = self.slab.expect(id);
-                        di.srcs[slot].and_then(|s| {
-                            (self.avail_cycle[s.phys.index()] == u64::MAX)
-                                .then(|| self.ready_version[s.phys.index()])
-                        })
-                    };
-                    let di = self.slab.expect_mut(id);
-                    if let Some(src) = di.srcs[slot].as_mut() {
-                        src.blocked_version = version;
-                    }
+                if let Some(src) = self.slab.expect_mut(id).srcs[slot].as_mut() {
+                    let p = src.phys.index();
+                    src.blocked_version = (self.avail_cycle[p] == u64::MAX).then(|| {
+                        self.version_blocked[p] = true;
+                        self.ready_version[p]
+                    });
                 }
                 self.replay(id, ReplayCause::Producer)
             }
@@ -1940,8 +1934,7 @@ impl Machine {
         // New waiting tenure: hook up incremental readiness. (Sources
         // whose producers re-blocked above register on the producer's
         // consumer list; the re-broadcast re-evaluates this entry.)
-        self.register_entry(slot, self.cycle);
-        self.reeval_entry(slot, self.cycle);
+        self.begin_tenure(slot, self.cycle);
         match cause {
             // Producer-not-ready chains are rooted at mis-speculated loads
             // (deterministic-latency producers never disappoint their
@@ -1956,21 +1949,6 @@ impl Machine {
     /// in the register file. Read it there, deliver to the payload, replay,
     /// and stall the front end while the recovery runs (paper §5.4).
     fn operand_miss(&mut self, id: InstId, slot: usize, now: u64) {
-        // The debug switch is immutable for the process lifetime; cache it
-        // so the miss path does not pay an environment lookup per event.
-        static DEBUG_MISS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *DEBUG_MISS.get_or_init(|| std::env::var_os("LOOSELOOPS_DEBUG_MISS").is_some()) {
-            let di = self.slab.expect(id);
-            let src = di.srcs[slot].as_ref().unwrap();
-            eprintln!(
-                "MISS pc={} inst={} arch={} phys={} cluster={} gap={} itable={} crc_has={} crc_len={}",
-                di.pc, di.inst, src.arch, src.phys, di.cluster,
-                now.saturating_sub(self.avail_cycle[src.phys.index()]),
-                self.itables[di.cluster].count(src.phys),
-                self.crcs[di.cluster].probe(src.phys).is_some(),
-                self.crcs[di.cluster].len(),
-            );
-        }
         self.stats.operand_misses += 1;
         self.stats.operand_sources[4] += 1; // Miss bucket
         let delivery = now + self.cfg.rf_read_latency as u64;
@@ -2436,10 +2414,6 @@ impl Machine {
     // -------------------------------------------------------------- complete
 
     fn do_complete(&mut self, now: u64) {
-        // Nothing due: skip the drain entirely (O(1) cached check).
-        if self.complete_events.next_due().is_none_or(|d| d > now) {
-            return;
-        }
         // Drain every due bucket. Results scheduled "for this cycle" during
         // a later stage of the previous iteration (single-cycle ops
         // complete in their execute cycle) are picked up here, one
@@ -2511,41 +2485,30 @@ impl Machine {
     fn do_retire(&mut self, now: u64) -> u64 {
         let mut budget = self.cfg.width;
         let nthreads = self.threads.len();
-        let mut blocked = std::mem::take(&mut self.scratch.blocked);
-        blocked.clear();
-        blocked.resize(nthreads, false);
-        #[allow(clippy::needless_range_loop)] // t also indexes self.threads
-        'outer: loop {
-            let mut progress = false;
+        let mut blocked = ThreadMask::default();
+        while budget > 0 && !blocked.all(nthreads) {
             for t in 0..nthreads {
                 if budget == 0 {
-                    break 'outer;
+                    break;
                 }
-                if blocked[t] || self.threads[t].done {
-                    blocked[t] = true;
+                if blocked.has(t) {
                     continue;
                 }
-                let Some(&id) = self.threads[t].rob.front() else {
-                    blocked[t] = true;
+                let th = &self.threads[t];
+                let head = th.rob.front().filter(|_| !th.done);
+                let Some(&id) =
+                    head.filter(|&&id| self.slab.expect(id).phase == InstPhase::Complete)
+                else {
+                    blocked.set(t);
                     continue;
                 };
-                let di = self.slab.expect(id);
-                if di.phase != InstPhase::Complete {
-                    blocked[t] = true;
-                    continue;
-                }
                 self.retire_one(t, id, now);
                 budget -= 1;
-                progress = true;
                 if self.threads[t].done {
-                    blocked[t] = true;
+                    blocked.set(t);
                 }
             }
-            if !progress {
-                break;
-            }
         }
-        self.scratch.blocked = blocked;
         (self.cfg.width - budget) as u64
     }
 
@@ -2861,6 +2824,55 @@ impl Machine {
     }
 }
 
+/// What one waiting tenure of an IQ slot waits on (see
+/// [`Machine::tenures`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tenure {
+    seq: u64,
+    /// The PC of a load (subject to the store-wait gate); `None` for every
+    /// other class.
+    load_pc: Option<u64>,
+    thread: usize,
+    srcs: [SrcWait; 2],
+}
+
+/// What one source operand of a waiting tenure waits on.
+#[derive(Debug, Clone, Copy, Default)]
+enum SrcWait {
+    /// No operand in this position.
+    #[default]
+    None,
+    /// The value is in the payload: issuable from this cycle on.
+    At(u64),
+    /// The producer's wake-up (`ready_at[phys]`), unless the operand is
+    /// blocked until the register's version moves past `blocked`.
+    Reg { phys: u32, blocked: Option<u32> },
+}
+
+/// Per-thread "can make no further progress this cycle" flags of the
+/// rename / insert / retire round-robin loops (`validate` caps threads at
+/// 4, well inside the bits).
+#[derive(Default, Clone, Copy)]
+struct ThreadMask(u32);
+
+impl ThreadMask {
+    #[inline]
+    fn has(self, t: usize) -> bool {
+        self.0 & (1 << t) != 0
+    }
+
+    #[inline]
+    fn set(&mut self, t: usize) {
+        self.0 |= 1 << t;
+    }
+
+    /// Every one of `n` threads is blocked.
+    #[inline]
+    fn all(self, n: usize) -> bool {
+        self.0 == (1 << n) - 1
+    }
+}
+
 /// Why execution could not proceed.
 enum ExecAbort {
     /// The source at this slot has an in-flight producer (load shadow).
@@ -2919,6 +2931,55 @@ mod timing_tests {
             issued + loop_delay + clear,
             "entry must persist for the load-resolution loop delay plus the clear cycle"
         );
+    }
+
+    /// A broadcast that repeats a register's wake-up cycle must still bump
+    /// its version, and so release a consumer that execute blocked on the
+    /// current version; once nobody is blocked, the repeat is a no-op.
+    #[test]
+    fn same_cycle_rebroadcast_releases_a_version_blocked_consumer() {
+        let prog = looseloops_isa::asm::assemble("add r1, r2, r3\nhalt").unwrap();
+        let mut m = Machine::new(PipelineConfig::base(), vec![prog]).unwrap();
+        m.cycle = 10;
+        let p = PhysReg(300);
+        m.ready_at[p.index()] = 5;
+        m.avail_cycle[p.index()] = u64::MAX; // produced value not back yet
+        let info = *m.threads[0].code.info(0).unwrap();
+        let id = m.slab.alloc(1, 0, 0, &info, 0);
+        // What execute records on a producer-not-ready abort.
+        m.version_blocked[p.index()] = true;
+        m.slab.expect_mut(id).srcs[0] = Some(SrcOperand {
+            arch: looseloops_isa::Reg::int(2),
+            phys: p,
+            payload: 0,
+            payload_valid: false,
+            itable_pending: false,
+            ready_at: 0,
+            blocked_version: Some(m.ready_version[p.index()]),
+            obtained: None,
+            avail_cycle: NO_CYCLE,
+        });
+        let slot =
+            m.iq.insert(IqEntry {
+                id,
+                seq: 1,
+                thread: 0,
+                cluster: 0,
+                state: IqState::Waiting,
+            })
+            .unwrap();
+        m.slab.expect_mut(id).iq_slot = slot;
+        m.begin_tenure(slot, m.cycle);
+        assert!(
+            !m.iq.in_ready(slot),
+            "blocked until the producer re-broadcasts"
+        );
+        m.set_ready_at(p, 5);
+        assert!(m.iq.in_ready(slot), "the same-cycle broadcast releases it");
+        assert!(!m.version_blocked[p.index()]);
+        let version = m.ready_version[p.index()];
+        m.set_ready_at(p, 5);
+        assert_eq!(m.ready_version[p.index()], version, "nobody blocked: no-op");
     }
 
     /// Back-to-back dependent single-cycle ALU ops execute in consecutive

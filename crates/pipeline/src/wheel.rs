@@ -3,7 +3,9 @@
 //! The cycle engine schedules three kinds of future work (begin-execute,
 //! complete, delayed wake-up corrections). All delays are bounded by
 //! configuration latencies, so a calendar-queue ring of pre-sized buckets
-//! indexed by `cycle % horizon` serves nearly every event from memory it
+//! indexed by `cycle & (horizon - 1)` (the horizon is a power of two, so a
+//! mask replaces a 64-bit `%` on every schedule, drain step and rescan
+//! probe) serves nearly every event from memory it
 //! already owns; the rare event past the horizon (a TLB walk stacked on a
 //! memory miss, a fault-injected latency spike) parks in a small overflow
 //! heap until its cycle comes due. After warm-up, scheduling and draining
@@ -69,9 +71,11 @@ impl<T> Ord for Parked<T> {
 /// overflow heap for events at least `horizon` cycles out.
 #[derive(Debug)]
 pub(crate) struct TimingWheel<T> {
-    /// `buckets[c % horizon]` holds events drainable at cycle `c` for the
+    /// `buckets[c & mask]` holds events drainable at cycle `c` for the
     /// current wheel revolution.
     buckets: Vec<Vec<Due<T>>>,
+    /// `buckets.len() - 1`; the bucket count is a power of two.
+    mask: u64,
     /// Events whose slot cycle was `>= cursor + horizon` when scheduled.
     overflow: BinaryHeap<Parked<T>>,
     /// First cycle not yet drained. Buckets cover
@@ -91,14 +95,17 @@ pub(crate) struct TimingWheel<T> {
 }
 
 impl<T> TimingWheel<T> {
-    /// `horizon` buckets; events scheduled less than `horizon` cycles
-    /// ahead of the drain cursor go straight to their bucket.
+    /// `horizon` buckets, rounded up to a power of two; events scheduled
+    /// less than that many cycles ahead of the drain cursor go straight to
+    /// their bucket.
     pub fn new(horizon: u64) -> TimingWheel<T> {
         assert!(horizon >= 1, "timing wheel needs at least one bucket");
+        let horizon = horizon.next_power_of_two();
         let mut buckets = Vec::new();
         buckets.resize_with(horizon as usize, Vec::new);
         TimingWheel {
             buckets,
+            mask: horizon - 1,
             overflow: BinaryHeap::new(),
             cursor: 0,
             next_seq: 0,
@@ -139,7 +146,7 @@ impl<T> TimingWheel<T> {
                 payload,
             });
         } else {
-            let idx = (slot_cycle % self.horizon()) as usize;
+            let idx = (slot_cycle & self.mask) as usize;
             self.buckets[idx].push(Due {
                 cycle,
                 seq,
@@ -164,8 +171,14 @@ impl<T> TimingWheel<T> {
             self.due_dirty.set(false);
             return;
         }
+        if !self.due_dirty.get() && self.cached_due.get().is_some_and(|d| d > now) {
+            // Nothing drains before the cached earliest event: skip the
+            // empty buckets. Keeps per-cycle drains of a quiet wheel O(1).
+            self.cursor = self.cursor.max(now + 1);
+            return;
+        }
         while self.cursor <= now {
-            let idx = (self.cursor % self.horizon()) as usize;
+            let idx = (self.cursor & self.mask) as usize;
             out.append(&mut self.buckets[idx]);
             while self.overflow.peek().is_some_and(|p| p.cycle <= self.cursor) {
                 // invariant: peek above proved the heap non-empty.
@@ -226,13 +239,13 @@ impl<T> TimingWheel<T> {
         // and they drain the cycle the cursor reaches them.
         let over = self.overflow.peek().map(|p| p.cycle);
         // Every bucketed event's slot cycle is in [cursor, cursor + h), so
-        // bucket `(cursor + d) % h` drains exactly at `cursor + d`.
+        // bucket `(cursor + d) & mask` drains exactly at `cursor + d`.
         for d in 0..h {
             let due = self.cursor + d;
             if over.is_some_and(|o| o <= due) {
                 return over;
             }
-            if !self.buckets[(due % h) as usize].is_empty() {
+            if !self.buckets[(due & self.mask) as usize].is_empty() {
                 return Some(due);
             }
         }
@@ -270,6 +283,8 @@ mod tests {
     #[test]
     fn matches_btreemap_order_under_random_schedules() {
         let mut rng = Rng::seed_from_u64(0x5eed_4e11);
+        // 7 rounds up to an 8-bucket ring; events still land up to
+        // `3 * 7 + 40` cycles out, well into the overflow heap.
         for horizon in [1u64, 2, 7, 64] {
             let mut wheel = TimingWheel::new(horizon);
             let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
@@ -296,6 +311,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn horizon_rounds_up_to_a_power_of_two() {
+        let mut wheel = TimingWheel::new(5);
+        assert_eq!(wheel.horizon(), 8);
+        // Cycle 7 is the last in-ring bucket of an 8-bucket ring, 8 the
+        // first overflow cycle; both must still drain on time.
+        wheel.schedule(7, 1);
+        wheel.schedule(8, 2);
+        assert_eq!(drain_wheel(&mut wheel, 7), vec![(7, 1)]);
+        assert_eq!(drain_wheel(&mut wheel, 8), vec![(8, 2)]);
     }
 
     #[test]

@@ -26,6 +26,10 @@ pub enum CrcPolicy {
 #[derive(Debug, Clone)]
 pub struct ClusterRegCache {
     entries: VecDeque<(PhysReg, u64)>,
+    /// Per physical register: resident in `entries` (grown on demand), so
+    /// the invalidation every register allocation performs skips the
+    /// associative scan for the many registers that are not cached.
+    resident: Vec<bool>,
     capacity: usize,
     policy: CrcPolicy,
     hits: u64,
@@ -52,12 +56,22 @@ impl ClusterRegCache {
         assert!(capacity > 0, "CRC capacity must be positive");
         ClusterRegCache {
             entries: VecDeque::with_capacity(capacity),
+            resident: Vec::new(),
             capacity,
             policy,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
+    }
+
+    /// This cache, pre-sized for `nregs` physical registers so that
+    /// steady-state inserts never allocate.
+    pub fn sized_for(mut self, nregs: usize) -> ClusterRegCache {
+        if self.resident.len() < nregs {
+            self.resident.resize(nregs, false);
+        }
+        self
     }
 
     /// Capacity in entries.
@@ -85,10 +99,16 @@ impl ClusterRegCache {
             return;
         }
         if self.entries.len() == self.capacity {
-            self.entries.pop_front();
+            if let Some((old, _)) = self.entries.pop_front() {
+                self.resident[old.index()] = false;
+            }
             self.evictions += 1;
         }
         self.entries.push_back((r, value));
+        if self.resident.len() <= r.index() {
+            self.resident.resize(r.index() + 1, false);
+        }
+        self.resident[r.index()] = true;
     }
 
     /// Associative lookup. A hit **consumes nothing**: values may be read
@@ -129,7 +149,14 @@ impl ClusterRegCache {
     /// Invalidate any entry for `r` (physical-register reallocation — the
     /// paper's stale-value rule, §5.5).
     pub fn invalidate(&mut self, r: PhysReg) {
-        self.entries.retain(|(reg, _)| *reg != r);
+        if !self.resident.get(r.index()).copied().unwrap_or(false) {
+            return;
+        }
+        self.resident[r.index()] = false;
+        // `insert` keeps registers unique, so exactly one entry matches.
+        if let Some(i) = self.entries.iter().position(|(reg, _)| *reg == r) {
+            self.entries.remove(i);
+        }
     }
 
     /// (hits, misses, fifo evictions).
@@ -205,6 +232,22 @@ mod tests {
         // PhysReg(1) kept its FIFO slot: next insert evicts it first.
         c.insert(PhysReg(3), 3);
         assert_eq!(c.probe(PhysReg(1)), None);
+    }
+
+    #[test]
+    fn invalidate_tracks_evictions_and_reinserts() {
+        let mut c = ClusterRegCache::new(2).sized_for(8);
+        c.insert(PhysReg(1), 1);
+        c.insert(PhysReg(2), 2);
+        c.insert(PhysReg(3), 3); // evicts PhysReg(1)
+        c.invalidate(PhysReg(1)); // no longer resident: nothing to drop
+        assert_eq!(c.len(), 2);
+        c.insert(PhysReg(1), 11); // evicts PhysReg(2)
+        c.invalidate(PhysReg(3));
+        c.invalidate(PhysReg(9)); // beyond the pre-sized registers
+        assert_eq!(c.entries().collect::<Vec<_>>(), vec![(PhysReg(1), 11)]);
+        c.invalidate(PhysReg(1));
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -40,6 +40,9 @@ pub struct ForwardingBuffer {
     buckets: Vec<Vec<PhysReg>>,
     /// The cycle each bucket currently holds (`EMPTY` = untouched).
     bucket_cycle: Vec<u64>,
+    /// `buckets.len() - 1`; the ring length is a power of two, so a
+    /// cycle's bucket is `cycle & ring_mask`.
+    ring_mask: u64,
     hits: u64,
     misses: u64,
 }
@@ -66,8 +69,9 @@ impl ForwardingBuffer {
     pub fn with_regs(window: u64, nregs: usize) -> ForwardingBuffer {
         assert!(window > 0, "forwarding window must be positive");
         // A result is visible for `window` cycles and reported once more as
-        // it expires, so distinct live cycles never collide in the ring.
-        let ring = (window + 2) as usize;
+        // it expires, so distinct live cycles never collide in a ring of at
+        // least `window + 2` buckets.
+        let ring = (window + 2).next_power_of_two() as usize;
         ForwardingBuffer {
             window,
             cycles: vec![EMPTY; nregs],
@@ -75,6 +79,7 @@ impl ForwardingBuffer {
             watermark: 0,
             buckets: vec![Vec::new(); ring],
             bucket_cycle: vec![EMPTY; ring],
+            ring_mask: ring as u64 - 1,
             hits: 0,
             misses: 0,
         }
@@ -97,7 +102,7 @@ impl ForwardingBuffer {
     /// Record a result produced at `cycle`.
     pub fn insert(&mut self, r: PhysReg, value: u64, cycle: u64) {
         self.ensure_reg(r);
-        let idx = (cycle % self.buckets.len() as u64) as usize;
+        let idx = (cycle & self.ring_mask) as usize;
         if self.bucket_cycle[idx] != cycle {
             self.bucket_cycle[idx] = cycle;
             self.buckets[idx].clear();
@@ -159,7 +164,7 @@ impl ForwardingBuffer {
         if c < self.watermark {
             return;
         }
-        let idx = (c % self.buckets.len() as u64) as usize;
+        let idx = (c & self.ring_mask) as usize;
         if self.bucket_cycle[idx] != c {
             return;
         }

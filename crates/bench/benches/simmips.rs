@@ -17,10 +17,7 @@
 //! regenerates the baseline).
 
 use looseloops::{
-    ablation_dra_design_on, ablation_fwd_window_on, ablation_iq_size_on, ablation_load_policies_on,
-    ablation_predictors_on, ablation_prefetch_on, capture_checkpoint, fig4_pipeline_length_on,
-    fig5_fixed_total_on, fig6_operand_gap_cdf_on, fig8_dra_speedup_on, fig9_operand_sources_on,
-    Benchmark, FigureResult, PipelineConfig, RunBudget, SweepEngine, Workload,
+    capture_checkpoint, Benchmark, FigureSpec, PipelineConfig, RunBudget, SweepEngine, Workload,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -56,71 +53,28 @@ struct Entry {
     sim_mips: f64,
 }
 
-/// Run one figure generator on a fresh single-worker engine and record
-/// the sweep's wall time and sim-MIPS.
-fn measure(
-    figure: &'static str,
-    budget: RunBudget,
-    gen: impl FnOnce(&SweepEngine, RunBudget) -> FigureResult,
-) -> Entry {
+/// Run the figures `ids` on ONE fresh single-worker engine and record the
+/// sweep's wall time and sim-MIPS under `name`. Overlapping grid points
+/// (the base machine appears in several figures) simulate once and the
+/// rest come from the memo cache, exactly as `looseloops figure all` runs.
+fn measure(name: &'static str, ids: &[&str], budget: RunBudget, workloads: &[Workload]) -> Entry {
     let sweep = SweepEngine::new(1);
     let t0 = Instant::now();
-    let fig = gen(&sweep, budget);
+    let series: usize = ids
+        .iter()
+        .map(|id| {
+            FigureSpec::for_id(id, workloads, budget)
+                .expect("known figure id")
+                .run_on(&sweep)
+                .series
+                .len()
+        })
+        .sum();
     let wall = t0.elapsed();
     let s = sweep.summary();
-    eprintln!(
-        "[simmips] {figure}: {} series, {}",
-        fig.series.len(),
-        s.line()
-    );
+    eprintln!("[simmips] {name}: {series} series, {}", s.line());
     Entry {
-        figure,
-        jobs: s.jobs_run,
-        instructions: s.instructions,
-        wall_s: wall.as_secs_f64(),
-        sim_mips: s.instructions as f64 / s.wall.as_secs_f64().max(1e-9) / 1e6,
-    }
-}
-
-/// Time the full `looseloops figure all` pass — every figure and
-/// ablation on ONE shared single-worker engine, so overlapping grid
-/// points (the base machine appears in several figures) simulate once
-/// and the rest come from the memo cache, exactly as the CLI runs it.
-/// This is the cumulative end-to-end number the roadmap's 10× goal is
-/// measured against.
-type FigureGen<'a> = &'a dyn Fn(&SweepEngine, RunBudget) -> FigureResult;
-
-fn measure_figure_all(budget: RunBudget, workloads: &[Workload]) -> Entry {
-    let sweep = SweepEngine::new(1);
-    let t0 = Instant::now();
-    let mut series = 0;
-    let figures: [(&str, FigureGen); 11] = [
-        ("fig4", &|s, b| fig4_pipeline_length_on(s, workloads, b)),
-        ("fig5", &|s, b| fig5_fixed_total_on(s, workloads, b)),
-        ("fig6", &|s, b| fig6_operand_gap_cdf_on(s, b)),
-        ("fig8", &|s, b| fig8_dra_speedup_on(s, workloads, b)),
-        ("fig9", &|s, b| fig9_operand_sources_on(s, workloads, b)),
-        ("load-policy", &|s, b| {
-            ablation_load_policies_on(s, workloads, b)
-        }),
-        ("dra-design", &|s, b| {
-            ablation_dra_design_on(s, workloads, b)
-        }),
-        ("fwd-window", &|s, b| {
-            ablation_fwd_window_on(s, workloads, b)
-        }),
-        ("iq-size", &|s, b| ablation_iq_size_on(s, workloads, b)),
-        ("prefetch", &|s, b| ablation_prefetch_on(s, workloads, b)),
-        ("predictor", &|s, b| ablation_predictors_on(s, workloads, b)),
-    ];
-    for (_, gen) in figures {
-        series += gen(&sweep, budget).series.len();
-    }
-    let wall = t0.elapsed();
-    let s = sweep.summary();
-    eprintln!("[simmips] figure-all: {series} series, {}", s.line());
-    Entry {
-        figure: "figure-all",
+        figure: name,
         jobs: s.jobs_run,
         instructions: s.instructions,
         wall_s: wall.as_secs_f64(),
@@ -188,11 +142,9 @@ fn main() {
     );
     let workloads = Workload::paper_set();
     let entries = [
-        measure("fig4", budget, |s, b| {
-            fig4_pipeline_length_on(s, &workloads, b)
-        }),
-        measure("fig8", budget, |s, b| fig8_dra_speedup_on(s, &workloads, b)),
-        measure_figure_all(budget, &workloads),
+        measure("fig4", &["fig4"], budget, &workloads),
+        measure("fig8", &["fig8"], budget, &workloads),
+        measure("figure-all", &FigureSpec::IDS, budget, &workloads),
         measure_functional_ff(),
     ];
     let json = to_json(budget, &entries);

@@ -1,163 +1,11 @@
-//! Shared harness for the figure benches.
+//! Performance harnesses for the simulator itself.
 //!
-//! Each `benches/figN.rs` target regenerates one figure of the paper's
-//! evaluation (see DESIGN.md §3). They run under `cargo bench` with
-//! `harness = false`, print the paper-style table, and archive JSON under
-//! `target/figures/`.
+//! The bench targets measure the simulator, not the paper:
 //!
-//! Budgets and parallelism are overridable for quick runs:
+//! - `micro` times the hot structures (caches, predictors, register
+//!   structures) and end-to-end simulation throughput;
+//! - `simmips` records the sim-MIPS of the reference sweeps as JSON for
+//!   the CI regression gate (`scripts/check_simmips.py`).
 //!
-//! ```text
-//! LOOSELOOPS_WARMUP=5000 LOOSELOOPS_MEASURE=50000 cargo bench --bench fig4
-//! LOOSELOOPS_JOBS=8 cargo bench --bench fig8        # 8 sweep workers
-//! LOOSELOOPS_SWEEP_VERBOSE=1 cargo bench --bench fig4   # per-job timing
-//! ```
-//!
-//! Every figure runs on a [`SweepEngine`]: the grid of independent
-//! simulations is spread over `LOOSELOOPS_JOBS` workers (default: all
-//! cores) and memoized, and the harness prints a sweep summary line —
-//! jobs run, cache hits, aggregate simulated MIPS — after each figure.
-
-use looseloops::{FigureResult, RunBudget, SweepEngine};
-use std::fs;
-use std::path::PathBuf;
-use std::time::Instant;
-
-/// Apply `LOOSELOOPS_WARMUP` / `LOOSELOOPS_MEASURE` / `LOOSELOOPS_MAX_CYCLES`
-/// overrides from `lookup` to the default bench budget.
-///
-/// # Errors
-///
-/// A value that does not parse as an unsigned integer is an error naming
-/// the variable and the offending value.
-pub fn budget_from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<RunBudget, String> {
-    fn parse(name: &str, value: &str) -> Result<u64, String> {
-        value
-            .trim()
-            .parse()
-            .map_err(|_| format!("{name}: cannot parse `{value}` as an unsigned integer"))
-    }
-    let mut b = RunBudget::bench();
-    if let Some(v) = lookup("LOOSELOOPS_WARMUP") {
-        b.warmup = parse("LOOSELOOPS_WARMUP", &v)?;
-    }
-    if let Some(v) = lookup("LOOSELOOPS_MEASURE") {
-        b.measure = parse("LOOSELOOPS_MEASURE", &v)?;
-    }
-    if let Some(v) = lookup("LOOSELOOPS_MAX_CYCLES") {
-        b.max_cycles = parse("LOOSELOOPS_MAX_CYCLES", &v)?;
-    }
-    Ok(b)
-}
-
-/// Read the run budget from the environment, defaulting to
-/// [`RunBudget::bench`].
-///
-/// # Errors
-///
-/// As [`budget_from_vars`].
-pub fn try_budget_from_env() -> Result<RunBudget, String> {
-    budget_from_vars(|name| std::env::var(name).ok())
-}
-
-/// [`try_budget_from_env`] for the bench mains: a malformed variable
-/// prints a clear error and exits instead of unwinding through a panic.
-pub fn budget_from_env() -> RunBudget {
-    try_budget_from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Print the figure table and archive it as JSON under `target/figures/`.
-pub fn emit(fig: &FigureResult) {
-    println!("{fig}");
-    let dir = PathBuf::from("target/figures");
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{}.json", fig.id));
-        if fs::write(&path, fig.to_json()).is_ok() {
-            println!("(archived to {})", path.display());
-        }
-    }
-}
-
-/// Run a named figure generator on an environment-sized sweep engine,
-/// with wall-clock reporting and a sweep summary (jobs run, cache hits,
-/// simulated MIPS). Set `LOOSELOOPS_SWEEP_VERBOSE=1` for per-job timing.
-pub fn run_figure(name: &str, gen: impl FnOnce(&SweepEngine, RunBudget) -> FigureResult) {
-    let budget = budget_from_env();
-    let sweep = SweepEngine::from_env();
-    eprintln!(
-        "[{name}] warmup={} measure={} instructions per run, {} sweep workers…",
-        budget.warmup,
-        budget.measure,
-        sweep.workers()
-    );
-    let t0 = Instant::now();
-    let fig = gen(&sweep, budget);
-    eprintln!("[{name}] done in {:.1}s", t0.elapsed().as_secs_f64());
-    if std::env::var("LOOSELOOPS_SWEEP_VERBOSE").is_ok_and(|v| v != "0") {
-        for job in sweep.take_job_log() {
-            eprintln!(
-                "[{name}]   {:<24} {:>8.1} ms  {:>8.2} sim-MIPS",
-                job.label,
-                job.wall.as_secs_f64() * 1e3,
-                job.sim_mips()
-            );
-        }
-    }
-    eprintln!("[{name}] sweep: {}", sweep.summary().line());
-    emit(&fig);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn vars<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |name| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| (*v).to_string())
-        }
-    }
-
-    #[test]
-    fn defaults_when_unset() {
-        let b = budget_from_vars(|_| None).unwrap();
-        assert_eq!(b, RunBudget::bench());
-    }
-
-    #[test]
-    fn all_three_overrides_apply() {
-        let b = budget_from_vars(vars(&[
-            ("LOOSELOOPS_WARMUP", "10"),
-            ("LOOSELOOPS_MEASURE", "20"),
-            ("LOOSELOOPS_MAX_CYCLES", "30"),
-        ]))
-        .unwrap();
-        assert_eq!((b.warmup, b.measure, b.max_cycles), (10, 20, 30));
-    }
-
-    #[test]
-    fn max_cycles_alone_is_honored() {
-        let b = budget_from_vars(vars(&[("LOOSELOOPS_MAX_CYCLES", "123456")])).unwrap();
-        assert_eq!(b.max_cycles, 123_456);
-        assert_eq!(b.warmup, RunBudget::bench().warmup);
-    }
-
-    #[test]
-    fn bad_values_name_the_variable_and_value() {
-        let e = budget_from_vars(vars(&[("LOOSELOOPS_MEASURE", "lots")])).unwrap_err();
-        assert!(
-            e.contains("LOOSELOOPS_MEASURE") && e.contains("`lots`"),
-            "{e}"
-        );
-        let e = budget_from_vars(vars(&[("LOOSELOOPS_MAX_CYCLES", "-3")])).unwrap_err();
-        assert!(
-            e.contains("LOOSELOOPS_MAX_CYCLES") && e.contains("`-3`"),
-            "{e}"
-        );
-    }
-}
+//! The paper's figures come from the CLI, e.g.
+//! `looseloops figure fig4` or `looseloops figure all --stacks`.

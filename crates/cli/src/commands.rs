@@ -3,11 +3,8 @@
 use crate::args::{ArgError, Args};
 use crate::config::{budget_from_args, config_from_args, BUDGET_FLAGS, CONFIG_FLAGS};
 use looseloops::{
-    ablation_dra_design_on, ablation_fwd_window_on, ablation_iq_size_on, ablation_load_policies_on,
-    ablation_predictors_on, ablation_prefetch_on, capture_checkpoint, cpi_stack_report_on,
-    fig4_pipeline_length_on, fig5_fixed_total_on, fig6_operand_gap_cdf_on, fig8_dra_speedup_on,
-    fig9_operand_sources_on, figure_cpi_stacks_on, loop_inventory, restore_into, run_sampled,
-    warm_digest, CheckpointStore, ExecMode, FigureResult, Job, Machine, ResultStore, RunBudget,
+    capture_checkpoint, cpi_stack_report_on, loop_inventory, restore_into, run_sampled,
+    warm_digest, CheckpointStore, ExecMode, FigureSpec, Job, Machine, ResultStore, RunBudget,
     SamplingPlan, SimStats, SweepEngine, WarmMemo, Workload,
 };
 use looseloops_workload::Benchmark;
@@ -311,50 +308,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Figure ids understood by `looseloops figure`, with their generators.
-/// `all` regenerates every one of them on a single engine, so overlapping
-/// grids (the base machine appears in several figures) simulate once.
-const FIGURE_IDS: &[&str] = &[
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig8",
-    "fig9",
-    "load-policy",
-    "dra-design",
-    "fwd-window",
-    "iq-size",
-    "prefetch",
-    "predictor",
-];
-
-fn generate_figure(
-    id: &str,
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> Result<FigureResult, ArgError> {
-    Ok(match id {
-        "fig4" => fig4_pipeline_length_on(sweep, workloads, budget),
-        "fig5" => fig5_fixed_total_on(sweep, workloads, budget),
-        "fig6" => fig6_operand_gap_cdf_on(sweep, budget),
-        "fig8" => fig8_dra_speedup_on(sweep, workloads, budget),
-        "fig9" => fig9_operand_sources_on(sweep, workloads, budget),
-        "load-policy" => ablation_load_policies_on(sweep, workloads, budget),
-        "dra-design" => ablation_dra_design_on(sweep, workloads, budget),
-        "fwd-window" => ablation_fwd_window_on(sweep, workloads, budget),
-        "iq-size" => ablation_iq_size_on(sweep, workloads, budget),
-        "prefetch" => ablation_prefetch_on(sweep, workloads, budget),
-        "predictor" => ablation_predictors_on(sweep, workloads, budget),
-        other => {
-            return Err(ArgError(format!(
-                "unknown figure `{other}` (known: {}, all)",
-                FIGURE_IDS.join(", ")
-            )))
-        }
-    })
-}
-
 /// Parse `--workloads a,b,c` (default: the full paper set).
 fn workloads_from_args(args: &Args) -> Result<Vec<Workload>, ArgError> {
     match args.get("workloads") {
@@ -417,16 +370,11 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
     ]);
     args.reject_unknown(&allowed)?;
     let profile_json = profile_from_args(args);
+    let known = || format!("{}, all", FigureSpec::IDS.join(", "));
     let id = args
         .positional()
         .first()
-        .ok_or_else(|| {
-            ArgError(format!(
-                "figure needs an id ({}, all)",
-                FIGURE_IDS.join(", ")
-            ))
-        })?
-        .clone();
+        .ok_or_else(|| ArgError(format!("figure needs an id ({})", known())))?;
     let mut budget = budget_from_args(args)?;
     if args.has("smoke") {
         budget = RunBudget {
@@ -436,44 +384,42 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
         };
     }
     let workloads = workloads_from_args(args)?;
-    let (mode, store) = mode_from_args(args, budget)?;
-    let sweep = sweep_from_args(args, mode, store)?;
-    // With --stacks, each figure's per-loop CPI stacks are appended after
-    // the figure itself — the points are the figure's own memoized jobs,
-    // so no extra simulation happens and without the flag the output is
-    // byte-identical to before.
-    let stacks = args.has("stacks");
-
-    if id == "all" {
+    let ids: Vec<&str> = if id == "all" {
         if args.get("json-out").is_some() {
             return Err(ArgError(
                 "--json-out applies to a single figure, not `all`".into(),
             ));
         }
-        for fid in FIGURE_IDS {
-            let fig = generate_figure(fid, &sweep, &workloads, budget)?;
-            print!("{fig}");
-            if stacks {
-                if let Some(rep) = figure_cpi_stacks_on(&sweep, &fig.id, &workloads, budget) {
-                    print!("{rep}");
-                }
-            }
-            emit_profile(fid, profile_json);
+        FigureSpec::IDS.to_vec()
+    } else {
+        vec![id]
+    };
+    let specs = ids
+        .iter()
+        .map(|fid| {
+            FigureSpec::for_id(fid, &workloads, budget)
+                .ok_or_else(|| ArgError(format!("unknown figure `{fid}` (known: {})", known())))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let (mode, store) = mode_from_args(args, budget)?;
+    let sweep = sweep_from_args(args, mode, store)?;
+    // `all` runs every figure on one engine, so overlapping grids (the
+    // base machine appears in several figures) simulate once. With
+    // --stacks, each figure's per-loop CPI stacks are rendered from the
+    // same results and appended after the figure itself.
+    let mut last = None;
+    for (fid, spec) in ids.iter().zip(&specs) {
+        let results = sweep.run_jobs(&spec.jobs());
+        let fig = spec.render(&results);
+        print!("{fig}");
+        if args.has("stacks") {
+            print!("{}", spec.render_stacks(&results));
         }
-        eprintln!("[sweep] {}", sweep.summary().line());
-        return Ok(());
+        emit_profile(fid, profile_json);
+        last = Some(fig);
     }
-
-    let fig = generate_figure(&id, &sweep, &workloads, budget)?;
-    print!("{fig}");
-    if stacks {
-        if let Some(rep) = figure_cpi_stacks_on(&sweep, &fig.id, &workloads, budget) {
-            print!("{rep}");
-        }
-    }
-    emit_profile(&id, profile_json);
     eprintln!("[sweep] {}", sweep.summary().line());
-    if let Some(path) = args.get("json-out") {
+    if let (Some(path), Some(fig)) = (args.get("json-out"), last) {
         std::fs::write(path, fig.to_json())
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         println!("(json written to {path})");
@@ -513,128 +459,6 @@ pub fn store(args: &Args) -> Result<(), ArgError> {
             "unknown store subcommand `{other}` (known: gc)"
         ))),
         None => Err(ArgError("store needs a subcommand (known: gc)".into())),
-    }
-}
-
-/// `looseloops serve` — bind a TCP job server in front of one shared
-/// sweep engine (plus result store, when configured) and run until a
-/// client sends `{"cmd":"shutdown"}`.
-pub fn serve(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&["addr", "jobs", "queue", "store-dir"])?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:4641");
-    let queue: usize = args.get_or("queue", 4)?;
-    let sweep = sweep_from_args(args, ExecMode::Detailed, None)?;
-    let server = looseloops::server::JobServer::bind(addr, sweep, queue)
-        .map_err(|e| ArgError(format!("cannot bind {addr}: {e}")))?;
-    // Scripts wait for this exact line before submitting.
-    println!(
-        "listening on {}",
-        server.local_addr().map_err(|e| ArgError(e.to_string()))?
-    );
-    server.run().map_err(|e| ArgError(e.to_string()))
-}
-
-/// `looseloops submit` — send one request to a running `serve` daemon
-/// and print the streamed NDJSON events (or, with `--table`, render the
-/// figure/stacks events exactly as a local `figure` run would).
-pub fn submit(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&[
-        "addr",
-        "smoke",
-        "warmup",
-        "measure",
-        "max-cycles",
-        "workloads",
-        "stacks",
-        "table",
-        "shutdown",
-    ])?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:4641");
-    let request = if args.has("shutdown") {
-        "{\"cmd\":\"shutdown\"}".to_string()
-    } else {
-        let id = args
-            .positional()
-            .first()
-            .ok_or_else(|| ArgError("submit needs a figure id (or --shutdown)".into()))?;
-        let mut req = format!(
-            "{{\"cmd\":\"figure\",\"id\":{}",
-            looseloops::json_escape(id)
-        );
-        if !args.has("smoke") {
-            // Budget fields are optional on the wire; the server's default
-            // is exactly `--smoke`, so only overrides are sent.
-            let budget = budget_from_args(args)?;
-            req.push_str(&format!(
-                ",\"warmup\":{},\"measure\":{},\"max_cycles\":{}",
-                budget.warmup, budget.measure, budget.max_cycles
-            ));
-        }
-        if let Some(list) = args.get("workloads") {
-            let names: Vec<String> = list.split(',').map(looseloops::json_escape).collect();
-            req.push_str(&format!(",\"workloads\":[{}]", names.join(",")));
-        }
-        if args.has("stacks") {
-            req.push_str(",\"stacks\":true");
-        }
-        req.push('}');
-        req
-    };
-
-    let lines = looseloops::server::request_lines(addr, &request)
-        .map_err(|e| ArgError(format!("cannot reach {addr}: {e}")))?;
-    let mut failed = None;
-    for line in &lines {
-        let parsed = looseloops::json::parse(line).ok();
-        let event = parsed
-            .as_ref()
-            .and_then(|v| v.get("event"))
-            .and_then(looseloops::json::JsonValue::as_str);
-        if event == Some("error") {
-            failed = Some(
-                parsed
-                    .as_ref()
-                    .and_then(|v| v.get("message"))
-                    .and_then(looseloops::json::JsonValue::as_str)
-                    .unwrap_or("unknown server error")
-                    .to_string(),
-            );
-        }
-        if args.has("table") {
-            match (event, &parsed) {
-                (Some("figure"), Some(v)) => {
-                    if let Some(fig) = v
-                        .get("figure")
-                        .and_then(looseloops::server::figure_from_json)
-                    {
-                        print!("{fig}");
-                        continue;
-                    }
-                }
-                (Some("stacks"), Some(v)) => {
-                    if let Some(rep) = v
-                        .get("stacks")
-                        .and_then(looseloops::server::stacks_from_json)
-                    {
-                        print!("{rep}");
-                        continue;
-                    }
-                }
-                (Some("summary"), Some(v)) => {
-                    if let Some(l) = v.get("line").and_then(looseloops::json::JsonValue::as_str) {
-                        eprintln!("[serve] {l}");
-                        continue;
-                    }
-                }
-                (Some("hello" | "done"), _) => continue,
-                _ => {}
-            }
-        }
-        println!("{line}");
-    }
-    match failed {
-        Some(msg) => Err(ArgError(format!("server: {msg}"))),
-        None => Ok(()),
     }
 }
 
@@ -772,7 +596,7 @@ pub fn list(_args: &Args) -> Result<(), ArgError> {
     for p in Benchmark::pairs() {
         println!("  {}", p.name());
     }
-    println!("figures: fig4 fig5 fig6 fig8 fig9 load-policy dra-design predictor");
+    println!("figures: {}", FigureSpec::IDS.join(" "));
     Ok(())
 }
 

@@ -48,7 +48,9 @@ COMMANDS:
              diffs two such files across commits)
     figure   Regenerate the paper's evaluation figures
              fig4|fig5|fig6|fig8|fig9|load-policy|dra-design|fwd-window|
-             iq-size|prefetch|predictor|all  (`all` shares one run cache)
+             iq-size|prefetch|predictor|all  (`all` shares one run cache;
+             the ablations also answer to ablation-ID)
+             --workloads a,b,c  (default: the 13 paper workloads)
              --warmup N  --measure N  --smoke  --json-out FILE
              --jobs N  (sweep workers; default LOOSELOOPS_JOBS or all cores)
              --stacks  (append each figure's per-loop CPI stacks; reuses
@@ -63,17 +65,6 @@ COMMANDS:
              gc --max-bytes N  (evict least-recently-used entries until
              the store fits in N bytes)
              --store-dir DIR  (which store; LOOSELOOPS_STORE sets a default)
-    serve    Long-lived job server sharing one sweep engine (and store)
-             across clients speaking newline-delimited JSON over TCP
-             --addr HOST:PORT  (default 127.0.0.1:4641)
-             --jobs N  --queue N  (max concurrently executing requests)
-             --store-dir DIR  (as in `figure`)
-    submit   Send one figure request to a running `serve` daemon and
-             print the streamed events
-             ID  --addr HOST:PORT  --smoke | --warmup N --measure N
-             --max-cycles N  --workloads a,b,c  --stacks
-             --table  (render received figures as tables instead of JSON)
-             --shutdown  (stop the daemon instead of submitting)
     checkpoint
              Build or inspect the functional warm-up checkpoint a
              workload's sweep points share
@@ -137,8 +128,6 @@ fn main() -> ExitCode {
         "profile-json",
         "dir",
         "store-dir",
-        "addr",
-        "queue",
         "max-bytes",
     ]
     .to_vec();
@@ -153,9 +142,7 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "run" => commands::run(&args),
         "figure" => commands::figure(&args),
-        "serve" => commands::serve(&args),
         "store" => commands::store(&args),
-        "submit" => commands::submit(&args),
         "loops" => commands::loops(&args),
         "fuzz" => commands::fuzz(&args),
         "checkpoint" => commands::checkpoint(&args),

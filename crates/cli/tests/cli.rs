@@ -187,74 +187,34 @@ fn figure_store_dir_makes_the_second_run_simulation_free() {
 }
 
 #[test]
-fn serve_and_submit_round_trip_a_figure() {
-    use std::io::BufRead;
-
-    let mut daemon = Command::new(env!("CARGO_BIN_EXE_looseloops"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--jobs", "2"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon starts");
-    let mut first_line = String::new();
-    std::io::BufReader::new(daemon.stdout.take().expect("daemon stdout"))
-        .read_line(&mut first_line)
-        .expect("daemon announces its address");
-    let addr = first_line
-        .trim()
-        .strip_prefix("listening on ")
-        .expect("announce line")
-        .to_string();
-
-    // Rendered through --table, the streamed figure must be
-    // byte-identical to the same figure generated locally.
-    let budget = ["--warmup", "500", "--measure", "3000"];
-    let mut submit_args = vec!["submit", "fig6", "--addr", &addr, "--table"];
-    submit_args.extend_from_slice(&budget);
-    let remote = looseloops(&submit_args);
+fn canonical_ablation_ids_print_what_the_short_ids_print() {
+    let short = looseloops(&["figure", "load-policy", "--smoke"]);
     assert!(
-        remote.status.success(),
+        short.status.success(),
         "{}",
-        String::from_utf8_lossy(&remote.stderr)
+        String::from_utf8_lossy(&short.stderr)
     );
-    let mut local_args = vec!["figure", "fig6", "--jobs", "2"];
-    local_args.extend_from_slice(&budget);
-    let local = looseloops(&local_args);
-    assert!(local.status.success());
+    let canonical = looseloops(&["figure", "ablation-load-policy", "--smoke"]);
+    assert!(
+        canonical.status.success(),
+        "{}",
+        String::from_utf8_lossy(&canonical.stderr)
+    );
     assert_eq!(
-        String::from_utf8_lossy(&remote.stdout),
-        String::from_utf8_lossy(&local.stdout),
-        "served figure must match the local run byte-for-byte"
+        String::from_utf8_lossy(&canonical.stdout),
+        String::from_utf8_lossy(&short.stdout)
     );
-    // The per-request summary (with its dedup counter) goes to stderr.
-    let log = String::from_utf8_lossy(&remote.stderr);
-    assert!(log.contains("dedup hits"), "{log}");
+}
 
-    // Raw mode: every streamed line parses as JSON with an event field.
-    let mut raw_args = vec!["submit", "fig6", "--addr", &addr];
-    raw_args.extend_from_slice(&budget);
-    let raw = looseloops(&raw_args);
-    assert!(raw.status.success());
-    let events: Vec<String> = String::from_utf8_lossy(&raw.stdout)
-        .lines()
-        .map(|l| {
-            let v = looseloops::json::parse(l).expect("event line parses as JSON");
-            v.get("event")
-                .and_then(looseloops::json::JsonValue::as_str)
-                .expect("event field")
-                .to_string()
-        })
-        .collect();
-    assert_eq!(events, ["hello", "figure", "summary", "done"]);
-
-    // Unknown figures fail loudly, with the daemon still up.
-    let bad = looseloops(&["submit", "nonesuch", "--addr", &addr]);
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown figure"));
-
-    let down = looseloops(&["submit", "--shutdown", "--addr", &addr]);
-    assert!(down.status.success());
-    let status = daemon.wait().expect("daemon exits after shutdown");
-    assert!(status.success());
+#[test]
+fn unknown_figure_lists_every_known_id() {
+    let out = looseloops(&["figure", "nonesuch", "--smoke"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown figure `nonesuch`"), "{err}");
+    for id in looseloops::FigureSpec::IDS {
+        assert!(err.contains(id), "error must name `{id}`: {err}");
+    }
 }
 
 #[test]

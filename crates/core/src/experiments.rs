@@ -1,16 +1,12 @@
 //! The paper's evaluation, experiment by experiment.
 //!
-//! Each function regenerates one figure of the evaluation section as a
-//! [`FigureResult`] (who wins, by what factor) at a caller-chosen
-//! [`RunBudget`]. The bench targets in `looseloops-bench` call these with
-//! a large budget and print the tables recorded in EXPERIMENTS.md; tests
-//! call them with tiny budgets to keep CI fast.
-//!
-//! Every generator comes in two forms: `figN(workloads, budget)` runs on
-//! the process-wide [`SweepEngine::global`] (worker count from
-//! `LOOSELOOPS_JOBS` / the machine, memo cache shared between figures),
-//! while `figN_on(engine, workloads, budget)` runs on a caller-owned
-//! engine — tests use this to pin the worker count.
+//! Each figure of the evaluation section is a [`FigureSpec`]: a labeled
+//! machine grid, a workload set and a [`RunBudget`], looked up by id
+//! through [`FigureSpec::for_id`] (the ids are [`FigureSpec::IDS`]) and
+//! run on a caller-owned [`SweepEngine`] with [`FigureSpec::run_on`]. The
+//! `looseloops figure` command runs them at a large budget and prints the
+//! tables recorded in EXPERIMENTS.md; tests run them with tiny budgets to
+//! keep CI fast.
 
 use crate::report::{CpiStackReport, CpiStackRow, FigureResult, Series};
 use crate::simulator::{try_run_programs, RunBudget};
@@ -143,9 +139,9 @@ pub enum FigureKind {
 /// One figure of the evaluation as **pure data**: a labeled machine grid,
 /// a workload set, a budget, and a rendering rule. The spec is completely
 /// decoupled from execution — [`FigureSpec::jobs`] enumerates the sweep
-/// points and [`FigureSpec::render`] folds their results, so the same
-/// spec runs on a local [`SweepEngine`] ([`FigureSpec::run_on`]) or is
-/// shipped job-by-job to a `looseloops serve` daemon unchanged.
+/// points and [`FigureSpec::render`] / [`FigureSpec::render_stacks`] fold
+/// their results, so one run of the grid yields both the figure and its
+/// CPI stacks.
 #[derive(Debug, Clone)]
 pub struct FigureSpec {
     /// Canonical figure id (`fig4`, `ablation-load-policy`, ...).
@@ -166,6 +162,22 @@ pub struct FigureSpec {
 }
 
 impl FigureSpec {
+    /// Every figure id, in the order `looseloops figure all` prints them.
+    /// The ablations also answer to their canonical `ablation-*` ids.
+    pub const IDS: [&'static str; 11] = [
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig8",
+        "fig9",
+        "load-policy",
+        "dra-design",
+        "fwd-window",
+        "iq-size",
+        "prefetch",
+        "predictor",
+    ];
+
     /// The spec behind a figure id, canonical (`ablation-load-policy`) or
     /// CLI-short (`load-policy`). `workloads` seeds the workload set;
     /// figures that pin their own workloads (Figure 6) ignore it, and the
@@ -311,8 +323,7 @@ impl FigureSpec {
         rep
     }
 
-    /// Execute the grid on `sweep` and render — the local path every
-    /// `figN_on` generator delegates to.
+    /// Execute the grid on `sweep` and render.
     pub fn run_on(&self, sweep: &SweepEngine) -> FigureResult {
         self.render(&sweep.run_jobs(&self.jobs()))
     }
@@ -339,7 +350,7 @@ fn spec(
 }
 
 /// The labeled machine grid of Figure 4: DEC→EX swept from 6 to 18
-/// cycles. Shared between the figure generator and its CPI-stack view.
+/// cycles.
 fn fig4_configs() -> Vec<(String, PipelineConfig)> {
     [(3, 3), (5, 5), (7, 7), (9, 9)]
         .into_iter()
@@ -355,10 +366,6 @@ fn fig4_configs() -> Vec<(String, PipelineConfig)> {
 /// **Figure 4** — performance vs pipeline length. DEC→EX is swept from 6
 /// to 18 cycles (configs 3_3, 5_5, 7_7, 9_9); results are speedups
 /// relative to the 6-cycle machine.
-pub fn fig4_pipeline_length(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    fig4_pipeline_length_on(SweepEngine::global(), workloads, budget)
-}
-
 fn fig4_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "fig4",
@@ -371,21 +378,6 @@ fn fig4_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
         budget,
         FigureKind::Speedup { baseline: 0 },
     )
-}
-
-/// [`fig4_pipeline_length`] on a caller-owned engine.
-pub fn fig4_pipeline_length_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    fig4_spec(workloads, budget).run_on(sweep)
-}
-
-/// **Figure 5** — fixed overall DEC→EX length (12 cycles), varying the
-/// DEC-IQ / IQ-EX split: 3_9, 5_7, 7_5, 9_3 relative to 3_9.
-pub fn fig5_fixed_total(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    fig5_fixed_total_on(SweepEngine::global(), workloads, budget)
 }
 
 /// The labeled machine grid of Figure 5: fixed 12-cycle DEC→EX, varying
@@ -402,6 +394,8 @@ fn fig5_configs() -> Vec<(String, PipelineConfig)> {
         .collect()
 }
 
+/// **Figure 5** — fixed overall DEC→EX length (12 cycles), varying the
+/// DEC-IQ / IQ-EX split: 3_9, 5_7, 7_5, 9_3 relative to 3_9.
 fn fig5_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "fig5",
@@ -415,22 +409,9 @@ fn fig5_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     )
 }
 
-/// [`fig5_fixed_total`] on a caller-owned engine.
-pub fn fig5_fixed_total_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    fig5_spec(workloads, budget).run_on(sweep)
-}
-
 /// **Figure 6** — cumulative distribution of the gap (in cycles) between
 /// an instruction's first and second operand becoming available, measured
 /// on `turb3d` on the base machine. Columns are gap values 0..=60.
-pub fn fig6_operand_gap_cdf(budget: RunBudget) -> FigureResult {
-    fig6_operand_gap_cdf_on(SweepEngine::global(), budget)
-}
-
 fn fig6_spec(budget: RunBudget) -> FigureSpec {
     spec(
         "fig6",
@@ -444,19 +425,6 @@ fn fig6_spec(budget: RunBudget) -> FigureSpec {
     )
 }
 
-/// [`fig6_operand_gap_cdf`] on a caller-owned engine.
-pub fn fig6_operand_gap_cdf_on(sweep: &SweepEngine, budget: RunBudget) -> FigureResult {
-    fig6_spec(budget).run_on(sweep)
-}
-
-/// **Figure 8** — DRA speedups for register-file read latencies of 3, 5
-/// and 7 cycles: DRA:5_3 vs Base:5_5, DRA:7_3 vs Base:5_7, DRA:9_3 vs
-/// Base:5_9.
-pub fn fig8_dra_speedup(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    fig8_dra_speedup_on(SweepEngine::global(), workloads, budget)
-}
-
-/// [`fig8_dra_speedup`] on a caller-owned engine.
 /// The labeled machine grid of Figure 8: base and DRA per register-file
 /// latency, rows 2k base / 2k+1 the matched DRA.
 fn fig8_configs() -> Vec<(String, PipelineConfig)> {
@@ -479,6 +447,9 @@ fn fig8_configs() -> Vec<(String, PipelineConfig)> {
         .collect()
 }
 
+/// **Figure 8** — DRA speedups for register-file read latencies of 3, 5
+/// and 7 cycles: DRA:5_3 vs Base:5_5, DRA:7_3 vs Base:5_7, DRA:9_3 vs
+/// Base:5_9.
 fn fig8_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "fig8",
@@ -493,21 +464,9 @@ fn fig8_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     )
 }
 
-pub fn fig8_dra_speedup_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    fig8_spec(workloads, budget).run_on(sweep)
-}
-
 /// **Figure 9** — where operands come from under the DRA (7_3
 /// configuration, 5-cycle register file): pre-read / forwarding buffer /
 /// CRC / miss fractions per workload.
-pub fn fig9_operand_sources(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    fig9_operand_sources_on(SweepEngine::global(), workloads, budget)
-}
-
 fn fig9_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "fig9",
@@ -522,22 +481,6 @@ fn fig9_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     )
 }
 
-/// [`fig9_operand_sources`] on a caller-owned engine.
-pub fn fig9_operand_sources_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    fig9_spec(workloads, budget).run_on(sweep)
-}
-
-/// **§2.2.2 ablation** — the four load-resolution-loop management
-/// policies, as speedups relative to the paper's choice (tree reissue).
-pub fn ablation_load_policies(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    ablation_load_policies_on(SweepEngine::global(), workloads, budget)
-}
-
-/// [`ablation_load_policies`] on a caller-owned engine.
 /// The labeled machines of the load-policy ablation.
 fn load_policy_configs() -> Vec<(String, PipelineConfig)> {
     [
@@ -559,6 +502,8 @@ fn load_policy_configs() -> Vec<(String, PipelineConfig)> {
     .collect()
 }
 
+/// **§2.2.2 ablation** — the four load-resolution-loop management
+/// policies, as speedups relative to the paper's choice (tree reissue).
 fn load_policy_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     // Append the pointer-chase microbenchmark: the workload where the
     // load-resolution-loop policy is the entire story.
@@ -576,24 +521,6 @@ fn load_policy_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     )
 }
 
-pub fn ablation_load_policies_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    load_policy_spec(workloads, budget).run_on(sweep)
-}
-
-/// **DRA design ablation** — the design choices DESIGN.md calls out:
-/// CRC size (8/16/32 entries), CRC replacement policy (FIFO vs the
-/// "smarter" LRU the paper deemed unnecessary), and idealized
-/// insertion-table cleanup on squash. All at the 5-cycle-RF DRA (7_3),
-/// relative to the paper's 16-entry FIFO.
-pub fn ablation_dra_design(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    ablation_dra_design_on(SweepEngine::global(), workloads, budget)
-}
-
-/// [`ablation_dra_design`] on a caller-owned engine.
 /// The labeled machines of the DRA-design ablation.
 fn dra_design_configs() -> Vec<(String, PipelineConfig)> {
     use looseloops_regs::CrcPolicy;
@@ -618,6 +545,11 @@ fn dra_design_configs() -> Vec<(String, PipelineConfig)> {
     ]
 }
 
+/// **DRA design ablation** — the design choices DESIGN.md calls out:
+/// CRC size (8/16/32 entries), CRC replacement policy (FIFO vs the
+/// "smarter" LRU the paper deemed unnecessary), and idealized
+/// insertion-table cleanup on squash. All at the 5-cycle-RF DRA (7_3),
+/// relative to the paper's 16-entry FIFO.
 fn dra_design_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "ablation-dra-design",
@@ -630,23 +562,6 @@ fn dra_design_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     )
 }
 
-pub fn ablation_dra_design_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    dra_design_spec(workloads, budget).run_on(sweep)
-}
-
-/// **Forwarding-window ablation** — the base machine's buffer retains 9
-/// cycles of results (5 for long-latency ops + 4 of write-back delay,
-/// §2.2.1). Shorter windows push more operands onto the register-file /
-/// CRC paths; longer ones are increasingly unimplementable CAMs.
-pub fn ablation_fwd_window(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    ablation_fwd_window_on(SweepEngine::global(), workloads, budget)
-}
-
-/// [`ablation_fwd_window`] on a caller-owned engine.
 /// The labeled machines of the forwarding-window ablation.
 fn fwd_window_configs() -> Vec<(String, PipelineConfig)> {
     [9u64, 5, 13, 17]
@@ -663,6 +578,10 @@ fn fwd_window_configs() -> Vec<(String, PipelineConfig)> {
         .collect()
 }
 
+/// **Forwarding-window ablation** — the base machine's buffer retains 9
+/// cycles of results (5 for long-latency ops + 4 of write-back delay,
+/// §2.2.1). Shorter windows push more operands onto the register-file /
+/// CRC paths; longer ones are increasingly unimplementable CAMs.
 fn fwd_window_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "ablation-fwd-window",
@@ -675,22 +594,6 @@ fn fwd_window_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     )
 }
 
-pub fn ablation_fwd_window_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    fwd_window_spec(workloads, budget).run_on(sweep)
-}
-
-/// **IQ-capacity ablation** — §2.2.2's IQ-pressure argument: reissue
-/// retention shrinks the effective window, so smaller IQs magnify the
-/// load-resolution loop's cost.
-pub fn ablation_iq_size(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    ablation_iq_size_on(SweepEngine::global(), workloads, budget)
-}
-
-/// [`ablation_iq_size`] on a caller-owned engine.
 /// The labeled machines of the IQ-capacity ablation.
 fn iq_size_configs() -> Vec<(String, PipelineConfig)> {
     [128usize, 64, 32, 256]
@@ -707,6 +610,9 @@ fn iq_size_configs() -> Vec<(String, PipelineConfig)> {
         .collect()
 }
 
+/// **IQ-capacity ablation** — §2.2.2's IQ-pressure argument: reissue
+/// retention shrinks the effective window, so smaller IQs magnify the
+/// load-resolution loop's cost.
 fn iq_size_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "ablation-iq-size",
@@ -717,22 +623,6 @@ fn iq_size_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
         budget,
         FigureKind::Speedup { baseline: 0 },
     )
-}
-
-pub fn ablation_iq_size_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    iq_size_spec(workloads, budget).run_on(sweep)
-}
-
-/// **Prefetcher extension** — the paper attacks the load-resolution
-/// loop's *delay* (DRA); a stride prefetcher attacks its mis-speculation
-/// *rate*. This ablation runs base / base+prefetch / DRA / DRA+prefetch
-/// (5-cycle RF) to show the two are complementary.
-pub fn ablation_prefetch(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    ablation_prefetch_on(SweepEngine::global(), workloads, budget)
 }
 
 /// The labeled machines of the prefetcher ablation.
@@ -756,6 +646,10 @@ fn prefetch_configs() -> Vec<(String, PipelineConfig)> {
     ]
 }
 
+/// **Prefetcher extension** — the paper attacks the load-resolution
+/// loop's *delay* (DRA); a stride prefetcher attacks its mis-speculation
+/// *rate*. This ablation runs base / base+prefetch / DRA / DRA+prefetch
+/// (5-cycle RF) to show the two are complementary.
 fn prefetch_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "ablation-prefetch",
@@ -766,22 +660,6 @@ fn prefetch_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
         budget,
         FigureKind::Speedup { baseline: 0 },
     )
-}
-
-/// [`ablation_prefetch`] on a caller-owned engine.
-pub fn ablation_prefetch_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    prefetch_spec(workloads, budget).run_on(sweep)
-}
-
-/// **Predictor ablation** — the branch-resolution loop's mis-speculation
-/// rate under different direction predictors, as speedup relative to the
-/// paper-style tournament.
-pub fn ablation_predictors(workloads: &[Workload], budget: RunBudget) -> FigureResult {
-    ablation_predictors_on(SweepEngine::global(), workloads, budget)
 }
 
 /// The labeled machines of the predictor ablation.
@@ -807,6 +685,9 @@ fn predictor_configs() -> Vec<(String, PipelineConfig)> {
     .collect()
 }
 
+/// **Predictor ablation** — the branch-resolution loop's mis-speculation
+/// rate under different direction predictors, as speedup relative to the
+/// paper-style tournament.
 fn predictor_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     spec(
         "ablation-predictor",
@@ -817,15 +698,6 @@ fn predictor_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
         budget,
         FigureKind::Speedup { baseline: 0 },
     )
-}
-
-/// [`ablation_predictors`] on a caller-owned engine.
-pub fn ablation_predictors_on(
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> FigureResult {
-    predictor_spec(workloads, budget).run_on(sweep)
 }
 
 /// Per-loop CPI stacks for a labeled config grid × workload set: one row
@@ -855,21 +727,6 @@ pub fn cpi_stack_report_on(
     rep
 }
 
-/// The CPI-stack companion of a figure generator: the same machine grid
-/// and workload set the figure ran (Figure 6 pins turb3d on the base
-/// machine; the load-policy ablation appends the chase microbenchmark,
-/// exactly as its generator does), so on a warm cache no new simulation
-/// happens. Returns `None` for an unknown figure id.
-pub fn figure_cpi_stacks_on(
-    sweep: &SweepEngine,
-    id: &str,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> Option<CpiStackReport> {
-    let spec = FigureSpec::for_id(id, workloads, budget)?;
-    Some(spec.render_stacks(&sweep.run_jobs(&spec.jobs())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -887,9 +744,35 @@ mod tests {
         assert_eq!(Workload::paper_set().len(), 13);
     }
 
+    fn run(id: &str, workloads: &[Workload]) -> FigureResult {
+        FigureSpec::for_id(id, workloads, tiny())
+            .expect("known figure id")
+            .run_on(&SweepEngine::new(2))
+    }
+
+    #[test]
+    fn every_id_resolves_and_aliases_match_their_short_ids() {
+        let ws = Workload::smoke_set();
+        for id in FigureSpec::IDS {
+            let spec = FigureSpec::for_id(id, &ws, tiny())
+                .unwrap_or_else(|| panic!("`{id}` must resolve"));
+            if id.starts_with("fig") {
+                assert_eq!(spec.id, id);
+                continue;
+            }
+            let canonical = format!("ablation-{id}");
+            assert_eq!(spec.id, canonical, "`{id}` reports its canonical id");
+            let alias = FigureSpec::for_id(&canonical, &ws, tiny()).unwrap();
+            assert_eq!(alias.title, spec.title);
+            let keys = |s: &FigureSpec| s.jobs().iter().map(Job::key).collect::<Vec<_>>();
+            assert_eq!(keys(&alias), keys(&spec), "`{canonical}` vs `{id}`");
+        }
+        assert!(FigureSpec::for_id("nonesuch", &ws, tiny()).is_none());
+    }
+
     #[test]
     fn fig4_shape() {
-        let f = fig4_pipeline_length(&Workload::smoke_set(), tiny());
+        let f = run("fig4", &Workload::smoke_set());
         assert_eq!(f.series.len(), 4);
         assert_eq!(f.columns.len(), 3);
         // Baseline series is exactly 1.0 everywhere.
@@ -904,7 +787,7 @@ mod tests {
 
     #[test]
     fn fig6_cdf_is_monotone() {
-        let f = fig6_operand_gap_cdf(tiny());
+        let f = run("fig6", &[]);
         let vals = &f.series[0].values;
         for w in vals.windows(2) {
             assert!(w[1] >= w[0]);
@@ -915,7 +798,7 @@ mod tests {
     #[test]
     fn fig9_fractions_sum_to_one() {
         let ws = [Workload::Single(Benchmark::M88ksim)];
-        let f = fig9_operand_sources(&ws, tiny());
+        let f = run("fig9", &ws);
         let total: f64 = f.series.iter().map(|s| s.values[0]).sum();
         assert!((total - 1.0).abs() < 1e-9, "fractions sum to {total}");
         // DRA never uses the baseline register-file path.

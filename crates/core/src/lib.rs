@@ -38,12 +38,10 @@
 
 pub mod checkpoint;
 pub mod experiments;
-pub mod json;
 pub mod loops;
 pub mod machines;
 pub mod report;
 pub mod sampling;
-pub mod server;
 pub mod simulator;
 pub mod store;
 pub mod sweep;
@@ -54,18 +52,10 @@ pub use checkpoint::{
 };
 pub use sampling::{run_sampled, SampledRun, SamplingPlan};
 
-pub use experiments::{
-    ablation_dra_design, ablation_dra_design_on, ablation_fwd_window, ablation_fwd_window_on,
-    ablation_iq_size, ablation_iq_size_on, ablation_load_policies, ablation_load_policies_on,
-    ablation_predictors, ablation_predictors_on, ablation_prefetch, ablation_prefetch_on,
-    cpi_stack_report_on, fig4_pipeline_length, fig4_pipeline_length_on, fig5_fixed_total,
-    fig5_fixed_total_on, fig6_operand_gap_cdf, fig6_operand_gap_cdf_on, fig8_dra_speedup,
-    fig8_dra_speedup_on, fig9_operand_sources, fig9_operand_sources_on, figure_cpi_stacks_on,
-    FigureKind, FigureSpec, Workload,
-};
+pub use experiments::{cpi_stack_report_on, FigureKind, FigureSpec, Workload};
 pub use loops::{loop_for_component, loop_inventory, LoopInfo, LoopKind, Management, Stage};
 pub use machines::{alpha21264_like, pentium4_like};
-pub use report::{json_escape, CpiStackReport, CpiStackRow, FigureResult, Series};
+pub use report::{CpiStackReport, CpiStackRow, FigureResult, Series};
 pub use simulator::{
     run_benchmark, run_pair, run_programs, try_run_benchmark, try_run_pair, try_run_programs,
     RunBudget,

@@ -206,14 +206,6 @@ impl fmt::Display for CpiStackReport {
     }
 }
 
-/// Escape `s` as a JSON string literal (RFC 8259), quotes included — the
-/// writer half of the dependency-free JSON story ([`crate::json::parse`]
-/// is the reader). Public because the serve protocol and the CLI build
-/// their newline-delimited JSON through this one escaper.
-pub fn json_escape(s: &str) -> String {
-    json::string(s)
-}
-
 // Tiny hand-rolled JSON writer: the structures are flat and fully known,
 // so a dependency is not warranted.
 mod json {

@@ -26,7 +26,7 @@ use crate::store::ResultStore;
 use looseloops_pipeline::{LoopCostStack, PipelineConfig, SimError, SimStats};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lock `m`, recovering from poisoning.
@@ -35,8 +35,8 @@ use std::time::{Duration, Instant};
 /// timing log) whose updates are single `insert`/`merge`/`push` calls, so
 /// a panic elsewhere in a worker can never leave them mid-mutation —
 /// taking the inner value after a poisoning is always safe. Before this
-/// helper, one panicked job permanently poisoned the process-global
-/// engine and every later figure call died on
+/// helper, one panicked job permanently poisoned a shared engine and
+/// every later figure call died on
 /// `expect("sweep cache poisoned")` even though `try_run_jobs` promises
 /// failures don't sink the batch.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -390,15 +390,6 @@ impl SweepEngine {
     /// determinism tests.
     pub fn serial() -> SweepEngine {
         SweepEngine::new(1)
-    }
-
-    /// The process-wide shared engine, sized from the environment on first
-    /// use. The budget-compatible figure entry points
-    /// ([`crate::fig4_pipeline_length`] & co.) run on this engine, so
-    /// figures generated in one process share the memo cache.
-    pub fn global() -> &'static SweepEngine {
-        static GLOBAL: OnceLock<SweepEngine> = OnceLock::new();
-        GLOBAL.get_or_init(SweepEngine::from_env)
     }
 
     /// The worker-thread count.
@@ -800,7 +791,7 @@ mod tests {
         assert!(err.to_string().contains("job panicked"));
         assert_eq!(engine.summary().jobs_failed, 1);
         // Regression: the panic used to poison the engine's mutexes, so
-        // every later call on the (process-global) engine also panicked.
+        // every later call on the same engine also panicked.
         let again = engine.run_jobs(&[job(Benchmark::Compress), job(Benchmark::Swim)]);
         assert_eq!(again.len(), 2);
         let s = engine.summary();

@@ -4,8 +4,8 @@
 //! engine's memo cache.
 
 use looseloops_repro::core::{
-    cpi_stack_report_on, figure_cpi_stacks_on, pipeline::Machine, CpiComponent, PipelineConfig,
-    RunBudget, SweepEngine, Workload,
+    cpi_stack_report_on, pipeline::Machine, CpiComponent, FigureSpec, PipelineConfig, RunBudget,
+    SweepEngine, Workload,
 };
 use looseloops_repro::core::{try_run_benchmark, Benchmark};
 
@@ -72,7 +72,8 @@ fn stack_restarts_with_the_measurement_window() {
 fn branch_resolution_component_grows_with_pipeline_length() {
     let sweep = SweepEngine::new(2);
     let ws = [Workload::Single(Benchmark::Compress)];
-    let rep = figure_cpi_stacks_on(&sweep, "fig4", &ws, tiny()).expect("fig4 has stacks");
+    let spec = FigureSpec::for_id("fig4", &ws, tiny()).expect("fig4 is a figure");
+    let rep = spec.render_stacks(&sweep.run_jobs(&spec.jobs()));
     assert_eq!(rep.rows.len(), 4, "one row per fig4 machine");
     let idx = CpiComponent::BranchResolution.index();
     let branch: Vec<f64> = rep.rows.iter().map(|r| r.components[idx]).collect();

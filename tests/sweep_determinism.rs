@@ -3,8 +3,7 @@
 //! repeated figures must come from the memo cache instead of re-running.
 
 use looseloops_repro::core::{
-    ablation_dra_design_on, fig4_pipeline_length_on, ExecMode, ResultStore, RunBudget, SweepEngine,
-    Workload,
+    ExecMode, FigureResult, FigureSpec, ResultStore, RunBudget, SweepEngine, Workload,
 };
 
 fn tiny() -> RunBudget {
@@ -13,6 +12,12 @@ fn tiny() -> RunBudget {
         measure: 3_000,
         max_cycles: 2_000_000,
     }
+}
+
+fn run_on(engine: &SweepEngine, id: &str, workloads: &[Workload]) -> FigureResult {
+    FigureSpec::for_id(id, workloads, tiny())
+        .expect("known figure id")
+        .run_on(engine)
 }
 
 /// A fresh scratch directory under the system temp dir.
@@ -27,8 +32,8 @@ fn fig4_parallel_is_byte_identical_to_serial() {
     let serial = SweepEngine::new(1);
     let parallel = SweepEngine::new(8);
     let ws = Workload::smoke_set();
-    let a = fig4_pipeline_length_on(&serial, &ws, tiny());
-    let b = fig4_pipeline_length_on(&parallel, &ws, tiny());
+    let a = run_on(&serial, "fig4", &ws);
+    let b = run_on(&parallel, "fig4", &ws);
     assert_eq!(
         a.to_json(),
         b.to_json(),
@@ -44,8 +49,8 @@ fn dra_ablation_parallel_is_byte_identical_to_serial() {
     let serial = SweepEngine::new(1);
     let parallel = SweepEngine::new(8);
     let ws = Workload::smoke_set();
-    let a = ablation_dra_design_on(&serial, &ws, tiny());
-    let b = ablation_dra_design_on(&parallel, &ws, tiny());
+    let a = run_on(&serial, "dra-design", &ws);
+    let b = run_on(&parallel, "dra-design", &ws);
     assert_eq!(
         a.to_json(),
         b.to_json(),
@@ -57,7 +62,7 @@ fn dra_ablation_parallel_is_byte_identical_to_serial() {
 fn repeated_figures_hit_the_cache() {
     let sweep = SweepEngine::new(4);
     let ws = Workload::smoke_set();
-    let first = fig4_pipeline_length_on(&sweep, &ws, tiny());
+    let first = run_on(&sweep, "fig4", &ws);
     let after_first = sweep.summary();
     assert!(after_first.jobs_run > 0);
     assert_eq!(
@@ -65,7 +70,7 @@ fn repeated_figures_hit_the_cache() {
         "a cold engine has nothing to hit"
     );
 
-    let second = fig4_pipeline_length_on(&sweep, &ws, tiny());
+    let second = run_on(&sweep, "fig4", &ws);
     let after_second = sweep.summary();
     assert_eq!(
         after_second.jobs_run, after_first.jobs_run,
@@ -89,7 +94,7 @@ fn store_backed_figures_are_byte_identical_to_store_less_runs() {
 
     // Reference: no store at all.
     let plain = SweepEngine::new(4);
-    let reference = fig4_pipeline_length_on(&plain, &ws, tiny());
+    let reference = run_on(&plain, "fig4", &ws);
 
     // Cold store-backed run: simulates everything, writes the store.
     let cold = SweepEngine::with_stores(
@@ -98,7 +103,7 @@ fn store_backed_figures_are_byte_identical_to_store_less_runs() {
         None,
         Some(ResultStore::open(&dir).expect("open store")),
     );
-    let first = fig4_pipeline_length_on(&cold, &ws, tiny());
+    let first = run_on(&cold, "fig4", &ws);
     assert_eq!(
         first.to_json(),
         reference.to_json(),
@@ -116,7 +121,7 @@ fn store_backed_figures_are_byte_identical_to_store_less_runs() {
         None,
         Some(ResultStore::open(&dir).expect("reopen store")),
     );
-    let second = fig4_pipeline_length_on(&warm, &ws, tiny());
+    let second = run_on(&warm, "fig4", &ws);
     assert_eq!(
         second.to_json(),
         reference.to_json(),
@@ -136,12 +141,11 @@ fn overlapping_figures_share_runs() {
     // Figure 4's 5_5 machine at rf=3 is the same machine Figure 8's rf=3
     // base column uses (base_with_latencies(5, 5) == base_for_rf(3)), so
     // running fig4 first must make part of fig8 free.
-    use looseloops_repro::core::fig8_dra_speedup_on;
     let sweep = SweepEngine::new(4);
     let ws = Workload::smoke_set();
-    fig4_pipeline_length_on(&sweep, &ws, tiny());
+    run_on(&sweep, "fig4", &ws);
     let before = sweep.summary();
-    fig8_dra_speedup_on(&sweep, &ws, tiny());
+    run_on(&sweep, "fig8", &ws);
     let after = sweep.summary();
     assert!(
         after.cache_hits > before.cache_hits,

@@ -4,8 +4,8 @@ use crate::args::{ArgError, Args};
 use crate::config::{budget_from_args, config_from_args, BUDGET_FLAGS, CONFIG_FLAGS};
 use looseloops::{
     capture_checkpoint, cpi_stack_report_on, loop_inventory, restore_into, run_sampled,
-    warm_digest, CheckpointStore, ExecMode, FigureSpec, Job, Machine, ResultStore, RunBudget,
-    SamplingPlan, SimStats, SweepEngine, WarmMemo, Workload,
+    warm_digest, CheckpointError, CheckpointStore, ExecMode, FigureSpec, Job, Machine, ResultStore,
+    RunBudget, SamplingPlan, SimStats, SweepEngine, WarmMemo, Workload,
 };
 use looseloops_workload::Benchmark;
 
@@ -328,9 +328,15 @@ fn workloads_from_args(args: &Args) -> Result<Vec<Workload>, ArgError> {
 /// else the `LOOSELOOPS_STORE` environment variable, else none.
 fn result_store_from_args(args: &Args) -> Result<Option<ResultStore>, ArgError> {
     match args.get("store-dir") {
-        Some(dir) => ResultStore::open(dir)
-            .map(Some)
-            .map_err(|e| ArgError(e.to_string())),
+        Some(dir) => ResultStore::open(dir).map(Some).map_err(|e| {
+            let reason = match e {
+                CheckpointError::Io(msg) => msg,
+                other => other.to_string(),
+            };
+            ArgError(format!(
+                "--store-dir {dir}: cannot open the result store: {reason}"
+            ))
+        }),
         None => Ok(ResultStore::from_env()),
     }
 }

@@ -187,6 +187,28 @@ fn figure_store_dir_makes_the_second_run_simulation_free() {
 }
 
 #[test]
+fn unusable_store_dir_is_reported_as_the_result_store() {
+    let file = std::env::temp_dir().join(format!("looseloops-cli-notadir-{}", std::process::id()));
+    std::fs::write(&file, b"a regular file").unwrap();
+    let out = looseloops(&[
+        "figure",
+        "fig6",
+        "--smoke",
+        "--store-dir",
+        file.to_str().unwrap(),
+    ]);
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--store-dir"),
+        "error must name the flag: {err}"
+    );
+    assert!(err.contains("result store"), "{err}");
+    assert!(!err.contains("checkpoint"), "not a checkpoint error: {err}");
+}
+
+#[test]
 fn canonical_ablation_ids_print_what_the_short_ids_print() {
     let short = looseloops(&["figure", "load-policy", "--smoke"]);
     assert!(

@@ -106,15 +106,6 @@ impl Workload {
     pub fn try_run(&self, cfg: &PipelineConfig, budget: RunBudget) -> Result<SimStats, SimError> {
         try_run_programs(&self.config_for(cfg), self.programs(), budget)
     }
-
-    /// [`Workload::try_run`] for infallible contexts (benches, examples).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`] or an unknown micro name.
-    pub fn run(&self, cfg: &PipelineConfig, budget: RunBudget) -> SimStats {
-        self.try_run(cfg, budget).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// How a figure's completed grid results are folded into a

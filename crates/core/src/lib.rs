@@ -13,14 +13,15 @@
 //! ## Quick start
 //!
 //! ```
-//! use looseloops::{Benchmark, PipelineConfig, RunBudget, run_benchmark};
+//! use looseloops::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget};
 //!
 //! // Simulate 20k instructions of the `swim` proxy on the paper's base
 //! // machine and on the DRA machine (3-cycle register file).
 //! let budget = RunBudget { warmup: 2_000, measure: 20_000, max_cycles: 2_000_000 };
-//! let base = run_benchmark(&PipelineConfig::base_for_rf(3), Benchmark::Swim, budget);
-//! let dra = run_benchmark(&PipelineConfig::dra_for_rf(3), Benchmark::Swim, budget);
+//! let base = try_run_benchmark(&PipelineConfig::base_for_rf(3), Benchmark::Swim, budget)?;
+//! let dra = try_run_benchmark(&PipelineConfig::dra_for_rf(3), Benchmark::Swim, budget)?;
 //! println!("speedup = {:.3}", dra.ipc() / base.ipc());
+//! # Ok::<(), looseloops::SimError>(())
 //! ```
 //!
 //! ## Loop analysis
@@ -56,10 +57,7 @@ pub use experiments::{cpi_stack_report_on, FigureKind, FigureSpec, Workload};
 pub use loops::{loop_for_component, loop_inventory, LoopInfo, LoopKind, Management, Stage};
 pub use machines::{alpha21264_like, pentium4_like};
 pub use report::{CpiStackReport, CpiStackRow, FigureResult, Series};
-pub use simulator::{
-    run_benchmark, run_pair, run_programs, try_run_benchmark, try_run_pair, try_run_programs,
-    RunBudget,
-};
+pub use simulator::{try_run_benchmark, try_run_pair, try_run_programs, RunBudget};
 pub use store::{atomic_write, GcReport, ResultStore, RESULT_STORE_VERSION, STORE_ENV};
 pub use sweep::{
     default_jobs, fnv1a64, jobs_from_env, parallel_map, ExecMode, Job, JobRecord, SweepEngine,

@@ -28,7 +28,7 @@ pub struct FigureResult {
 }
 
 impl FigureResult {
-    /// Render as an aligned text table (the bench harnesses print this).
+    /// Render as an aligned text table (what `looseloops figure` prints).
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         let wide = self
@@ -56,29 +56,7 @@ impl FigureResult {
         out
     }
 
-    /// Render as CSV (one row per series, workloads as columns) for
-    /// spreadsheet/plotting pipelines. Column headers and series labels
-    /// go through the same field escaping.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("series");
-        for c in &self.columns {
-            out.push(',');
-            out.push_str(&csv_field(c));
-        }
-        out.push('\n');
-        for s in &self.series {
-            out.push_str(&csv_field(&s.label));
-            for v in &s.values {
-                out.push(',');
-                out.push_str(&format!("{v}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Serialize to JSON (for archiving bench output).
+    /// Serialize to JSON (`looseloops figure --json-out`).
     ///
     /// # Panics
     ///
@@ -86,13 +64,6 @@ impl FigureResult {
     pub fn to_json(&self) -> String {
         json::render(self)
     }
-}
-
-/// CSV field escaping, shared by headers and series labels: commas become
-/// semicolons (the output stays one-value-per-comma without quoting
-/// rules), CR/LF become spaces so a field cannot break the row structure.
-fn csv_field(s: &str) -> String {
-    s.replace(',', ";").replace(['\r', '\n'], " ")
 }
 
 /// One machine/workload point of a CPI-stack report: the measured CPI and
@@ -174,30 +145,6 @@ impl CpiStackReport {
         }
         out
     }
-
-    /// Render as CSV (one row per point, components then total CPI).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("point");
-        for c in &self.components {
-            out.push(',');
-            out.push_str(&csv_field(c));
-        }
-        out.push_str(",cpi\n");
-        for r in &self.rows {
-            out.push_str(&csv_field(&r.label));
-            for v in &r.components {
-                out.push(',');
-                out.push_str(&format!("{v}"));
-            }
-            out.push_str(&format!(",{}\n", r.cpi));
-        }
-        out
-    }
-
-    /// Serialize to JSON (for archiving bench output).
-    pub fn to_json(&self) -> String {
-        json::render_stack(self)
-    }
 }
 
 impl fmt::Display for CpiStackReport {
@@ -209,7 +156,7 @@ impl fmt::Display for CpiStackReport {
 // Tiny hand-rolled JSON writer: the structures are flat and fully known,
 // so a dependency is not warranted.
 mod json {
-    use super::{CpiStackReport, FigureResult};
+    use super::FigureResult;
 
     /// Escape `s` as a JSON string literal (RFC 8259), quotes included.
     /// Every string in the output — id, title, columns, labels, the paper
@@ -273,45 +220,6 @@ mod json {
         s.push('}');
         s
     }
-
-    fn number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    pub fn render_stack(rep: &CpiStackReport) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"id\": {},\n", string(&rep.id)));
-        s.push_str(&format!("  \"title\": {},\n", string(&rep.title)));
-        s.push_str(&format!(
-            "  \"components\": [{}],\n",
-            rep.components
-                .iter()
-                .map(|c| string(c))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rep.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"label\": {}, \"cpi\": {}, \"components\": [{}] }}{}\n",
-                string(&r.label),
-                number(r.cpi),
-                r.components
-                    .iter()
-                    .map(|&v| number(v))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                if i + 1 == rep.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push('}');
-        s
-    }
 }
 
 impl fmt::Display for FigureResult {
@@ -361,37 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let c = sample().to_csv();
-        let mut lines = c.lines();
-        assert_eq!(lines.next(), Some("series,a,b"));
-        assert_eq!(lines.next(), Some("s1,1,0.5"));
-        assert!(lines.next().unwrap().starts_with("s2,0.25,"));
-    }
-
-    #[test]
     fn display_matches_table() {
         let f = sample();
         assert_eq!(f.to_string(), f.to_table());
-    }
-
-    #[test]
-    fn csv_escapes_headers_and_labels_alike() {
-        let mut f = sample();
-        f.columns[0] = "go,su2cor".into();
-        f.series[0].label = "DRA:7_3,base".into();
-        let c = f.to_csv();
-        let mut lines = c.lines();
-        assert_eq!(
-            lines.next(),
-            Some("series,go;su2cor,b"),
-            "comma in header must be escaped"
-        );
-        assert!(lines.next().unwrap().starts_with("DRA:7_3;base,1,"));
-        // Every row has the same field count.
-        for line in f.to_csv().lines() {
-            assert_eq!(line.matches(',').count(), 2, "ragged CSV row: {line}");
-        }
     }
 
     #[test]
@@ -434,28 +314,6 @@ mod tests {
         assert!(t.contains("3_3/compute"));
         assert!(t.contains("0.5000"));
         assert!(t.contains(" cpi"));
-    }
-
-    #[test]
-    fn stack_csv_is_rectangular() {
-        let c = sample_stack().to_csv();
-        let mut lines = c.lines();
-        let header = lines.next().unwrap();
-        assert!(header.starts_with("point,base,branch-resolution,"));
-        assert!(header.ends_with(",cpi"));
-        let fields = header.matches(',').count();
-        for line in c.lines() {
-            assert_eq!(line.matches(',').count(), fields, "ragged row: {line}");
-        }
-    }
-
-    #[test]
-    fn stack_json_is_well_formed_enough() {
-        let j = sample_stack().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"id\": \"figX-stacks\""));
-        assert!(j.contains("\"cpi\": 0.75"));
-        assert!(j.contains("\"components\": [\"base\""));
     }
 
     #[test]

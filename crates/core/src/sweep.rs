@@ -699,7 +699,7 @@ mod tests {
         for (c, row) in configs.iter().zip(&grid) {
             assert_eq!(row.len(), 2);
             for (w, got) in workloads.iter().zip(row) {
-                let reference = w.run(c, tiny());
+                let reference = w.try_run(c, tiny()).expect("reference run");
                 assert_eq!(got.cycles, reference.cycles);
                 assert_eq!(got.total_retired(), reference.total_retired());
             }

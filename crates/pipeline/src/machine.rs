@@ -134,10 +134,9 @@ impl ThreadState {
     }
 }
 
-/// The simulated machine: construct with [`Machine::new`] (or the
-/// panicking [`Machine::must`]), drive with [`Machine::run`], read results
-/// from [`Machine::stats`]. Fields are crate-visible for the invariant
-/// auditor (`audit.rs`).
+/// The simulated machine: construct with [`Machine::new`], drive with
+/// [`Machine::run`], read results from [`Machine::stats`]. Fields are
+/// crate-visible for the invariant auditor (`audit.rs`).
 pub struct Machine {
     pub(crate) cfg: PipelineConfig,
     pub(crate) cycle: u64,
@@ -333,11 +332,7 @@ impl Machine {
             preg_consumers: vec![Vec::new(); cfg.phys_regs],
             tenures: vec![Tenure::default(); cfg.iq_entries],
             gated_loads: vec![Vec::new(); cfg.threads],
-            // Default on; `LOOSELOOPS_NAIVE=1` forces the reference
-            // per-cycle engine process-wide (an A/B escape hatch — the
-            // two engines are cycle-exact by construction and by the
-            // differential suite, so this only trades speed).
-            event_driven: std::env::var_os("LOOSELOOPS_NAIVE").is_none(),
+            event_driven: true,
             progressed: true,
             profile: crate::profile::enabled().then(Box::default),
             scratch: Scratch::default(),
@@ -348,15 +343,6 @@ impl Machine {
             injector: cfg.faults.map(FaultInjector::new),
             cfg,
         })
-    }
-
-    /// [`Machine::new`] for infallible contexts (benches, examples).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration or mismatched program count.
-    pub fn must(cfg: PipelineConfig, programs: Vec<Program>) -> Machine {
-        Machine::new(cfg, programs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The machine's configuration.

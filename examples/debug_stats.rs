@@ -1,9 +1,9 @@
 //! Development diagnostic: dump full statistics for one workload under a
 //! set of configurations. Usage: `cargo run --release --example debug_stats [bench]`.
 
-use looseloops_repro::core::{run_benchmark, Benchmark, PipelineConfig, RunBudget};
+use looseloops_repro::core::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget, SimError};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "m88ksim".into());
     let bench = Benchmark::all()
         .into_iter()
@@ -20,7 +20,7 @@ fn main() {
         ("base 5_9 rf7".to_string(), PipelineConfig::base_for_rf(7)),
         ("dra  9_3 rf7".to_string(), PipelineConfig::dra_for_rf(7)),
     ] {
-        let s = run_benchmark(&cfg, bench, budget);
+        let s = try_run_benchmark(&cfg, bench, budget)?;
         println!("--- {name} {label} ---");
         println!(
             "ipc={:.3} cycles={} retired={} fetched={} squashed={} (after-issue {})",
@@ -67,4 +67,5 @@ fn main() {
             s.load_latency_percentile(0.99)
         );
     }
+    Ok(())
 }

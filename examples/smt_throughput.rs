@@ -7,9 +7,11 @@
 //! cargo run --release --example smt_throughput [instructions]
 //! ```
 
-use looseloops_repro::core::{run_benchmark, run_pair, Benchmark, PipelineConfig, RunBudget};
+use looseloops_repro::core::{
+    try_run_benchmark, try_run_pair, Benchmark, PipelineConfig, RunBudget, SimError,
+};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let measure: u64 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -27,9 +29,9 @@ fn main() {
         "pair", "ipc(a)", "ipc(b)", "ipc(a+b|smt)", "smt gain"
     );
     for pair in Benchmark::pairs() {
-        let a = run_benchmark(&single, pair.0, budget).ipc();
-        let b = run_benchmark(&single, pair.1, budget).ipc();
-        let both = run_pair(&smt, pair, budget);
+        let a = try_run_benchmark(&single, pair.0, budget)?.ipc();
+        let b = try_run_benchmark(&single, pair.1, budget)?.ipc();
+        let both = try_run_pair(&smt, pair, budget)?;
         let combined = both.ipc();
         // Throughput gain over time-slicing the two programs on one thread
         // (harmonic-mean baseline).
@@ -46,4 +48,5 @@ fn main() {
     println!();
     println!("SMT shares the pipeline's loose-loop recovery bubbles between");
     println!("threads: while one thread squashes, the other issues.");
+    Ok(())
 }

@@ -112,7 +112,11 @@ fn cached_and_fresh_stacks_are_identical() {
     let a = cpi_stack_report_on(&serial, "s", "t", &configs, &ws, tiny());
     let parallel = SweepEngine::new(8);
     let b = cpi_stack_report_on(&parallel, "s", "t", &configs, &ws, tiny());
-    assert_eq!(a.to_csv(), b.to_csv(), "stacks are worker-count invariant");
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "stacks are worker-count invariant"
+    );
 
     // Second generation on the same engine: all cache hits, same bytes.
     parallel.reset_metrics();
@@ -120,5 +124,5 @@ fn cached_and_fresh_stacks_are_identical() {
     let s = parallel.summary();
     assert_eq!(s.jobs_run, 0, "second pass is pure cache hits");
     assert_eq!(s.cache_hits, ws.len() as u64);
-    assert_eq!(b.to_csv(), c.to_csv());
+    assert_eq!(format!("{b:?}"), format!("{c:?}"));
 }

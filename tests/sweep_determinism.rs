@@ -39,7 +39,7 @@ fn fig4_parallel_is_byte_identical_to_serial() {
         b.to_json(),
         "--jobs 8 must reproduce --jobs 1 exactly"
     );
-    assert_eq!(a.to_csv(), b.to_csv());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
     assert_eq!(serial.summary().jobs_run, parallel.summary().jobs_run);
     assert_eq!(parallel.workers(), 8);
 }
@@ -127,7 +127,7 @@ fn store_backed_figures_are_byte_identical_to_store_less_runs() {
         reference.to_json(),
         "store-served results must be byte-identical"
     );
-    assert_eq!(second.to_csv(), reference.to_csv());
+    assert_eq!(format!("{second:?}"), format!("{reference:?}"));
     let warm_summary = warm.summary();
     assert_eq!(warm_summary.jobs_run, 0, "warm store must answer every job");
     assert_eq!(warm_summary.store_hits, cold_summary.jobs_run);

@@ -33,6 +33,7 @@ use looseloops_branch::{build_predictor, Btb, DirectionPredictor};
 use looseloops_isa::{fast_forward, ArchState, FlatMemory, Program, Reg, WarmHooks};
 use looseloops_mem::{AccessKind, HierarchyWarmState, MemHierarchy};
 use looseloops_pipeline::{Machine, PipelineConfig, SimError, SimStats};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -135,9 +136,18 @@ pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Append one `tag` + length-prefixed `payload` section.
 pub(crate) fn push_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
+    push_section_with(out, tag, |out| out.extend_from_slice(payload));
+}
+
+/// Append one `tag` + length-prefixed section whose payload `write`
+/// appends in place.
+fn push_section_with(out: &mut Vec<u8>, tag: [u8; 4], write: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&tag);
-    push_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
+    let at = out.len();
+    push_u64(out, 0);
+    write(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
 /// One cache's exported warm state: the LRU stamp counter plus
@@ -232,67 +242,83 @@ impl Checkpoint {
     /// tag-length-payload sections. Readers skip sections they do not
     /// recognize, so new sections can be added without a version bump.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Sized up front and written in place: a checkpoint can hold
+        // megabytes of pages, and per-section buffers grown by doubling
+        // would hold several copies of them while the store writes one.
+        let cache_len = |c: &CacheWarmState| 16 + 17 * c.1.len();
+        let threads: usize = self.threads.iter().map(|t| 25 + 8 * t.regs.len()).sum();
+        let pages = self.mem.pages_touched() * (8 + 4096);
+        let hier = cache_len(&self.hier.l1i)
+            + cache_len(&self.hier.l1d)
+            + cache_len(&self.hier.l2)
+            + 16
+            + 16 * self.hier.dtlb.1.len();
+        let tables = 8 * self.predictor.len() + 16 * self.btb.len();
+        // Magic and version, six section headers, META, four counts
+        // (threads, pages, predictor words, BTB entries), then the rest.
+        let len = 8 + 6 * 12 + 8 + 4 * 8 + threads + pages + hier + tables;
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&MAGIC);
         push_u32(&mut out, CHECKPOINT_VERSION);
 
-        let mut meta = Vec::new();
-        push_u64(&mut meta, self.instructions);
-        push_section(&mut out, SEC_META, &meta);
+        push_section_with(&mut out, SEC_META, |meta| {
+            push_u64(meta, self.instructions);
+        });
 
-        let mut thrd = Vec::new();
-        push_u64(&mut thrd, self.threads.len() as u64);
-        for t in &self.threads {
-            push_u64(&mut thrd, t.regs.len() as u64);
-            for &r in &t.regs {
-                push_u64(&mut thrd, r);
+        push_section_with(&mut out, SEC_THRD, |thrd| {
+            push_u64(thrd, self.threads.len() as u64);
+            for t in &self.threads {
+                push_u64(thrd, t.regs.len() as u64);
+                for &r in &t.regs {
+                    push_u64(thrd, r);
+                }
+                push_u64(thrd, t.pc);
+                push_u64(thrd, t.last_fetch_line);
+                thrd.push(u8::from(t.halted));
             }
-            push_u64(&mut thrd, t.pc);
-            push_u64(&mut thrd, t.last_fetch_line);
-            thrd.push(u8::from(t.halted));
-        }
-        push_section(&mut out, SEC_THRD, &thrd);
+        });
 
-        let mut memp = Vec::new();
-        // FlatMemory's page map has no iteration-order guarantee; sort so
-        // the encoding (and thus every stored checkpoint file) is
-        // byte-deterministic for identical state.
-        let mut pages: Vec<(u64, &[u8; 4096])> = self.mem.pages().collect();
-        pages.sort_unstable_by_key(|&(idx, _)| idx);
-        push_u64(&mut memp, pages.len() as u64);
-        for (idx, bytes) in pages {
-            push_u64(&mut memp, idx);
-            memp.extend_from_slice(&bytes[..]);
-        }
-        push_section(&mut out, SEC_MEMP, &memp);
+        push_section_with(&mut out, SEC_MEMP, |memp| {
+            // FlatMemory's page map has no iteration-order guarantee; sort
+            // so the encoding (and thus every stored checkpoint file) is
+            // byte-deterministic for identical state.
+            let mut pages: Vec<(u64, &[u8; 4096])> = self.mem.pages().collect();
+            pages.sort_unstable_by_key(|&(idx, _)| idx);
+            push_u64(memp, pages.len() as u64);
+            for (idx, bytes) in pages {
+                push_u64(memp, idx);
+                memp.extend_from_slice(&bytes[..]);
+            }
+        });
 
-        let mut hier = Vec::new();
-        encode_cache(&mut hier, &self.hier.l1i);
-        encode_cache(&mut hier, &self.hier.l1d);
-        encode_cache(&mut hier, &self.hier.l2);
-        push_u64(&mut hier, self.hier.dtlb.0);
-        push_u64(&mut hier, self.hier.dtlb.1.len() as u64);
-        for &(page, stamp) in &self.hier.dtlb.1 {
-            push_u64(&mut hier, page);
-            push_u64(&mut hier, stamp);
-        }
-        push_section(&mut out, SEC_HIER, &hier);
+        push_section_with(&mut out, SEC_HIER, |hier| {
+            encode_cache(hier, &self.hier.l1i);
+            encode_cache(hier, &self.hier.l1d);
+            encode_cache(hier, &self.hier.l2);
+            push_u64(hier, self.hier.dtlb.0);
+            push_u64(hier, self.hier.dtlb.1.len() as u64);
+            for &(page, stamp) in &self.hier.dtlb.1 {
+                push_u64(hier, page);
+                push_u64(hier, stamp);
+            }
+        });
 
-        let mut pred = Vec::new();
-        push_u64(&mut pred, self.predictor.len() as u64);
-        for &w in &self.predictor {
-            push_u64(&mut pred, w);
-        }
-        push_section(&mut out, SEC_PRED, &pred);
+        push_section_with(&mut out, SEC_PRED, |pred| {
+            push_u64(pred, self.predictor.len() as u64);
+            for &w in &self.predictor {
+                push_u64(pred, w);
+            }
+        });
 
-        let mut btbs = Vec::new();
-        push_u64(&mut btbs, self.btb.len() as u64);
-        for &(tag, target) in &self.btb {
-            push_u64(&mut btbs, tag);
-            push_u64(&mut btbs, target);
-        }
-        push_section(&mut out, SEC_BTBS, &btbs);
+        push_section_with(&mut out, SEC_BTBS, |btbs| {
+            push_u64(btbs, self.btb.len() as u64);
+            for &(tag, target) in &self.btb {
+                push_u64(btbs, tag);
+                push_u64(btbs, target);
+            }
+        });
 
+        debug_assert_eq!(out.len(), len, "encoded length estimate");
         out
     }
 
@@ -665,7 +691,8 @@ impl FunctionalCursor {
         Ok(instructions - remaining)
     }
 
-    /// Snapshot the cursor into a [`Checkpoint`].
+    /// Snapshot the cursor into a [`Checkpoint`]. The snapshot shares the
+    /// cursor's memory pages; whichever side writes a page first copies it.
     pub fn checkpoint(&self) -> Checkpoint {
         let threads = self
             .states
@@ -744,9 +771,16 @@ type WarmCell = Arc<OnceLock<Result<Arc<Checkpoint>, SimError>>>;
 /// [`warm_digest`]. Each digest gets a `OnceLock`, so concurrent jobs that
 /// share a warm prefix block on one capture instead of racing to repeat
 /// it.
+///
+/// The memory image after warm-up depends only on the workload and the
+/// warm-up length, not on the cache and predictor settings that split
+/// digests. The memo keeps the first image it sees for each (workload,
+/// warm-up) pair, and every later checkpoint of that pair shares each
+/// page whose bytes equal that image's.
 #[derive(Default)]
 pub struct WarmMemo {
     cells: Mutex<HashMap<u64, WarmCell>>,
+    images: Mutex<HashMap<String, FlatMemory>>,
 }
 
 impl WarmMemo {
@@ -761,11 +795,29 @@ impl WarmMemo {
                 .or_default(),
         )
     }
+
+    /// Share `mem`'s pages with the first image recorded for `workload`
+    /// after `warmup` instructions, or record `mem` as that image.
+    fn share_image(&self, workload: &Workload, warmup: u64, mem: &mut FlatMemory) {
+        let first = {
+            let mut images = crate::sweep::lock_clean(&self.images);
+            match images.entry(format!("{workload:?}|warmup={warmup}")) {
+                Entry::Occupied(e) => e.get().clone(),
+                Entry::Vacant(e) => {
+                    e.insert(mem.clone());
+                    return;
+                }
+            }
+        };
+        mem.share_equal_pages(&first);
+    }
 }
 
 /// The warm checkpoint for `job`: answered from the in-memory memo, then
 /// the on-disk store, then captured by functional execution (and saved
-/// back to the store, best-effort).
+/// back to the store, best-effort). A checkpoint new to the memo shares
+/// its equal memory pages with the first image of its workload and
+/// warm-up length.
 ///
 /// # Errors
 ///
@@ -781,14 +833,20 @@ pub fn warm_checkpoint(
     cell.get_or_init(|| {
         if let Some(s) = store {
             match s.load(digest) {
-                Ok(Some(ckpt)) => return Ok(Arc::new(ckpt)),
+                Ok(Some(mut ckpt)) => {
+                    memo.share_image(&job.workload, job.budget.warmup, &mut ckpt.mem);
+                    return Ok(Arc::new(ckpt));
+                }
                 Ok(None) => {}
                 Err(e) => {
                     eprintln!("warning: checkpoint {digest:016x}: {e}; regenerating");
                 }
             }
         }
-        let ckpt = capture_checkpoint(&cfg, job.workload.programs(), job.budget.warmup)?;
+        let mut ckpt = capture_checkpoint(&cfg, job.workload.programs(), job.budget.warmup)?;
+        // Shared before saving, so the capture's duplicate pages are freed
+        // before the store buffers the encoding.
+        memo.share_image(&job.workload, job.budget.warmup, &mut ckpt.mem);
         if let Some(s) = store {
             if let Err(e) = s.save(digest, &ckpt) {
                 eprintln!("warning: cannot save checkpoint {digest:016x}: {e}");
@@ -818,6 +876,51 @@ pub fn run_fast_forwarded(
         restore_into(&mut m, &ckpt)?;
     }
     Ok(m.run(job.budget.measure, job.budget.max_cycles)?.clone())
+}
+
+/// Seeded corruptions of an `LLCK` or `LLRS` encoding, for decoder
+/// robustness tests. Even cases flip one to four bits anywhere; odd cases
+/// overwrite a section length, or the first word of a section payload
+/// (a count in most sections), with a boundary or random value.
+#[cfg(test)]
+pub(crate) fn mutants(bytes: &[u8], seed: u64, cases: usize) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let mut fields = Vec::new();
+    let mut pos = 8; // magic + version
+    while pos + 12 <= bytes.len() {
+        fields.push(pos + 4);
+        let len = word(bytes, pos + 4) as usize;
+        if len >= 8 {
+            fields.push(pos + 12);
+        }
+        pos += 12 + len;
+    }
+    let mut rng = looseloops_rng::Rng::seed_from_u64(seed);
+    (0..cases).map(move |case| {
+        let mut m = bytes.to_vec();
+        if case % 2 == 0 {
+            for _ in 0..=rng.bounded(3) {
+                let bit = rng.bounded(m.len() as u64 * 8);
+                m[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+        } else {
+            let at = *rng.choose(&fields).expect("encoding has sections");
+            let old = word(&m, at);
+            let edges = [
+                0,
+                1,
+                old.wrapping_sub(1),
+                old.wrapping_add(1),
+                old.wrapping_mul(2),
+                u64::from(u32::MAX),
+                u64::MAX - 7,
+                u64::MAX,
+                rng.next_u64(),
+            ];
+            m[at..at + 8].copy_from_slice(&rng.choose(&edges).unwrap().to_le_bytes());
+        }
+        m
+    })
 }
 
 #[cfg(test)]
@@ -865,6 +968,16 @@ mod tests {
             Checkpoint::decode(&newer).unwrap_err(),
             CheckpointError::BadVersion(CHECKPOINT_VERSION + 1)
         );
+    }
+
+    #[test]
+    fn mutated_encodings_decode_or_fail_typed_never_panic() {
+        let bytes = ckpt_for(Benchmark::Go, 1_000).encode();
+        for (case, m) in mutants(&bytes, 0x11c4, 300).enumerate() {
+            // Any `Result` is acceptable; a panic fails the test.
+            let decoded = std::panic::catch_unwind(|| Checkpoint::decode(&m).map(|c| c.encode()));
+            assert!(decoded.is_ok(), "case {case} panicked");
+        }
     }
 
     #[test]
@@ -920,6 +1033,36 @@ mod tests {
         });
         let last = store.load(7).expect("load").expect("present");
         assert!(encodings.contains(&last.encode()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn warm_keys_differing_only_in_predictor_share_every_page() {
+        use crate::simulator::RunBudget;
+        use looseloops_branch::PredictorKind;
+        let job = |predictor| {
+            let mut cfg = PipelineConfig::base();
+            cfg.predictor = predictor;
+            let budget = RunBudget {
+                warmup: 20_000,
+                measure: 1_000,
+                max_cycles: 1_000_000,
+            };
+            Job::new(cfg, Workload::Single(Benchmark::Hydro2d), budget)
+        };
+        let (gshare, bimodal) = (job(PredictorKind::Gshare), job(PredictorKind::Bimodal));
+        let dir = std::env::temp_dir().join(format!("llck-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open");
+        // First from capture, then from the store a fresh memo loads.
+        for memo in [WarmMemo::default(), WarmMemo::default()] {
+            let a = warm_checkpoint(&gshare, Some(&store), &memo).expect("gshare");
+            let b = warm_checkpoint(&bimodal, Some(&store), &memo).expect("bimodal");
+            assert_ne!(a.predictor, b.predictor, "distinct warm keys");
+            assert!(a.mem.pages_touched() > 16, "the image spans many pages");
+            assert_eq!(b.mem.pages_touched(), a.mem.pages_touched());
+            assert_eq!(b.mem.pages_shared_with(&a.mem), a.mem.pages_touched());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

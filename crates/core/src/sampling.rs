@@ -207,9 +207,8 @@ pub fn run_sampled(
         if cursor.all_halted() {
             break;
         }
-        let ckpt = cursor.checkpoint();
         let mut m = Machine::new(cfg.clone(), programs.clone())?;
-        restore_into(&mut m, &ckpt)?;
+        restore_into(&mut m, &cursor.checkpoint())?;
         if plan.detail_warmup > 0 {
             m.run(plan.detail_warmup, job.budget.max_cycles)?;
             m.reset_stats();
@@ -224,7 +223,10 @@ pub fn run_sampled(
         }
         // The cursor independently replays what the detailed probe just
         // simulated, so the next window starts from a consistent
-        // functional state (the probe machine is discarded).
+        // functional state. The probe is discarded first: until then it
+        // shares the cursor's memory pages, and the cursor would copy
+        // every page it writes.
+        drop(m);
         cursor.advance(plan.detail_warmup + plan.detail)?;
     }
 
@@ -286,6 +288,39 @@ mod tests {
         for bad in ["q=3", "detail", "w=0", "detail=0,w=3", "w=abc"] {
             assert!(SamplingPlan::parse(bad, budget()).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn a_shared_warm_image_leaves_sampled_stats_unchanged() {
+        use crate::experiments::Workload;
+        use looseloops_branch::PredictorKind;
+        use looseloops_pipeline::PipelineConfig;
+        use looseloops_workload::Benchmark;
+        let job = |predictor| {
+            let mut cfg = PipelineConfig::base();
+            cfg.predictor = predictor;
+            let budget = RunBudget {
+                warmup: 20_000,
+                measure: 30_000,
+                max_cycles: 10_000_000,
+            };
+            Job::new(cfg, Workload::Single(Benchmark::Hydro2d), budget)
+        };
+        let measured = job(PredictorKind::Gshare);
+        let plan = SamplingPlan::for_budget(measured.budget);
+        let fresh = run_sampled(&measured, plan, None, &WarmMemo::default()).expect("fresh");
+
+        let memo = WarmMemo::default();
+        let first = warm_checkpoint(&job(PredictorKind::Bimodal), None, &memo).expect("first");
+        let shared = run_sampled(&measured, plan, None, &memo).expect("shared");
+        let ckpt = warm_checkpoint(&measured, None, &memo).expect("memo hit");
+        assert_eq!(
+            ckpt.mem.pages_shared_with(&first.mem),
+            first.mem.pages_touched()
+        );
+
+        assert_eq!(format!("{:?}", fresh.stats), format!("{:?}", shared.stats));
+        assert_eq!(fresh.window_cpi, shared.window_cpi);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! On-disk content-addressed result store: a persistent second cache
 //! tier under the [`SweepEngine`](crate::sweep::SweepEngine).
 //!
-//! The PR-2 memo cache dies with the process, so every consumer — CLI
-//! figures, benches, CI, the fuzz harness — re-simulates grids it has
-//! already answered. A [`ResultStore`] is a directory of completed runs
-//! keyed by the 64-bit FNV digest of the job's full memo key
+//! The sweep engine's in-memory memo dies with the process, so every
+//! consumer — CLI figures, the benchmark, CI, the fuzz harness —
+//! re-simulates grids it has already answered. A [`ResultStore`] is a
+//! directory of completed runs keyed by the 64-bit FNV digest of the
+//! job's full memo key
 //! ([`Job::key_with_mode`](crate::sweep::Job::key_with_mode)): one file
 //! per result, versioned and self-describing in the same
 //! tag-length-section discipline as the `LLCK` checkpoint format, written
@@ -365,21 +366,35 @@ impl ResultStore {
     /// [`CheckpointError`] on an unreadable or undecodable file (callers
     /// treat that as a miss and re-simulate).
     pub fn load(&self, digest: u64, key: &str) -> Result<Option<SimStats>, CheckpointError> {
+        use std::io::{ErrorKind, Read};
         let path = self.path(digest);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(CheckpointError::Io(format!("read {}: {e}", path.display()))),
+        let io_err =
+            |e: std::io::Error| CheckpointError::Io(format!("read {}: {e}", path.display()));
+        // One handle serves both the read and the recency touch below. A
+        // store this process cannot write still serves hits through a
+        // read-only handle.
+        let opened = std::fs::File::options()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .or_else(|e| match e.kind() {
+                ErrorKind::NotFound => Err(e),
+                _ => std::fs::File::open(&path),
+            });
+        let mut file = match opened {
+            Ok(f) => f,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err(e)),
         };
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(io_err)?;
         let (stored_key, stats) = decode_result(&bytes)?;
         if stored_key != key {
             return Ok(None);
         }
         // Touch the entry so `gc` sees hits as recent use, not just
-        // writes. Best-effort: a read-only store still serves results.
-        if let Ok(f) = std::fs::File::options().append(true).open(&path) {
-            let _ = f.set_modified(std::time::SystemTime::now());
-        }
+        // writes. Best-effort: a failed touch still serves the result.
+        let _ = file.set_modified(std::time::SystemTime::now());
         Ok(Some(stats))
     }
 
@@ -527,6 +542,19 @@ mod tests {
     }
 
     #[test]
+    fn mutated_entries_decode_or_fail_typed_never_panic() {
+        let (key, stats) = run_once();
+        let bytes = encode_result(&key, &stats);
+        for (case, m) in crate::checkpoint::mutants(&bytes, 0x11c5, 4_000).enumerate() {
+            // Any `Result` is acceptable; a panic fails the test.
+            let decoded = std::panic::catch_unwind(|| {
+                decode_result(&m).map(|(key, stats)| encode_result(&key, &stats))
+            });
+            assert!(decoded.is_ok(), "case {case} panicked");
+        }
+    }
+
+    #[test]
     fn unknown_sections_are_skipped() {
         let (key, stats) = run_once();
         let mut bytes = encode_result(&key, &stats);
@@ -633,6 +661,26 @@ mod tests {
             .modified()
             .unwrap();
         assert!(touched > UNIX_EPOCH + Duration::from_secs(100_000));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn read_only_entries_still_load() {
+        use std::os::unix::fs::PermissionsExt;
+        let (dir, store) = temp_store("read-only");
+        let (key, stats) = run_once();
+        let digest = fnv1a64(key.as_bytes());
+        store.save(digest, &key, &stats).expect("save");
+        let chmod = |path: &Path, mode: u32| {
+            std::fs::set_permissions(path, std::fs::Permissions::from_mode(mode)).unwrap();
+        };
+        chmod(&store.path(digest), 0o444);
+        chmod(&dir, 0o555);
+        let back = store.load(digest, &key);
+        chmod(&dir, 0o755);
+        let back = back.expect("load").expect("present");
+        assert_eq!(encode_result(&key, &back), encode_result(&key, &stats));
         std::fs::remove_dir_all(&dir).ok();
     }
 

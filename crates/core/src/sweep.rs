@@ -121,8 +121,8 @@ impl Job {
     }
 
     /// [`Job::key`] plus the execution mode. [`ExecMode::Detailed`]
-    /// contributes nothing, so every pre-existing cache key (and the
-    /// `BENCH_*.json` digests derived from them) is unchanged.
+    /// contributes nothing, so a detailed job's key is [`Job::key`] itself
+    /// (the key perfbench pins detailed CPIs by).
     pub fn key_with_mode(&self, mode: ExecMode) -> String {
         match mode {
             ExecMode::Detailed => self.key(),

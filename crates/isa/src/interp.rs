@@ -12,6 +12,7 @@ use crate::reg::{Reg, NUM_ARCH_REGS};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Byte-addressed data memory as seen by the interpreter (and, through the
 /// same trait, by the timing simulator's retire stage).
@@ -25,10 +26,18 @@ pub trait Memory {
     fn write(&mut self, addr: u64, size: u8, val: u64);
 }
 
+/// Bytes per [`FlatMemory`] page.
+const PAGE_BYTES: usize = 4096;
+
 /// Simple sparse memory: 4 KiB pages allocated on first touch.
+///
+/// Pages are copy-on-write: cloning a memory costs one reference count per
+/// page, and a write copies a page only while another memory still shares
+/// it. Checkpoints, functional cursors and restored machines therefore
+/// share one image and each pays only for the pages it writes.
 #[derive(Debug, Default, Clone)]
 pub struct FlatMemory {
-    pages: HashMap<u64, Box<[u8; 4096]>>,
+    pages: HashMap<u64, Arc<[u8; PAGE_BYTES]>>,
 }
 
 impl FlatMemory {
@@ -44,11 +53,18 @@ impl FlatMemory {
         m
     }
 
-    /// Copy `prog.init_data` into this memory.
+    /// Copy `prog.init_data` into this memory, one page-sized slice at a
+    /// time.
     pub fn load_init_data(&mut self, prog: &Program) {
         for (addr, bytes) in &prog.init_data {
-            for (i, b) in bytes.iter().enumerate() {
-                self.write_byte(addr + i as u64, *b);
+            let mut addr = *addr;
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let off = (addr & 0xfff) as usize;
+                let (chunk, tail) = rest.split_at(rest.len().min(PAGE_BYTES - off));
+                self.page_mut(addr >> 12)[off..off + chunk.len()].copy_from_slice(chunk);
+                addr = addr.wrapping_add(chunk.len() as u64);
+                rest = tail;
             }
         }
     }
@@ -61,14 +77,39 @@ impl FlatMemory {
     /// Iterate over touched pages as `(page_index, bytes)` — the byte range
     /// covered by a page is `page_index * 4096 ..`. Order is unspecified;
     /// checkpoint writers sort by index for a canonical encoding.
-    pub fn pages(&self) -> impl Iterator<Item = (u64, &[u8; 4096])> {
+    pub fn pages(&self) -> impl Iterator<Item = (u64, &[u8; PAGE_BYTES])> {
         self.pages.iter().map(|(&idx, bytes)| (idx, &**bytes))
     }
 
     /// Install a whole page's bytes at `page_index` (checkpoint restore),
     /// replacing any existing contents of that page.
-    pub fn install_page(&mut self, page_index: u64, bytes: &[u8; 4096]) {
-        self.pages.insert(page_index, Box::new(*bytes));
+    pub fn install_page(&mut self, page_index: u64, bytes: &[u8; PAGE_BYTES]) {
+        self.pages.insert(page_index, Arc::new(*bytes));
+    }
+
+    /// Share with `other` every page whose bytes equal `other`'s page at
+    /// the same index; returns how many pages are now shared. Contents
+    /// are compared, never assumed, so the memory reads exactly as before.
+    pub fn share_equal_pages(&mut self, other: &FlatMemory) -> usize {
+        let mut shared = 0;
+        for (idx, page) in &mut self.pages {
+            if let Some(theirs) = other.pages.get(idx) {
+                if Arc::ptr_eq(page, theirs) || **page == **theirs {
+                    *page = Arc::clone(theirs);
+                    shared += 1;
+                }
+            }
+        }
+        shared
+    }
+
+    /// Number of this memory's pages that are the same allocation as
+    /// `other`'s page at that index.
+    pub fn pages_shared_with(&self, other: &FlatMemory) -> usize {
+        self.pages
+            .iter()
+            .filter(|(idx, page)| other.pages.get(idx).is_some_and(|p| Arc::ptr_eq(page, p)))
+            .count()
     }
 
     /// Compare two memories byte for byte, treating untouched pages as
@@ -77,7 +118,7 @@ impl FlatMemory {
     /// contents still compare equal (all zeros) is reported as a
     /// touched-set divergence instead.
     pub fn diff(&self, other: &FlatMemory) -> Vec<StateDivergence> {
-        const ZERO_PAGE: [u8; 4096] = [0; 4096];
+        const ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
         let mut pages: Vec<u64> = self
             .pages
             .keys()
@@ -90,7 +131,7 @@ impl FlatMemory {
         for page in pages {
             let a = self.pages.get(&page).map_or(&ZERO_PAGE[..], |p| &p[..]);
             let b = other.pages.get(&page).map_or(&ZERO_PAGE[..], |p| &p[..]);
-            if let Some(off) = (0..4096).find(|&i| a[i] != b[i]) {
+            if let Some(off) = (0..PAGE_BYTES).find(|&i| a[i] != b[i]) {
                 out.push(StateDivergence::Memory {
                     addr: (page << 12) + off as u64,
                     left: a[off],
@@ -107,6 +148,16 @@ impl FlatMemory {
         out
     }
 
+    /// The page at `index` for writing: allocated zero-filled on first
+    /// touch, and copied first if another memory shares it.
+    fn page_mut(&mut self, index: u64) -> &mut [u8; PAGE_BYTES] {
+        Arc::make_mut(
+            self.pages
+                .entry(index)
+                .or_insert_with(|| Arc::new([0u8; PAGE_BYTES])),
+        )
+    }
+
     fn read_byte(&mut self, addr: u64) -> u8 {
         match self.pages.get(&(addr >> 12)) {
             Some(p) => p[(addr & 0xfff) as usize],
@@ -115,11 +166,7 @@ impl FlatMemory {
     }
 
     fn write_byte(&mut self, addr: u64, val: u8) {
-        let page = self
-            .pages
-            .entry(addr >> 12)
-            .or_insert_with(|| Box::new([0u8; 4096]));
-        page[(addr & 0xfff) as usize] = val;
+        self.page_mut(addr >> 12)[(addr & 0xfff) as usize] = val;
     }
 }
 
@@ -129,7 +176,7 @@ impl Memory for FlatMemory {
         let off = (addr & 0xfff) as usize;
         // One page lookup for the whole access; the per-byte path (one
         // hash lookup per byte) only remains for page-straddling accesses.
-        if off + size as usize <= 4096 {
+        if off + size as usize <= PAGE_BYTES {
             return match self.pages.get(&(addr >> 12)) {
                 Some(p) => {
                     let mut v: u64 = 0;
@@ -151,11 +198,8 @@ impl Memory for FlatMemory {
     fn write(&mut self, addr: u64, size: u8, val: u64) {
         debug_assert!(matches!(size, 1 | 4 | 8), "unsupported access size {size}");
         let off = (addr & 0xfff) as usize;
-        if off + size as usize <= 4096 {
-            let page = self
-                .pages
-                .entry(addr >> 12)
-                .or_insert_with(|| Box::new([0u8; 4096]));
+        if off + size as usize <= PAGE_BYTES {
+            let page = self.page_mut(addr >> 12);
             for (i, b) in page[off..off + size as usize].iter_mut().enumerate() {
                 *b = (val >> (8 * i)) as u8;
             }
@@ -889,5 +933,63 @@ mod control_tests {
         let summary = st.run(&prog, &mut mem, 100).unwrap();
         assert!(summary.halted);
         assert_eq!(st.read_reg(Reg::int(1)), 111);
+    }
+
+    #[test]
+    fn init_data_straddling_a_page_boundary_loads_every_byte() {
+        // 10,000 bytes from 0x1ffd cross into three more pages.
+        let bytes: Vec<u8> = (0..10_000u32).map(|i| (i * 7 + 3) as u8).collect();
+        let mut b = ProgramBuilder::new("straddle");
+        b.data(0x1ffd, bytes.clone());
+        b.halt();
+        let prog = b.build().unwrap();
+        let mut mem = FlatMemory::with_program(&prog);
+        assert_eq!(mem.pages_touched(), 4);
+        for (i, &want) in bytes.iter().enumerate() {
+            assert_eq!(mem.read(0x1ffd + i as u64, 1), u64::from(want), "byte {i}");
+        }
+        assert_eq!(mem.read(0x1ffc, 1), 0);
+        assert_eq!(mem.read(0x1ffd + bytes.len() as u64, 1), 0);
+    }
+
+    #[test]
+    fn writes_after_a_clone_stay_private_to_each_copy() {
+        let mut a = FlatMemory::new();
+        a.write(0x1000, 8, 0x1111);
+        a.write(0x5ffc, 8, 0x2222); // straddles pages 5 and 6
+        let mut b = a.clone();
+        assert_eq!(b.pages_shared_with(&a), 3);
+        b.write(0x1000, 8, 0x3333);
+        a.write(0x5ffc, 8, 0x4444);
+        a.write(0x9000, 1, 0x55);
+        assert_eq!(a.read(0x1000, 8), 0x1111);
+        assert_eq!(b.read(0x1000, 8), 0x3333);
+        assert_eq!(a.read(0x5ffc, 8), 0x4444);
+        assert_eq!(b.read(0x5ffc, 8), 0x2222);
+        assert_eq!(b.read(0x9000, 1), 0);
+        assert_eq!(b.pages_touched(), 3);
+        assert_eq!(b.pages_shared_with(&a), 0, "every shared page was written");
+    }
+
+    #[test]
+    fn only_pages_with_equal_bytes_are_shared() {
+        let mut first = FlatMemory::new();
+        for page in 0..4u64 {
+            first.write(page << 12, 8, page + 1);
+        }
+        let mut image = FlatMemory::new();
+        for page in 0..4u64 {
+            image.write(page << 12, 8, page + 1);
+        }
+        image.write((2 << 12) + 4095, 1, 0xee); // one differing byte
+        image.write(9 << 12, 8, 1); // a page `first` never touched
+        assert_eq!(image.share_equal_pages(&first), 3);
+        assert_eq!(image.pages_shared_with(&first), 3);
+        assert_eq!(image.read((2 << 12) + 4095, 1), 0xee);
+        assert_eq!(first.read((2 << 12) + 4095, 1), 0);
+        // A write through a shared page copies it and leaves `first` alone.
+        image.write(0, 8, 77);
+        assert_eq!(first.read(0, 8), 1);
+        assert_eq!(image.pages_shared_with(&first), 2);
     }
 }

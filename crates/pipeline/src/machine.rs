@@ -469,7 +469,9 @@ impl Machine {
     }
 
     /// Replace the shared functional data memory wholesale (checkpoint
-    /// restore; pair with [`Machine::restore_thread_state`]).
+    /// restore; pair with [`Machine::restore_thread_state`]). `mem`'s
+    /// pages are copy-on-write, so the machine copies only the pages it
+    /// writes.
     pub fn replace_data_mem(&mut self, mem: FlatMemory) {
         self.data_mem = mem;
     }

@@ -3,9 +3,9 @@
 //! Where the named kernels target specific Spec95 profiles, `synthetic`
 //! sweeps the characteristic space directly: branch density and
 //! predictability, load/store density, cache footprint, and dependence
-//! shape. It is used by the ablation benches and by property tests (every
-//! generated program must run identically on the functional model and the
-//! pipeline).
+//! shape. It is used by the benchmark's `detailed-grid` workload and by
+//! property tests (every generated program must run identically on the
+//! functional model and the pipeline).
 
 use crate::kernels::{f, r, Kern};
 use looseloops_isa::{Inst, Opcode, Program};

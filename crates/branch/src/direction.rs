@@ -20,6 +20,35 @@ pub enum PredictorKind {
     Tournament,
 }
 
+impl PredictorKind {
+    /// All predictors, in the order the CLI lists them.
+    pub fn all() -> [PredictorKind; 5] {
+        [
+            PredictorKind::Tournament,
+            PredictorKind::Gshare,
+            PredictorKind::Local,
+            PredictorKind::Bimodal,
+            PredictorKind::Taken,
+        ]
+    }
+
+    /// Stable CLI/corpus name.
+    pub fn name(self) -> &'static str {
+        match self {
+            PredictorKind::Tournament => "tournament",
+            PredictorKind::Gshare => "gshare",
+            PredictorKind::Local => "local",
+            PredictorKind::Bimodal => "bimodal",
+            PredictorKind::Taken => "taken",
+        }
+    }
+
+    /// Parse a [`PredictorKind::name`].
+    pub fn from_name(s: &str) -> Option<PredictorKind> {
+        PredictorKind::all().into_iter().find(|p| p.name() == s)
+    }
+}
+
 /// Opaque saved global-history state (contents depend on the predictor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistorySnapshot(pub u64);

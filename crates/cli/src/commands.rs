@@ -3,21 +3,14 @@
 use crate::args::{ArgError, Args};
 use crate::config::{budget_from_args, config_from_args, BUDGET_FLAGS, CONFIG_FLAGS};
 use looseloops::{
-    capture_checkpoint, cpi_stack_report_on, loop_inventory, restore_into, run_sampled,
-    warm_digest, CheckpointError, CheckpointStore, ExecMode, FigureSpec, Job, Machine, ResultStore,
-    RunBudget, SamplingPlan, SimStats, SweepEngine, WarmMemo, Workload,
+    cpi_stack_report_on, loop_inventory, restore_into, run_sampled, warm_digest, CheckpointError,
+    CheckpointStore, ExecMode, FigureSpec, Job, Machine, ResultStore, RunBudget, SamplingPlan,
+    SimStats, SweepEngine, WarmMemo, Workload,
 };
 use looseloops_workload::Benchmark;
 
-fn config_flag_set(extra: &[&str]) -> Vec<&'static str> {
-    let mut v: Vec<&str> = CONFIG_FLAGS.to_vec();
-    v.extend_from_slice(BUDGET_FLAGS);
-    // Leak is fine: flag names live for the whole process.
-    v.iter()
-        .copied()
-        .chain(extra.iter().copied())
-        .map(|s| &*Box::leak(s.to_string().into_boxed_str()))
-        .collect()
+fn config_flag_set(extra: &[&'static str]) -> Vec<&'static str> {
+    [CONFIG_FLAGS, BUDGET_FLAGS, extra].concat()
 }
 
 fn print_stats(stats: &SimStats, json: bool) {
@@ -96,44 +89,24 @@ fn print_stats(stats: &SimStats, json: bool) {
 
 /// Print the wall-clock stage profile accumulated since the last call,
 /// when `--profile-stages` recorded one. Goes to stderr, like the sweep
-/// summary, so piped figure output stays byte-identical. With
-/// `--profile-json FILE`, the report is also appended to FILE as one JSON
-/// line per label, for `scripts/diff_stage_profile.py`.
-fn emit_profile(label: &str, json_path: Option<&str>) {
+/// summary, so piped figure output stays byte-identical.
+fn emit_profile(label: &str) {
     if let Some(rep) = looseloops_pipeline::profile::take_report() {
         eprintln!("[profile] {label}: {}", rep.render());
-        if let Some(path) = json_path {
-            use std::io::Write as _;
-            let line = rep.render_json(label);
-            let written = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| writeln!(f, "{line}"));
-            if let Err(e) = written {
-                eprintln!("[profile] cannot write {path}: {e}");
-            }
-        }
     }
 }
 
-/// Shared handling of the profiling flags: `--profile-stages` turns the
-/// per-stage timers on; `--profile-json FILE` does too and selects a JSON
-/// sink. Returns the sink path for `emit_profile`.
-fn profile_from_args(args: &Args) -> Option<&str> {
-    if args.has("profile-stages") || args.has("profile-json") {
+/// `--profile-stages` turns the per-stage timers on.
+fn profile_from_args(args: &Args) {
+    if args.has("profile-stages") {
         looseloops_pipeline::profile::enable();
     }
-    args.get("profile-json")
 }
 
 /// Parse the execution-mode flags shared by `run` and `figure`:
-/// `--fast-forward`, `--sample SPEC`, `--ckpt-dir DIR`.
-fn mode_from_args(
-    args: &Args,
-    budget: RunBudget,
-) -> Result<(ExecMode, Option<CheckpointStore>), ArgError> {
-    let mode = match (args.get("sample"), args.has("fast-forward")) {
+/// `--fast-forward` and `--sample SPEC`.
+fn mode_from_args(args: &Args, budget: RunBudget) -> Result<ExecMode, ArgError> {
+    Ok(match (args.get("sample"), args.has("fast-forward")) {
         (Some(_), true) => {
             return Err(ArgError(
                 "--sample already fast-forwards between windows; drop --fast-forward".into(),
@@ -144,17 +117,35 @@ fn mode_from_args(
         }
         (None, true) => ExecMode::FastForward,
         (None, false) => ExecMode::Detailed,
+    })
+}
+
+/// Open one of the two stores kept in `--store-dir DIR`, the CLI's one
+/// on-disk cache: finished runs (`*.llrs`, the result store) and warm-up
+/// checkpoints (`*.llck`, the checkpoint store) live side by side in it.
+/// `None` without `--store-dir`.
+fn open_in_store_dir<S>(
+    args: &Args,
+    what: &str,
+    open: impl FnOnce(&str) -> Result<S, CheckpointError>,
+) -> Result<Option<S>, ArgError> {
+    let Some(dir) = args.get("store-dir") else {
+        return Ok(None);
     };
-    let store = match args.get("ckpt-dir") {
-        None => None,
-        Some(_) if mode == ExecMode::Detailed => {
-            return Err(ArgError(
-                "--ckpt-dir needs --fast-forward or --sample".into(),
-            ))
-        }
-        Some(dir) => Some(CheckpointStore::open(dir).map_err(|e| ArgError(e.to_string()))?),
-    };
-    Ok((mode, store))
+    open(dir).map(Some).map_err(|e| {
+        let reason = match e {
+            CheckpointError::Io(msg) => msg,
+            other => other.to_string(),
+        };
+        ArgError(format!(
+            "--store-dir {dir}: cannot open the {what}: {reason}"
+        ))
+    })
+}
+
+/// The checkpoint store in `--store-dir`, if one was given.
+fn checkpoint_store_from_args(args: &Args) -> Result<Option<CheckpointStore>, ArgError> {
+    open_in_store_dir(args, "checkpoint store", |dir| CheckpointStore::open(dir))
 }
 
 /// Resolve `--bench NAME` / `--pair NAME` into a [`Workload`].
@@ -191,16 +182,21 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "json",
         "fast-forward",
         "sample",
-        "ckpt-dir",
+        "store-dir",
         "profile-stages",
-        "profile-json",
     ]);
     args.reject_unknown(&allowed)?;
     let mut cfg = config_from_args(args)?;
     let budget = budget_from_args(args)?;
-    let profile_json = profile_from_args(args);
+    profile_from_args(args);
 
-    let (mode, store) = mode_from_args(args, budget)?;
+    let mode = mode_from_args(args, budget)?;
+    if mode == ExecMode::Detailed && args.has("store-dir") {
+        // The detailed path has no warm-up checkpoint to keep.
+        return Err(ArgError(
+            "--store-dir needs --fast-forward or --sample".into(),
+        ));
+    }
     if mode != ExecMode::Detailed {
         for incompatible in ["asm", "verify", "trace"] {
             if args.has(incompatible) {
@@ -210,6 +206,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             }
         }
         let workload = workload_from_flags(args)?;
+        let store = checkpoint_store_from_args(args)?;
         let job = Job::new(cfg, workload, budget);
         let memo = WarmMemo::default();
         let label = workload.name();
@@ -241,27 +238,17 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             }
             ExecMode::Detailed => unreachable!("handled above"),
         }
-        emit_profile(&label, profile_json);
+        emit_profile(&label);
         return Ok(());
     }
 
-    let (programs, label) = if let Some(name) = args.get("bench") {
-        let b = Benchmark::all()
-            .into_iter()
-            .find(|b| b.name() == name)
-            .ok_or_else(|| {
-                ArgError(format!(
-                    "unknown benchmark `{name}` — see `looseloops list`"
-                ))
-            })?;
-        (vec![b.program()], name.to_string())
-    } else if let Some(name) = args.get("pair") {
-        let p = Benchmark::pairs()
-            .into_iter()
-            .find(|p| p.name() == name)
-            .ok_or_else(|| ArgError(format!("unknown pair `{name}` — see `looseloops list`")))?;
-        cfg.threads = 2;
-        (p.programs(), name.to_string())
+    let (programs, label) = if args.has("bench") || args.has("pair") {
+        let workload = workload_from_flags(args)?;
+        // A pair runs on two threads whatever `--threads` says.
+        if let Workload::Pair(_) = workload {
+            cfg = workload.config_for(&cfg);
+        }
+        (workload.programs(), workload.name())
     } else if let Some(path) = args.get("asm") {
         let src = std::fs::read_to_string(path)
             .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
@@ -304,7 +291,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             println!("trace written to {path}");
         }
     }
-    emit_profile(&label, profile_json);
+    emit_profile(&label);
     Ok(())
 }
 
@@ -324,39 +311,21 @@ fn workloads_from_args(args: &Args) -> Result<Vec<Workload>, ArgError> {
     }
 }
 
-/// Resolve the persistent result store: `--store-dir DIR` explicitly,
-/// else the `LOOSELOOPS_STORE` environment variable, else none.
-fn result_store_from_args(args: &Args) -> Result<Option<ResultStore>, ArgError> {
-    match args.get("store-dir") {
-        Some(dir) => ResultStore::open(dir).map(Some).map_err(|e| {
-            let reason = match e {
-                CheckpointError::Io(msg) => msg,
-                other => other.to_string(),
-            };
-            ArgError(format!(
-                "--store-dir {dir}: cannot open the result store: {reason}"
-            ))
-        }),
-        None => Ok(ResultStore::from_env()),
-    }
-}
-
 /// Build a sweep engine from `--jobs N` (0 or absent: `LOOSELOOPS_JOBS` /
-/// the machine) executing under `mode`, with the persistent result store
-/// from `--store-dir` / `LOOSELOOPS_STORE` attached when configured.
-fn sweep_from_args(
-    args: &Args,
-    mode: ExecMode,
-    store: Option<CheckpointStore>,
-) -> Result<SweepEngine, ArgError> {
+/// the machine) executing under `mode`, with both stores of
+/// `--store-dir` attached when it is given. The engine keeps finished
+/// runs in the result store always, and reads the checkpoint store only
+/// when `mode` fast-forwards or samples.
+fn sweep_from_args(args: &Args, mode: ExecMode) -> Result<SweepEngine, ArgError> {
     let jobs: usize = args.get_or("jobs", 0)?;
     let workers = if jobs == 0 {
         looseloops::jobs_from_env()
     } else {
         jobs
     };
-    let result_store = result_store_from_args(args)?;
-    Ok(SweepEngine::with_stores(workers, mode, store, result_store))
+    let results = open_in_store_dir(args, "result store", |dir| ResultStore::open(dir))?;
+    let ckpts = checkpoint_store_from_args(args)?;
+    Ok(SweepEngine::with_stores(workers, mode, ckpts, results))
 }
 
 /// `looseloops figure`
@@ -369,13 +338,11 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
         "stacks",
         "fast-forward",
         "sample",
-        "ckpt-dir",
         "store-dir",
         "profile-stages",
-        "profile-json",
     ]);
     args.reject_unknown(&allowed)?;
-    let profile_json = profile_from_args(args);
+    profile_from_args(args);
     let known = || format!("{}, all", FigureSpec::IDS.join(", "));
     let id = args
         .positional()
@@ -407,8 +374,8 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
                 .ok_or_else(|| ArgError(format!("unknown figure `{fid}` (known: {})", known())))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let (mode, store) = mode_from_args(args, budget)?;
-    let sweep = sweep_from_args(args, mode, store)?;
+    let mode = mode_from_args(args, budget)?;
+    let sweep = sweep_from_args(args, mode)?;
     // `all` runs every figure on one engine, so overlapping grids (the
     // base machine appears in several figures) simulate once. With
     // --stacks, each figure's per-loop CPI stacks are rendered from the
@@ -421,7 +388,7 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
         if args.has("stacks") {
             print!("{}", spec.render_stacks(&results));
         }
-        emit_profile(fid, profile_json);
+        emit_profile(fid);
         last = Some(fig);
     }
     eprintln!("[sweep] {}", sweep.summary().line());
@@ -431,41 +398,6 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
         println!("(json written to {path})");
     }
     Ok(())
-}
-
-/// `looseloops store` — manage the persistent result store. The one
-/// subcommand, `gc --max-bytes N`, evicts least-recently-used entries
-/// (both saves and hits refresh recency) until the store fits the budget.
-pub fn store(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&["store-dir", "max-bytes"])?;
-    match args.positional().first().map(String::as_str) {
-        Some("gc") => {
-            let store = result_store_from_args(args)?.ok_or_else(|| {
-                ArgError("store gc needs --store-dir DIR (or LOOSELOOPS_STORE)".into())
-            })?;
-            let max_bytes: u64 = match args.get("max-bytes") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--max-bytes: cannot parse `{v}`")))?,
-                None => return Err(ArgError("store gc needs --max-bytes N (bytes)".into())),
-            };
-            let report = store.gc(max_bytes).map_err(|e| ArgError(e.to_string()))?;
-            println!(
-                "{}: evicted {} entr(ies) ({} bytes), kept {} ({} bytes) within the {} byte budget",
-                store.dir().display(),
-                report.evicted,
-                report.bytes_evicted,
-                report.kept,
-                report.bytes_kept,
-                max_bytes
-            );
-            Ok(())
-        }
-        Some(other) => Err(ArgError(format!(
-            "unknown store subcommand `{other}` (known: gc)"
-        ))),
-        None => Err(ArgError("store needs a subcommand (known: gc)".into())),
-    }
 }
 
 /// `looseloops loops` (and `looseloops loops attribute`)
@@ -496,7 +428,7 @@ fn loops_attribute(args: &Args) -> Result<(), ArgError> {
     let cfg = config_from_args(args)?;
     let budget = budget_from_args(args)?;
     let workloads = workloads_from_args(args)?;
-    let sweep = sweep_from_args(args, ExecMode::Detailed, None)?;
+    let sweep = sweep_from_args(args, ExecMode::Detailed)?;
     let label = format!(
         "{}:{}_{}",
         if cfg.scheme.is_dra() { "dra" } else { "base" },
@@ -608,30 +540,30 @@ pub fn list(_args: &Args) -> Result<(), ArgError> {
 
 /// `looseloops checkpoint` — build (or report) the functional warm-up
 /// checkpoint a workload's sweep points would share, and optionally
-/// verify a detailed resume from it against the ISA oracle.
+/// verify a detailed resume from it against the ISA oracle. With
+/// `--store-dir DIR` the checkpoint is loaded from, or saved to, DIR;
+/// without it, it is captured in memory and saved nowhere.
 pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
-    let allowed = config_flag_set(&["bench", "pair", "dir", "verify"]);
+    let allowed = config_flag_set(&["bench", "pair", "store-dir", "verify"]);
     args.reject_unknown(&allowed)?;
     let cfg = config_from_args(args)?;
     let budget = budget_from_args(args)?;
     let workload = workload_from_flags(args)?;
-    let dir = args.get("dir").unwrap_or(".looseloops-ckpt");
-    let store = CheckpointStore::open(dir).map_err(|e| ArgError(e.to_string()))?;
+    let store = checkpoint_store_from_args(args)?;
 
     let wcfg = workload.config_for(&cfg);
     let digest = warm_digest(&wcfg, &workload, budget.warmup);
-    let (ckpt, cached) = match store.load(digest) {
-        Ok(Some(c)) => (c, true),
-        Ok(None) => {
-            let c = capture_checkpoint(&wcfg, workload.programs(), budget.warmup)
-                .map_err(|e| ArgError(e.to_string()))?;
-            store
-                .save(digest, &c)
-                .map_err(|e| ArgError(e.to_string()))?;
-            (c, false)
-        }
-        Err(e) => return Err(ArgError(e.to_string())),
+    // A stored checkpoint is loaded and left as it is; a missing or
+    // corrupt one is captured and saved, which replaces the file.
+    let stamp = || {
+        let path = store.as_ref()?.path(digest);
+        std::fs::metadata(path).and_then(|m| m.modified()).ok()
     };
+    let before = stamp();
+    let job = Job::new(cfg, workload, budget);
+    let ckpt = looseloops::checkpoint::warm_checkpoint(&job, store.as_ref(), &WarmMemo::default())
+        .map_err(|e| ArgError(e.to_string()))?;
+    let already_stored = before.is_some() && before == stamp();
 
     println!(
         "{} after {} functional warm-up instruction(s)",
@@ -640,13 +572,17 @@ pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
     );
     println!(
         "digest     {digest:016x}{}",
-        if cached { "  (already stored)" } else { "" }
+        if already_stored {
+            "  (already stored)"
+        } else {
+            ""
+        }
     );
-    println!(
-        "file       {} ({} bytes)",
-        store.path(digest).display(),
-        ckpt.encode().len()
-    );
+    let bytes = ckpt.encode().len();
+    match &store {
+        Some(s) => println!("file       {} ({bytes} bytes)", s.path(digest).display()),
+        None => println!("file       none, in memory only ({bytes} bytes)"),
+    }
     let live_btb = ckpt.btb.iter().filter(|(t, _)| *t != u64::MAX).count();
     println!(
         "contents   {} thread(s), {} memory page(s), {} predictor word(s), {} BTB entr(ies)",

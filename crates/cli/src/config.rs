@@ -1,6 +1,7 @@
 //! Flag → [`PipelineConfig`] translation shared by the subcommands.
 
 use crate::args::{ArgError, Args};
+use looseloops::branch::PredictorKind;
 use looseloops::{FaultPlan, LoadSpecPolicy, PipelineConfig, RunBudget};
 
 /// Flags understood by every simulation-running subcommand.
@@ -50,32 +51,20 @@ pub fn config_from_args(args: &Args) -> Result<PipelineConfig, ArgError> {
             .map_err(|_| ArgError(format!("--ex: bad value `{ex}`")))?;
     }
     if let Some(p) = args.get("policy") {
-        cfg.load_policy = match p {
-            "tree" => LoadSpecPolicy::ReissueTree,
-            "shadow" => LoadSpecPolicy::ReissueShadow,
-            "stall" => LoadSpecPolicy::Stall,
-            "refetch" => LoadSpecPolicy::Refetch,
-            other => {
-                return Err(ArgError(format!(
-                    "unknown policy `{other}` (tree|shadow|stall|refetch)"
-                )))
-            }
-        };
+        cfg.load_policy = LoadSpecPolicy::from_name(p).ok_or_else(|| {
+            ArgError(format!(
+                "unknown policy `{p}` ({})",
+                LoadSpecPolicy::all().map(LoadSpecPolicy::name).join("|")
+            ))
+        })?;
     }
     if let Some(p) = args.get("predictor") {
-        use looseloops::branch::PredictorKind::*;
-        cfg.predictor = match p {
-            "tournament" => Tournament,
-            "gshare" => Gshare,
-            "local" => Local,
-            "bimodal" => Bimodal,
-            "taken" => Taken,
-            other => {
-                return Err(ArgError(format!(
-                    "unknown predictor `{other}` (tournament|gshare|local|bimodal|taken)"
-                )))
-            }
-        };
+        cfg.predictor = PredictorKind::from_name(p).ok_or_else(|| {
+            ArgError(format!(
+                "unknown predictor `{p}` ({})",
+                PredictorKind::all().map(PredictorKind::name).join("|")
+            ))
+        })?;
     }
     cfg.threads = args.get_or("threads", cfg.threads)?;
     if args.has("audit") {
@@ -180,6 +169,17 @@ mod tests {
         assert!(config_from_args(&args("--scheme fancy")).is_err());
         assert!(config_from_args(&args("--policy yolo")).is_err());
         assert!(config_from_args(&args("--predictor psychic")).is_err());
+        // The alternatives come from the enums' own name tables.
+        assert_eq!(
+            config_from_args(&args("--policy yolo")).unwrap_err().0,
+            "unknown policy `yolo` (tree|shadow|stall|refetch)"
+        );
+        assert_eq!(
+            config_from_args(&args("--predictor psychic"))
+                .unwrap_err()
+                .0,
+            "unknown predictor `psychic` (tournament|gshare|local|bimodal|taken)"
+        );
     }
 
     #[test]

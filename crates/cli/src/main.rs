@@ -38,14 +38,12 @@ COMMANDS:
              --fast-forward  (functional warm-up from a shared checkpoint)
              --sample auto|w=N,detail=N,warm=N,skip=N  (interval sampling
              with a CPI error bar; implies functional fast-forward)
-             --ckpt-dir DIR  (on-disk checkpoint store for warm-up reuse)
+             --store-dir DIR  (keep warm-up checkpoints in DIR for reuse
+             across processes; needs --fast-forward or --sample)
              --profile-stages  (wall-clock per-stage breakdown of the
              simulator itself from 1 stepped cycle in 64, scaled up and
              printed to stderr with the measured timer cost; simulated
              results are byte-identical with or without it)
-             --profile-json FILE  (append the stage profile to FILE as
-             one JSON line per label; scripts/diff_stage_profile.py
-             diffs two such files across commits)
     figure   Regenerate the paper's evaluation figures
              fig4|fig5|fig6|fig8|fig9|load-policy|dra-design|fwd-window|
              iq-size|prefetch|predictor|all  (`all` shares one run cache;
@@ -55,20 +53,18 @@ COMMANDS:
              --jobs N  (sweep workers; default LOOSELOOPS_JOBS or all cores)
              --stacks  (append each figure's per-loop CPI stacks; reuses
              the figure's own memoized runs)
-             --fast-forward | --sample SPEC  --ckpt-dir DIR  (as in `run`;
-             sampled figures report estimates, detailed stays the reference)
-             --store-dir DIR  (persistent result store: finished runs are
-             reused across processes; LOOSELOOPS_STORE sets a default)
+             --fast-forward | --sample SPEC  (as in `run`; sampled
+             figures report estimates, detailed stays the reference)
+             --store-dir DIR  (the one on-disk cache: finished runs are
+             reused across processes, and so are warm-up checkpoints
+             under --fast-forward or --sample)
              --profile-stages  (per-figure wall-clock stage breakdown)
-             --profile-json FILE  (stage profiles as JSON lines, as in `run`)
-    store    Manage the persistent result store
-             gc --max-bytes N  (evict least-recently-used entries until
-             the store fits in N bytes)
-             --store-dir DIR  (which store; LOOSELOOPS_STORE sets a default)
     checkpoint
              Build or inspect the functional warm-up checkpoint a
              workload's sweep points share
-             --bench NAME | --pair NAME  --dir DIR  (default .looseloops-ckpt)
+             --bench NAME | --pair NAME
+             --store-dir DIR  (load it from DIR, or save it there; without
+             it the checkpoint is built in memory and not saved)
              --verify  (restore + detailed resume against the ISA oracle)
              (plus config/budget flags; --warmup sets the warm-up length)
     loops    Print the micro-architectural loop inventory for a config
@@ -124,11 +120,7 @@ fn main() -> ExitCode {
         "replay",
         "write-corpus",
         "sample",
-        "ckpt-dir",
-        "profile-json",
-        "dir",
         "store-dir",
-        "max-bytes",
     ]
     .to_vec();
     let args = match Args::parse(rest, &value_flags) {
@@ -142,7 +134,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "run" => commands::run(&args),
         "figure" => commands::figure(&args),
-        "store" => commands::store(&args),
         "loops" => commands::loops(&args),
         "fuzz" => commands::fuzz(&args),
         "checkpoint" => commands::checkpoint(&args),

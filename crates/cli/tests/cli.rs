@@ -9,10 +9,20 @@ fn looseloops(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+/// The output of a run that must succeed.
+fn ok(args: &[&str]) -> std::process::Output {
+    let out = looseloops(args);
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
 #[test]
 fn help_prints_usage() {
-    let out = looseloops(&["help"]);
-    assert!(out.status.success());
+    let out = ok(&["help"]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("USAGE"));
     assert!(text.contains("figure"));
@@ -20,8 +30,7 @@ fn help_prints_usage() {
 
 #[test]
 fn list_names_everything() {
-    let out = looseloops(&["list"]);
-    assert!(out.status.success());
+    let out = ok(&["list"]);
     let text = String::from_utf8_lossy(&out.stdout);
     for name in ["compress", "turb3d", "apsi-swim", "fig8"] {
         assert!(text.contains(name), "missing {name}");
@@ -30,7 +39,7 @@ fn list_names_everything() {
 
 #[test]
 fn run_bench_reports_stats() {
-    let out = looseloops(&[
+    let out = ok(&[
         "run",
         "--bench",
         "m88ksim",
@@ -40,11 +49,6 @@ fn run_bench_reports_stats() {
         "5000",
         "--verify",
     ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("IPC"));
     assert!(text.contains("operand sources"));
@@ -52,7 +56,7 @@ fn run_bench_reports_stats() {
 
 #[test]
 fn run_json_is_parseable_shape() {
-    let out = looseloops(&[
+    let out = ok(&[
         "run",
         "--bench",
         "go",
@@ -62,7 +66,6 @@ fn run_json_is_parseable_shape() {
         "3000",
         "--json",
     ]);
-    assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.trim_start().starts_with('{') && text.trim_end().ends_with('}'));
     assert!(text.contains("\"ipc\""));
@@ -77,12 +80,7 @@ fn asm_assembles_runs_and_disassembles() {
         "addi r1, r31, 3\ntop:\nsubi r1, r1, 1\nbne r1, top\nhalt\n",
     )
     .unwrap();
-    let out = looseloops(&["asm", path.to_str().unwrap(), "--run", "--disasm"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = ok(&["asm", path.to_str().unwrap(), "--run", "--disasm"]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("halted: true"));
     assert!(text.contains("subi r1, r1, 1"));
@@ -90,19 +88,13 @@ fn asm_assembles_runs_and_disassembles() {
 
 #[test]
 fn figure_smoke_runs() {
-    let out = looseloops(&["figure", "fig6", "--smoke"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = ok(&["figure", "fig6", "--smoke"]);
     assert!(String::from_utf8_lossy(&out.stdout).contains("fig6"));
 }
 
 #[test]
 fn loops_inventory_prints() {
-    let out = looseloops(&["loops", "--scheme", "dra", "--rf", "7"]);
-    assert!(out.status.success());
+    let out = ok(&["loops", "--scheme", "dra", "--rf", "7"]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("operand resolution"));
     assert!(text.contains("load resolution"));
@@ -123,13 +115,19 @@ fn errors_exit_nonzero_with_message() {
     let out = looseloops(&["run", "--bnech", "go"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+
+    // Only a fast-forwarded or sampled run has a checkpoint to keep.
+    let out = looseloops(&["run", "--bench", "go", "--store-dir", "unused"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--store-dir needs --fast-forward"), "{err}");
 }
 
 #[test]
 fn trace_file_is_written() {
     let path = std::env::temp_dir().join("looseloops_cli_trace.kanata");
     let _ = std::fs::remove_file(&path);
-    let out = looseloops(&[
+    ok(&[
         "run",
         "--bench",
         "go",
@@ -140,11 +138,6 @@ fn trace_file_is_written() {
         "--trace",
         path.to_str().unwrap(),
     ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
     let log = std::fs::read_to_string(&path).unwrap();
     assert!(log.starts_with("Kanata\t0004"));
     let _ = std::fs::remove_file(&path);
@@ -152,8 +145,7 @@ fn trace_file_is_written() {
 
 #[test]
 fn figure_store_dir_makes_the_second_run_simulation_free() {
-    let dir = std::env::temp_dir().join(format!("looseloops-cli-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("store");
     let args = [
         "figure",
         "fig6",
@@ -164,14 +156,8 @@ fn figure_store_dir_makes_the_second_run_simulation_free() {
         dir.to_str().unwrap(),
     ];
 
-    let cold = looseloops(&args);
-    assert!(
-        cold.status.success(),
-        "{}",
-        String::from_utf8_lossy(&cold.stderr)
-    );
-    let warm = looseloops(&args);
-    assert!(warm.status.success());
+    let cold = ok(&args);
+    let warm = ok(&args);
 
     assert_eq!(
         cold.stdout, warm.stdout,
@@ -210,18 +196,8 @@ fn unusable_store_dir_is_reported_as_the_result_store() {
 
 #[test]
 fn canonical_ablation_ids_print_what_the_short_ids_print() {
-    let short = looseloops(&["figure", "load-policy", "--smoke"]);
-    assert!(
-        short.status.success(),
-        "{}",
-        String::from_utf8_lossy(&short.stderr)
-    );
-    let canonical = looseloops(&["figure", "ablation-load-policy", "--smoke"]);
-    assert!(
-        canonical.status.success(),
-        "{}",
-        String::from_utf8_lossy(&canonical.stderr)
-    );
+    let short = ok(&["figure", "load-policy", "--smoke"]);
+    let canonical = ok(&["figure", "ablation-load-policy", "--smoke"]);
     assert_eq!(
         String::from_utf8_lossy(&canonical.stdout),
         String::from_utf8_lossy(&short.stdout)
@@ -241,13 +217,139 @@ fn unknown_figure_lists_every_known_id() {
 
 #[test]
 fn kernel_inspection_disassembles() {
-    let out = looseloops(&["kernel", "go", "--disasm"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = ok(&["kernel", "go", "--disasm"]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("go:"));
     assert!(text.contains("bne"), "go's disassembly has branches");
+}
+
+/// A fresh scratch directory under the system temp dir, unique per test
+/// and process.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("looseloops-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Names of the files in `dir` with extension `ext`, sorted.
+fn files_with_extension(dir: &std::path::Path, ext: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn stage_profile_goes_to_stderr_and_leaves_the_figure_unchanged() {
+    let plain = ok(&["figure", "fig6", "--smoke"]);
+    let profiled = ok(&["figure", "fig6", "--smoke", "--profile-stages"]);
+    assert_eq!(plain.stdout, profiled.stdout);
+    let err = String::from_utf8_lossy(&profiled.stderr);
+    let lines: Vec<&str> = err.lines().filter(|l| l.starts_with("[profile]")).collect();
+    assert_eq!(lines.len(), 1, "{err}");
+    assert!(lines[0].starts_with("[profile] fig6: stepped "), "{err}");
+    assert!(!String::from_utf8_lossy(&plain.stderr).contains("[profile]"));
+}
+
+#[test]
+fn checkpoint_is_saved_to_the_store_dir_and_found_there_again() {
+    let dir = scratch_dir("checkpoint");
+    let d = dir.to_str().unwrap();
+    let first = ok(&[
+        "checkpoint",
+        "--bench",
+        "compress",
+        "--store-dir",
+        d,
+        "--verify",
+    ]);
+    let text = String::from_utf8_lossy(&first.stdout);
+    assert!(text.contains("verify     ok"), "{text}");
+    assert!(!text.contains("already stored"), "{text}");
+    assert_eq!(files_with_extension(&dir, "llck").len(), 1);
+
+    let second = ok(&["checkpoint", "--bench", "compress", "--store-dir", d]);
+    let text = String::from_utf8_lossy(&second.stdout);
+    assert!(text.contains("already stored"), "{text}");
+
+    // A corrupt file is captured again, not reported as stored.
+    let file = dir.join(&files_with_extension(&dir, "llck")[0]);
+    std::fs::write(&file, b"LLCK").unwrap();
+    let third = ok(&["checkpoint", "--bench", "compress", "--store-dir", d]);
+    let text = String::from_utf8_lossy(&third.stdout);
+    assert!(!text.contains("already stored"), "{text}");
+    assert!(String::from_utf8_lossy(&third.stderr).contains("regenerating"));
+    assert_ne!(std::fs::read(&file).unwrap(), b"LLCK");
+
+    // Without --store-dir nothing is saved anywhere.
+    let memory_only = ok(&["checkpoint", "--bench", "compress"]);
+    let text = String::from_utf8_lossy(&memory_only.stdout);
+    assert!(text.contains("in memory only"), "{text}");
+    assert!(!text.contains("already stored"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sampled_figure_keeps_results_and_checkpoints_in_one_store_dir() {
+    let dir = scratch_dir("sampled-store");
+    let d = dir.to_str().unwrap();
+    let smoke = ["figure", "predictor", "--smoke", "--sample", "auto"];
+    let longer = [
+        "figure",
+        "predictor",
+        "--sample",
+        "auto",
+        "--warmup",
+        "1000",
+        "--measure",
+        "6000",
+    ];
+    let with_store = |base: &[&str]| {
+        let mut args = base.to_vec();
+        args.extend(["--store-dir", d]);
+        ok(&args)
+    };
+
+    let reference = ok(&smoke);
+    let cold = with_store(&smoke);
+    assert_eq!(cold.stdout, reference.stdout, "cold store");
+    let checkpoints = files_with_extension(&dir, "llck");
+    let results = files_with_extension(&dir, "llrs");
+    assert!(!checkpoints.is_empty() && !results.is_empty());
+
+    let warm = with_store(&smoke);
+    assert_eq!(warm.stdout, reference.stdout, "warm store");
+    let log = String::from_utf8_lossy(&warm.stderr);
+    assert!(log.contains("0 jobs run"), "{log}");
+
+    // Same warm-up, longer measurement: every result misses, every
+    // checkpoint loads. A capture would have rewritten its file.
+    let modified = |names: &[String]| -> Vec<std::time::SystemTime> {
+        names
+            .iter()
+            .map(|n| std::fs::metadata(dir.join(n)).unwrap().modified().unwrap())
+            .collect()
+    };
+    let before = modified(&checkpoints);
+    let longer_reference = ok(&longer);
+    let longer_stored = with_store(&longer);
+    assert_eq!(longer_stored.stdout, longer_reference.stdout, "longer run");
+    let log = String::from_utf8_lossy(&longer_stored.stderr);
+    assert!(!log.contains("store hits"), "results must miss: {log}");
+    assert_eq!(files_with_extension(&dir, "llck"), checkpoints);
+    assert_eq!(
+        modified(&checkpoints),
+        before,
+        "checkpoints were recaptured"
+    );
+    assert_eq!(
+        files_with_extension(&dir, "llrs").len(),
+        2 * results.len(),
+        "one new result per job"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -58,10 +58,9 @@ pub use loops::{loop_for_component, loop_inventory, LoopInfo, LoopKind, Manageme
 pub use machines::{alpha21264_like, pentium4_like};
 pub use report::{CpiStackReport, CpiStackRow, FigureResult, Series};
 pub use simulator::{try_run_benchmark, try_run_pair, try_run_programs, RunBudget};
-pub use store::{atomic_write, GcReport, ResultStore, RESULT_STORE_VERSION, STORE_ENV};
+pub use store::{atomic_write, ResultStore, RESULT_STORE_VERSION};
 pub use sweep::{
-    default_jobs, fnv1a64, jobs_from_env, parallel_map, ExecMode, Job, JobRecord, SweepEngine,
-    SweepSummary,
+    default_jobs, fnv1a64, jobs_from_env, parallel_map, ExecMode, Job, SweepEngine, SweepSummary,
 };
 
 // Substrate re-exports.

@@ -49,10 +49,6 @@ const SEC_MEMS: [u8; 4] = *b"MEMS";
 /// Per-loop CPI stack ([`LoopCostStack`]).
 const SEC_LOOP: [u8; 4] = *b"LOOP";
 
-/// The environment variable `looseloops figure` consults when `--store-dir`
-/// is not given.
-pub const STORE_ENV: &str = "LOOSELOOPS_STORE";
-
 /// Write `bytes` to `path` atomically: write to a unique sibling
 /// temporary, then rename into place.
 ///
@@ -299,24 +295,13 @@ pub fn decode_result(bytes: &[u8]) -> Result<(String, SimStats), CheckpointError
 /// A directory of completed sweep results keyed by the FNV-64 digest of
 /// the job's full memo key. Saves go through [`atomic_write`], so any
 /// number of processes (and threads within them) can share one store;
-/// every load observes either nothing or a complete entry.
+/// every load observes either nothing or a complete entry. Entries are
+/// `*.llrs` files, so one directory can also hold a
+/// [`CheckpointStore`](crate::checkpoint::CheckpointStore)'s `*.llck`
+/// files, as the CLI's `--store-dir` does.
 #[derive(Debug, Clone)]
 pub struct ResultStore {
     dir: PathBuf,
-}
-
-/// What [`ResultStore::gc`] did: entries surviving and evicted, with
-/// their byte totals.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct GcReport {
-    /// Entries still in the store after collection.
-    pub kept: usize,
-    /// Bytes those surviving entries occupy.
-    pub bytes_kept: u64,
-    /// Entries removed, oldest first.
-    pub evicted: usize,
-    /// Bytes reclaimed.
-    pub bytes_evicted: u64,
 }
 
 impl ResultStore {
@@ -330,25 +315,6 @@ impl ResultStore {
         std::fs::create_dir_all(&dir)
             .map_err(|e| CheckpointError::Io(format!("create {}: {e}", dir.display())))?;
         Ok(ResultStore { dir })
-    }
-
-    /// A store at `$LOOSELOOPS_STORE` when the variable is set; a store
-    /// that cannot be opened is reported on stderr and ignored (the sweep
-    /// still runs, just without the disk tier).
-    pub fn from_env() -> Option<ResultStore> {
-        let dir = std::env::var(STORE_ENV).ok().filter(|d| !d.is_empty())?;
-        match ResultStore::open(&dir) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("warning: {STORE_ENV}={dir}: {e}; continuing without a result store");
-                None
-            }
-        }
-    }
-
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The file a digest maps to.
@@ -366,90 +332,17 @@ impl ResultStore {
     /// [`CheckpointError`] on an unreadable or undecodable file (callers
     /// treat that as a miss and re-simulate).
     pub fn load(&self, digest: u64, key: &str) -> Result<Option<SimStats>, CheckpointError> {
-        use std::io::{ErrorKind, Read};
         let path = self.path(digest);
-        let io_err =
-            |e: std::io::Error| CheckpointError::Io(format!("read {}: {e}", path.display()));
-        // One handle serves both the read and the recency touch below. A
-        // store this process cannot write still serves hits through a
-        // read-only handle.
-        let opened = std::fs::File::options()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .or_else(|e| match e.kind() {
-                ErrorKind::NotFound => Err(e),
-                _ => std::fs::File::open(&path),
-            });
-        let mut file = match opened {
-            Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(e)),
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(CheckpointError::Io(format!("read {}: {e}", path.display()))),
         };
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(io_err)?;
         let (stored_key, stats) = decode_result(&bytes)?;
         if stored_key != key {
             return Ok(None);
         }
-        // Touch the entry so `gc` sees hits as recent use, not just
-        // writes. Best-effort: a failed touch still serves the result.
-        let _ = file.set_modified(std::time::SystemTime::now());
         Ok(Some(stats))
-    }
-
-    /// Evict least-recently-used entries until the store fits in
-    /// `max_bytes`. Recency is the file modification time, which both
-    /// [`save`](Self::save) and a successful [`load`](Self::load) refresh;
-    /// ties break on file name so the scan is deterministic. Only
-    /// `*.llrs` entries are considered — foreign files and in-flight
-    /// `.tmp.*` temporaries are left alone and do not count toward the
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] when the directory cannot be listed. A
-    /// concurrently-removed entry is skipped, not an error.
-    pub fn gc(&self, max_bytes: u64) -> Result<GcReport, CheckpointError> {
-        let read = std::fs::read_dir(&self.dir)
-            .map_err(|e| CheckpointError::Io(format!("list {}: {e}", self.dir.display())))?;
-        let mut entries: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
-        for entry in read.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("llrs") {
-                continue;
-            }
-            let Ok(meta) = entry.metadata() else { continue };
-            let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            entries.push((mtime, path, meta.len()));
-        }
-        entries.sort();
-        let mut report = GcReport {
-            kept: entries.len(),
-            bytes_kept: entries.iter().map(|(_, _, len)| len).sum(),
-            ..GcReport::default()
-        };
-        let mut victims = entries.into_iter();
-        while report.bytes_kept > max_bytes {
-            let Some((_, path, len)) = victims.next() else {
-                break;
-            };
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    return Err(CheckpointError::Io(format!(
-                        "remove {}: {e}",
-                        path.display()
-                    )))
-                }
-            }
-            report.kept -= 1;
-            report.bytes_kept -= len;
-            report.evicted += 1;
-            report.bytes_evicted += len;
-        }
-        Ok(report)
     }
 
     /// Store `stats` under `digest` for `key` (atomic replace).
@@ -585,82 +478,6 @@ mod tests {
         // A corrupt file surfaces as an error the caller re-simulates from.
         std::fs::write(store.path(77), b"LLRSgarbage").unwrap();
         assert!(store.load(77, &key).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gc_evicts_oldest_entries_first_and_spares_foreign_files() {
-        use std::time::{Duration, UNIX_EPOCH};
-        let (dir, store) = temp_store("gc");
-        // Craft five 1000-byte entries with strictly increasing ages:
-        // digest 1 is the oldest, digest 5 the freshest. `gc` reads only
-        // file metadata, so the payloads need not decode.
-        for digest in 1u64..=5 {
-            let path = store.path(digest);
-            std::fs::write(&path, vec![digest as u8; 1000]).unwrap();
-            let f = std::fs::File::options().append(true).open(&path).unwrap();
-            f.set_modified(UNIX_EPOCH + Duration::from_secs(digest * 1000))
-                .unwrap();
-        }
-        // Foreign files and in-flight temporaries are not the store's to
-        // delete, nor do they count toward the budget.
-        std::fs::write(dir.join("README"), b"not an entry").unwrap();
-        std::fs::write(dir.join("deadbeef.llrs.tmp.1.2"), vec![0; 4000]).unwrap();
-
-        // Over budget: the three oldest entries go, newest two stay.
-        let report = store.gc(2_500).expect("gc");
-        assert_eq!(
-            report,
-            GcReport {
-                kept: 2,
-                bytes_kept: 2_000,
-                evicted: 3,
-                bytes_evicted: 3_000,
-            }
-        );
-        for digest in 1u64..=3 {
-            assert!(
-                !store.path(digest).exists(),
-                "digest {digest} should be evicted"
-            );
-        }
-        for digest in 4u64..=5 {
-            assert!(
-                store.path(digest).exists(),
-                "digest {digest} should survive"
-            );
-        }
-        assert!(dir.join("README").exists());
-        assert!(dir.join("deadbeef.llrs.tmp.1.2").exists());
-
-        // Under budget: nothing to do.
-        let report = store.gc(1 << 30).expect("gc");
-        assert_eq!(report.evicted, 0);
-        assert_eq!(report.kept, 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_refreshes_recency_so_hits_survive_gc() {
-        use std::time::{Duration, UNIX_EPOCH};
-        let (dir, store) = temp_store("gc-lru");
-        let (key, stats) = run_once();
-        let digest = fnv1a64(key.as_bytes());
-        store.save(digest, &key, &stats).expect("save");
-        // Backdate the entry, then hit it: the load must refresh its
-        // modification time so the entry reads as recently used.
-        let f = std::fs::File::options()
-            .append(true)
-            .open(store.path(digest))
-            .unwrap();
-        f.set_modified(UNIX_EPOCH + Duration::from_secs(1)).unwrap();
-        drop(f);
-        store.load(digest, &key).expect("load").expect("present");
-        let touched = std::fs::metadata(store.path(digest))
-            .unwrap()
-            .modified()
-            .unwrap();
-        assert!(touched > UNIX_EPOCH + Duration::from_secs(100_000));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 
 /// Lock `m`, recovering from poisoning.
 ///
-/// The engine's mutexes guard plain accumulators (memo map, merged stack,
-/// timing log) whose updates are single `insert`/`merge`/`push` calls, so
+/// The engine's mutexes guard plain accumulators (memo map, merged stack)
+/// whose updates are single `insert`/`merge` calls, so
 /// a panic elsewhere in a worker can never leave them mid-mutation —
 /// taking the inner value after a poisoning is always safe. Before this
 /// helper, one panicked job permanently poisoned a shared engine and
@@ -148,24 +148,6 @@ impl Job {
     }
 }
 
-/// Timing record for one executed (non-memoized) job.
-#[derive(Debug, Clone)]
-pub struct JobRecord {
-    /// [`Job::label`] of the run.
-    pub label: String,
-    /// Wall-clock time of the run on its worker.
-    pub wall: Duration,
-    /// Instructions simulated (warm-up + measured window).
-    pub instructions: u64,
-}
-
-impl JobRecord {
-    /// Simulated instructions per wall-clock second, in millions.
-    pub fn sim_mips(&self) -> f64 {
-        self.instructions as f64 / self.wall.as_secs_f64().max(1e-9) / 1e6
-    }
-}
-
 /// Aggregate counters of everything an engine has executed so far.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepSummary {
@@ -244,7 +226,6 @@ pub struct SweepEngine {
     wall_nanos: AtomicU64,
     busy_nanos: AtomicU64,
     instructions: AtomicU64,
-    job_log: Mutex<Vec<JobRecord>>,
     stack: Mutex<LoopCostStack>,
 }
 
@@ -376,7 +357,6 @@ impl SweepEngine {
             wall_nanos: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             instructions: AtomicU64::new(0),
-            job_log: Mutex::new(Vec::new()),
             stack: Mutex::new(LoopCostStack::default()),
         }
     }
@@ -457,7 +437,7 @@ impl SweepEngine {
                 let job = &jobs[pending[k]];
                 let key = &keys[pending[k]];
                 // Second cache tier: the on-disk result store. A hit is a
-                // finished run — no simulation, no jobs_run/busy/timing-log
+                // finished run — no simulation, no jobs_run/busy
                 // accounting (like the memo cache, the metrics track work,
                 // not requests). A corrupt or colliding entry is a miss.
                 if let Some(store) = &self.result_store {
@@ -483,18 +463,12 @@ impl SweepEngine {
                         .unwrap_or_else(|payload| {
                             Err(SimError::Panicked(panic_message(&*payload)))
                         });
-                let wall = t.elapsed();
                 self.busy_nanos
-                    .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 if let Ok(stats) = &result {
-                    let instructions = job.budget.warmup + stats.total_retired();
-                    self.instructions.fetch_add(instructions, Ordering::Relaxed);
+                    self.instructions
+                        .fetch_add(job.budget.warmup + stats.total_retired(), Ordering::Relaxed);
                     lock_clean(&self.stack).merge(&stats.loop_cost);
-                    lock_clean(&self.job_log).push(JobRecord {
-                        label: job.label(),
-                        wall,
-                        instructions,
-                    });
                     if let Some(store) = &self.result_store {
                         let digest = fnv1a64(key.as_bytes());
                         if let Err(e) = store.save(digest, key, stats) {
@@ -598,13 +572,7 @@ impl SweepEngine {
         }
     }
 
-    /// Drain the per-job timing log (completion order, which is
-    /// scheduling-dependent — observability only, never results).
-    pub fn take_job_log(&self) -> Vec<JobRecord> {
-        std::mem::take(&mut *lock_clean(&self.job_log))
-    }
-
-    /// Zero the counters and timing log. The memo cache is kept — metrics
+    /// Zero the counters. The memo cache is kept — metrics
     /// describe work, the cache describes results.
     pub fn reset_metrics(&self) {
         self.jobs_requested.store(0, Ordering::Relaxed);
@@ -615,7 +583,6 @@ impl SweepEngine {
         self.wall_nanos.store(0, Ordering::Relaxed);
         self.busy_nanos.store(0, Ordering::Relaxed);
         self.instructions.store(0, Ordering::Relaxed);
-        lock_clean(&self.job_log).clear();
         *lock_clean(&self.stack) = LoopCostStack::default();
     }
 }
@@ -680,7 +647,6 @@ mod tests {
         engine.run_jobs(&[job(Benchmark::Compress)]);
         let s = engine.summary();
         assert_eq!((s.jobs_run, s.cache_hits), (1, 1));
-        assert_eq!(engine.take_job_log().len(), 1, "only the miss is timed");
     }
 
     #[test]
@@ -809,19 +775,17 @@ mod tests {
 
     #[test]
     fn poisoned_engine_locks_recover() {
-        // Poison the stack/log/cache mutexes directly (panic while the
+        // Poison the stack and cache mutexes directly (panic while the
         // guard is held) and check every engine entry point still works.
         let engine = SweepEngine::new(2);
         engine.run_jobs(&[job(Benchmark::Compress)]);
         poison(&engine.stack);
-        poison(&engine.job_log);
         poison(&engine.cache);
         assert!(engine.stack.is_poisoned());
         let s = engine.summary();
         assert!(s.stack.conserves());
         engine.run_jobs(&[job(Benchmark::Compress)]);
         assert_eq!(engine.summary().cache_hits, 1, "cache intact after poison");
-        engine.take_job_log();
         engine.reset_metrics();
         assert_eq!(engine.summary().jobs_run, 0);
     }

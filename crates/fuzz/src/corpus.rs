@@ -89,46 +89,6 @@ pub struct CorpusEntry {
     pub case: FuzzCase,
 }
 
-fn policy_token(p: LoadSpecPolicy) -> &'static str {
-    match p {
-        LoadSpecPolicy::ReissueTree => "tree",
-        LoadSpecPolicy::ReissueShadow => "shadow",
-        LoadSpecPolicy::Stall => "stall",
-        LoadSpecPolicy::Refetch => "refetch",
-    }
-}
-
-fn policy_from(tok: &str) -> Option<LoadSpecPolicy> {
-    Some(match tok {
-        "tree" => LoadSpecPolicy::ReissueTree,
-        "shadow" => LoadSpecPolicy::ReissueShadow,
-        "stall" => LoadSpecPolicy::Stall,
-        "refetch" => LoadSpecPolicy::Refetch,
-        _ => return None,
-    })
-}
-
-fn predictor_token(p: PredictorKind) -> &'static str {
-    match p {
-        PredictorKind::Tournament => "tournament",
-        PredictorKind::Gshare => "gshare",
-        PredictorKind::Local => "local",
-        PredictorKind::Bimodal => "bimodal",
-        PredictorKind::Taken => "taken",
-    }
-}
-
-fn predictor_from(tok: &str) -> Option<PredictorKind> {
-    Some(match tok {
-        "tournament" => PredictorKind::Tournament,
-        "gshare" => PredictorKind::Gshare,
-        "local" => PredictorKind::Local,
-        "bimodal" => PredictorKind::Bimodal,
-        "taken" => PredictorKind::Taken,
-        _ => return None,
-    })
-}
-
 fn config_line(cfg: &PipelineConfig) -> String {
     let scheme = match cfg.scheme {
         RegisterScheme::Monolithic => "base",
@@ -139,8 +99,8 @@ fn config_line(cfg: &PipelineConfig) -> String {
         cfg.rf_read_latency,
         cfg.dec_iq_stages,
         cfg.iq_ex_stages,
-        policy_token(cfg.load_policy),
-        predictor_token(cfg.predictor),
+        cfg.load_policy.name(),
+        cfg.predictor.name(),
         cfg.threads
     )
 }
@@ -187,9 +147,9 @@ fn config_from(line: &str) -> Option<PipelineConfig> {
         } else if let Some(v) = parse_kv(field, "ex") {
             ex = v.parse::<u32>().ok();
         } else if let Some(v) = parse_kv(field, "policy") {
-            policy = policy_from(v);
+            policy = LoadSpecPolicy::from_name(v);
         } else if let Some(v) = parse_kv(field, "predictor") {
-            predictor = predictor_from(v);
+            predictor = PredictorKind::from_name(v);
         } else if let Some(v) = parse_kv(field, "threads") {
             threads = v.parse::<usize>().ok();
         } else {

@@ -62,6 +62,33 @@ pub enum LoadSpecPolicy {
     Refetch,
 }
 
+impl LoadSpecPolicy {
+    /// All policies, in the order the CLI lists them.
+    pub fn all() -> [LoadSpecPolicy; 4] {
+        [
+            LoadSpecPolicy::ReissueTree,
+            LoadSpecPolicy::ReissueShadow,
+            LoadSpecPolicy::Stall,
+            LoadSpecPolicy::Refetch,
+        ]
+    }
+
+    /// Stable CLI/corpus name.
+    pub fn name(self) -> &'static str {
+        match self {
+            LoadSpecPolicy::ReissueTree => "tree",
+            LoadSpecPolicy::ReissueShadow => "shadow",
+            LoadSpecPolicy::Stall => "stall",
+            LoadSpecPolicy::Refetch => "refetch",
+        }
+    }
+
+    /// Parse a [`LoadSpecPolicy::name`].
+    pub fn from_name(s: &str) -> Option<LoadSpecPolicy> {
+        LoadSpecPolicy::all().into_iter().find(|p| p.name() == s)
+    }
+}
+
 /// Execution latencies by instruction class, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecLatencies {

@@ -133,32 +133,6 @@ impl StageReport {
         self.skips += other.skips;
     }
 
-    /// One-line machine-readable breakdown for scripts tooling
-    /// (`scripts/diff_stage_profile.py` diffs these across commits).
-    /// `stage_ns` holds the scaled estimates; stages stay in
-    /// [`STAGE_NAMES`] order so files diff cleanly.
-    pub fn render_json(&self, label: &str) -> String {
-        use std::fmt::Write;
-        let mut out = format!(
-            "{{\"label\":\"{}\",\"stepped_cycles\":{},\"sampled_cycles\":{},\"skipped_cycles\":{},\"skips\":{},\"timer_pair_ns\":{},\"total_ns\":{},\"stage_ns\":{{",
-            label,
-            self.stepped_cycles,
-            self.sampled_cycles,
-            self.skipped_cycles,
-            self.skips,
-            self.timer_pair_ns,
-            self.total_ns()
-        );
-        for (i, ns) in self.scaled_stage_ns().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", STAGE_NAMES[i], ns);
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// One-line human-readable breakdown: stages sorted by cost, with
     /// percentage of the total, plus the stepped/skipped cycle split and
     /// the sampling and timer cost behind the estimate.
@@ -253,33 +227,6 @@ mod tests {
         // Issue dominates, so it leads the sorted breakdown.
         assert!(line.contains("skipped 90 (3 jumps)"), "{line}");
         assert!(line.contains("issue=76.9%"), "{line}");
-    }
-
-    #[test]
-    fn json_rendering_is_complete_and_ordered() {
-        let mut r = StageReport::default();
-        r.stage_ns[0] = 300;
-        r.stage_ns[6] = 700;
-        r.stepped_cycles = 10;
-        r.sampled_cycles = 10;
-        r.skipped_cycles = 90;
-        r.skips = 3;
-        r.timer_pair_ns = 25;
-        let json = r.render_json("fig4");
-        assert!(
-            json.starts_with("{\"label\":\"fig4\",\"stepped_cycles\":10,"),
-            "{json}"
-        );
-        assert!(json.contains("\"total_ns\":1000"), "{json}");
-        assert!(json.contains("\"timer_pair_ns\":25"), "{json}");
-        assert!(json.contains("\"retire\":300"), "{json}");
-        assert!(json.contains("\"issue\":700"), "{json}");
-        // Every stage appears, in STAGE_NAMES order.
-        let mut at = 0;
-        for name in STAGE_NAMES {
-            let pos = json[at..].find(&format!("\"{name}\":")).expect(name);
-            at += pos;
-        }
     }
 
     #[test]

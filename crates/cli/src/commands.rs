@@ -103,20 +103,12 @@ fn profile_from_args(args: &Args) {
     }
 }
 
-/// Parse the execution-mode flags shared by `run` and `figure`:
-/// `--fast-forward` and `--sample SPEC`.
+/// Parse the execution-mode flag shared by `run` and `figure`:
+/// `--sample SPEC`, or the detailed path without it.
 fn mode_from_args(args: &Args, budget: RunBudget) -> Result<ExecMode, ArgError> {
-    Ok(match (args.get("sample"), args.has("fast-forward")) {
-        (Some(_), true) => {
-            return Err(ArgError(
-                "--sample already fast-forwards between windows; drop --fast-forward".into(),
-            ))
-        }
-        (Some(spec), false) => {
-            ExecMode::Sampled(SamplingPlan::parse(spec, budget).map_err(ArgError)?)
-        }
-        (None, true) => ExecMode::FastForward,
-        (None, false) => ExecMode::Detailed,
+    Ok(match args.get("sample") {
+        Some(spec) => ExecMode::Sampled(SamplingPlan::parse(spec, budget).map_err(ArgError)?),
+        None => ExecMode::Detailed,
     })
 }
 
@@ -180,85 +172,66 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "verify",
         "trace",
         "json",
-        "fast-forward",
         "sample",
         "store-dir",
         "profile-stages",
     ]);
     args.reject_unknown(&allowed)?;
-    let mut cfg = config_from_args(args)?;
+    let cfg = config_from_args(args)?;
     let budget = budget_from_args(args)?;
     profile_from_args(args);
 
     let mode = mode_from_args(args, budget)?;
-    if mode == ExecMode::Detailed && args.has("store-dir") {
-        // The detailed path has no warm-up checkpoint to keep.
-        return Err(ArgError(
-            "--store-dir needs --fast-forward or --sample".into(),
-        ));
-    }
-    if mode != ExecMode::Detailed {
+    if let ExecMode::Sampled(plan) = mode {
         for incompatible in ["asm", "verify", "trace"] {
             if args.has(incompatible) {
                 return Err(ArgError(format!(
-                    "--{incompatible} runs the detailed path only; drop --fast-forward/--sample"
+                    "--{incompatible} runs the detailed path only; drop --sample"
                 )));
             }
         }
         let workload = workload_from_flags(args)?;
         let store = checkpoint_store_from_args(args)?;
         let job = Job::new(cfg, workload, budget);
-        let memo = WarmMemo::default();
+        let run = run_sampled(&job, plan, store.as_ref(), &WarmMemo::default())
+            .map_err(|e| ArgError(e.to_string()))?;
         let label = workload.name();
-        match mode {
-            ExecMode::FastForward => {
-                let stats = looseloops::checkpoint::run_fast_forwarded(&job, store.as_ref(), &memo)
-                    .map_err(|e| ArgError(e.to_string()))?;
-                if !args.has("json") {
-                    println!(
-                        "== {label} (fast-forwarded warm-up: {} instrs) ==",
-                        budget.warmup
-                    );
-                }
-                print_stats(&stats, args.has("json"));
-            }
-            ExecMode::Sampled(plan) => {
-                let run = run_sampled(&job, plan, store.as_ref(), &memo)
-                    .map_err(|e| ArgError(e.to_string()))?;
-                if !args.has("json") {
-                    println!(
-                        "== {label} (sampled: {} windows of {} detailed instrs) ==",
-                        plan.windows, plan.detail
-                    );
-                }
-                print_stats(&run.stats, args.has("json"));
-                if !args.has("json") {
-                    println!("sampling              {}", run.error_bar());
-                }
-            }
-            ExecMode::Detailed => unreachable!("handled above"),
+        let json = args.has("json");
+        if !json {
+            println!(
+                "== {label} (sampled: {} windows of {} detailed instrs) ==",
+                plan.windows, plan.detail
+            );
+        }
+        print_stats(&run.stats, json);
+        if !json {
+            println!("sampling              {}", run.error_bar());
         }
         emit_profile(&label);
         return Ok(());
     }
+    if args.has("store-dir") {
+        // The detailed path has no warm-up checkpoint to keep.
+        return Err(ArgError("--store-dir needs --sample".into()));
+    }
 
-    let (programs, label) = if args.has("bench") || args.has("pair") {
+    // The workload sets the thread count; an assembly file runs one.
+    let (cfg, programs, label) = if args.has("bench") || args.has("pair") {
         let workload = workload_from_flags(args)?;
-        // A pair runs on two threads whatever `--threads` says.
-        if let Workload::Pair(_) = workload {
-            cfg = workload.config_for(&cfg);
-        }
-        (workload.programs(), workload.name())
+        (
+            workload.config_for(&cfg),
+            workload.programs(),
+            workload.name(),
+        )
     } else if let Some(path) = args.get("asm") {
         let src = std::fs::read_to_string(path)
             .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
         let prog = looseloops_isa::asm::assemble_named(path, &src)
             .map_err(|e| ArgError(format!("{path}: {e}")))?;
-        (vec![prog], path.to_string())
+        (cfg, vec![prog], path.to_string())
     } else {
         return Err(ArgError("run needs --bench, --pair, or --asm".into()));
     };
-    cfg.validate().map_err(|e| ArgError(e.to_string()))?;
 
     let mut m = Machine::new(cfg, programs).map_err(|e| ArgError(e.to_string()))?;
     if args.has("verify") {
@@ -311,18 +284,20 @@ fn workloads_from_args(args: &Args) -> Result<Vec<Workload>, ArgError> {
     }
 }
 
-/// Build a sweep engine from `--jobs N` (0 or absent: `LOOSELOOPS_JOBS` /
-/// the machine) executing under `mode`, with both stores of
-/// `--store-dir` attached when it is given. The engine keeps finished
-/// runs in the result store always, and reads the checkpoint store only
-/// when `mode` fast-forwards or samples.
+/// `--jobs N`; 0 or absent means `LOOSELOOPS_JOBS` or else the machine.
+fn jobs_from_args(args: &Args) -> Result<usize, ArgError> {
+    Ok(match args.get_or("jobs", 0)? {
+        0 => looseloops::jobs_from_env(),
+        n => n,
+    })
+}
+
+/// Build a sweep engine from `--jobs N` executing under `mode`, with
+/// both stores of `--store-dir` attached when it is given. The engine
+/// keeps finished runs in the result store always, and reads the
+/// checkpoint store only when `mode` samples.
 fn sweep_from_args(args: &Args, mode: ExecMode) -> Result<SweepEngine, ArgError> {
-    let jobs: usize = args.get_or("jobs", 0)?;
-    let workers = if jobs == 0 {
-        looseloops::jobs_from_env()
-    } else {
-        jobs
-    };
+    let workers = jobs_from_args(args)?;
     let results = open_in_store_dir(args, "result store", |dir| ResultStore::open(dir))?;
     let ckpts = checkpoint_store_from_args(args)?;
     Ok(SweepEngine::with_stores(workers, mode, ckpts, results))
@@ -336,7 +311,6 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
         "workloads",
         "jobs",
         "stacks",
-        "fast-forward",
         "sample",
         "store-dir",
         "profile-stages",
@@ -405,8 +379,7 @@ pub fn loops(args: &Args) -> Result<(), ArgError> {
     if args.positional().first().map(String::as_str) == Some("attribute") {
         return loops_attribute(args);
     }
-    let allowed = config_flag_set(&[]);
-    args.reject_unknown(&allowed)?;
+    args.reject_unknown(CONFIG_FLAGS)?;
     let cfg = config_from_args(args)?;
     println!(
         "machine: DEC-IQ={} IQ-EX={} RF-read={} scheme={:?}",
@@ -461,10 +434,10 @@ fn loops_attribute(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `looseloops asm`
+/// `looseloops asm` — assemble a file and report its size; `--disasm`
+/// round-trips it. `run --asm FILE` simulates it.
 pub fn asm(args: &Args) -> Result<(), ArgError> {
-    let allowed = config_flag_set(&["run", "disasm", "verify", "instructions"]);
-    args.reject_unknown(&allowed)?;
+    args.reject_unknown(&["disasm"])?;
     let path = args
         .positional()
         .first()
@@ -480,16 +453,6 @@ pub fn asm(args: &Args) -> Result<(), ArgError> {
     );
     if args.has("disasm") {
         print!("{}", looseloops_isa::disassemble(&prog));
-    }
-    if args.has("run") {
-        let cfg = config_from_args(args)?;
-        let max: u64 = args.get_or("instructions", 1_000_000)?;
-        let mut m = Machine::new(cfg, vec![prog]).map_err(|e| ArgError(e.to_string()))?;
-        m.enable_verification();
-        m.run(max, 100_000_000)
-            .map_err(|e| ArgError(e.to_string()))?;
-        println!("halted: {}", m.is_done());
-        print_stats(m.stats(), false);
     }
     Ok(())
 }
@@ -649,7 +612,6 @@ pub fn fuzz(args: &Args) -> Result<(), ArgError> {
         return Ok(());
     }
 
-    let jobs: usize = args.get_or("jobs", 0)?;
     let profile = match args.get("profile") {
         None => None,
         Some(name) => Some(looseloops_fuzz::GenProfile::from_name(name).ok_or_else(|| {
@@ -666,11 +628,7 @@ pub fn fuzz(args: &Args) -> Result<(), ArgError> {
     let opts = looseloops_fuzz::CampaignOpts {
         start: args.get_or("start", 0u64)?,
         seeds: args.get_or("seeds", 100u64)?,
-        jobs: if jobs == 0 {
-            looseloops::jobs_from_env()
-        } else {
-            jobs
-        },
+        jobs: jobs_from_args(args)?,
         profile,
         shrink: !args.has("no-shrink"),
         budget: args

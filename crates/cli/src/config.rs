@@ -11,7 +11,6 @@ pub const CONFIG_FLAGS: &[&str] = &[
     "dec",
     "ex",
     "policy",
-    "threads",
     "predictor",
     "audit",
     "watchdog",
@@ -26,8 +25,9 @@ pub const BUDGET_FLAGS: &[&str] = &["warmup", "measure", "max-cycles"];
 ///
 /// `--scheme base|dra` (default base), `--rf 3|5|7`, `--dec X`, `--ex Y`
 /// (explicit latencies override the rf-derived ones), `--policy
-/// tree|shadow|stall|refetch`, `--threads N`, `--predictor
-/// tournament|gshare|local|bimodal|taken`.
+/// tree|shadow|stall|refetch`, `--predictor
+/// tournament|gshare|local|bimodal|taken`. The thread count is not a
+/// flag: the workload sets it.
 ///
 /// # Errors
 ///
@@ -66,7 +66,6 @@ pub fn config_from_args(args: &Args) -> Result<PipelineConfig, ArgError> {
             ))
         })?;
     }
-    cfg.threads = args.get_or("threads", cfg.threads)?;
     if args.has("audit") {
         cfg.audit = true;
     }

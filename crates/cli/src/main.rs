@@ -6,7 +6,7 @@
 //! looseloops run --asm kernel.s --verify --trace out.kanata
 //! looseloops figure fig8 --measure 100000
 //! looseloops loops --scheme dra --rf 7
-//! looseloops asm kernel.s --run
+//! looseloops asm kernel.s --disasm
 //! looseloops list
 //! ```
 
@@ -25,21 +25,22 @@ USAGE:
 
 COMMANDS:
     run      Simulate a workload and print statistics
-             --bench NAME | --pair NAME | --asm FILE  (what to run)
+             --bench NAME | --pair NAME | --asm FILE  (what to run; a
+             pair runs two threads, everything else one)
              --scheme base|dra  --rf N  --dec X  --ex Y
              --policy tree|shadow|stall|refetch
              --predictor tournament|gshare|local|bimodal|taken
-             --threads N  --warmup N  --measure N  --max-cycles N
+             --warmup N  --measure N  --max-cycles N
              --verify  --trace FILE  --json
              --audit  (per-cycle invariant auditor)
              --watchdog N  (deadlock window in cycles, 0 = off)
              --inject branch:RATE,load:RATE[:CYCLES],operand:RATE
              --inject-seed N  (fault schedule seed, default 1)
-             --fast-forward  (functional warm-up from a shared checkpoint)
-             --sample auto|w=N,detail=N,warm=N,skip=N  (interval sampling
-             with a CPI error bar; implies functional fast-forward)
+             --sample auto|w=N,detail=N,warm=N,skip=N  (functional warm-up,
+             then interval sampling with a CPI error bar; the one-window
+             plan w=1,warm=0,detail=<measure> is plain fast-forwarding)
              --store-dir DIR  (keep warm-up checkpoints in DIR for reuse
-             across processes; needs --fast-forward or --sample)
+             across processes; needs --sample)
              --profile-stages  (wall-clock per-stage breakdown of the
              simulator itself from 1 stepped cycle in 64, scaled up and
              printed to stderr with the measured timer cost; simulated
@@ -53,11 +54,11 @@ COMMANDS:
              --jobs N  (sweep workers; default LOOSELOOPS_JOBS or all cores)
              --stacks  (append each figure's per-loop CPI stacks; reuses
              the figure's own memoized runs)
-             --fast-forward | --sample SPEC  (as in `run`; sampled
-             figures report estimates, detailed stays the reference)
+             --sample SPEC  (as in `run`; sampled figures report
+             estimates, detailed stays the reference)
              --store-dir DIR  (the one on-disk cache: finished runs are
              reused across processes, and so are warm-up checkpoints
-             under --fast-forward or --sample)
+             under --sample)
              --profile-stages  (per-figure wall-clock stage breakdown)
     checkpoint
              Build or inspect the functional warm-up checkpoint a
@@ -68,7 +69,7 @@ COMMANDS:
              --verify  (restore + detailed resume against the ISA oracle)
              (plus config/budget flags; --warmup sets the warm-up length)
     loops    Print the micro-architectural loop inventory for a config
-             (same config flags as `run`)
+             (the config flags of `run`; no budget flags)
     loops attribute
              Per-loop CPI stacks for a config over workloads: each lost
              retire slot charged to the loop that caused it, components
@@ -81,7 +82,7 @@ COMMANDS:
              --profile branch|memory|chain|barrier|frontend|fp|mixed
              --no-shrink  --write-corpus DIR
              --replay DIR  (re-run checked-in reproducers, fail on drift)
-    asm      Assemble a .s file; --run simulates it, --disasm round-trips
+    asm      Assemble a .s file; --disasm round-trips it, `run --asm` runs it
     kernel   Inspect a benchmark proxy (NAME [--disasm])
     list     List benchmarks, SMT pairs, and figures
     help     This text
@@ -104,12 +105,10 @@ fn main() -> ExitCode {
         "dec",
         "ex",
         "policy",
-        "threads",
         "predictor",
         "warmup",
         "measure",
         "max-cycles",
-        "instructions",
         "watchdog",
         "inject",
         "inject-seed",

@@ -9,6 +9,16 @@ fn looseloops(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+/// `line` split at its spaces: an argument list without paths.
+fn argv(line: &str) -> Vec<&str> {
+    line.split(' ').collect()
+}
+
+/// The standard output of a run that must succeed.
+fn stdout(args: &[&str]) -> String {
+    String::from_utf8_lossy(&ok(args).stdout).into_owned()
+}
+
 /// The output of a run that must succeed.
 fn ok(args: &[&str]) -> std::process::Output {
     let out = looseloops(args);
@@ -22,16 +32,14 @@ fn ok(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn help_prints_usage() {
-    let out = ok(&["help"]);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = stdout(&["help"]);
     assert!(text.contains("USAGE"));
     assert!(text.contains("figure"));
 }
 
 #[test]
 fn list_names_everything() {
-    let out = ok(&["list"]);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = stdout(&["list"]);
     for name in ["compress", "turb3d", "apsi-swim", "fig8"] {
         assert!(text.contains(name), "missing {name}");
     }
@@ -39,63 +47,82 @@ fn list_names_everything() {
 
 #[test]
 fn run_bench_reports_stats() {
-    let out = ok(&[
-        "run",
-        "--bench",
-        "m88ksim",
-        "--warmup",
-        "1000",
-        "--measure",
-        "5000",
-        "--verify",
-    ]);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let run = "run --bench m88ksim --warmup 1000 --measure 5000 --verify";
+    let text = stdout(&argv(run));
     assert!(text.contains("IPC"));
     assert!(text.contains("operand sources"));
 }
 
 #[test]
 fn run_json_is_parseable_shape() {
-    let out = ok(&[
-        "run",
-        "--bench",
-        "go",
-        "--warmup",
-        "500",
-        "--measure",
-        "3000",
-        "--json",
-    ]);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = stdout(&argv("run --bench go --warmup 500 --measure 3000 --json"));
     assert!(text.trim_start().starts_with('{') && text.trim_end().ends_with('}'));
     assert!(text.contains("\"ipc\""));
 }
 
 #[test]
-fn asm_assembles_runs_and_disassembles() {
-    let dir = std::env::temp_dir();
-    let path = dir.join("looseloops_cli_test.s");
-    std::fs::write(
-        &path,
-        "addi r1, r31, 3\ntop:\nsubi r1, r1, 1\nbne r1, top\nhalt\n",
-    )
-    .unwrap();
-    let out = ok(&["asm", path.to_str().unwrap(), "--run", "--disasm"]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("halted: true"));
-    assert!(text.contains("subi r1, r1, 1"));
+fn asm_disassembles_and_run_asm_simulates_to_the_halt() {
+    let path = std::env::temp_dir().join(format!("looseloops_cli_{}.s", std::process::id()));
+    let src = "addi r1, r31, 3\ntop:\nsubi r1, r1, 1\nbne r1, top\nhalt\n";
+    std::fs::write(&path, src).unwrap();
+    let file = path.to_str().unwrap();
+    let text = stdout(&["asm", file, "--disasm"]);
+    assert!(text.contains("4 instructions") && text.contains("subi r1, r1, 1"));
+    // addi, three subi/bne trips, halt: 8 retired, short of the budget.
+    let mut run = vec!["run", "--asm", file];
+    run.extend(argv("--verify --warmup 0 --measure 1000"));
+    let text = stdout(&run);
+    assert!(text.contains("instructions retired  8 [8]"), "{text}");
+    let out = looseloops(&["asm", file, "--run"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --run"));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn the_workload_sets_the_thread_count() {
+    let out = looseloops(&argv("run --bench go --threads 2"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --threads"), "{err}");
+    let text = stdout(&argv(
+        "run --pair apsi-swim --warmup 500 --measure 3000 --json",
+    ));
+    let (_, list) = text.split_once("\"retired\": [").expect("retired");
+    let list = &list[..list.find(']').unwrap()];
+    let threads: Vec<u64> = list.split(", ").map(|n| n.parse().unwrap()).collect();
+    assert!(
+        threads.len() == 2 && threads.iter().all(|&n| n > 0),
+        "{text}"
+    );
+}
+
+#[test]
+fn a_one_window_plan_is_the_fast_forwarded_run() {
+    let spec = "--sample w=1,warm=0,detail=5000 --warmup 1000 --measure 5000";
+    let text = stdout(&argv(&format!("run --bench compress {spec}")));
+    assert!(text.contains("(1 windows)"), "{text}");
+    let too_big = "figure fig6 --smoke --sample w=1,warm=0,detail=300000";
+    let out = looseloops(&argv(too_big));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("300000") && err.contains("5000"), "{err}");
+}
+
+#[test]
+fn the_auto_plan_follows_budgets_below_six_thousand() {
+    let auto = "run --bench compress --sample auto --warmup 1000 --measure";
+    let stats = |m| stdout(&argv(&format!("{auto} {m}")));
+    let (short, long) = (stats(5000), stats(6000));
+    assert!(short.contains("(8 windows)") && long.contains("(10 windows)"));
+    assert_ne!(short, long);
 }
 
 #[test]
 fn figure_smoke_runs() {
-    let out = ok(&["figure", "fig6", "--smoke"]);
-    assert!(String::from_utf8_lossy(&out.stdout).contains("fig6"));
+    assert!(stdout(&["figure", "fig6", "--smoke"]).contains("fig6"));
 }
 
 #[test]
 fn loops_inventory_prints() {
-    let out = ok(&["loops", "--scheme", "dra", "--rf", "7"]);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = stdout(&argv("loops --scheme dra --rf 7"));
     assert!(text.contains("operand resolution"));
     assert!(text.contains("load resolution"));
 }
@@ -116,28 +143,20 @@ fn errors_exit_nonzero_with_message() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 
-    // Only a fast-forwarded or sampled run has a checkpoint to keep.
-    let out = looseloops(&["run", "--bench", "go", "--store-dir", "unused"]);
+    // Only a sampled run has a checkpoint to keep.
+    let out = looseloops(&argv("run --bench go --store-dir unused"));
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--store-dir needs --fast-forward"), "{err}");
+    assert!(err.contains("--store-dir needs --sample"), "{err}");
 }
 
 #[test]
 fn trace_file_is_written() {
     let path = std::env::temp_dir().join("looseloops_cli_trace.kanata");
     let _ = std::fs::remove_file(&path);
-    ok(&[
-        "run",
-        "--bench",
-        "go",
-        "--warmup",
-        "200",
-        "--measure",
-        "1500",
-        "--trace",
-        path.to_str().unwrap(),
-    ]);
+    let mut args = argv("run --bench go --warmup 200 --measure 1500 --trace");
+    args.push(path.to_str().unwrap());
+    ok(&args);
     let log = std::fs::read_to_string(&path).unwrap();
     assert!(log.starts_with("Kanata\t0004"));
     let _ = std::fs::remove_file(&path);
@@ -146,15 +165,8 @@ fn trace_file_is_written() {
 #[test]
 fn figure_store_dir_makes_the_second_run_simulation_free() {
     let dir = scratch_dir("store");
-    let args = [
-        "figure",
-        "fig6",
-        "--smoke",
-        "--jobs",
-        "2",
-        "--store-dir",
-        dir.to_str().unwrap(),
-    ];
+    let mut args = argv("figure fig6 --smoke --jobs 2 --store-dir");
+    args.push(dir.to_str().unwrap());
 
     let cold = ok(&args);
     let warm = ok(&args);
@@ -176,13 +188,9 @@ fn figure_store_dir_makes_the_second_run_simulation_free() {
 fn unusable_store_dir_is_reported_as_the_result_store() {
     let file = std::env::temp_dir().join(format!("looseloops-cli-notadir-{}", std::process::id()));
     std::fs::write(&file, b"a regular file").unwrap();
-    let out = looseloops(&[
-        "figure",
-        "fig6",
-        "--smoke",
-        "--store-dir",
-        file.to_str().unwrap(),
-    ]);
+    let mut args = argv("figure fig6 --smoke --store-dir");
+    args.push(file.to_str().unwrap());
+    let out = looseloops(&args);
     let _ = std::fs::remove_file(&file);
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
@@ -217,8 +225,7 @@ fn unknown_figure_lists_every_known_id() {
 
 #[test]
 fn kernel_inspection_disassembles() {
-    let out = ok(&["kernel", "go", "--disasm"]);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = stdout(&["kernel", "go", "--disasm"]);
     assert!(text.contains("go:"));
     assert!(text.contains("bne"), "go's disassembly has branches");
 }
@@ -246,7 +253,7 @@ fn files_with_extension(dir: &std::path::Path, ext: &str) -> Vec<String> {
 #[test]
 fn stage_profile_goes_to_stderr_and_leaves_the_figure_unchanged() {
     let plain = ok(&["figure", "fig6", "--smoke"]);
-    let profiled = ok(&["figure", "fig6", "--smoke", "--profile-stages"]);
+    let profiled = ok(&argv("figure fig6 --smoke --profile-stages"));
     assert_eq!(plain.stdout, profiled.stdout);
     let err = String::from_utf8_lossy(&profiled.stderr);
     let lines: Vec<&str> = err.lines().filter(|l| l.starts_with("[profile]")).collect();
@@ -259,14 +266,9 @@ fn stage_profile_goes_to_stderr_and_leaves_the_figure_unchanged() {
 fn checkpoint_is_saved_to_the_store_dir_and_found_there_again() {
     let dir = scratch_dir("checkpoint");
     let d = dir.to_str().unwrap();
-    let first = ok(&[
-        "checkpoint",
-        "--bench",
-        "compress",
-        "--store-dir",
-        d,
-        "--verify",
-    ]);
+    let mut args = argv("checkpoint --bench compress --verify --store-dir");
+    args.push(d);
+    let first = ok(&args);
     let text = String::from_utf8_lossy(&first.stdout);
     assert!(text.contains("verify     ok"), "{text}");
     assert!(!text.contains("already stored"), "{text}");
@@ -298,16 +300,7 @@ fn sampled_figure_keeps_results_and_checkpoints_in_one_store_dir() {
     let dir = scratch_dir("sampled-store");
     let d = dir.to_str().unwrap();
     let smoke = ["figure", "predictor", "--smoke", "--sample", "auto"];
-    let longer = [
-        "figure",
-        "predictor",
-        "--sample",
-        "auto",
-        "--warmup",
-        "1000",
-        "--measure",
-        "6000",
-    ];
+    let longer = argv("figure predictor --sample auto --warmup 1000 --measure 6000");
     let with_store = |base: &[&str]| {
         let mut args = base.to_vec();
         args.extend(["--store-dir", d]);

@@ -24,15 +24,18 @@
 //! speculative paths that the functional stream never sees. That is the
 //! standard checkpointing trade-off (SMARTS, SimPoint); the sampling
 //! driver (`crate::sampling`) quantifies the residual error with per-window
-//! CPI error bars, and `--fast-forward` is opt-in — the default detailed
-//! path is byte-identical to a simulator without this module.
+//! CPI error bars. Its one-window plan (`--sample w=1,warm=0,detail=N`) is
+//! plain fast-forwarding: functional warm-up from the shared checkpoint,
+//! then the whole measured window in detail. Sampling is opt-in — the
+//! default detailed path is byte-identical to a simulator without this
+//! module.
 
 use crate::experiments::Workload;
 use crate::sweep::{fnv1a64, Job};
 use looseloops_branch::{build_predictor, Btb, DirectionPredictor};
 use looseloops_isa::{fast_forward, ArchState, FlatMemory, Program, Reg, WarmHooks};
 use looseloops_mem::{AccessKind, HierarchyWarmState, MemHierarchy};
-use looseloops_pipeline::{Machine, PipelineConfig, SimError, SimStats};
+use looseloops_pipeline::{Machine, PipelineConfig, SimError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -855,27 +858,6 @@ pub fn warm_checkpoint(
         Ok(Arc::new(ckpt))
     })
     .clone()
-}
-
-/// Execute `job` in fast-forward mode: functional warm-up (via the shared
-/// checkpoint) followed by a full detailed measured window.
-///
-/// # Errors
-///
-/// Everything the detailed path can report, plus
-/// [`SimError::FastForward`] from warm-up or restore.
-pub fn run_fast_forwarded(
-    job: &Job,
-    store: Option<&CheckpointStore>,
-    memo: &WarmMemo,
-) -> Result<SimStats, SimError> {
-    let cfg = job.workload.config_for(&job.config);
-    let mut m = Machine::new(cfg, job.workload.programs())?;
-    if job.budget.warmup > 0 {
-        let ckpt = warm_checkpoint(job, store, memo)?;
-        restore_into(&mut m, &ckpt)?;
-    }
-    Ok(m.run(job.budget.measure, job.budget.max_cycles)?.clone())
 }
 
 /// Seeded corruptions of an `LLCK` or `LLRS` encoding, for decoder

@@ -91,11 +91,11 @@ impl Workload {
         }
     }
 
-    /// Run this workload under `cfg` (thread count is adjusted to fit).
+    /// Run this workload under `cfg`; the workload sets the thread count.
     ///
     /// # Errors
     ///
-    /// Everything the `try_run_*` drivers can report: an invalid
+    /// Everything [`try_run_programs`] can report: an invalid
     /// configuration, a deadlock, or (with `cfg.audit`) an invariant
     /// violation.
     ///

@@ -13,13 +13,15 @@
 //! ## Quick start
 //!
 //! ```
-//! use looseloops::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget};
+//! use looseloops::{Benchmark, PipelineConfig, RunBudget, Workload};
 //!
 //! // Simulate 20k instructions of the `swim` proxy on the paper's base
-//! // machine and on the DRA machine (3-cycle register file).
+//! // machine and on the DRA machine (3-cycle register file). The workload
+//! // sets the thread count; `try_run_programs` runs an explicit program list.
 //! let budget = RunBudget { warmup: 2_000, measure: 20_000, max_cycles: 2_000_000 };
-//! let base = try_run_benchmark(&PipelineConfig::base_for_rf(3), Benchmark::Swim, budget)?;
-//! let dra = try_run_benchmark(&PipelineConfig::dra_for_rf(3), Benchmark::Swim, budget)?;
+//! let swim = Workload::Single(Benchmark::Swim);
+//! let base = swim.try_run(&PipelineConfig::base_for_rf(3), budget)?;
+//! let dra = swim.try_run(&PipelineConfig::dra_for_rf(3), budget)?;
 //! println!("speedup = {:.3}", dra.ipc() / base.ipc());
 //! # Ok::<(), looseloops::SimError>(())
 //! ```
@@ -57,7 +59,7 @@ pub use experiments::{cpi_stack_report_on, FigureKind, FigureSpec, Workload};
 pub use loops::{loop_for_component, loop_inventory, LoopInfo, LoopKind, Management, Stage};
 pub use machines::{alpha21264_like, pentium4_like};
 pub use report::{CpiStackReport, CpiStackRow, FigureResult, Series};
-pub use simulator::{try_run_benchmark, try_run_pair, try_run_programs, RunBudget};
+pub use simulator::{try_run_programs, RunBudget};
 pub use store::{atomic_write, ResultStore, RESULT_STORE_VERSION};
 pub use sweep::{
     default_jobs, fnv1a64, jobs_from_env, parallel_map, ExecMode, Job, SweepEngine, SweepSummary,

@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn presets_actually_run() {
-        use crate::simulator::{try_run_benchmark, RunBudget};
+        use crate::{experiments::Workload, simulator::RunBudget};
         use looseloops_workload::Benchmark;
         let budget = RunBudget {
             warmup: 500,
@@ -98,7 +98,9 @@ mod tests {
             max_cycles: 2_000_000,
         };
         for cfg in [alpha21264_like(), pentium4_like()] {
-            let s = try_run_benchmark(&cfg, Benchmark::M88ksim, budget).expect("preset runs");
+            let s = Workload::Single(Benchmark::M88ksim)
+                .try_run(&cfg, budget)
+                .expect("preset runs");
             assert!(
                 s.ipc() > 0.2,
                 "preset must execute sensibly, ipc={}",
@@ -109,17 +111,20 @@ mod tests {
 
     #[test]
     fn deep_pipe_loses_on_branchy_code() {
-        use crate::simulator::{try_run_benchmark, RunBudget};
+        use crate::{experiments::Workload, simulator::RunBudget};
         use looseloops_workload::Benchmark;
+        let go = Workload::Single(Benchmark::Go);
         let budget = RunBudget {
             warmup: 2_000,
             measure: 10_000,
             max_cycles: 4_000_000,
         };
-        let shallow = try_run_benchmark(&alpha21264_like(), Benchmark::Go, budget)
+        let shallow = go
+            .try_run(&alpha21264_like(), budget)
             .expect("shallow preset runs")
             .ipc();
-        let deep = try_run_benchmark(&pentium4_like(), Benchmark::Go, budget)
+        let deep = go
+            .try_run(&pentium4_like(), budget)
             .expect("deep preset runs")
             .ipc();
         assert!(

@@ -42,7 +42,9 @@ impl SamplingPlan {
     /// A plan scaled to `budget`: 10 windows, each measuring 1/150 of
     /// the budget, preceded by a detailed warm-up of *twice* the window.
     /// In all, a fifth of the measured instructions run in detail (a 5×
-    /// reduction); the rest is skipped functionally.
+    /// reduction); the rest is skipped functionally. A window measures at
+    /// least 200 instructions, so below a 6,000-instruction budget the
+    /// plan has fewer windows (at least one) to stay inside the budget.
     ///
     /// The heavy warm-up is deliberate: functional warming replays only
     /// the correct path, so restored caches lack the wrong-path fetch
@@ -52,9 +54,10 @@ impl SamplingPlan {
     /// estimate within the error bar of the detailed reference (pinned
     /// by `tests/sampling_accuracy.rs`).
     pub fn for_budget(budget: RunBudget) -> SamplingPlan {
-        let windows: u32 = 10;
         let detail = (budget.measure / 150).max(200);
         let detail_warmup = 2 * detail;
+        // At most 10, so the cast cannot truncate.
+        let windows = (budget.measure / (detail + detail_warmup)).clamp(1, 10) as u32;
         let covered = u64::from(windows) * (detail + detail_warmup);
         let skip = budget.measure.saturating_sub(covered) / u64::from(windows);
         SamplingPlan {
@@ -74,14 +77,14 @@ impl SamplingPlan {
     /// # Errors
     ///
     /// A human-readable message on an unknown key, an unparsable value,
-    /// or a degenerate plan (zero windows / zero detail).
+    /// a degenerate plan (zero windows / zero detail), or a plan that runs
+    /// more detailed instructions than the measured budget holds.
     pub fn parse(spec: &str, budget: RunBudget) -> Result<SamplingPlan, String> {
         let mut plan = SamplingPlan::for_budget(budget);
-        if spec.trim() == "auto" || spec.trim().is_empty() {
-            return Ok(plan);
-        }
         let mut skip_given = false;
-        for part in spec.split(',') {
+        // `auto` (or nothing) sets no key: the plan stays the budget's.
+        let auto = matches!(spec.trim(), "" | "auto");
+        for part in spec.split(',').filter(|_| !auto) {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("`{part}`: expected key=value"))?;
@@ -113,9 +116,15 @@ impl SamplingPlan {
         if plan.detail == 0 {
             return Err("sampling needs a non-zero detail window".into());
         }
+        let detailed = plan.detailed_instructions();
+        if detailed > budget.measure {
+            return Err(format!(
+                "the sampling plan runs {detailed} detailed instructions, more than the {} measured",
+                budget.measure
+            ));
+        }
         if !skip_given {
-            let covered = u64::from(plan.windows) * (plan.detail + plan.detail_warmup);
-            plan.skip = budget.measure.saturating_sub(covered) / u64::from(plan.windows);
+            plan.skip = (budget.measure - detailed) / u64::from(plan.windows);
         }
         Ok(plan)
     }
@@ -123,7 +132,7 @@ impl SamplingPlan {
     /// Instructions of the measured budget simulated in detail (warm-up
     /// stretches included) — the numerator of the sampling speedup.
     pub fn detailed_instructions(&self) -> u64 {
-        u64::from(self.windows) * (self.detail + self.detail_warmup)
+        u64::from(self.windows).saturating_mul(self.detail.saturating_add(self.detail_warmup))
     }
 }
 
@@ -202,7 +211,7 @@ pub fn run_sampled(
 
     let mut agg: Option<SimStats> = None;
     let mut window_cpi = Vec::new();
-    for _ in 0..plan.windows {
+    for window in 1..=plan.windows {
         cursor.advance(plan.skip)?;
         if cursor.all_halted() {
             break;
@@ -220,6 +229,9 @@ pub fn run_sampled(
                 None => agg = Some(stats),
                 Some(a) => a.absorb(&stats),
             }
+        }
+        if window == plan.windows {
+            break;
         }
         // The cursor independently replays what the detailed probe just
         // simulated, so the next window starts from a consistent
@@ -288,6 +300,32 @@ mod tests {
         for bad in ["q=3", "detail", "w=0", "detail=0,w=3", "w=abc"] {
             assert!(SamplingPlan::parse(bad, budget()).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn plans_stay_inside_the_budget() {
+        let at = |measure| RunBudget {
+            measure,
+            ..budget()
+        };
+        // Below 6,000 the auto plan keeps its windows and takes fewer.
+        let windows = [600, 5_000, 6_000].map(|m| SamplingPlan::for_budget(at(m)).windows);
+        assert_eq!(windows, [1, 8, 10]);
+        for measure in [600, 1_000, 5_000, 5_999, 6_000, 300_000] {
+            let p = SamplingPlan::parse("auto", at(measure)).expect("auto fits");
+            let span = u64::from(p.windows) * (p.skip + p.detail + p.detail_warmup);
+            assert!(
+                p.detailed_instructions() <= span && span <= measure,
+                "{p:?}"
+            );
+        }
+        // Both numbers are named when a plan does not fit.
+        let err = SamplingPlan::parse("w=1,warm=0,detail=300000", at(5_000)).unwrap_err();
+        assert!(err.contains("300000") && err.contains("5000"), "{err}");
+        let err = SamplingPlan::parse("auto", at(599)).unwrap_err();
+        assert!(err.contains("600") && err.contains("599"), "{err}");
+        let one = SamplingPlan::parse("w=1,warm=0,detail=5000", at(5_000)).expect("fits");
+        assert_eq!(one.skip, 0, "the one-window plan covers the budget");
     }
 
     #[test]

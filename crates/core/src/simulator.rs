@@ -8,7 +8,6 @@
 
 use looseloops_isa::Program;
 use looseloops_pipeline::{Machine, PipelineConfig, SimError, SimStats};
-use looseloops_workload::{Benchmark, SmtPair};
 
 /// Instruction/cycle budget for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,38 +68,10 @@ pub fn try_run_programs(
     Ok(m.run(budget.measure, budget.max_cycles)?.clone())
 }
 
-/// Run a single-threaded benchmark proxy.
-///
-/// # Errors
-///
-/// As [`try_run_programs`]; a non-single-threaded `cfg` surfaces as
-/// [`SimError::ProgramCount`].
-pub fn try_run_benchmark(
-    cfg: &PipelineConfig,
-    bench: Benchmark,
-    budget: RunBudget,
-) -> Result<SimStats, SimError> {
-    try_run_programs(cfg, vec![bench.program()], budget)
-}
-
-/// Run one of the paper's SMT pairs.
-///
-/// # Errors
-///
-/// As [`try_run_programs`]; a non-two-threaded `cfg` surfaces as
-/// [`SimError::ProgramCount`].
-pub fn try_run_pair(
-    cfg: &PipelineConfig,
-    pair: SmtPair,
-    budget: RunBudget,
-) -> Result<SimStats, SimError> {
-    try_run_programs(cfg, pair.programs(), budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use looseloops_pipeline::PipelineConfig;
+    use looseloops_workload::Benchmark;
 
     #[test]
     fn warmup_is_excluded_from_measurement() {
@@ -109,8 +80,9 @@ mod tests {
             measure: 10_000,
             max_cycles: 5_000_000,
         };
-        let stats = try_run_benchmark(&PipelineConfig::base(), Benchmark::M88ksim, budget)
-            .expect("m88ksim runs");
+        let programs = vec![Benchmark::M88ksim.program()];
+        let stats =
+            try_run_programs(&PipelineConfig::base(), programs, budget).expect("m88ksim runs");
         // Retired count reflects only the measured window (within the
         // retire-width granularity of the run loop).
         assert!(stats.total_retired() >= 10_000);
@@ -120,9 +92,9 @@ mod tests {
 
     #[test]
     fn smt_pair_runs_both_threads() {
-        let stats = try_run_pair(
+        let stats = try_run_programs(
             &PipelineConfig::base().smt(2),
-            looseloops_workload::Benchmark::pairs()[0],
+            Benchmark::pairs()[0].programs(),
             RunBudget::test(),
         )
         .expect("the pair runs");
@@ -132,9 +104,9 @@ mod tests {
 
     #[test]
     fn thread_count_mismatch_is_typed() {
-        let err = try_run_benchmark(
+        let err = try_run_programs(
             &PipelineConfig::base().smt(2),
-            Benchmark::Go,
+            vec![Benchmark::Go.program()],
             RunBudget::test(),
         )
         .expect_err("2-thread config with one program");

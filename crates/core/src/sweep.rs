@@ -71,8 +71,8 @@ pub struct Job {
 
 /// How the engine executes a job's instruction budget.
 ///
-/// Anything other than [`ExecMode::Detailed`] participates in the memo key
-/// (see [`Job::key_with_mode`]), so an engine's cache never conflates a
+/// A sampled mode participates in the memo key (see
+/// [`Job::key_with_mode`]), so an engine's cache never conflates a
 /// sampled estimate with a full detailed run — and the detailed path's
 /// keys (and therefore its results) are byte-identical to what they were
 /// before execution modes existed.
@@ -82,12 +82,12 @@ pub enum ExecMode {
     /// reference behavior).
     #[default]
     Detailed,
-    /// Functional fast-forward through the warm-up (restoring a shared
-    /// checkpoint when one exists), then cycle-accurate simulation of the
-    /// full measured window.
-    FastForward,
-    /// SMARTS-style interval sampling: functional fast-forward between
-    /// short detailed windows spread across the measured budget.
+    /// SMARTS-style interval sampling: functional warm-up (restoring a
+    /// shared checkpoint when one exists), then functional fast-forward
+    /// between detailed windows spread across the measured budget. The
+    /// one-window plan `w=1,warm=0,detail=<measure>` is plain
+    /// fast-forwarding: functional warm-up, then the full measured window
+    /// in detail.
     Sampled(SamplingPlan),
 }
 
@@ -141,10 +141,6 @@ impl Job {
     /// reaches easily; the label now carries all 64 bits.)
     pub fn label(&self) -> String {
         format!("{}#{:016x}", self.workload.name(), self.key_hash())
-    }
-
-    fn try_run(&self) -> Result<SimStats, SimError> {
-        self.workload.try_run(&self.config, self.budget)
     }
 }
 
@@ -361,36 +357,15 @@ impl SweepEngine {
         }
     }
 
-    /// An engine sized from `LOOSELOOPS_JOBS` / the machine.
-    pub fn from_env() -> SweepEngine {
-        SweepEngine::new(jobs_from_env())
-    }
-
-    /// A strictly serial engine (one worker) — the reference for the
-    /// determinism tests.
-    pub fn serial() -> SweepEngine {
-        SweepEngine::new(1)
-    }
-
     /// The worker-thread count.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// The execution mode jobs run under.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// Execute one job under the engine's mode.
     fn execute(&self, job: &Job) -> Result<SimStats, SimError> {
         match self.mode {
-            ExecMode::Detailed => job.try_run(),
-            ExecMode::FastForward => crate::checkpoint::run_fast_forwarded(
-                job,
-                self.ckpt_store.as_ref(),
-                &self.warm_memo,
-            ),
+            ExecMode::Detailed => job.workload.try_run(&job.config, job.budget),
             ExecMode::Sampled(plan) => {
                 crate::sampling::run_sampled(job, plan, self.ckpt_store.as_ref(), &self.warm_memo)
                     .map(|run| run.stats)
@@ -825,12 +800,8 @@ mod tests {
     fn exec_mode_participates_in_keys_only_when_not_detailed() {
         let j = job(Benchmark::Compress);
         assert_eq!(j.key(), j.key_with_mode(ExecMode::Detailed));
-        assert_ne!(j.key(), j.key_with_mode(ExecMode::FastForward));
         let plan = SamplingPlan::for_budget(j.budget);
-        assert_ne!(
-            j.key_with_mode(ExecMode::FastForward),
-            j.key_with_mode(ExecMode::Sampled(plan))
-        );
+        assert_ne!(j.key(), j.key_with_mode(ExecMode::Sampled(plan)));
     }
 
     #[test]
@@ -846,20 +817,7 @@ mod tests {
             budget,
         );
         let cpi = |s: &SimStats| s.cycles as f64 / s.total_retired() as f64;
-        let detailed = &SweepEngine::serial().run_jobs(std::slice::from_ref(&j))[0];
-
-        let ff_engine = SweepEngine::with_mode(1, ExecMode::FastForward, None);
-        assert_eq!(ff_engine.mode(), ExecMode::FastForward);
-        let ff = &ff_engine.run_jobs(std::slice::from_ref(&j))[0];
-        assert!(ff.total_retired() >= budget.measure);
-        let ff_err = (cpi(ff) - cpi(detailed)).abs() / cpi(detailed);
-        assert!(
-            ff_err < 0.05,
-            "fast-forward CPI off by {:.1}% ({:.4} vs {:.4})",
-            ff_err * 100.0,
-            cpi(ff),
-            cpi(detailed)
-        );
+        let detailed = &SweepEngine::new(1).run_jobs(std::slice::from_ref(&j))[0];
 
         let plan = SamplingPlan::for_budget(budget);
         let s_engine = SweepEngine::with_mode(1, ExecMode::Sampled(plan), None);

@@ -6,7 +6,7 @@
 //! Referenced from `looseloops::sampling`'s module docs: the detailed
 //! path is the reference; this test pins the estimator against it.
 
-use looseloops::checkpoint::{run_fast_forwarded, CheckpointStore, WarmMemo};
+use looseloops::checkpoint::{CheckpointStore, WarmMemo};
 use looseloops::{
     run_sampled, Benchmark, ExecMode, Job, PipelineConfig, RunBudget, SamplingPlan, SweepEngine,
     Workload,
@@ -63,12 +63,19 @@ fn sampled_cpi_tracks_detailed_cpi_within_ten_percent() {
 fn fast_forward_preserves_steady_state_cpi() {
     // Functional warm-up must leave caches/predictors warm enough that
     // the measured window's CPI matches a detailed warm-up within 5%.
+    // Fast-forwarding is the one-window plan that measures the whole
+    // budget in detail.
     let job = job(Benchmark::Compress);
     let detailed = job
         .workload
         .try_run(&job.config, job.budget)
         .expect("detailed reference");
-    let ff = run_fast_forwarded(&job, None, &WarmMemo::default()).expect("fast-forwarded run");
+    let spec = format!("w=1,warm=0,detail={}", job.budget.measure);
+    let plan = SamplingPlan::parse(&spec, job.budget).expect("one-window plan");
+    assert_eq!(plan.skip, 0);
+    let ff = run_sampled(&job, plan, None, &WarmMemo::default())
+        .expect("fast-forwarded run")
+        .stats;
     let (d, f) = (1.0 / detailed.ipc(), 1.0 / ff.ipc());
     assert!(
         (f - d).abs() / d < 0.05,

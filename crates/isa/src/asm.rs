@@ -334,16 +334,19 @@ fn three_args<'a>(args: &[&'a str], line: usize) -> Result<[&'a str; 3], AsmErro
 }
 
 fn parse_reg(s: &str, line: usize) -> Result<Reg, AsmError> {
-    let (bank, num) = s.split_at(1.min(s.len()));
-    let n: u8 = num
+    // The bank is the first *character*: it may span several bytes.
+    let mut chars = s.chars();
+    let bank = chars.next();
+    let n: u8 = chars
+        .as_str()
         .parse()
         .map_err(|_| err(line, format!("bad register `{s}`")))?;
     if n >= 32 {
         return Err(err(line, format!("register number out of range in `{s}`")));
     }
     match bank {
-        "r" | "R" => Ok(Reg::int(n)),
-        "f" | "F" => Ok(Reg::fp(n)),
+        Some('r' | 'R') => Ok(Reg::int(n)),
+        Some('f' | 'F') => Ok(Reg::fp(n)),
         _ => Err(err(line, format!("bad register `{s}`"))),
     }
 }
@@ -504,6 +507,9 @@ main: halt",
     fn bad_register_reports_line() {
         let e = assemble("add r1, r2, r32").unwrap_err();
         assert_eq!(e.line, 1);
+        // Regression: a multi-byte first character used to panic.
+        let e = assemble("add r3, é r1, r2").unwrap_err();
+        assert_eq!(e, err(1, "bad register `é r1`".to_string()));
     }
 
     #[test]

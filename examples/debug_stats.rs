@@ -1,7 +1,7 @@
 //! Development diagnostic: dump full statistics for one workload under a
 //! set of configurations. Usage: `cargo run --release --example debug_stats [bench]`.
 
-use looseloops_repro::core::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget, SimError};
+use looseloops_repro::core::{Benchmark, PipelineConfig, RunBudget, SimError, Workload};
 
 fn main() -> Result<(), SimError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "m88ksim".into());
@@ -20,7 +20,7 @@ fn main() -> Result<(), SimError> {
         ("base 5_9 rf7".to_string(), PipelineConfig::base_for_rf(7)),
         ("dra  9_3 rf7".to_string(), PipelineConfig::dra_for_rf(7)),
     ] {
-        let s = try_run_benchmark(&cfg, bench, budget)?;
+        let s = Workload::Single(bench).try_run(&cfg, budget)?;
         println!("--- {name} {label} ---");
         println!(
             "ipc={:.3} cycles={} retired={} fetched={} squashed={} (after-issue {})",

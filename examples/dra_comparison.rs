@@ -6,7 +6,7 @@
 //! cargo run --release --example dra_comparison [benchmark] [instructions]
 //! ```
 
-use looseloops_repro::core::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget, SimError};
+use looseloops_repro::core::{Benchmark, PipelineConfig, RunBudget, SimError, Workload};
 
 fn main() -> Result<(), SimError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "swim".into());
@@ -32,8 +32,8 @@ fn main() -> Result<(), SimError> {
     for rf in [3u32, 5, 7] {
         let base_cfg = PipelineConfig::base_for_rf(rf);
         let dra_cfg = PipelineConfig::dra_for_rf(rf);
-        let base = try_run_benchmark(&base_cfg, bench, budget)?;
-        let dra = try_run_benchmark(&dra_cfg, bench, budget)?;
+        let base = Workload::Single(bench).try_run(&base_cfg, budget)?;
+        let dra = Workload::Single(bench).try_run(&dra_cfg, budget)?;
         println!(
             "{:>24} {:>10.3} {:>10.3} {:>10} {:>10}",
             format!("base 5_{} (rf={rf})", base_cfg.iq_ex_stages),

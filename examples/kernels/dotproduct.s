@@ -1,5 +1,5 @@
 ; Dot product of two 16-element vectors.
-; Run:  looseloops asm examples/kernels/dotproduct.s --run
+; Run:  looseloops run --asm examples/kernels/dotproduct.s --verify --warmup 0 --measure 1000000
 .data 0x10000, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16
 .data 0x20000, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1
     addi r1, r31, 0x10000    ; a

@@ -1,5 +1,5 @@
 ; Iterative Fibonacci: r3 = fib(30).
-; Run:  looseloops asm examples/kernels/fib.s --run
+; Run:  looseloops run --asm examples/kernels/fib.s --verify --warmup 0 --measure 1000000
     addi r1, r31, 0          ; fib(0)
     addi r2, r31, 1          ; fib(1)
     addi r4, r31, 29         ; iterations

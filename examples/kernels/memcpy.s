@@ -1,5 +1,5 @@
 ; Word-granular memcpy of 64 words, then checksum the copy.
-; Run:  looseloops asm examples/kernels/memcpy.s --run
+; Run:  looseloops run --asm examples/kernels/memcpy.s --verify --warmup 0 --measure 1000000
 .entry start
 .data 0x30000, 0xdead, 0xbeef, 0xcafe, 0xf00d
 start:

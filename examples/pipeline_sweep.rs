@@ -11,7 +11,9 @@
 //! cargo run --release --example pipeline_sweep [instructions]
 //! ```
 
-use looseloops_repro::core::{Benchmark, PipelineConfig, RunBudget, SweepEngine, Workload};
+use looseloops_repro::core::{
+    jobs_from_env, Benchmark, PipelineConfig, RunBudget, SweepEngine, Workload,
+};
 
 fn print_sweep(
     sweep: &SweepEngine,
@@ -58,7 +60,7 @@ fn main() {
         .into_iter()
         .map(Workload::Single)
         .collect();
-    let sweep = SweepEngine::from_env();
+    let sweep = SweepEngine::new(jobs_from_env());
 
     print_sweep(
         &sweep,

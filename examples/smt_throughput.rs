@@ -7,9 +7,7 @@
 //! cargo run --release --example smt_throughput [instructions]
 //! ```
 
-use looseloops_repro::core::{
-    try_run_benchmark, try_run_pair, Benchmark, PipelineConfig, RunBudget, SimError,
-};
+use looseloops_repro::core::{Benchmark, PipelineConfig, RunBudget, SimError, Workload};
 
 fn main() -> Result<(), SimError> {
     let measure: u64 = std::env::args()
@@ -21,17 +19,17 @@ fn main() -> Result<(), SimError> {
         measure,
         max_cycles: 100_000_000,
     };
-    let single = PipelineConfig::base();
-    let smt = PipelineConfig::base().smt(2);
+    // The workload sets the thread count: one for a member, two for the pair.
+    let base = PipelineConfig::base();
 
     println!(
         "{:>20} {:>10} {:>10} {:>12} {:>12}",
         "pair", "ipc(a)", "ipc(b)", "ipc(a+b|smt)", "smt gain"
     );
     for pair in Benchmark::pairs() {
-        let a = try_run_benchmark(&single, pair.0, budget)?.ipc();
-        let b = try_run_benchmark(&single, pair.1, budget)?.ipc();
-        let both = try_run_pair(&smt, pair, budget)?;
+        let a = Workload::Single(pair.0).try_run(&base, budget)?.ipc();
+        let b = Workload::Single(pair.1).try_run(&base, budget)?.ipc();
+        let both = Workload::Pair(pair).try_run(&base, budget)?;
         let combined = both.ipc();
         // Throughput gain over time-slicing the two programs on one thread
         // (harmonic-mean baseline).

@@ -4,21 +4,23 @@
 //! envelope, the figures stop meaning what EXPERIMENTS.md says they mean.
 
 use looseloops_repro::core::SimStats;
-use looseloops_repro::core::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget};
+use looseloops_repro::core::{Benchmark, PipelineConfig, RunBudget, Workload};
 
-fn measure(b: Benchmark) -> SimStats {
+fn measure(cfg: &PipelineConfig, b: Benchmark) -> SimStats {
     let budget = RunBudget {
         warmup: 30_000,
         measure: 60_000,
         max_cycles: 50_000_000,
     };
-    try_run_benchmark(&PipelineConfig::base(), b, budget).expect("the run completes")
+    Workload::Single(b)
+        .try_run(cfg, budget)
+        .expect("the run completes")
 }
 
 #[test]
 fn branchy_int_codes_mispredict_heavily() {
     for b in [Benchmark::Compress, Benchmark::Gcc, Benchmark::Go] {
-        let s = measure(b);
+        let s = measure(&PipelineConfig::base(), b);
         let rate = s.branch_mispredict_rate();
         assert!(
             (0.08..0.45).contains(&rate),
@@ -31,7 +33,7 @@ fn branchy_int_codes_mispredict_heavily() {
 
 #[test]
 fn m88ksim_is_well_predicted() {
-    let s = measure(Benchmark::M88ksim);
+    let s = measure(&PipelineConfig::base(), Benchmark::M88ksim);
     assert!(
         s.branch_mispredict_rate() < 0.02,
         "m88ksim must be nearly mispredict-free, got {:.3}",
@@ -44,7 +46,7 @@ fn load_hit_rates_are_realistic() {
     // The paper: "most programs have a high load hit rate" — speculation
     // must be a good bet everywhere.
     for b in Benchmark::all() {
-        let s = measure(b);
+        let s = measure(&PipelineConfig::base(), b);
         if matches!(b, Benchmark::Hydro2d | Benchmark::Mgrid) {
             // The deliberately memory-bound codes: every iteration brings a
             // fresh line from main memory (the stencil re-touches lines, so
@@ -67,7 +69,7 @@ fn load_hit_rates_are_realistic() {
 #[test]
 fn swim_and_turb3d_exercise_the_load_loop() {
     for b in [Benchmark::Swim, Benchmark::Turb3d] {
-        let s = measure(b);
+        let s = measure(&PipelineConfig::base(), b);
         assert!(
             (0.02..0.25).contains(&s.load_miss_rate()),
             "{b}: L1 miss rate {:.3} outside the L2-resident-stream envelope",
@@ -83,7 +85,7 @@ fn swim_and_turb3d_exercise_the_load_loop() {
 
 #[test]
 fn turb3d_takes_tlb_traps() {
-    let s = measure(Benchmark::Turb3d);
+    let s = measure(&PipelineConfig::base(), Benchmark::Turb3d);
     assert!(s.tlb_traps > 10, "turb3d's long strides must trap the dTLB");
     // But not so many that they dominate (a trap storm would change its
     // character entirely).
@@ -92,22 +94,13 @@ fn turb3d_takes_tlb_traps() {
 
 #[test]
 fn apsi_is_chain_bound_with_dra_misses() {
-    let s = measure(Benchmark::Apsi);
+    let s = measure(&PipelineConfig::base(), Benchmark::Apsi);
     assert!(
         s.ipc() < 1.2,
         "apsi must be low-ILP, got ipc {:.2}",
         s.ipc()
     );
-    let dra = try_run_benchmark(
-        &PipelineConfig::dra_for_rf(5),
-        Benchmark::Apsi,
-        RunBudget {
-            warmup: 30_000,
-            measure: 60_000,
-            max_cycles: 50_000_000,
-        },
-    )
-    .expect("the run completes");
+    let dra = measure(&PipelineConfig::dra_for_rf(5), Benchmark::Apsi);
     assert!(
         (0.004..0.04).contains(&dra.operand_miss_rate()),
         "apsi operand-miss rate {:.4} outside the paper's ~1.5% neighbourhood",
@@ -117,7 +110,7 @@ fn apsi_is_chain_bound_with_dra_misses() {
 
 #[test]
 fn su2cor_queues_wide_fp_work() {
-    let s = measure(Benchmark::Su2cor);
+    let s = measure(&PipelineConfig::base(), Benchmark::Su2cor);
     assert!(
         s.branch_mispredict_rate() < 0.10,
         "su2cor mispredicts rarely, got {:.3}",
@@ -136,10 +129,12 @@ fn memory_bound_codes_ignore_pipe_length() {
         max_cycles: 50_000_000,
     };
     for b in [Benchmark::Hydro2d, Benchmark::Mgrid] {
-        let short = try_run_benchmark(&PipelineConfig::base_with_latencies(3, 3), b, budget)
+        let short = Workload::Single(b)
+            .try_run(&PipelineConfig::base_with_latencies(3, 3), budget)
             .expect("the run completes")
             .ipc();
-        let long = try_run_benchmark(&PipelineConfig::base_with_latencies(9, 9), b, budget)
+        let long = Workload::Single(b)
+            .try_run(&PipelineConfig::base_with_latencies(9, 9), budget)
             .expect("the run completes")
             .ipc();
         let loss = 1.0 - long / short;

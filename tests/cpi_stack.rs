@@ -3,11 +3,11 @@
 //! branch-resolution loop), and stack determinism through the sweep
 //! engine's memo cache.
 
+use looseloops_repro::core::Benchmark;
 use looseloops_repro::core::{
     cpi_stack_report_on, pipeline::Machine, CpiComponent, FigureSpec, PipelineConfig, RunBudget,
     SweepEngine, Workload,
 };
-use looseloops_repro::core::{try_run_benchmark, Benchmark};
 
 fn tiny() -> RunBudget {
     RunBudget {
@@ -33,7 +33,8 @@ fn stacks_conserve_and_sum_to_cpi_on_all_machines() {
             audit: true,
             ..cfg.clone()
         };
-        let stats = try_run_benchmark(&audited, Benchmark::Compress, tiny())
+        let stats = Workload::Single(Benchmark::Compress)
+            .try_run(&audited, tiny())
             .expect("audited run completes");
         let st = &stats.loop_cost;
         assert!(st.conserves(), "slot leak on {cfg:?}");

@@ -2,7 +2,7 @@
 //! counts and statistics, across every scheme. Figure results depend on
 //! this (speedups are ratios of single runs).
 
-use looseloops_repro::core::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget};
+use looseloops_repro::core::{Benchmark, PipelineConfig, RunBudget, Workload};
 use looseloops_repro::workload::Benchmark as B;
 
 fn budget() -> RunBudget {
@@ -14,7 +14,9 @@ fn budget() -> RunBudget {
 }
 
 fn fingerprint(cfg: &PipelineConfig, b: Benchmark) -> (u64, u64, u64, u64, [u64; 5]) {
-    let s = try_run_benchmark(cfg, b, budget()).expect("the run completes");
+    let s = Workload::Single(b)
+        .try_run(cfg, budget())
+        .expect("the run completes");
     (
         s.cycles,
         s.total_retired(),
@@ -51,7 +53,8 @@ fn different_configs_actually_differ() {
 fn smt_runs_are_reproducible() {
     let cfg = PipelineConfig::base().smt(2);
     let run = || {
-        let s = looseloops_repro::core::try_run_pair(&cfg, B::pairs()[0], budget())
+        let s = Workload::Pair(B::pairs()[0])
+            .try_run(&cfg, budget())
             .expect("the run completes");
         (s.cycles, s.retired.clone())
     };

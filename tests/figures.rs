@@ -3,7 +3,9 @@
 //! be exactly 1.0. The engine is sized from `LOOSELOOPS_JOBS`, so CI drives
 //! the parallel sweep path here.
 
-use looseloops_repro::core::{FigureResult, FigureSpec, RunBudget, SweepEngine, Workload};
+use looseloops_repro::core::{
+    jobs_from_env, FigureResult, FigureSpec, RunBudget, SweepEngine, Workload,
+};
 
 fn tiny() -> RunBudget {
     RunBudget {
@@ -16,7 +18,7 @@ fn tiny() -> RunBudget {
 fn run(id: &str, workloads: &[Workload]) -> FigureResult {
     FigureSpec::for_id(id, workloads, tiny())
         .expect("known figure id")
-        .run_on(&SweepEngine::from_env())
+        .run_on(&SweepEngine::new(jobs_from_env()))
 }
 
 fn check_speedup_figure(f: &FigureResult, series: usize, baseline_row: usize) {

@@ -4,7 +4,7 @@
 use looseloops_repro::core::{
     loop_inventory, LoadSpecPolicy, Machine, PipelineConfig, RegisterScheme, RunBudget,
 };
-use looseloops_repro::core::{try_run_benchmark, Benchmark};
+use looseloops_repro::core::{Benchmark, SimStats, Workload};
 use looseloops_repro::isa::asm;
 use looseloops_repro::mem::TlbMissPolicy;
 use looseloops_repro::workload::{synthetic, SyntheticParams};
@@ -17,10 +17,16 @@ fn small() -> RunBudget {
     }
 }
 
+/// `b` on `cfg` at the small budget.
+fn run(cfg: &PipelineConfig, b: Benchmark) -> SimStats {
+    Workload::Single(b)
+        .try_run(cfg, small())
+        .expect("the run completes")
+}
+
 #[test]
 fn branch_resolution_loop_fires_on_branchy_code() {
-    let s = try_run_benchmark(&PipelineConfig::base(), Benchmark::Go, small())
-        .expect("the run completes");
+    let s = run(&PipelineConfig::base(), Benchmark::Go);
     assert!(s.branches > 1_000, "go is branch-dominated");
     assert!(
         s.branch_mispredict_rate() > 0.05,
@@ -32,8 +38,7 @@ fn branch_resolution_loop_fires_on_branchy_code() {
 
 #[test]
 fn load_resolution_loop_fires_on_missy_code() {
-    let s = try_run_benchmark(&PipelineConfig::base(), Benchmark::Swim, small())
-        .expect("the run completes");
+    let s = run(&PipelineConfig::base(), Benchmark::Swim);
     assert!(s.loads > 2_000);
     assert!(s.load_miss_rate() > 0.02, "swim streams past L1");
     assert!(
@@ -48,20 +53,19 @@ fn stall_policy_never_replays() {
         load_policy: LoadSpecPolicy::Stall,
         ..PipelineConfig::base()
     };
-    let s = try_run_benchmark(&cfg, Benchmark::Swim, small()).expect("the run completes");
+    let s = run(&cfg, Benchmark::Swim);
     assert_eq!(s.load_replays, 0);
     assert_eq!(s.shadow_replays, 0);
 }
 
 #[test]
 fn shadow_policy_replays_more_than_tree() {
-    let tree = try_run_benchmark(&PipelineConfig::base(), Benchmark::Swim, small())
-        .expect("the run completes");
+    let tree = run(&PipelineConfig::base(), Benchmark::Swim);
     let cfg = PipelineConfig {
         load_policy: LoadSpecPolicy::ReissueShadow,
         ..PipelineConfig::base()
     };
-    let shadow = try_run_benchmark(&cfg, Benchmark::Swim, small()).expect("the run completes");
+    let shadow = run(&cfg, Benchmark::Swim);
     assert!(
         shadow.load_replays + shadow.shadow_replays > tree.load_replays,
         "21264-style shadow kill wastes more work: {} vs {}",
@@ -72,11 +76,9 @@ fn shadow_policy_replays_more_than_tree() {
 
 #[test]
 fn operand_resolution_loop_exists_only_under_dra() {
-    let base = try_run_benchmark(&PipelineConfig::base_for_rf(5), Benchmark::Apsi, small())
-        .expect("the run completes");
+    let base = run(&PipelineConfig::base_for_rf(5), Benchmark::Apsi);
     assert_eq!(base.operand_misses, 0);
-    let dra = try_run_benchmark(&PipelineConfig::dra_for_rf(5), Benchmark::Apsi, small())
-        .expect("the run completes");
+    let dra = run(&PipelineConfig::dra_for_rf(5), Benchmark::Apsi);
     assert!(
         dra.operand_misses > 0,
         "apsi is the DRA's pathological case"
@@ -87,8 +89,7 @@ fn operand_resolution_loop_exists_only_under_dra() {
 
 #[test]
 fn dra_never_uses_the_iq_ex_register_read() {
-    let s = try_run_benchmark(&PipelineConfig::dra_for_rf(3), Benchmark::Gcc, small())
-        .expect("the run completes");
+    let s = run(&PipelineConfig::dra_for_rf(3), Benchmark::Gcc);
     assert_eq!(s.operand_sources[3], 0, "no RegFile-path reads under DRA");
     assert!(s.operand_sources[0] > 0, "pre-reads happen");
     assert!(s.operand_sources[1] > 0, "forwarding happens");
@@ -97,8 +98,7 @@ fn dra_never_uses_the_iq_ex_register_read() {
 
 #[test]
 fn tlb_traps_fire_for_page_hungry_code() {
-    let s = try_run_benchmark(&PipelineConfig::base(), Benchmark::Turb3d, small())
-        .expect("the run completes");
+    let s = run(&PipelineConfig::base(), Benchmark::Turb3d);
     assert!(s.tlb_traps > 0, "turb3d's long strides must trap the dTLB");
 }
 
@@ -106,7 +106,7 @@ fn tlb_traps_fire_for_page_hungry_code() {
 fn tlb_penalty_policy_avoids_traps() {
     let mut cfg = PipelineConfig::base();
     cfg.mem.dtlb.miss_policy = TlbMissPolicy::Penalty(30);
-    let s = try_run_benchmark(&cfg, Benchmark::Turb3d, small()).expect("the run completes");
+    let s = run(&cfg, Benchmark::Turb3d);
     assert_eq!(s.tlb_traps, 0);
 }
 
@@ -172,16 +172,10 @@ fn loop_inventory_matches_machine_shape() {
 fn smt_beats_the_worse_member_under_mispredict_pressure() {
     // go alone wastes huge fetch bandwidth on wrong paths; paired with the
     // well-behaved su2cor, total throughput must beat go alone.
-    let budget = small();
-    let go = try_run_benchmark(&PipelineConfig::base(), Benchmark::Go, budget)
-        .expect("the run completes")
-        .ipc();
-    let pair = looseloops_repro::core::try_run_pair(
-        &PipelineConfig::base().smt(2),
-        Benchmark::pairs()[1], // go-su2cor
-        budget,
-    )
-    .expect("the run completes");
+    let go = run(&PipelineConfig::base(), Benchmark::Go).ipc();
+    let pair = Workload::Pair(Benchmark::pairs()[1]) // go-su2cor
+        .try_run(&PipelineConfig::base(), small())
+        .expect("the run completes");
     assert!(
         pair.ipc() > go,
         "SMT pair throughput {} must exceed go alone {}",

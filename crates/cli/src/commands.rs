@@ -15,24 +15,19 @@ fn config_flag_set(extra: &[&'static str]) -> Vec<&'static str> {
 
 fn print_stats(stats: &SimStats, json: bool) {
     if json {
-        println!("{{");
-        println!("  \"cycles\": {},", stats.cycles);
-        println!("  \"retired\": {:?},", stats.retired);
-        println!("  \"ipc\": {},", stats.ipc());
-        println!("  \"branches\": {},", stats.branches);
-        println!("  \"branch_mispredicts\": {},", stats.branch_mispredicts);
-        println!("  \"loads\": {},", stats.loads);
-        println!("  \"load_l1_misses\": {},", stats.load_l1_misses);
-        println!("  \"load_replays\": {},", stats.load_replays);
-        println!("  \"operand_misses\": {},", stats.operand_misses);
-        println!("  \"operand_sources\": {:?},", stats.operand_sources);
-        println!("  \"mem_order_traps\": {},", stats.mem_order_traps);
-        println!("  \"tlb_traps\": {},", stats.tlb_traps);
-        println!("  \"iq_occupancy_mean\": {},", stats.iq_occupancy_mean);
-        println!("  \"audit_checks\": {},", stats.audit_checks);
-        println!("  \"faults_injected\": {},", stats.faults_injected);
-        println!("  \"deadlocks_detected\": {}", stats.deadlocks_detected);
-        println!("}}");
+        // Every table counter by name, plus what the table leaves out.
+        let mut fields = vec![
+            format!("\"retired\": {:?}", stats.retired),
+            format!("\"ipc\": {}", stats.ipc()),
+            format!("\"iq_occupancy_mean\": {}", stats.iq_occupancy_mean),
+            format!("\"iq_post_issue_mean\": {}", stats.iq_post_issue_mean),
+            format!("\"iq_peak\": {}", stats.iq_peak),
+        ];
+        fields.extend(stats.counters().iter().map(|(name, slots)| match slots {
+            [one] => format!("\"{name}\": {one}"),
+            many => format!("\"{name}\": {many:?}"),
+        }));
+        println!("{{\n  {}\n}}", fields.join(",\n  "));
         return;
     }
     println!("cycles                {}", stats.cycles);
@@ -379,7 +374,8 @@ pub fn loops(args: &Args) -> Result<(), ArgError> {
     if args.positional().first().map(String::as_str) == Some("attribute") {
         return loops_attribute(args);
     }
-    args.reject_unknown(CONFIG_FLAGS)?;
+    // `loop_inventory` reads only the scheme and the pipe lengths.
+    args.reject_unknown(&["scheme", "rf", "dec", "ex"])?;
     let cfg = config_from_args(args)?;
     println!(
         "machine: DEC-IQ={} IQ-EX={} RF-read={} scheme={:?}",

@@ -69,7 +69,7 @@ COMMANDS:
              --verify  (restore + detailed resume against the ISA oracle)
              (plus config/budget flags; --warmup sets the warm-up length)
     loops    Print the micro-architectural loop inventory for a config
-             (the config flags of `run`; no budget flags)
+             --scheme base|dra  --rf N  --dec X  --ex Y  (no other flags)
     loops attribute
              Per-loop CPI stacks for a config over workloads: each lost
              retire slot charged to the loop that caused it, components

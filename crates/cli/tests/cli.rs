@@ -57,7 +57,16 @@ fn run_bench_reports_stats() {
 fn run_json_is_parseable_shape() {
     let text = stdout(&argv("run --bench go --warmup 500 --measure 3000 --json"));
     assert!(text.trim_start().starts_with('{') && text.trim_end().ends_with('}'));
-    assert!(text.contains("\"ipc\""));
+    // Every counter prints, the memory hierarchy's included.
+    for key in [
+        "\"ipc\"",
+        "\"fetched\"",
+        "\"squashed\"",
+        "\"l1d_hits\"",
+        "\"l1d_misses\"",
+    ] {
+        assert!(text.contains(key), "{key} missing: {text}");
+    }
 }
 
 #[test]
@@ -125,6 +134,10 @@ fn loops_inventory_prints() {
     let text = stdout(&argv("loops --scheme dra --rf 7"));
     assert!(text.contains("operand resolution"));
     assert!(text.contains("load resolution"));
+    let out = looseloops(&argv("loops --policy stall"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "loops ignores --policy");
+    assert!(err.contains("unknown flag --policy"), "{err}");
 }
 
 #[test]

@@ -62,7 +62,7 @@ pub enum CheckpointError {
     Io(String),
     /// The file does not start with the `LLCK` magic.
     BadMagic,
-    /// The file's version is newer than this binary understands.
+    /// The file's format version is not one this binary reads.
     BadVersion(u32),
     /// The encoding ended mid-field (context names the field).
     Truncated(&'static str),
@@ -75,12 +75,7 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint i/o: {e}"),
             CheckpointError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
-            CheckpointError::BadVersion(v) => {
-                write!(
-                    f,
-                    "checkpoint version {v} is newer than {CHECKPOINT_VERSION}"
-                )
-            }
+            CheckpointError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             CheckpointError::Truncated(what) => write!(f, "checkpoint truncated in {what}"),
             CheckpointError::Corrupt(why) => write!(f, "checkpoint corrupt: {why}"),
         }

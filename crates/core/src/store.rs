@@ -26,17 +26,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Current result-entry encoding version. Bumped when a section's payload
-/// layout changes incompatibly; unknown *sections* are skipped without a
-/// bump, and a version newer than this binary understands is refused (the
-/// caller treats that as a miss and overwrites with its own version).
-pub const RESULT_STORE_VERSION: u32 = 1;
+/// layout changes incompatibly (version 2: `CORE` became the
+/// [`SimStats::counters`] table and took in the old `MEMS` section);
+/// unknown *sections* are skipped without a bump. Any other version is
+/// refused, and the caller treats that as a miss and overwrites the entry
+/// with its own version.
+pub const RESULT_STORE_VERSION: u32 = 2;
 
 /// File magic: "LLRS" (Loose Loops Result Store).
 const MAGIC: [u8; 4] = *b"LLRS";
 
 /// The full memo key string of the stored job (collision guard).
 const SEC_KEYS: [u8; 4] = *b"KEYS";
-/// Fixed-order scalar counters of [`SimStats`].
+/// Every [`SimStats::counters`] slot in table order, then the IQ means
+/// and peak.
 const SEC_CORE: [u8; 4] = *b"CORE";
 /// Per-thread retired-instruction counts.
 const SEC_RETD: [u8; 4] = *b"RETD";
@@ -44,8 +47,6 @@ const SEC_RETD: [u8; 4] = *b"RETD";
 const SEC_GAPH: [u8; 4] = *b"GAPH";
 /// Load-latency histogram.
 const SEC_LODH: [u8; 4] = *b"LODH";
-/// Memory-hierarchy counters.
-const SEC_MEMS: [u8; 4] = *b"MEMS";
 /// Per-loop CPI stack ([`LoopCostStack`]).
 const SEC_LOOP: [u8; 4] = *b"LOOP";
 
@@ -96,9 +97,9 @@ fn read_counts(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<u64>, Check
 }
 
 /// Serialize one completed run: magic, version, then tag-length-payload
-/// sections ([`SimStats`] scalars, histograms, memory-hierarchy counters,
-/// the [`LoopCostStack`]) prefixed by the full memo key. Readers skip
-/// unknown sections, so new sections can be added without a version bump.
+/// sections ([`SimStats`] counters, histograms, the [`LoopCostStack`])
+/// prefixed by the full memo key. Readers skip unknown sections, so new
+/// sections can be added without a version bump.
 pub fn encode_result(key: &str, stats: &SimStats) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
@@ -107,41 +108,14 @@ pub fn encode_result(key: &str, stats: &SimStats) -> Vec<u8> {
     push_section(&mut out, SEC_KEYS, key.as_bytes());
 
     let mut core = Vec::new();
-    push_u64(&mut core, stats.cycles);
-    push_u64(&mut core, stats.fetched);
-    push_u64(&mut core, stats.squashed);
-    push_u64(&mut core, stats.squashed_after_issue);
-    push_u64(&mut core, stats.branches);
-    push_u64(&mut core, stats.branch_mispredicts);
-    push_u64(&mut core, stats.target_mispredicts);
-    push_u64(&mut core, stats.loads);
-    push_u64(&mut core, stats.load_l1_hits);
-    push_u64(&mut core, stats.load_l1_misses);
-    push_u64(&mut core, stats.load_replays);
-    push_u64(&mut core, stats.shadow_replays);
-    push_u64(&mut core, stats.operand_misses);
-    push_u64(&mut core, stats.operand_replays);
-    for &v in &stats.operand_sources {
-        push_u64(&mut core, v);
+    for (_, slots) in stats.counters() {
+        for &v in slots {
+            push_u64(&mut core, v);
+        }
     }
-    push_u64(&mut core, stats.insertion_saturations);
-    push_u64(&mut core, stats.mem_order_traps);
-    push_u64(&mut core, stats.tlb_traps);
-    push_u64(&mut core, stats.mem_barriers);
-    push_u64(&mut core, stats.branch_squashes);
-    push_u64(&mut core, stats.rename_stall_cycles);
-    push_u64(&mut core, stats.operand_miss_stall_cycles);
     push_f64(&mut core, stats.iq_occupancy_mean);
     push_f64(&mut core, stats.iq_post_issue_mean);
     push_u64(&mut core, stats.iq_peak as u64);
-    push_u64(&mut core, stats.line_pred.0);
-    push_u64(&mut core, stats.line_pred.1);
-    push_u64(&mut core, stats.deadlocks_detected);
-    push_u64(&mut core, stats.faults_injected);
-    for &v in &stats.faults_by_kind {
-        push_u64(&mut core, v);
-    }
-    push_u64(&mut core, stats.audit_checks);
     push_section(&mut out, SEC_CORE, &core);
 
     let mut retd = Vec::new();
@@ -155,20 +129,6 @@ pub fn encode_result(key: &str, stats: &SimStats) -> Vec<u8> {
     let mut lodh = Vec::new();
     push_counts(&mut lodh, &stats.load_latency_hist);
     push_section(&mut out, SEC_LODH, &lodh);
-
-    let mut mems = Vec::new();
-    push_u64(&mut mems, stats.mem.l1i.hits);
-    push_u64(&mut mems, stats.mem.l1i.misses);
-    push_u64(&mut mems, stats.mem.l1d.hits);
-    push_u64(&mut mems, stats.mem.l1d.misses);
-    push_u64(&mut mems, stats.mem.l2.hits);
-    push_u64(&mut mems, stats.mem.l2.misses);
-    push_u64(&mut mems, stats.mem.dtlb_hits);
-    push_u64(&mut mems, stats.mem.dtlb_misses);
-    push_u64(&mut mems, stats.mem.bank_conflicts);
-    push_u64(&mut mems, stats.mem.mshr_waits);
-    push_u64(&mut mems, stats.mem.prefetches);
-    push_section(&mut out, SEC_MEMS, &mems);
 
     let mut lp = Vec::new();
     push_u64(&mut lp, stats.loop_cost.width);
@@ -187,21 +147,21 @@ pub fn encode_result(key: &str, stats: &SimStats) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`CheckpointError`] on bad magic, a newer version, truncation, or
-/// structurally impossible values (a missing mandatory section is
-/// [`CheckpointError::Truncated`]).
+/// [`CheckpointError`] on bad magic, any version but
+/// [`RESULT_STORE_VERSION`], truncation, or structurally impossible values
+/// (a missing mandatory section is [`CheckpointError::Truncated`]).
 pub fn decode_result(bytes: &[u8]) -> Result<(String, SimStats), CheckpointError> {
     let mut r = Reader::new(bytes);
     if r.take(4, "magic")? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
     let version = r.u32("version")?;
-    if version > RESULT_STORE_VERSION {
+    if version != RESULT_STORE_VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
 
     let mut key: Option<String> = None;
-    let mut stats = SimStats::new(0);
+    let mut stats = SimStats::default();
     let mut saw_core = false;
     while !r.done() {
         let tag: [u8; 4] = r.take(4, "section tag")?.try_into().unwrap();
@@ -216,59 +176,24 @@ pub fn decode_result(bytes: &[u8]) -> Result<(String, SimStats), CheckpointError
                 );
             }
             SEC_CORE => {
-                stats.cycles = s.u64("cycles")?;
-                stats.fetched = s.u64("fetched")?;
-                stats.squashed = s.u64("squashed")?;
-                stats.squashed_after_issue = s.u64("squashed_after_issue")?;
-                stats.branches = s.u64("branches")?;
-                stats.branch_mispredicts = s.u64("branch_mispredicts")?;
-                stats.target_mispredicts = s.u64("target_mispredicts")?;
-                stats.loads = s.u64("loads")?;
-                stats.load_l1_hits = s.u64("load_l1_hits")?;
-                stats.load_l1_misses = s.u64("load_l1_misses")?;
-                stats.load_replays = s.u64("load_replays")?;
-                stats.shadow_replays = s.u64("shadow_replays")?;
-                stats.operand_misses = s.u64("operand_misses")?;
-                stats.operand_replays = s.u64("operand_replays")?;
-                for v in &mut stats.operand_sources {
-                    *v = s.u64("operand_sources")?;
+                for (name, slots) in stats.counters_mut() {
+                    for v in slots {
+                        *v = s.u64(name)?;
+                    }
                 }
-                stats.insertion_saturations = s.u64("insertion_saturations")?;
-                stats.mem_order_traps = s.u64("mem_order_traps")?;
-                stats.tlb_traps = s.u64("tlb_traps")?;
-                stats.mem_barriers = s.u64("mem_barriers")?;
-                stats.branch_squashes = s.u64("branch_squashes")?;
-                stats.rename_stall_cycles = s.u64("rename_stall_cycles")?;
-                stats.operand_miss_stall_cycles = s.u64("operand_miss_stall_cycles")?;
                 stats.iq_occupancy_mean = f64::from_bits(s.u64("iq_occupancy_mean")?);
                 stats.iq_post_issue_mean = f64::from_bits(s.u64("iq_post_issue_mean")?);
                 stats.iq_peak = s.u64("iq_peak")? as usize;
-                stats.line_pred.0 = s.u64("line_pred correct")?;
-                stats.line_pred.1 = s.u64("line_pred wrong")?;
-                stats.deadlocks_detected = s.u64("deadlocks_detected")?;
-                stats.faults_injected = s.u64("faults_injected")?;
-                for v in &mut stats.faults_by_kind {
-                    *v = s.u64("faults_by_kind")?;
+                if !s.done() {
+                    return Err(CheckpointError::Corrupt(
+                        "CORE section is longer than the counter table".into(),
+                    ));
                 }
-                stats.audit_checks = s.u64("audit_checks")?;
                 saw_core = true;
             }
             SEC_RETD => stats.retired = read_counts(&mut s, "retired")?,
             SEC_GAPH => stats.operand_gap_hist = read_counts(&mut s, "gap histogram")?,
             SEC_LODH => stats.load_latency_hist = read_counts(&mut s, "load-latency histogram")?,
-            SEC_MEMS => {
-                stats.mem.l1i.hits = s.u64("l1i hits")?;
-                stats.mem.l1i.misses = s.u64("l1i misses")?;
-                stats.mem.l1d.hits = s.u64("l1d hits")?;
-                stats.mem.l1d.misses = s.u64("l1d misses")?;
-                stats.mem.l2.hits = s.u64("l2 hits")?;
-                stats.mem.l2.misses = s.u64("l2 misses")?;
-                stats.mem.dtlb_hits = s.u64("dtlb hits")?;
-                stats.mem.dtlb_misses = s.u64("dtlb misses")?;
-                stats.mem.bank_conflicts = s.u64("bank conflicts")?;
-                stats.mem.mshr_waits = s.u64("mshr waits")?;
-                stats.mem.prefetches = s.u64("prefetches")?;
-            }
             SEC_LOOP => {
                 let mut lc = LoopCostStack {
                     width: s.u64("loop width")?,
@@ -389,25 +314,40 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips_every_section() {
-        let (key, stats) = run_once();
-        let bytes = encode_result(&key, &stats);
-        let (back_key, back) = decode_result(&bytes).expect("decode");
+    fn encode_decode_round_trips_every_field() {
+        let (key, mut stats) = run_once();
+        // A distinct nonzero value in every table slot, so a slot that
+        // both sides dropped or swapped cannot round-trip by accident.
+        let slots = stats.counters_mut().into_iter().flat_map(|(_, s)| s);
+        for (i, v) in slots.enumerate() {
+            *v = 1_000 + i as u64;
+        }
+        stats.iq_peak = 17;
+        stats.iq_post_issue_mean = 2.5;
+        assert!(stats.iq_occupancy_mean > 0.0 && stats.loop_cost.cycles > 0);
+        let (back_key, back) = decode_result(&encode_result(&key, &stats)).expect("decode");
         assert_eq!(back_key, key);
-        // SimStats has no PartialEq; byte-level equality of the
-        // re-encoding covers every serialized field.
-        assert_eq!(bytes, encode_result(&back_key, &back));
-        assert_eq!(back.cycles, stats.cycles);
-        assert_eq!(back.retired, stats.retired);
-        assert_eq!(back.operand_gap_hist, stats.operand_gap_hist);
-        assert_eq!(back.load_latency_hist, stats.load_latency_hist);
-        assert_eq!(back.mem, stats.mem);
-        assert_eq!(back.loop_cost, stats.loop_cost);
+        // SimStats has no PartialEq; its Debug rendering shows every field.
+        assert_eq!(format!("{back:?}"), format!("{stats:?}"));
+    }
+
+    #[test]
+    fn version_1_entries_are_refused() {
+        // A version-1 entry as the old encoder wrote it: 37 CORE slots,
+        // then the memory counters in their own MEMS section.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&MAGIC);
+        push_u32(&mut v1, 1);
+        push_section(&mut v1, SEC_KEYS, b"some job");
+        push_section(&mut v1, SEC_CORE, &[7; 37 * 8]);
+        push_section(&mut v1, *b"MEMS", &[7; 11 * 8]);
         assert_eq!(
-            back.iq_occupancy_mean.to_bits(),
-            stats.iq_occupancy_mean.to_bits()
+            decode_result(&v1).unwrap_err(),
+            CheckpointError::BadVersion(1)
         );
-        assert_eq!(back.ipc(), stats.ipc());
+        // Read as version 2, its CORE section is the wrong length.
+        v1[4..8].copy_from_slice(&RESULT_STORE_VERSION.to_le_bytes());
+        assert!(decode_result(&v1).is_err());
     }
 
     #[test]

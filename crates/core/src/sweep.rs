@@ -25,14 +25,13 @@ use crate::simulator::RunBudget;
 use crate::store::ResultStore;
 use looseloops_pipeline::{LoopCostStack, PipelineConfig, SimError, SimStats};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lock `m`, recovering from poisoning.
 ///
-/// The engine's mutexes guard plain accumulators (memo map, merged stack)
-/// whose updates are single `insert`/`merge` calls, so
+/// The engine's mutexes guard plain accumulators (memo map, metrics)
+/// whose updates are plain `insert`s and additions, so
 /// a panic elsewhere in a worker can never leave them mid-mutation —
 /// taking the inner value after a poisoning is always safe. Before this
 /// helper, one panicked job permanently poisoned a shared engine and
@@ -145,7 +144,7 @@ impl Job {
 }
 
 /// Aggregate counters of everything an engine has executed so far.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SweepSummary {
     /// Worker threads the engine runs with.
     pub workers: usize,
@@ -214,15 +213,9 @@ pub struct SweepEngine {
     result_store: Option<ResultStore>,
     warm_memo: WarmMemo,
     cache: Mutex<HashMap<String, Arc<SimStats>>>,
-    jobs_requested: AtomicU64,
-    jobs_run: AtomicU64,
-    cache_hits: AtomicU64,
-    store_hits: AtomicU64,
-    jobs_failed: AtomicU64,
-    wall_nanos: AtomicU64,
-    busy_nanos: AtomicU64,
-    instructions: AtomicU64,
-    stack: Mutex<LoopCostStack>,
+    /// Counters since construction or the last reset; locked once per
+    /// finished job.
+    metrics: Mutex<SweepSummary>,
 }
 
 impl std::fmt::Debug for SweepEngine {
@@ -334,26 +327,22 @@ impl SweepEngine {
         ckpt_store: Option<CheckpointStore>,
         result_store: Option<ResultStore>,
     ) -> SweepEngine {
+        let workers = if workers == 0 {
+            default_jobs()
+        } else {
+            workers
+        };
         SweepEngine {
-            workers: if workers == 0 {
-                default_jobs()
-            } else {
-                workers
-            },
+            workers,
             mode,
             ckpt_store,
             result_store,
             warm_memo: WarmMemo::default(),
             cache: Mutex::new(HashMap::new()),
-            jobs_requested: AtomicU64::new(0),
-            jobs_run: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            wall_nanos: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
-            instructions: AtomicU64::new(0),
-            stack: Mutex::new(LoopCostStack::default()),
+            metrics: Mutex::new(SweepSummary {
+                workers,
+                ..SweepSummary::default()
+            }),
         }
     }
 
@@ -386,8 +375,6 @@ impl SweepEngine {
     /// statistics are identical whatever the worker count.
     pub fn try_run_jobs(&self, jobs: &[Job]) -> Vec<JobResult> {
         let t0 = Instant::now();
-        self.jobs_requested
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
         let keys: Vec<String> = jobs.iter().map(|j| j.key_with_mode(self.mode)).collect();
 
         // First occurrence of every key not already cached gets simulated
@@ -401,8 +388,11 @@ impl SweepEngine {
                 .map(|(i, _)| i)
                 .collect()
         };
-        self.cache_hits
-            .fetch_add((jobs.len() - pending.len()) as u64, Ordering::Relaxed);
+        {
+            let mut m = lock_clean(&self.metrics);
+            m.jobs_requested += jobs.len() as u64;
+            m.cache_hits += (jobs.len() - pending.len()) as u64;
+        }
 
         // Key → error for this batch's failures (failures are never
         // cached, so the map is batch-local).
@@ -419,7 +409,7 @@ impl SweepEngine {
                     let digest = fnv1a64(key.as_bytes());
                     match store.load(digest, key) {
                         Ok(Some(stats)) => {
-                            self.store_hits.fetch_add(1, Ordering::Relaxed);
+                            lock_clean(&self.metrics).store_hits += 1;
                             return Ok(Arc::new(stats));
                         }
                         Ok(None) => {}
@@ -428,7 +418,6 @@ impl SweepEngine {
                         }
                     }
                 }
-                self.jobs_run.fetch_add(1, Ordering::Relaxed);
                 let t = Instant::now();
                 // Isolate panics: a worker that panics must report a
                 // per-job error like any other failure, not unwind through
@@ -438,20 +427,26 @@ impl SweepEngine {
                         .unwrap_or_else(|payload| {
                             Err(SimError::Panicked(panic_message(&*payload)))
                         });
-                self.busy_nanos
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let busy = t.elapsed();
+                {
+                    let mut m = lock_clean(&self.metrics);
+                    m.jobs_run += 1;
+                    m.busy += busy;
+                    match &result {
+                        Ok(stats) => {
+                            m.instructions += job.budget.warmup + stats.total_retired();
+                            m.stack.merge(&stats.loop_cost);
+                        }
+                        Err(_) => m.jobs_failed += 1,
+                    }
+                }
                 if let Ok(stats) = &result {
-                    self.instructions
-                        .fetch_add(job.budget.warmup + stats.total_retired(), Ordering::Relaxed);
-                    lock_clean(&self.stack).merge(&stats.loop_cost);
                     if let Some(store) = &self.result_store {
                         let digest = fnv1a64(key.as_bytes());
                         if let Err(e) = store.save(digest, key, stats) {
                             eprintln!("warning: cannot save result {}: {e}", job.label());
                         }
                     }
-                } else {
-                    self.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 }
                 result.map(Arc::new)
             });
@@ -468,8 +463,7 @@ impl SweepEngine {
             }
         }
 
-        self.wall_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        lock_clean(&self.metrics).wall += t0.elapsed();
         let cache = lock_clean(&self.cache);
         keys.iter()
             .map(|k| match cache.get(k) {
@@ -533,32 +527,16 @@ impl SweepEngine {
 
     /// Counters since construction (or the last [`SweepEngine::reset_metrics`]).
     pub fn summary(&self) -> SweepSummary {
-        SweepSummary {
-            workers: self.workers,
-            jobs_requested: self.jobs_requested.load(Ordering::Relaxed),
-            jobs_run: self.jobs_run.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
-            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            instructions: self.instructions.load(Ordering::Relaxed),
-            stack: *lock_clean(&self.stack),
-        }
+        *lock_clean(&self.metrics)
     }
 
     /// Zero the counters. The memo cache is kept — metrics
     /// describe work, the cache describes results.
     pub fn reset_metrics(&self) {
-        self.jobs_requested.store(0, Ordering::Relaxed);
-        self.jobs_run.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.store_hits.store(0, Ordering::Relaxed);
-        self.jobs_failed.store(0, Ordering::Relaxed);
-        self.wall_nanos.store(0, Ordering::Relaxed);
-        self.busy_nanos.store(0, Ordering::Relaxed);
-        self.instructions.store(0, Ordering::Relaxed);
-        *lock_clean(&self.stack) = LoopCostStack::default();
+        *lock_clean(&self.metrics) = SweepSummary {
+            workers: self.workers,
+            ..SweepSummary::default()
+        };
     }
 }
 
@@ -750,13 +728,13 @@ mod tests {
 
     #[test]
     fn poisoned_engine_locks_recover() {
-        // Poison the stack and cache mutexes directly (panic while the
+        // Poison the metrics and cache mutexes directly (panic while the
         // guard is held) and check every engine entry point still works.
         let engine = SweepEngine::new(2);
         engine.run_jobs(&[job(Benchmark::Compress)]);
-        poison(&engine.stack);
+        poison(&engine.metrics);
         poison(&engine.cache);
-        assert!(engine.stack.is_poisoned());
+        assert!(engine.metrics.is_poisoned());
         let s = engine.summary();
         assert!(s.stack.conserves());
         engine.run_jobs(&[job(Benchmark::Compress)]);

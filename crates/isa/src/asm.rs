@@ -182,7 +182,7 @@ fn parse_inst(b: &mut ProgramBuilder, text: &str, line: usize) -> Result<(), Asm
             }
             // `i`-suffixed immediate forms; for FP ops the immediate is the
             // raw (sign-extended) bit pattern of the second operand, which
-            // mainly exists so disassembly of arbitrary encodings can be
+            // mainly exists so disassembly of arbitrary instructions can be
             // re-assembled.
             if let Some(stem) = m.strip_suffix('i') {
                 if stem == name && !matches!(op, Opcode::FCvtIf | Opcode::FCvtFi) {

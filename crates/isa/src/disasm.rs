@@ -1,19 +1,18 @@
-//! Disassembler: turn a [`Program`] (or raw encoded words) back into
-//! assembler text that [`crate::asm::assemble`] accepts.
+//! Disassembler: turn a [`Program`] back into assembler text that
+//! [`crate::asm::assemble`] accepts.
 //!
 //! Control-flow targets are emitted as numeric displacements (which the
 //! assembler accepts), so `assemble ∘ disassemble` is the identity on the
 //! instruction stream — a property test in this module's test suite and in
 //! the crate's proptest suite holds the round trip together.
 
-use crate::encode::{decode_all, DecodeError};
 use crate::program::Program;
 use std::fmt::Write as _;
 
 /// Render a program as assembler text, including its initial data image.
 ///
 /// Branch/call targets are numeric displacements relative to the next
-/// instruction, exactly as encoded.
+/// instruction, exactly as stored in the immediate.
 pub fn disassemble(prog: &Program) -> String {
     let mut out = String::new();
     for (addr, bytes) in &prog.init_data {
@@ -35,21 +34,10 @@ pub fn disassemble(prog: &Program) -> String {
     out
 }
 
-/// Disassemble a raw binary image (8-byte words).
-///
-/// # Errors
-///
-/// Returns the index and decode error of the first malformed word.
-pub fn disassemble_words(words: &[u64]) -> Result<String, (usize, DecodeError)> {
-    let insts = decode_all(words)?;
-    Ok(disassemble(&Program::new("disasm", insts)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
-    use crate::encode::encode_all;
 
     const KERNEL: &str = "
         .data 0x1000, 1, 2, 3
@@ -83,20 +71,5 @@ mod tests {
             assert_eq!(a1, a2);
             assert_eq!(b1, b2);
         }
-    }
-
-    #[test]
-    fn words_round_trip_through_binary() {
-        let prog = assemble(KERNEL).unwrap();
-        let words = encode_all(&prog.insts);
-        let text = disassemble_words(&words).unwrap();
-        let back = assemble(&text).unwrap();
-        assert_eq!(back.insts, prog.insts);
-    }
-
-    #[test]
-    fn malformed_words_report_index() {
-        let err = disassemble_words(&[0, 0xfe]).unwrap_err();
-        assert_eq!(err.0, 1);
     }
 }

@@ -125,7 +125,7 @@ pub enum Opcode {
     Nop,
 }
 
-/// Number of distinct opcodes (used by the binary encoder and fuzzers).
+/// Number of distinct opcodes (used by fuzzers and property tests).
 pub const NUM_OPCODES: u8 = Opcode::Nop as u8 + 1;
 
 impl Opcode {
@@ -233,14 +233,15 @@ pub struct Inst {
     pub rs1: Reg,
     /// Second source register (store data for stores).
     pub rs2: Reg,
-    /// Immediate / displacement (24-bit signed range enforced by encoding).
+    /// Immediate / displacement (24-bit signed range, enforced by the
+    /// assembler and [`ProgramBuilder`](crate::ProgramBuilder)).
     pub imm: i32,
     /// Operate format uses `imm` instead of `rs2` as the second source.
     pub uses_imm: bool,
 }
 
 impl Inst {
-    /// Immediate values must fit in 24 signed bits to be encodable.
+    /// Immediate values must fit in 24 signed bits.
     pub const IMM_MIN: i32 = -(1 << 23);
     /// See [`Inst::IMM_MIN`].
     pub const IMM_MAX: i32 = (1 << 23) - 1;

@@ -11,7 +11,6 @@
 //! The crate provides four layers:
 //!
 //! - [`inst`] / [`reg`]: the instruction and register model,
-//! - [`encode`]: a fixed 8-byte binary encoding with lossless round-trip,
 //! - [`asm`] / [`program`]: a text assembler and a programmatic
 //!   [`ProgramBuilder`] used by the workload generators,
 //! - [`interp`]: an architectural (functional) interpreter that serves as
@@ -43,7 +42,6 @@
 
 pub mod asm;
 pub mod disasm;
-pub mod encode;
 pub mod fastfwd;
 pub mod inst;
 pub mod interp;
@@ -52,8 +50,7 @@ pub mod program;
 pub mod reg;
 
 pub use asm::{assemble, AsmError};
-pub use disasm::{disassemble, disassemble_words};
-pub use encode::{decode, encode, DecodeError};
+pub use disasm::disassemble;
 pub use fastfwd::{fast_forward, NoWarm, WarmHooks, NO_FETCH_LINE};
 pub use inst::{Class, Inst, Opcode};
 pub use interp::{

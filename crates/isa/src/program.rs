@@ -6,12 +6,16 @@
 //! [`ProgramBuilder`] is the programmatic counterpart of the text assembler
 //! and is what the workload generators use to emit kernels.
 
-use crate::encode::INST_BYTES;
 use crate::inst::{Class, Inst, Opcode};
 use crate::reg::Reg;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+
+/// Size of one instruction in bytes: an aligned 64-byte instruction-cache
+/// line holds exactly one 8-instruction fetch group, the fetch width of
+/// the paper's machine.
+pub const INST_BYTES: u64 = 8;
 
 /// A complete executable image.
 #[derive(Debug, Clone, Default, PartialEq)]

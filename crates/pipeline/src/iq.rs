@@ -517,6 +517,15 @@ impl IssueQueue {
         self.issued_occupancy_sum += n * self.not_waiting as u64;
     }
 
+    /// Restart the occupancy statistics for a new measurement window; the
+    /// peak then counts insertions after the restart.
+    pub(crate) fn reset_occupancy(&mut self) {
+        self.occupancy_sum = 0;
+        self.issued_occupancy_sum = 0;
+        self.samples = 0;
+        self.peak = 0;
+    }
+
     /// (mean occupancy, mean post-issue occupancy, peak) over the sampled
     /// cycles.
     pub fn occupancy_stats(&self) -> (f64, f64, usize) {

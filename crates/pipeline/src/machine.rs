@@ -225,6 +225,10 @@ pub struct Machine {
     /// of the transit pipe.
     pub(crate) cluster_pressure: Vec<u32>,
     pub(crate) stats: SimStats,
+    /// The structure-kept counts (see [`Machine::structure_counts`]) at
+    /// the last [`Machine::reset_stats`]; reported counts are taken
+    /// relative to it.
+    pub(crate) stats_base: SimStats,
     /// Captured retire stream (for equivalence tests), if enabled.
     pub(crate) retire_capture: Option<Vec<(usize, Retired)>>,
     /// Kanata pipeline tracer, if enabled.
@@ -316,6 +320,7 @@ impl Machine {
             line_pred: LinePredictor::new(cfg.line_entries, cfg.width as u64),
             store_wait: StoreWaitTable::new(cfg.store_wait_entries),
             stats: SimStats::new(cfg.threads),
+            stats_base: SimStats::default(),
             crcs,
             itables,
             threads,
@@ -559,9 +564,15 @@ impl Machine {
     }
 
     /// Reset statistics counters (after warm-up) without touching
-    /// micro-architectural state.
+    /// micro-architectural state: the next measured window counts only
+    /// itself, including the counts kept by the memory hierarchy, the IQ,
+    /// the line predictor, the insertion tables and the fault injector.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::new(self.cfg.threads);
+        self.iq.reset_occupancy();
+        let mut base = SimStats::default();
+        self.structure_counts(&mut base);
+        self.stats_base = base;
     }
 
     /// Run until every thread halts, `max_retired` instructions retire
@@ -743,21 +754,30 @@ impl Machine {
         probe.lap(10);
     }
 
-    fn finalize_stats(&mut self) {
-        let (mean, post, peak) = self.iq.occupancy_stats();
-        self.stats.iq_occupancy_mean = mean;
-        self.stats.iq_post_issue_mean = post;
-        self.stats.iq_peak = peak;
-        self.stats.mem = self.hier.stats();
-        self.stats.line_pred = self.line_pred.stats();
-        if let RegisterScheme::Dra { .. } = self.cfg.scheme {
-            self.stats.insertion_saturations =
-                self.itables.iter().map(|t| t.saturation_events()).sum();
-        }
+    /// Write the lifetime totals of the counts that structures keep, not
+    /// `SimStats`, into `s`. The structures never restart them (the fault
+    /// injector's also feed [`Machine::fault_summary`]).
+    fn structure_counts(&self, s: &mut SimStats) {
+        s.mem = self.hier.stats();
+        s.line_pred = self.line_pred.stats();
+        s.insertion_saturations = self.itables.iter().map(|t| t.saturation_events()).sum();
         if let Some(inj) = &self.injector {
-            self.stats.faults_injected = inj.injected();
-            self.stats.faults_by_kind = inj.by_kind();
+            s.faults_injected = inj.injected();
+            s.faults_by_kind = inj.by_kind();
         }
+    }
+
+    fn finalize_stats(&mut self) {
+        let mut stats = std::mem::take(&mut self.stats);
+        let (mean, post, peak) = self.iq.occupancy_stats();
+        stats.iq_occupancy_mean = mean;
+        stats.iq_post_issue_mean = post;
+        stats.iq_peak = peak;
+        // `stats_base` holds nothing but structure counts, so this rebases
+        // them on the last reset and leaves every other counter as is.
+        self.structure_counts(&mut stats);
+        stats.combine_counters(&self.stats_base, |now, base| now - base);
+        self.stats = stats;
         // Flush local profiling accumulation into the process-global report
         // and reset, so repeated `run` calls never double-count.
         if let Some(p) = &mut self.profile {

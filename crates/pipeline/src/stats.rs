@@ -5,7 +5,7 @@
 //! (Figure 9), the operand-availability-gap histogram (Figure 6), and IQ
 //! occupancy.
 
-use looseloops_mem::HierarchyStats;
+use looseloops_mem::{CacheStats, HierarchyStats};
 
 /// Maximum tracked operand-availability gap; larger gaps land in the last
 /// bucket. The histogram covers 0..=127 so Figure 6 can plot any prefix
@@ -210,8 +210,106 @@ impl LoopCostStack {
     }
 }
 
+/// Entries in [`SimStats::counters`].
+pub const COUNTERS: usize = 39;
+
+/// A counter's storage as a slice: one slot for a scalar, every slot for
+/// an array.
+trait Slots {
+    fn slots(&self) -> &[u64];
+    fn slots_mut(&mut self) -> &mut [u64];
+}
+
+impl Slots for u64 {
+    fn slots(&self) -> &[u64] {
+        std::slice::from_ref(self)
+    }
+    fn slots_mut(&mut self) -> &mut [u64] {
+        std::slice::from_mut(self)
+    }
+}
+
+impl<const N: usize> Slots for [u64; N] {
+    fn slots(&self) -> &[u64] {
+        self
+    }
+    fn slots_mut(&mut self) -> &mut [u64] {
+        self
+    }
+}
+
+/// Defines [`SimStats::counters`] and [`SimStats::counters_mut`] from one
+/// destructuring of `SimStats` and the table order of its bindings. A
+/// binding left out of the order is an unused variable, denied.
+macro_rules! counter_table {
+    (let $fields:pat = self; [$($name:ident),* $(,)?]) => {
+        impl SimStats {
+            /// Every additive counter, by name, in table order. A scalar
+            /// counter is a one-slot slice; `operand_sources` and
+            /// `faults_by_kind` keep their array shape.
+            #[deny(unused_variables)]
+            pub fn counters(&self) -> [(&'static str, &[u64]); COUNTERS] {
+                let $fields = self;
+                [$((stringify!($name), Slots::slots($name))),*]
+            }
+
+            /// [`SimStats::counters`], writable.
+            #[deny(unused_variables)]
+            pub fn counters_mut(&mut self) -> [(&'static str, &mut [u64]); COUNTERS] {
+                let $fields = self;
+                [$((stringify!($name), Slots::slots_mut($name))),*]
+            }
+        }
+    };
+}
+
+// The one list of `SimStats`' additive counters. The pattern names every
+// field without `..`, so a new field does not compile until it is placed:
+// bound here and listed below, or bound to `_` among the fields merged by
+// hand (`retired`, the histograms, the IQ means and peak, `loop_cost`).
+counter_table! {
+    let SimStats {
+        cycles, retired: _, fetched, squashed, squashed_after_issue,
+        branches, branch_mispredicts, target_mispredicts,
+        loads, load_l1_hits, load_l1_misses, load_replays, shadow_replays,
+        operand_misses, operand_replays, operand_sources, insertion_saturations,
+        mem_order_traps, tlb_traps, mem_barriers, branch_squashes,
+        operand_gap_hist: _, load_latency_hist: _,
+        rename_stall_cycles, operand_miss_stall_cycles,
+        iq_occupancy_mean: _, iq_post_issue_mean: _, iq_peak: _,
+        mem: HierarchyStats {
+            l1i: CacheStats { hits: l1i_hits, misses: l1i_misses },
+            l1d: CacheStats { hits: l1d_hits, misses: l1d_misses },
+            l2: CacheStats { hits: l2_hits, misses: l2_misses },
+            dtlb_hits, dtlb_misses, bank_conflicts, mshr_waits, prefetches,
+        },
+        line_pred: (line_pred_correct, line_pred_wrong),
+        deadlocks_detected, faults_injected, faults_by_kind, audit_checks,
+        loop_cost: _,
+    } = self;
+    [
+        cycles, fetched, squashed, squashed_after_issue,
+        branches, branch_mispredicts, target_mispredicts,
+        loads, load_l1_hits, load_l1_misses, load_replays, shadow_replays,
+        operand_misses, operand_replays, operand_sources, insertion_saturations,
+        mem_order_traps, tlb_traps, mem_barriers, branch_squashes,
+        rename_stall_cycles, operand_miss_stall_cycles,
+        l1i_hits, l1i_misses, l1d_hits, l1d_misses, l2_hits, l2_misses,
+        dtlb_hits, dtlb_misses, bank_conflicts, mshr_waits, prefetches,
+        line_pred_correct, line_pred_wrong,
+        deadlocks_detected, faults_injected, faults_by_kind, audit_checks,
+    ]
+}
+
 /// Counters for one simulation run.
-#[derive(Debug, Clone)]
+///
+/// Every additive `u64` counter is named once, in this module's
+/// `counter_table!` invocation: [`SimStats::counters`] lists them by
+/// name, and zeroing, [`SimStats::absorb`], the result store's codec and
+/// `run --json` all read that list. The few fields that do not simply add (per-thread
+/// retirement, the histograms, the IQ means and peak, the loop-cost
+/// stack) are merged by hand.
+#[derive(Debug, Clone, Default)]
 pub struct SimStats {
     /// Cycles simulated.
     pub cycles: u64,
@@ -310,41 +408,20 @@ impl SimStats {
     /// Zeroed statistics for `threads` hardware threads.
     pub fn new(threads: usize) -> SimStats {
         SimStats {
-            cycles: 0,
             retired: vec![0; threads],
-            fetched: 0,
-            squashed: 0,
-            squashed_after_issue: 0,
-            branches: 0,
-            branch_mispredicts: 0,
-            target_mispredicts: 0,
-            loads: 0,
-            load_l1_hits: 0,
-            load_l1_misses: 0,
-            load_replays: 0,
-            shadow_replays: 0,
-            operand_misses: 0,
-            operand_replays: 0,
-            operand_sources: [0; 5],
-            insertion_saturations: 0,
-            mem_order_traps: 0,
-            tlb_traps: 0,
-            mem_barriers: 0,
-            branch_squashes: 0,
             operand_gap_hist: vec![0; GAP_BUCKETS],
             load_latency_hist: vec![0; 512],
-            rename_stall_cycles: 0,
-            operand_miss_stall_cycles: 0,
-            iq_occupancy_mean: 0.0,
-            iq_post_issue_mean: 0.0,
-            iq_peak: 0,
-            mem: HierarchyStats::default(),
-            line_pred: (0, 0),
-            deadlocks_detected: 0,
-            faults_injected: 0,
-            faults_by_kind: [0; 3],
-            audit_checks: 0,
-            loop_cost: LoopCostStack::default(),
+            ..SimStats::default()
+        }
+    }
+
+    /// Set every table counter to `op(own, other's)`, slot by slot. The
+    /// hand-merged fields are left alone.
+    pub(crate) fn combine_counters(&mut self, other: &SimStats, op: impl Fn(u64, u64) -> u64) {
+        for ((_, mine), (_, theirs)) in self.counters_mut().into_iter().zip(other.counters()) {
+            for (a, &b) in mine.iter_mut().zip(theirs) {
+                *a = op(*a, b);
+            }
         }
     }
 
@@ -458,8 +535,8 @@ impl SimStats {
     /// Accumulate another run's counters into this one — the aggregation
     /// behind interval sampling, where each detailed measurement window
     /// produces its own `SimStats` and the sampled run reports their sum.
-    /// Counters add; occupancy means combine cycle-weighted; peaks take
-    /// the max; the loop-cost stack merges.
+    /// Table counters and histograms add; occupancy means combine
+    /// cycle-weighted; peaks take the max; the loop-cost stack merges.
     pub fn absorb(&mut self, other: &SimStats) {
         let (wa, wb) = (self.cycles as f64, other.cycles as f64);
         if wa + wb > 0.0 {
@@ -468,71 +545,21 @@ impl SimStats {
             self.iq_post_issue_mean =
                 (self.iq_post_issue_mean * wa + other.iq_post_issue_mean * wb) / (wa + wb);
         }
-        self.cycles += other.cycles;
         if self.retired.len() < other.retired.len() {
             self.retired.resize(other.retired.len(), 0);
         }
-        for (a, b) in self.retired.iter_mut().zip(&other.retired) {
-            *a += b;
+        for (mine, theirs) in [
+            (&mut self.retired, &other.retired),
+            (&mut self.operand_gap_hist, &other.operand_gap_hist),
+            (&mut self.load_latency_hist, &other.load_latency_hist),
+        ] {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
         }
-        self.fetched += other.fetched;
-        self.squashed += other.squashed;
-        self.squashed_after_issue += other.squashed_after_issue;
-        self.branches += other.branches;
-        self.branch_mispredicts += other.branch_mispredicts;
-        self.target_mispredicts += other.target_mispredicts;
-        self.loads += other.loads;
-        self.load_l1_hits += other.load_l1_hits;
-        self.load_l1_misses += other.load_l1_misses;
-        self.load_replays += other.load_replays;
-        self.shadow_replays += other.shadow_replays;
-        self.operand_misses += other.operand_misses;
-        self.operand_replays += other.operand_replays;
-        for (a, b) in self.operand_sources.iter_mut().zip(&other.operand_sources) {
-            *a += b;
-        }
-        self.insertion_saturations += other.insertion_saturations;
-        self.mem_order_traps += other.mem_order_traps;
-        self.tlb_traps += other.tlb_traps;
-        self.mem_barriers += other.mem_barriers;
-        self.branch_squashes += other.branch_squashes;
-        for (a, b) in self
-            .operand_gap_hist
-            .iter_mut()
-            .zip(&other.operand_gap_hist)
-        {
-            *a += b;
-        }
-        for (a, b) in self
-            .load_latency_hist
-            .iter_mut()
-            .zip(&other.load_latency_hist)
-        {
-            *a += b;
-        }
-        self.rename_stall_cycles += other.rename_stall_cycles;
-        self.operand_miss_stall_cycles += other.operand_miss_stall_cycles;
         self.iq_peak = self.iq_peak.max(other.iq_peak);
-        self.mem.l1i.hits += other.mem.l1i.hits;
-        self.mem.l1i.misses += other.mem.l1i.misses;
-        self.mem.l1d.hits += other.mem.l1d.hits;
-        self.mem.l1d.misses += other.mem.l1d.misses;
-        self.mem.l2.hits += other.mem.l2.hits;
-        self.mem.l2.misses += other.mem.l2.misses;
-        self.mem.dtlb_hits += other.mem.dtlb_hits;
-        self.mem.dtlb_misses += other.mem.dtlb_misses;
-        self.mem.bank_conflicts += other.mem.bank_conflicts;
-        self.mem.mshr_waits += other.mem.mshr_waits;
-        self.mem.prefetches += other.mem.prefetches;
-        self.line_pred.0 += other.line_pred.0;
-        self.line_pred.1 += other.line_pred.1;
-        self.deadlocks_detected += other.deadlocks_detected;
-        self.faults_injected += other.faults_injected;
-        for (a, b) in self.faults_by_kind.iter_mut().zip(&other.faults_by_kind) {
-            *a += b;
-        }
-        self.audit_checks += other.audit_checks;
         self.loop_cost.merge(&other.loop_cost);
+        self.combine_counters(other, |a, b| a + b);
     }
 }
 
@@ -670,6 +697,25 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             CpiComponent::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), CpiComponent::COUNT);
+    }
+
+    #[test]
+    fn absorbing_itself_doubles_every_table_counter() {
+        let mut x = SimStats::new(2);
+        let slots = x.counters_mut().into_iter().flat_map(|(_, s)| s);
+        for (i, v) in slots.enumerate() {
+            *v = 1 + i as u64;
+        }
+        let before = x.clone();
+        x.absorb(&before);
+        for ((name, now), (_, was)) in x.counters().into_iter().zip(before.counters()) {
+            for (a, b) in now.iter().zip(was) {
+                assert_eq!(*a, 2 * b, "{name}");
+            }
+        }
+        let names: std::collections::HashSet<&str> =
+            x.counters().iter().map(|(name, _)| *name).collect();
+        assert_eq!(names.len(), COUNTERS, "table names are unique");
     }
 
     #[test]

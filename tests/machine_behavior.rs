@@ -2,11 +2,11 @@
 //! *recover* the way the paper describes, observable through statistics.
 
 use looseloops_repro::core::{
-    loop_inventory, LoadSpecPolicy, Machine, PipelineConfig, RegisterScheme, RunBudget,
+    loop_inventory, FaultPlan, LoadSpecPolicy, Machine, PipelineConfig, RegisterScheme, RunBudget,
 };
 use looseloops_repro::core::{Benchmark, SimStats, Workload};
 use looseloops_repro::isa::asm;
-use looseloops_repro::mem::TlbMissPolicy;
+use looseloops_repro::mem::{PrefetchConfig, TlbMissPolicy};
 use looseloops_repro::workload::{synthetic, SyntheticParams};
 
 fn small() -> RunBudget {
@@ -149,6 +149,56 @@ fn memory_order_violation_trains_the_store_wait_table() {
         m.stats().mem_order_traps < 200,
         "store-wait prediction must stop repeat offenders, got {}",
         m.stats().mem_order_traps
+    );
+}
+
+#[test]
+fn a_window_after_reset_stats_counts_only_itself() {
+    // A DRA machine with a prefetcher under a fault storm, so every count
+    // a structure keeps (caches, TLB, banks, MSHRs, prefetches, IQ
+    // occupancy, line predictor, insertion tables, faults) has work.
+    let mut cfg = PipelineConfig::dra_for_rf(5);
+    cfg.mem.prefetch = Some(PrefetchConfig::default());
+    cfg.faults = Some(FaultPlan {
+        seed: 7,
+        branch_flip_rate: 0.05,
+        load_spike_rate: 0.05,
+        load_spike_cycles: 60,
+        operand_miss_rate: 0.05,
+        window: None,
+    });
+    let w = Workload::Single(Benchmark::Swim);
+    let mut m = Machine::new(w.config_for(&cfg), w.programs()).expect("valid config");
+    let warm = m.run(20_000, 4_000_000).expect("warm-up runs").clone();
+    let counted: Vec<&str> = warm
+        .counters()
+        .into_iter()
+        .filter(|(_, slots)| slots.iter().all(|&v| v > 0))
+        .map(|(name, _)| name)
+        .collect();
+    for name in [
+        "l1i_hits",
+        "l1d_misses",
+        "l2_hits",
+        "dtlb_misses",
+        "bank_conflicts",
+        "mshr_waits",
+        "prefetches",
+        "line_pred_wrong",
+        "insertion_saturations",
+        "faults_by_kind",
+    ] {
+        assert!(counted.contains(&name), "the warm-up counts no {name}");
+    }
+    assert!(warm.iq_peak > 0 && warm.iq_occupancy_mean > 0.0);
+    m.reset_stats();
+    let s = m.run(0, 4_000_000).expect("an empty window");
+    for (name, slots) in s.counters() {
+        assert!(slots.iter().all(|&v| v == 0), "{name} = {slots:?}");
+    }
+    assert_eq!(
+        (s.iq_occupancy_mean, s.iq_post_issue_mean, s.iq_peak),
+        (0.0, 0.0, 0)
     );
 }
 

@@ -5,7 +5,7 @@ use crate::config::{budget_from_args, config_from_args, BUDGET_FLAGS, CONFIG_FLA
 use looseloops::{
     cpi_stack_report_on, loop_inventory, restore_into, run_sampled, warm_digest, CheckpointError,
     CheckpointStore, ExecMode, FigureSpec, Job, Machine, ResultStore, RunBudget, SamplingPlan,
-    SimStats, SweepEngine, WarmMemo, Workload,
+    SimStats, StageReport, SweepEngine, WarmMemo, Workload,
 };
 use looseloops_workload::Benchmark;
 
@@ -82,19 +82,12 @@ fn print_stats(stats: &SimStats, json: bool) {
     }
 }
 
-/// Print the wall-clock stage profile accumulated since the last call,
-/// when `--profile-stages` recorded one. Goes to stderr, like the sweep
-/// summary, so piped figure output stays byte-identical.
-fn emit_profile(label: &str) {
-    if let Some(rep) = looseloops_pipeline::profile::take_report() {
+/// Print a wall-clock stage profile, when `--profile-stages` recorded
+/// one. Goes to stderr, like the sweep summary, so piped figure output
+/// stays byte-identical.
+fn emit_profile(label: &str, report: Option<StageReport>) {
+    if let Some(rep) = report {
         eprintln!("[profile] {label}: {}", rep.render());
-    }
-}
-
-/// `--profile-stages` turns the per-stage timers on.
-fn profile_from_args(args: &Args) {
-    if args.has("profile-stages") {
-        looseloops_pipeline::profile::enable();
     }
 }
 
@@ -174,7 +167,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     args.reject_unknown(&allowed)?;
     let cfg = config_from_args(args)?;
     let budget = budget_from_args(args)?;
-    profile_from_args(args);
+    let profile = args.has("profile-stages");
 
     let mode = mode_from_args(args, budget)?;
     if let ExecMode::Sampled(plan) = mode {
@@ -188,7 +181,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         let workload = workload_from_flags(args)?;
         let store = checkpoint_store_from_args(args)?;
         let job = Job::new(cfg, workload, budget);
-        let run = run_sampled(&job, plan, store.as_ref(), &WarmMemo::default())
+        let run = run_sampled(&job, plan, store.as_ref(), &WarmMemo::default(), profile)
             .map_err(|e| ArgError(e.to_string()))?;
         let label = workload.name();
         let json = args.has("json");
@@ -202,7 +195,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         if !json {
             println!("sampling              {}", run.error_bar());
         }
-        emit_profile(&label);
+        emit_profile(&label, run.profile.map(StageReport::calibrated));
         return Ok(());
     }
     if args.has("store-dir") {
@@ -229,6 +222,9 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     };
 
     let mut m = Machine::new(cfg, programs).map_err(|e| ArgError(e.to_string()))?;
+    if profile {
+        m.enable_profile();
+    }
     if args.has("verify") {
         m.enable_verification();
     }
@@ -259,7 +255,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             println!("trace written to {path}");
         }
     }
-    emit_profile(&label);
+    emit_profile(&label, m.profile().map(|p| p.calibrated()));
     Ok(())
 }
 
@@ -279,10 +275,10 @@ fn workloads_from_args(args: &Args) -> Result<Vec<Workload>, ArgError> {
     }
 }
 
-/// `--jobs N`; 0 or absent means `LOOSELOOPS_JOBS` or else the machine.
+/// `--jobs N`; 0 or absent means every core of the machine.
 fn jobs_from_args(args: &Args) -> Result<usize, ArgError> {
     Ok(match args.get_or("jobs", 0)? {
-        0 => looseloops::jobs_from_env(),
+        0 => looseloops::default_jobs(),
         n => n,
     })
 }
@@ -290,12 +286,17 @@ fn jobs_from_args(args: &Args) -> Result<usize, ArgError> {
 /// Build a sweep engine from `--jobs N` executing under `mode`, with
 /// both stores of `--store-dir` attached when it is given. The engine
 /// keeps finished runs in the result store always, and reads the
-/// checkpoint store only when `mode` samples.
+/// checkpoint store only when `mode` samples. `--profile-stages`
+/// (where the command takes it) turns on the engine's stage profile.
 fn sweep_from_args(args: &Args, mode: ExecMode) -> Result<SweepEngine, ArgError> {
     let workers = jobs_from_args(args)?;
     let results = open_in_store_dir(args, "result store", |dir| ResultStore::open(dir))?;
     let ckpts = checkpoint_store_from_args(args)?;
-    Ok(SweepEngine::with_stores(workers, mode, ckpts, results))
+    let mut sweep = SweepEngine::with_stores(workers, mode, ckpts, results);
+    if args.has("profile-stages") {
+        sweep.enable_profile();
+    }
+    Ok(sweep)
 }
 
 /// `looseloops figure`
@@ -311,7 +312,6 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
         "profile-stages",
     ]);
     args.reject_unknown(&allowed)?;
-    profile_from_args(args);
     let known = || format!("{}, all", FigureSpec::IDS.join(", "));
     let id = args
         .positional()
@@ -351,13 +351,21 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
     // same results and appended after the figure itself.
     let mut last = None;
     for (fid, spec) in ids.iter().zip(&specs) {
+        let before = sweep.summary().profile;
         let results = sweep.run_jobs(&spec.jobs());
         let fig = spec.render(&results);
         print!("{fig}");
         if args.has("stacks") {
             print!("{}", spec.render_stacks(&results));
         }
-        emit_profile(fid);
+        // What this figure's own simulations cost; none when every job
+        // was answered from a cache.
+        let own = sweep
+            .summary()
+            .profile
+            .zip(before)
+            .map(|(a, b)| a.since(&b));
+        emit_profile(fid, own.filter(|r| r.stepped_cycles > 0));
         last = Some(fig);
     }
     eprintln!("[sweep] {}", sweep.summary().line());
@@ -513,16 +521,22 @@ pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
     let wcfg = workload.config_for(&cfg);
     let digest = warm_digest(&wcfg, &workload, budget.warmup);
     // A stored checkpoint is loaded and left as it is; a missing or
-    // corrupt one is captured and saved, which replaces the file.
-    let stamp = || {
-        let path = store.as_ref()?.path(digest);
-        std::fs::metadata(path).and_then(|m| m.modified()).ok()
-    };
-    let before = stamp();
+    // unusable one is captured and saved, which replaces the file.
     let job = Job::new(cfg, workload, budget);
-    let ckpt = looseloops::checkpoint::warm_checkpoint(&job, store.as_ref(), &WarmMemo::default())
+    let memo = WarmMemo::default();
+    let ckpt = looseloops::checkpoint::warm_checkpoint(&job, store.as_ref(), &memo)
         .map_err(|e| ArgError(e.to_string()))?;
-    let already_stored = before.is_some() && before == stamp();
+    let counts = memo.counts();
+    if counts.regenerated.total() > 0 {
+        eprintln!(
+            "warning: checkpoint {digest:016x}: the stored copy is unusable ({}); regenerating",
+            counts.regenerated.causes()
+        );
+    }
+    if counts.save_failures > 0 {
+        eprintln!("warning: cannot save checkpoint {digest:016x}");
+    }
+    let already_stored = counts.loaded > 0;
 
     println!(
         "{} after {} functional warm-up instruction(s)",

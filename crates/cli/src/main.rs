@@ -36,9 +36,10 @@ COMMANDS:
              --watchdog N  (deadlock window in cycles, 0 = off)
              --inject branch:RATE,load:RATE[:CYCLES],operand:RATE
              --inject-seed N  (fault schedule seed, default 1)
-             --sample auto|w=N,detail=N,warm=N,skip=N  (functional warm-up,
-             then interval sampling with a CPI error bar; the one-window
-             plan w=1,warm=0,detail=<measure> is plain fast-forwarding)
+             --sample auto|w=N,detail=N,warm=N  (functional warm-up, then
+             interval sampling with a CPI error bar; the gap between
+             windows follows from the budget; the one-window plan
+             w=1,warm=0,detail=<measure> is plain fast-forwarding)
              --store-dir DIR  (keep warm-up checkpoints in DIR for reuse
              across processes; needs --sample)
              --profile-stages  (wall-clock per-stage breakdown of the
@@ -51,14 +52,15 @@ COMMANDS:
              the ablations also answer to ablation-ID)
              --workloads a,b,c  (default: the 13 paper workloads)
              --warmup N  --measure N  --smoke  --json-out FILE
-             --jobs N  (sweep workers; default LOOSELOOPS_JOBS or all cores)
+             --jobs N  (sweep workers; default all cores)
              --stacks  (append each figure's per-loop CPI stacks; reuses
              the figure's own memoized runs)
              --sample SPEC  (as in `run`; sampled figures report
              estimates, detailed stays the reference)
              --store-dir DIR  (the one on-disk cache: finished runs are
              reused across processes, and so are warm-up checkpoints
-             under --sample)
+             under --sample; the [sweep] line on stderr counts entries
+             it could not use, by cause)
              --profile-stages  (per-figure wall-clock stage breakdown)
     checkpoint
              Build or inspect the functional warm-up checkpoint a

@@ -198,6 +198,46 @@ fn figure_store_dir_makes_the_second_run_simulation_free() {
 }
 
 #[test]
+fn a_store_of_an_older_format_costs_one_summary_line() {
+    let dir = scratch_dir("old-store");
+    let figures = "figure all --smoke --workloads compress,swim --jobs 2";
+    let reference = ok(&argv(figures));
+    let mut args = argv(figures);
+    args.extend(["--store-dir", dir.to_str().unwrap()]);
+    ok(&args);
+
+    // Every entry as an LLRS version 1 file would carry it.
+    let entries = files_with_extension(&dir, "llrs");
+    for name in &entries {
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+    }
+    let skewed = ok(&args);
+    assert_eq!(
+        skewed.stdout, reference.stdout,
+        "skewed entries re-simulate"
+    );
+    let log = String::from_utf8_lossy(&skewed.stderr);
+    let lines: Vec<&str> = log.lines().collect();
+    assert_eq!(lines.len(), 1, "one summary line, not one per job: {log}");
+    let n = entries.len();
+    assert!(
+        lines[0].starts_with(&format!("[sweep] {n} jobs run, ")),
+        "{log}"
+    );
+    let misses = format!(" cache hits, {n} store misses ({n} version skew), ");
+    assert!(lines[0].contains(&misses), "{log}");
+
+    let warm = ok(&args);
+    assert_eq!(warm.stdout, reference.stdout, "rewritten entries load");
+    let log = String::from_utf8_lossy(&warm.stderr);
+    assert!(log.starts_with("[sweep] 0 jobs run"), "{log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unusable_store_dir_is_reported_as_the_result_store() {
     let file = std::env::temp_dir().join(format!("looseloops-cli-notadir-{}", std::process::id()));
     std::fs::write(&file, b"a regular file").unwrap();
@@ -346,6 +386,9 @@ fn sampled_figure_keeps_results_and_checkpoints_in_one_store_dir() {
     assert_eq!(longer_stored.stdout, longer_reference.stdout, "longer run");
     let log = String::from_utf8_lossy(&longer_stored.stderr);
     assert!(!log.contains("store hits"), "results must miss: {log}");
+    let loaded = format!("{} checkpoints loaded", checkpoints.len());
+    assert!(log.contains(&loaded), "{log}");
+    assert!(!log.contains("captured"), "{log}");
     assert_eq!(files_with_extension(&dir, "llck"), checkpoints);
     assert_eq!(
         modified(&checkpoints),

@@ -31,6 +31,7 @@
 //! module.
 
 use crate::experiments::Workload;
+use crate::store::StoreMisses;
 use crate::sweep::{fnv1a64, Job};
 use looseloops_branch::{build_predictor, Btb, DirectionPredictor};
 use looseloops_isa::{fast_forward, ArchState, FlatMemory, Program, Reg, WarmHooks};
@@ -469,10 +470,6 @@ impl CheckpointStore {
     /// [`CheckpointError::Io`] when the temporary cannot be written or
     /// renamed into place.
     pub fn save(&self, digest: u64, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        // The temp name must be unique per *writer*, not per process: two
-        // sweep workers capturing the same digest used to share one
-        // `.tmp.<pid>` file and could rename a torn checkpoint into place.
-        // `atomic_write` disambiguates with a per-process counter.
         let path = self.path(digest);
         crate::store::atomic_write(&path, &ckpt.encode())
             .map_err(|e| CheckpointError::Io(format!("write {}: {e}", path.display())))
@@ -765,6 +762,22 @@ pub fn restore_into(m: &mut Machine, ckpt: &Checkpoint) -> Result<(), SimError> 
 
 type WarmCell = Arc<OnceLock<Result<Arc<Checkpoint>, SimError>>>;
 
+/// Where a [`WarmMemo`]'s checkpoints came from, counted once per warm
+/// digest (later requests for a digest are memo hits and count nothing).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WarmCounts {
+    /// Checkpoints loaded from the store.
+    pub loaded: u64,
+    /// Checkpoints captured by functional execution, regenerations
+    /// included.
+    pub captured: u64,
+    /// Stored checkpoints that could not be used, by cause; each was
+    /// captured again and saved over the old file.
+    pub regenerated: StoreMisses,
+    /// Captured checkpoints the store could not save.
+    pub save_failures: u64,
+}
+
 /// In-memory checkpoint cache shared by one engine's workers, keyed by
 /// [`warm_digest`]. Each digest gets a `OnceLock`, so concurrent jobs that
 /// share a warm prefix block on one capture instead of racing to repeat
@@ -779,14 +792,28 @@ type WarmCell = Arc<OnceLock<Result<Arc<Checkpoint>, SimError>>>;
 pub struct WarmMemo {
     cells: Mutex<HashMap<u64, WarmCell>>,
     images: Mutex<HashMap<String, FlatMemory>>,
+    counts: Mutex<WarmCounts>,
 }
 
 impl WarmMemo {
+    /// Where this memo's checkpoints came from since it was made or its
+    /// counts were last reset.
+    pub fn counts(&self) -> WarmCounts {
+        *crate::sweep::lock_clean(&self.counts)
+    }
+
+    /// Zero the counts; the cached checkpoints stay.
+    pub(crate) fn reset_counts(&self) {
+        *crate::sweep::lock_clean(&self.counts) = WarmCounts::default();
+    }
+
+    fn tally(&self, f: impl FnOnce(&mut WarmCounts)) {
+        f(&mut crate::sweep::lock_clean(&self.counts));
+    }
+
     fn cell(&self, digest: u64) -> WarmCell {
-        // Poison recovery: the map is only ever inserted into under the
-        // lock, so a panic elsewhere in a worker leaves it structurally
-        // intact — take the inner value and keep serving (satellite
-        // bugfix; see `crate::sweep::lock_clean`).
+        // The map is only ever inserted into under the lock, so a
+        // poisoned lock still guards an intact map.
         Arc::clone(
             crate::sweep::lock_clean(&self.cells)
                 .entry(digest)
@@ -815,7 +842,8 @@ impl WarmMemo {
 /// the on-disk store, then captured by functional execution (and saved
 /// back to the store, best-effort). A checkpoint new to the memo shares
 /// its equal memory pages with the first image of its workload and
-/// warm-up length.
+/// warm-up length. [`WarmMemo::counts`] records which tier answered and
+/// why a stored checkpoint or a save failed.
 ///
 /// # Errors
 ///
@@ -833,21 +861,21 @@ pub fn warm_checkpoint(
             match s.load(digest) {
                 Ok(Some(mut ckpt)) => {
                     memo.share_image(&job.workload, job.budget.warmup, &mut ckpt.mem);
+                    memo.tally(|c| c.loaded += 1);
                     return Ok(Arc::new(ckpt));
                 }
                 Ok(None) => {}
-                Err(e) => {
-                    eprintln!("warning: checkpoint {digest:016x}: {e}; regenerating");
-                }
+                Err(e) => memo.tally(|c| c.regenerated.count(&e)),
             }
         }
         let mut ckpt = capture_checkpoint(&cfg, job.workload.programs(), job.budget.warmup)?;
+        memo.tally(|c| c.captured += 1);
         // Shared before saving, so the capture's duplicate pages are freed
         // before the store buffers the encoding.
         memo.share_image(&job.workload, job.budget.warmup, &mut ckpt.mem);
         if let Some(s) = store {
-            if let Err(e) = s.save(digest, &ckpt) {
-                eprintln!("warning: cannot save checkpoint {digest:016x}: {e}");
+            if s.save(digest, &ckpt).is_err() {
+                memo.tally(|c| c.save_failures += 1);
             }
         }
         Ok(Arc::new(ckpt))
@@ -1010,6 +1038,54 @@ mod tests {
         });
         let last = store.load(7).expect("load").expect("present");
         assert!(encodings.contains(&last.encode()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn warm_memo_counts_which_tier_answered_and_why_a_file_was_unusable() {
+        use crate::simulator::RunBudget;
+        let budget = RunBudget {
+            warmup: 2_000,
+            measure: 1_000,
+            max_cycles: 1_000_000,
+        };
+        let job = Job::new(
+            PipelineConfig::base(),
+            Workload::Single(Benchmark::Compress),
+            budget,
+        );
+        let dir = std::env::temp_dir().join(format!("llck-counts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open");
+        let warm = |memo: &WarmMemo| {
+            warm_checkpoint(&job, Some(&store), memo).expect("warm");
+            memo.counts()
+        };
+        let captured = WarmCounts {
+            captured: 1,
+            ..WarmCounts::default()
+        };
+        let memo = WarmMemo::default();
+        assert_eq!(warm(&memo), captured, "an empty store captures");
+        assert_eq!(warm(&memo), captured, "a memo hit counts nothing");
+        let loaded = WarmCounts {
+            loaded: 1,
+            ..WarmCounts::default()
+        };
+        assert_eq!(warm(&WarmMemo::default()), loaded);
+
+        let file = store.path(warm_digest(&job.config, &job.workload, 2_000));
+        let mut old = std::fs::read(&file).unwrap();
+        old[4..8].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
+        std::fs::write(&file, &old).unwrap();
+        let counts = warm(&WarmMemo::default());
+        assert_eq!((counts.captured, counts.regenerated.version_skew), (1, 1));
+        std::fs::write(&file, b"LLCK").unwrap();
+        let counts = warm(&WarmMemo::default());
+        assert_eq!((counts.captured, counts.regenerated.corrupt), (1, 1));
+        assert_eq!(warm(&WarmMemo::default()), loaded, "the file was rewritten");
+        memo.reset_counts();
+        assert_eq!(memo.counts(), WarmCounts::default());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -51,7 +51,7 @@ pub mod sweep;
 
 pub use checkpoint::{
     capture_checkpoint, restore_into, warm_digest, Checkpoint, CheckpointError, CheckpointStore,
-    FunctionalCursor, ThreadCheckpoint, WarmMemo, Warmer, CHECKPOINT_VERSION,
+    FunctionalCursor, ThreadCheckpoint, WarmCounts, WarmMemo, Warmer, CHECKPOINT_VERSION,
 };
 pub use sampling::{run_sampled, SampledRun, SamplingPlan};
 
@@ -60,10 +60,8 @@ pub use loops::{loop_for_component, loop_inventory, LoopInfo, LoopKind, Manageme
 pub use machines::{alpha21264_like, pentium4_like};
 pub use report::{CpiStackReport, CpiStackRow, FigureResult, Series};
 pub use simulator::{try_run_programs, RunBudget};
-pub use store::{atomic_write, ResultStore, RESULT_STORE_VERSION};
-pub use sweep::{
-    default_jobs, fnv1a64, jobs_from_env, parallel_map, ExecMode, Job, SweepEngine, SweepSummary,
-};
+pub use store::{atomic_write, ResultStore, StoreMisses, RESULT_STORE_VERSION};
+pub use sweep::{default_jobs, fnv1a64, parallel_map, ExecMode, Job, SweepEngine, SweepSummary};
 
 // Substrate re-exports.
 pub use looseloops_branch as branch;
@@ -73,6 +71,7 @@ pub use looseloops_pipeline as pipeline;
 pub use looseloops_regs as regs;
 pub use looseloops_workload as workload;
 
+pub use looseloops_pipeline::profile::StageReport;
 pub use looseloops_pipeline::{
     ConfigError, CpiComponent, DeadlockError, FaultKind, FaultPlan, InvariantKind,
     InvariantViolation, LoadSpecPolicy, LoopCostStack, Machine, PipelineConfig, PipelineSnapshot,

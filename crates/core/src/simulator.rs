@@ -7,6 +7,7 @@
 //! thousands of instructions, tests use thousands.
 
 use looseloops_isa::Program;
+use looseloops_pipeline::profile::StageReport;
 use looseloops_pipeline::{Machine, PipelineConfig, SimError, SimStats};
 
 /// Instruction/cycle budget for one run.
@@ -60,12 +61,27 @@ pub fn try_run_programs(
     programs: Vec<Program>,
     budget: RunBudget,
 ) -> Result<SimStats, SimError> {
+    run_profiled(cfg, programs, budget, false).map(|(stats, _)| stats)
+}
+
+/// [`try_run_programs`], also returning the machine's wall-clock stage
+/// profile over warm-up and measurement when `profile` asks for one.
+pub(crate) fn run_profiled(
+    cfg: &PipelineConfig,
+    programs: Vec<Program>,
+    budget: RunBudget,
+    profile: bool,
+) -> Result<(SimStats, Option<StageReport>), SimError> {
     let mut m = Machine::new(cfg.clone(), programs)?;
+    if profile {
+        m.enable_profile();
+    }
     if budget.warmup > 0 {
         m.run(budget.warmup, budget.max_cycles)?;
         m.reset_stats();
     }
-    Ok(m.run(budget.measure, budget.max_cycles)?.clone())
+    let stats = m.run(budget.measure, budget.max_cycles)?.clone();
+    Ok((stats, m.profile().copied()))
 }
 
 #[cfg(test)]

@@ -54,11 +54,9 @@ const SEC_LOOP: [u8; 4] = *b"LOOP";
 /// temporary, then rename into place.
 ///
 /// The temporary name carries the process id *and* a per-process atomic
-/// counter. The counter is the load-bearing part: two sweep workers in
-/// the same process storing under the same digest used to share one
-/// `.tmp.<pid>` file, so one worker's rename could publish the other's
-/// half-written bytes. Distinct temporaries make the final rename the
-/// only shared step, and rename is atomic.
+/// counter, so two workers of one process storing under one digest never
+/// share a temporary. The final rename is the only shared step, and
+/// rename is atomic.
 ///
 /// # Errors
 ///
@@ -215,6 +213,52 @@ pub fn decode_result(bytes: &[u8]) -> Result<(String, SimStats), CheckpointError
         return Err(CheckpointError::Truncated("CORE section"));
     }
     Ok((key, stats))
+}
+
+/// Entries of an on-disk store that were present but could not be used,
+/// by cause. Each one is a miss: the caller simulates or captures again
+/// and overwrites the entry with its own version.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreMisses {
+    /// Entries written by another format version.
+    pub version_skew: u64,
+    /// Entries that do not decode: bad magic, truncated, or impossible
+    /// values.
+    pub corrupt: u64,
+    /// Entries that could not be read.
+    pub io: u64,
+}
+
+impl StoreMisses {
+    /// Count one failed load under its cause.
+    pub fn count(&mut self, e: &CheckpointError) {
+        match e {
+            CheckpointError::BadVersion(_) => self.version_skew += 1,
+            CheckpointError::Io(_) => self.io += 1,
+            CheckpointError::BadMagic
+            | CheckpointError::Truncated(_)
+            | CheckpointError::Corrupt(_) => self.corrupt += 1,
+        }
+    }
+
+    /// All misses, whatever the cause.
+    pub fn total(&self) -> u64 {
+        self.version_skew + self.corrupt + self.io
+    }
+
+    /// The nonzero causes, e.g. `419 version skew, 1 corrupt`.
+    pub fn causes(&self) -> String {
+        [
+            (self.version_skew, "version skew"),
+            (self.corrupt, "corrupt"),
+            (self.io, "i/o"),
+        ]
+        .iter()
+        .filter(|(n, _)| *n > 0)
+        .map(|(n, cause)| format!("{n} {cause}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+    }
 }
 
 /// A directory of completed sweep results keyed by the FNV-64 digest of

@@ -3,8 +3,8 @@
 //! Every figure of the evaluation is a grid of *independent* deterministic
 //! simulations — `configs × workloads` at one [`RunBudget`]. The
 //! [`SweepEngine`] executes such grids on a worker pool sized from
-//! [`std::thread::available_parallelism`] (overridable with `--jobs` /
-//! `LOOSELOOPS_JOBS`) and memoizes every completed run in a cache keyed by
+//! [`std::thread::available_parallelism`] (overridable with `--jobs`)
+//! and memoizes every completed run in a cache keyed by
 //! a stable hash of `(config, workload, budget)`, so configurations shared
 //! between figures (the base machine appears in Figure 4, Figure 8 and
 //! three ablations) are simulated exactly once per process.
@@ -17,27 +17,31 @@
 //! The workspace is dependency-free and offline, so there is no rayon
 //! here: the pool is a hand-rolled job queue behind a `Mutex<VecDeque>`,
 //! drained by scoped threads.
+//!
+//! The engine reports by value: what its jobs did, which cache tier
+//! answered them, why a stored entry could not be used and, when asked,
+//! where host time went, all come back in one [`SweepSummary`]. It
+//! prints nothing.
 
-use crate::checkpoint::{CheckpointStore, WarmMemo};
+use crate::checkpoint::{CheckpointStore, WarmCounts, WarmMemo};
 use crate::experiments::Workload;
 use crate::sampling::SamplingPlan;
 use crate::simulator::RunBudget;
-use crate::store::ResultStore;
+use crate::store::{ResultStore, StoreMisses};
+use looseloops_pipeline::profile::StageReport;
 use looseloops_pipeline::{LoopCostStack, PipelineConfig, SimError, SimStats};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lock `m`, recovering from poisoning.
 ///
 /// The engine's mutexes guard plain accumulators (memo map, metrics)
-/// whose updates are plain `insert`s and additions, so
-/// a panic elsewhere in a worker can never leave them mid-mutation —
-/// taking the inner value after a poisoning is always safe. Before this
-/// helper, one panicked job permanently poisoned a shared engine and
-/// every later figure call died on
-/// `expect("sweep cache poisoned")` even though `try_run_jobs` promises
-/// failures don't sink the batch.
+/// whose updates are plain `insert`s and additions, so a panic elsewhere
+/// in a worker can never leave them mid-mutation — taking the inner value
+/// after a poisoning is always safe, and one panicked job cannot sink
+/// every later batch of a shared engine.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -134,10 +138,8 @@ impl Job {
         fnv1a64(self.key().as_bytes())
     }
 
-    /// Short human label: workload name plus the full key digest. (An
-    /// earlier version truncated the FNV digest to 32 bits, which made
-    /// distinct jobs collide in logs at sweep sizes the birthday bound
-    /// reaches easily; the label now carries all 64 bits.)
+    /// Short human label: workload name plus the full 64-bit key digest
+    /// (32 bits would collide at sweep sizes the birthday bound reaches).
     pub fn label(&self) -> String {
         format!("{}#{:016x}", self.workload.name(), self.key_hash())
     }
@@ -170,6 +172,16 @@ pub struct SweepSummary {
     /// Per-loop CPI stack merged over every successfully executed job —
     /// the engine-wide view of where retire slots went.
     pub stack: LoopCostStack,
+    /// Result-store entries that were present but unusable, by cause;
+    /// each job re-simulated and overwrote its entry.
+    pub store_misses: StoreMisses,
+    /// Finished runs the result store could not save.
+    pub store_save_failures: u64,
+    /// Where the warm-up checkpoints of sampled jobs came from.
+    pub checkpoints: WarmCounts,
+    /// Wall-clock stage profile summed over every executed job; `None`
+    /// unless the engine profiles ([`SweepEngine::enable_profile`]).
+    pub profile: Option<StageReport>,
 }
 
 impl SweepSummary {
@@ -179,22 +191,29 @@ impl SweepSummary {
         self.instructions as f64 / self.wall.as_secs_f64().max(1e-9) / 1e6
     }
 
-    /// One-line rendering for harness logs. Store hits and failures
-    /// appear only when there are any, so store-less clean runs read
-    /// exactly as before.
+    /// One-line rendering for harness logs. Store and checkpoint counts
+    /// and failures appear only when nonzero, so a clean detailed run
+    /// without a store reads `N jobs run, M cache hits, …`.
     pub fn line(&self) -> String {
-        let store = if self.store_hits > 0 {
-            format!(", {} store hits", self.store_hits)
-        } else {
-            String::new()
+        let mut counts = String::new();
+        let mut note = |n: u64, what: &str| {
+            if n > 0 {
+                let _ = write!(counts, ", {n} {what}");
+            }
         };
-        let failed = if self.jobs_failed > 0 {
-            format!(", {} FAILED", self.jobs_failed)
-        } else {
-            String::new()
-        };
+        let (misses, ckpt) = (&self.store_misses, &self.checkpoints);
+        let missed = format!("store misses ({})", misses.causes());
+        let regenerated = format!("checkpoints regenerated ({})", ckpt.regenerated.causes());
+        note(self.store_hits, "store hits");
+        note(misses.total(), &missed);
+        note(self.store_save_failures, "store saves failed");
+        note(ckpt.loaded, "checkpoints loaded");
+        note(ckpt.captured, "checkpoints captured");
+        note(ckpt.regenerated.total(), &regenerated);
+        note(ckpt.save_failures, "checkpoint saves failed");
+        note(self.jobs_failed, "FAILED");
         format!(
-            "{} jobs run, {} cache hits{store}{failed}, {:.1} sim-MIPS ({} workers, busy {:.2}s over {:.2}s wall)",
+            "{} jobs run, {} cache hits{counts}, {:.1} sim-MIPS ({} workers, busy {:.2}s over {:.2}s wall)",
             self.jobs_run,
             self.cache_hits,
             self.sim_mips(),
@@ -212,6 +231,9 @@ pub struct SweepEngine {
     ckpt_store: Option<CheckpointStore>,
     result_store: Option<ResultStore>,
     warm_memo: WarmMemo,
+    /// The empty, calibrated report each job's stage profile is added
+    /// into; `None` when the engine does not profile.
+    profile: Option<StageReport>,
     cache: Mutex<HashMap<String, Arc<SimStats>>>,
     /// Counters since construction or the last reset; locked once per
     /// finished job.
@@ -276,26 +298,6 @@ where
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Worker count from the `LOOSELOOPS_JOBS` environment variable, falling
-/// back to [`default_jobs`]. A malformed value is reported on stderr and
-/// ignored rather than silently treated as 1.
-pub fn jobs_from_env() -> usize {
-    match std::env::var("LOOSELOOPS_JOBS") {
-        Err(_) => default_jobs(),
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "warning: LOOSELOOPS_JOBS: cannot parse `{v}` as a positive integer; \
-                     using {} workers",
-                    default_jobs()
-                );
-                default_jobs()
-            }
-        },
-    }
-}
-
 impl SweepEngine {
     /// An engine with `workers` worker threads; `0` means "size from the
     /// machine" ([`default_jobs`]).
@@ -338,6 +340,7 @@ impl SweepEngine {
             ckpt_store,
             result_store,
             warm_memo: WarmMemo::default(),
+            profile: None,
             cache: Mutex::new(HashMap::new()),
             metrics: Mutex::new(SweepSummary {
                 workers,
@@ -346,19 +349,38 @@ impl SweepEngine {
         }
     }
 
+    /// Time the pipeline stages of every job this engine executes from
+    /// now on; [`SweepSummary::profile`] then carries their sum. Other
+    /// engines in the process are not affected.
+    pub fn enable_profile(&mut self) {
+        self.profile = Some(StageReport::default().calibrated());
+        lock_clean(&self.metrics).profile = self.profile;
+    }
+
     /// The worker-thread count.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Execute one job under the engine's mode.
-    fn execute(&self, job: &Job) -> Result<SimStats, SimError> {
+    /// Execute one job under the engine's mode, with its stage profile
+    /// when the engine profiles.
+    fn execute(&self, job: &Job) -> Result<(SimStats, Option<StageReport>), SimError> {
+        let profile = self.profile.is_some();
         match self.mode {
-            ExecMode::Detailed => job.workload.try_run(&job.config, job.budget),
-            ExecMode::Sampled(plan) => {
-                crate::sampling::run_sampled(job, plan, self.ckpt_store.as_ref(), &self.warm_memo)
-                    .map(|run| run.stats)
-            }
+            ExecMode::Detailed => crate::simulator::run_profiled(
+                &job.workload.config_for(&job.config),
+                job.workload.programs(),
+                job.budget,
+                profile,
+            ),
+            ExecMode::Sampled(plan) => crate::sampling::run_sampled(
+                job,
+                plan,
+                self.ckpt_store.as_ref(),
+                &self.warm_memo,
+                profile,
+            )
+            .map(|run| (run.stats, run.profile)),
         }
     }
 
@@ -404,7 +426,8 @@ impl SweepEngine {
                 // Second cache tier: the on-disk result store. A hit is a
                 // finished run — no simulation, no jobs_run/busy
                 // accounting (like the memo cache, the metrics track work,
-                // not requests). A corrupt or colliding entry is a miss.
+                // not requests). A colliding entry is a plain miss; an
+                // unusable one is counted by cause.
                 if let Some(store) = &self.result_store {
                     let digest = fnv1a64(key.as_bytes());
                     match store.load(digest, key) {
@@ -413,9 +436,7 @@ impl SweepEngine {
                             return Ok(Arc::new(stats));
                         }
                         Ok(None) => {}
-                        Err(e) => {
-                            eprintln!("warning: result store {}: {e}; re-simulating", job.label());
-                        }
+                        Err(e) => lock_clean(&self.metrics).store_misses.count(&e),
                     }
                 }
                 let t = Instant::now();
@@ -428,27 +449,29 @@ impl SweepEngine {
                             Err(SimError::Panicked(panic_message(&*payload)))
                         });
                 let busy = t.elapsed();
+                let saved = match (&result, &self.result_store) {
+                    (Ok((stats, _)), Some(store)) => {
+                        store.save(fnv1a64(key.as_bytes()), key, stats).is_ok()
+                    }
+                    _ => true,
+                };
                 {
                     let mut m = lock_clean(&self.metrics);
                     m.jobs_run += 1;
                     m.busy += busy;
+                    m.store_save_failures += u64::from(!saved);
                     match &result {
-                        Ok(stats) => {
+                        Ok((stats, report)) => {
                             m.instructions += job.budget.warmup + stats.total_retired();
                             m.stack.merge(&stats.loop_cost);
+                            if let (Some(total), Some(report)) = (&mut m.profile, report) {
+                                total.add(report);
+                            }
                         }
                         Err(_) => m.jobs_failed += 1,
                     }
                 }
-                if let Ok(stats) = &result {
-                    if let Some(store) = &self.result_store {
-                        let digest = fnv1a64(key.as_bytes());
-                        if let Err(e) = store.save(digest, key, stats) {
-                            eprintln!("warning: cannot save result {}: {e}", job.label());
-                        }
-                    }
-                }
-                result.map(Arc::new)
+                result.map(|(stats, _)| Arc::new(stats))
             });
             let mut cache = lock_clean(&self.cache);
             for (&i, result) in pending.iter().zip(results) {
@@ -527,7 +550,10 @@ impl SweepEngine {
 
     /// Counters since construction (or the last [`SweepEngine::reset_metrics`]).
     pub fn summary(&self) -> SweepSummary {
-        *lock_clean(&self.metrics)
+        SweepSummary {
+            checkpoints: self.warm_memo.counts(),
+            ..*lock_clean(&self.metrics)
+        }
     }
 
     /// Zero the counters. The memo cache is kept — metrics
@@ -535,8 +561,10 @@ impl SweepEngine {
     pub fn reset_metrics(&self) {
         *lock_clean(&self.metrics) = SweepSummary {
             workers: self.workers,
+            profile: self.profile,
             ..SweepSummary::default()
         };
+        self.warm_memo.reset_counts();
     }
 }
 
@@ -772,6 +800,100 @@ mod tests {
         warm.run_jobs(&jobs);
         assert_eq!(warm.summary().cache_hits, 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unusable_store_entries_are_counted_by_cause_and_rewritten() {
+        let dir = std::env::temp_dir().join(format!("llrs-misses-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::store::ResultStore::open(&dir).expect("open");
+        let jobs = [
+            job(Benchmark::Compress),
+            job(Benchmark::Swim),
+            job(Benchmark::Go),
+        ];
+        let engine = || SweepEngine::with_stores(2, ExecMode::Detailed, None, Some(store.clone()));
+        let reference = engine().run_jobs(&jobs);
+        let clean = engine();
+        clean.run_jobs(&jobs);
+        assert_eq!(clean.summary().store_misses, StoreMisses::default());
+
+        // An older format version, a torn file, and a directory in the
+        // entry's place (unreadable, and it cannot be saved over).
+        let path = |j: &Job| store.path(fnv1a64(j.key().as_bytes()));
+        let mut old = std::fs::read(path(&jobs[0])).unwrap();
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(path(&jobs[0]), old).unwrap();
+        std::fs::write(path(&jobs[1]), b"LLRS").unwrap();
+        std::fs::remove_file(path(&jobs[2])).unwrap();
+        std::fs::create_dir(path(&jobs[2])).unwrap();
+
+        let skewed = engine();
+        let out = skewed.run_jobs(&jobs);
+        let s = skewed.summary();
+        let misses = StoreMisses {
+            version_skew: 1,
+            corrupt: 1,
+            io: 1,
+        };
+        assert_eq!((s.jobs_run, s.store_hits, s.store_misses), (3, 0, misses));
+        assert_eq!(s.store_save_failures, 1);
+        let line = s.line();
+        assert!(
+            line.contains("3 store misses (1 version skew, 1 corrupt, 1 i/o)"),
+            "{line}"
+        );
+        assert!(line.contains("1 store saves failed"), "{line}");
+        for (a, b) in reference.iter().zip(&out) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+        // The two rewritten entries now load; the blocked one misses again.
+        let again = engine();
+        again.run_jobs(&jobs);
+        let s = again.summary();
+        assert_eq!((s.jobs_run, s.store_hits, s.store_misses.io), (1, 2, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_a_profiling_engine_reports_stage_times() {
+        let jobs = [job(Benchmark::Compress), job(Benchmark::Swim)];
+        let mut profiled = SweepEngine::new(2);
+        profiled.enable_profile();
+        let mut sampled =
+            SweepEngine::with_mode(1, ExecMode::Sampled(SamplingPlan::for_budget(tiny())), None);
+        sampled.enable_profile();
+        let plain = SweepEngine::new(2);
+        // All three at once: no report leaks from one engine to another.
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| profiled.run_jobs(&jobs));
+            let b = s.spawn(|| plain.run_jobs(&jobs));
+            s.spawn(|| sampled.run_jobs(&jobs));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(
+                format!("{x:?}"),
+                format!("{y:?}"),
+                "profiling moved a result"
+            );
+        }
+        assert!(plain.summary().profile.is_none());
+        for engine in [&profiled, &sampled] {
+            let report = engine
+                .summary()
+                .profile
+                .expect("the profiling engine reports");
+            assert!(report.stepped_cycles > 0 && report.sampled_cycles > 0);
+            assert!(report.total_ns() > 0);
+        }
+        // Cache hits add nothing, and a reset keeps the switch on.
+        let before = profiled.summary().profile;
+        profiled.run_jobs(&jobs);
+        assert_eq!(profiled.summary().profile, before);
+        profiled.reset_metrics();
+        let report = profiled.summary().profile.expect("still profiling");
+        assert_eq!(report.stepped_cycles, 0);
     }
 
     #[test]

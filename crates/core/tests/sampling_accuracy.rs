@@ -8,8 +8,8 @@
 
 use looseloops::checkpoint::{CheckpointStore, WarmMemo};
 use looseloops::{
-    run_sampled, Benchmark, ExecMode, Job, PipelineConfig, RunBudget, SamplingPlan, SweepEngine,
-    Workload,
+    run_sampled, try_run_programs, Benchmark, ExecMode, Job, PipelineConfig, RunBudget,
+    SamplingPlan, SweepEngine, Workload,
 };
 
 fn job(bench: Benchmark) -> Job {
@@ -33,7 +33,7 @@ fn sampled_cpi_tracks_detailed_cpi_within_ten_percent() {
         let d_cpi = 1.0 / detailed.ipc();
 
         let plan = SamplingPlan::for_budget(job.budget);
-        let run = run_sampled(&job, plan, None, &memo).expect("sampled run");
+        let run = run_sampled(&job, plan, None, &memo, false).expect("sampled run");
         let s_cpi = 1.0 / run.stats.ipc();
 
         let rel = (s_cpi - d_cpi).abs() / d_cpi;
@@ -73,7 +73,7 @@ fn fast_forward_preserves_steady_state_cpi() {
     let spec = format!("w=1,warm=0,detail={}", job.budget.measure);
     let plan = SamplingPlan::parse(&spec, job.budget).expect("one-window plan");
     assert_eq!(plan.skip, 0);
-    let ff = run_sampled(&job, plan, None, &WarmMemo::default())
+    let ff = run_sampled(&job, plan, None, &WarmMemo::default(), false)
         .expect("fast-forwarded run")
         .stats;
     let (d, f) = (1.0 / detailed.ipc(), 1.0 / ff.ipc());
@@ -82,6 +82,43 @@ fn fast_forward_preserves_steady_state_cpi() {
         "fast-forwarded CPI {f:.4} vs detailed {d:.4}"
     );
     assert_eq!(ff.total_retired(), detailed.total_retired());
+}
+
+#[test]
+fn one_window_plan_from_a_cold_start_is_the_detailed_run_exactly() {
+    // With no warm-up, the one-window plan restores a machine from the
+    // untouched functional state and runs the whole window in detail:
+    // an exact oracle for checkpoint restore, down to every counter.
+    let budget = RunBudget {
+        warmup: 0,
+        measure: 20_000,
+        max_cycles: 2_000_000,
+    };
+    let spec = format!("w=1,warm=0,detail={}", budget.measure);
+    let plan = SamplingPlan::parse(&spec, budget).expect("one-window plan");
+    let workloads = [
+        Workload::Single(Benchmark::Compress),
+        Workload::Single(Benchmark::Swim),
+        Workload::Pair(Benchmark::pairs()[0]),
+    ];
+    for cfg in [PipelineConfig::base(), PipelineConfig::dra_for_rf(5)] {
+        for workload in workloads {
+            let job = Job::new(cfg.clone(), workload, budget);
+            let detailed =
+                try_run_programs(&workload.config_for(&cfg), workload.programs(), budget)
+                    .expect("detailed run");
+            let restored = run_sampled(&job, plan, None, &WarmMemo::default(), false)
+                .expect("one-window run")
+                .stats;
+            assert_eq!(
+                format!("{restored:?}"),
+                format!("{detailed:?}"),
+                "{} on {:?}",
+                workload.name(),
+                cfg.scheme
+            );
+        }
+    }
 }
 
 #[test]
@@ -113,6 +150,8 @@ fn sampled_sweep_engine_reuses_one_checkpoint_across_depths() {
         .collect();
     let stats = engine.run_jobs(&jobs);
     assert_eq!(stats.len(), 3);
+    let counts = engine.summary().checkpoints;
+    assert_eq!((counts.captured, counts.loaded), (1, 0), "{counts:?}");
     let files = std::fs::read_dir(&dir)
         .expect("store dir")
         .filter_map(|e| e.ok())

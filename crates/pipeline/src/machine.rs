@@ -215,8 +215,8 @@ pub struct Machine {
     /// [`Machine::quiescent_until`], a false positive delays a skip by
     /// one stepped cycle — neither affects simulated results.
     pub(crate) progressed: bool,
-    /// Wall-clock per-stage accumulation, allocated only when the
-    /// process-global profiling switch was on at construction.
+    /// Wall-clock per-stage accumulation since
+    /// [`Machine::enable_profile`]; `None` (no timing at all) until then.
     pub(crate) profile: Option<Box<crate::profile::StageReport>>,
     pub(crate) frontend_stall_until: u64,
     /// Per-cluster count of slotted instructions still in DEC-IQ transit
@@ -339,7 +339,7 @@ impl Machine {
             gated_loads: vec![Vec::new(); cfg.threads],
             event_driven: true,
             progressed: true,
-            profile: crate::profile::enabled().then(Box::default),
+            profile: None,
             scratch: Scratch::default(),
             frontend_stall_until: 0,
             cluster_pressure: vec![0; cfg.clusters],
@@ -520,6 +520,19 @@ impl Machine {
     /// windows of up to a few hundred thousand cycles.
     pub fn enable_trace(&mut self) {
         self.tracer = Some(PipelineTracer::new());
+    }
+
+    /// Start timing this machine's pipeline stages (see
+    /// [`crate::profile`]); [`Machine::profile`] then reports every cycle
+    /// stepped from here on, across all later `run` calls.
+    pub fn enable_profile(&mut self) {
+        self.profile = Some(Box::default());
+    }
+
+    /// The stage profile since [`Machine::enable_profile`] (`None` when
+    /// profiling was never enabled).
+    pub fn profile(&self) -> Option<&crate::profile::StageReport> {
+        self.profile.as_deref()
     }
 
     /// Drain the Kanata trace recorded since `enable_trace` (empty string
@@ -778,12 +791,6 @@ impl Machine {
         self.structure_counts(&mut stats);
         stats.combine_counters(&self.stats_base, |now, base| now - base);
         self.stats = stats;
-        // Flush local profiling accumulation into the process-global report
-        // and reset, so repeated `run` calls never double-count.
-        if let Some(p) = &mut self.profile {
-            crate::profile::merge(p);
-            **p = crate::profile::StageReport::default();
-        }
     }
 
     /// Rewrite a register's wake-up schedule and bump its version so

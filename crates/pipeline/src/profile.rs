@@ -1,19 +1,19 @@
 //! Optional wall-clock stage profiling for the detailed engine.
 //!
-//! Enabled process-wide (`enable()`, surfaced as `--profile-stages` in the
-//! CLI) *before* machines are constructed: each [`crate::Machine`] then
-//! allocates a local [`StageReport`] and times the pipeline stages of a
-//! deterministic 1-in-[`SAMPLE_STRIDE`] subset of its stepped cycles,
-//! merging into the process-global totals when its stats are finalized.
-//! Reports scale the sampled times up to all stepped cycles. Sampling
-//! keeps the timer's own cost (reported as [`StageReport::timer_pair_ns`],
-//! measured when profiling is enabled) from inflating the run it measures.
+//! A machine is profiled only when its owner asks
+//! ([`crate::Machine::enable_profile`]): it then keeps a local
+//! [`StageReport`] and times the pipeline stages of a deterministic
+//! 1-in-[`SAMPLE_STRIDE`] subset of its stepped cycles. The owner reads
+//! the report back ([`crate::Machine::profile`]) and sums reports with
+//! [`StageReport::add`]; nothing is kept process-wide, so two owners in
+//! one process never see each other's numbers. Reports scale the sampled
+//! times up to all stepped cycles. Sampling keeps the timer's own cost
+//! (reported as [`StageReport::timer_pair_ns`], measured by
+//! [`StageReport::calibrated`]) from inflating the run it measures.
 //! Wall-clock numbers never enter `SimStats` — they are a measurement of
 //! the simulator, not of the simulated machine — so figure outputs are
 //! byte-identical with profiling on or off.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Stage labels, in `step_cycle` order (reverse pipeline order), plus the
@@ -79,7 +79,7 @@ impl Probe for Stopwatch {
 }
 
 /// Accumulated per-stage wall-clock time plus cycle accounting.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageReport {
     /// Nanoseconds measured in each stage over the sampled cycles, indexed
     /// like [`STAGE_NAMES`]; [`StageReport::scaled_stage_ns`] estimates
@@ -90,7 +90,8 @@ pub struct StageReport {
     /// Stepped cycles whose stages were timed.
     pub sampled_cycles: u64,
     /// Measured cost of one `Instant::now()` pair in ns (set by
-    /// [`take_report`]; each timed stage carries about one).
+    /// [`StageReport::calibrated`], 0 in a machine's own report; each
+    /// timed stage carries about one).
     pub timer_pair_ns: u64,
     /// Cycles elided by the quiescence skip.
     pub skipped_cycles: u64,
@@ -99,6 +100,20 @@ pub struct StageReport {
 }
 
 impl StageReport {
+    /// This report with this host's measured cost of one `Instant::now()`
+    /// pair filled in. An owner calibrates once, not per machine.
+    pub fn calibrated(self) -> StageReport {
+        const PAIRS: u32 = 10_000;
+        let start = Instant::now();
+        for _ in 0..PAIRS {
+            std::hint::black_box(Instant::now().elapsed());
+        }
+        StageReport {
+            timer_pair_ns: start.elapsed().as_nanos() as u64 / u64::from(PAIRS),
+            ..self
+        }
+    }
+
     /// Does the next stepped cycle fall on the sampling stride?
     #[inline]
     pub(crate) fn samples_next(&self) -> bool {
@@ -123,14 +138,28 @@ impl StageReport {
         self.scaled_stage_ns().iter().sum()
     }
 
-    fn add(&mut self, other: &StageReport) {
-        for (a, b) in self.stage_ns.iter_mut().zip(&other.stage_ns) {
-            *a += b;
+    /// Add `other`'s times and cycle counts into this report (which keeps
+    /// its own [`StageReport::timer_pair_ns`]).
+    pub fn add(&mut self, other: &StageReport) {
+        self.combine(other, |a, b| a + b);
+    }
+
+    /// What this report accumulated since it read `earlier`: the
+    /// difference of every time and count.
+    pub fn since(&self, earlier: &StageReport) -> StageReport {
+        let mut out = *self;
+        out.combine(earlier, |a, b| a - b);
+        out
+    }
+
+    fn combine(&mut self, other: &StageReport, f: impl Fn(u64, u64) -> u64) {
+        for (a, &b) in self.stage_ns.iter_mut().zip(&other.stage_ns) {
+            *a = f(*a, b);
         }
-        self.stepped_cycles += other.stepped_cycles;
-        self.sampled_cycles += other.sampled_cycles;
-        self.skipped_cycles += other.skipped_cycles;
-        self.skips += other.skips;
+        self.stepped_cycles = f(self.stepped_cycles, other.stepped_cycles);
+        self.sampled_cycles = f(self.sampled_cycles, other.sampled_cycles);
+        self.skipped_cycles = f(self.skipped_cycles, other.skipped_cycles);
+        self.skips = f(self.skips, other.skips);
     }
 
     /// One-line human-readable breakdown: stages sorted by cost, with
@@ -166,42 +195,6 @@ impl StageReport {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static TIMER_PAIR_NS: AtomicU64 = AtomicU64::new(0);
-static TOTALS: Mutex<Option<StageReport>> = Mutex::new(None);
-
-/// Turn stage profiling on for machines constructed from now on, and
-/// measure what one `Instant::now()` pair costs on this host.
-pub fn enable() {
-    const PAIRS: u32 = 10_000;
-    let start = Instant::now();
-    for _ in 0..PAIRS {
-        std::hint::black_box(Instant::now().elapsed());
-    }
-    let pair_ns = start.elapsed().as_nanos() as u64 / u64::from(PAIRS);
-    TIMER_PAIR_NS.store(pair_ns, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Is stage profiling on?
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Merge a machine-local report into the process-global totals.
-pub(crate) fn merge(local: &StageReport) {
-    let mut guard = TOTALS.lock().unwrap_or_else(|p| p.into_inner());
-    guard.get_or_insert_with(StageReport::default).add(local);
-}
-
-/// Drain the process-global totals accumulated since the last call
-/// (`None` when nothing was recorded — e.g. profiling is off).
-pub fn take_report() -> Option<StageReport> {
-    let mut rep = TOTALS.lock().unwrap_or_else(|p| p.into_inner()).take()?;
-    rep.timer_pair_ns = TIMER_PAIR_NS.load(Ordering::Relaxed);
-    Some(rep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +220,9 @@ mod tests {
         // Issue dominates, so it leads the sorted breakdown.
         assert!(line.contains("skipped 90 (3 jumps)"), "{line}");
         assert!(line.contains("issue=76.9%"), "{line}");
+        assert_eq!(b.since(&a).stepped_cycles, 0);
+        assert_eq!(b.since(&a).stage_ns[6], 300);
+        assert_eq!(b.since(&a).skips, 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! base 3_3 machine.
 //!
 //! The grids run on the [`SweepEngine`]: all `configs × workloads` points
-//! execute on a worker pool (`LOOSELOOPS_JOBS` or all cores), and the
+//! execute on a worker pool (all cores), and the
 //! 3_3 baseline both tables normalize against is simulated exactly once —
 //! the second sweep takes it from the engine's memo cache.
 //!
@@ -11,9 +11,7 @@
 //! cargo run --release --example pipeline_sweep [instructions]
 //! ```
 
-use looseloops_repro::core::{
-    jobs_from_env, Benchmark, PipelineConfig, RunBudget, SweepEngine, Workload,
-};
+use looseloops_repro::core::{Benchmark, PipelineConfig, RunBudget, SweepEngine, Workload};
 
 fn print_sweep(
     sweep: &SweepEngine,
@@ -60,7 +58,7 @@ fn main() {
         .into_iter()
         .map(Workload::Single)
         .collect();
-    let sweep = SweepEngine::new(jobs_from_env());
+    let sweep = SweepEngine::new(0);
 
     print_sweep(
         &sweep,

@@ -1,11 +1,9 @@
 //! Smoke tests for every figure harness: each experiment must produce a
 //! structurally valid result at a tiny budget, and the baseline rows must
-//! be exactly 1.0. The engine is sized from `LOOSELOOPS_JOBS`, so CI drives
-//! the parallel sweep path here.
+//! be exactly 1.0. The engine runs four workers, so the parallel sweep
+//! path runs here on any host.
 
-use looseloops_repro::core::{
-    jobs_from_env, FigureResult, FigureSpec, RunBudget, SweepEngine, Workload,
-};
+use looseloops_repro::core::{FigureResult, FigureSpec, RunBudget, SweepEngine, Workload};
 
 fn tiny() -> RunBudget {
     RunBudget {
@@ -18,7 +16,7 @@ fn tiny() -> RunBudget {
 fn run(id: &str, workloads: &[Workload]) -> FigureResult {
     FigureSpec::for_id(id, workloads, tiny())
         .expect("known figure id")
-        .run_on(&SweepEngine::new(jobs_from_env()))
+        .run_on(&SweepEngine::new(4))
 }
 
 fn check_speedup_figure(f: &FigureResult, series: usize, baseline_row: usize) {

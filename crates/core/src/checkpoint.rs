@@ -325,15 +325,15 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on bad magic, a newer version, truncation, or
-    /// structurally impossible values.
+    /// [`CheckpointError`] on bad magic, any version but
+    /// [`CHECKPOINT_VERSION`], truncation, or structurally impossible values.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         let mut r = Reader::new(bytes);
         if r.take(4, "magic")? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
         let version = r.u32("version")?;
-        if version > CHECKPOINT_VERSION {
+        if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
 
@@ -966,13 +966,15 @@ mod tests {
         for cut in [3, 7, 9, 40, bytes.len() / 2, bytes.len() - 1] {
             assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        // A future version is refused rather than misread.
-        let mut newer = bytes.clone();
-        newer[4..8].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            Checkpoint::decode(&newer).unwrap_err(),
-            CheckpointError::BadVersion(CHECKPOINT_VERSION + 1)
-        );
+        // A stale or future version is refused rather than misread.
+        for version in [0, CHECKPOINT_VERSION + 1] {
+            let mut other = bytes.clone();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                Checkpoint::decode(&other).unwrap_err(),
+                CheckpointError::BadVersion(version)
+            );
+        }
     }
 
     #[test]
@@ -1075,11 +1077,13 @@ mod tests {
         assert_eq!(warm(&WarmMemo::default()), loaded);
 
         let file = store.path(warm_digest(&job.config, &job.workload, 2_000));
-        let mut old = std::fs::read(&file).unwrap();
-        old[4..8].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
-        std::fs::write(&file, &old).unwrap();
-        let counts = warm(&WarmMemo::default());
-        assert_eq!((counts.captured, counts.regenerated.version_skew), (1, 1));
+        for version in [0, CHECKPOINT_VERSION + 1] {
+            let mut other = std::fs::read(&file).unwrap();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&file, &other).unwrap();
+            let counts = warm(&WarmMemo::default());
+            assert_eq!((counts.captured, counts.regenerated.version_skew), (1, 1));
+        }
         std::fs::write(&file, b"LLCK").unwrap();
         let counts = warm(&WarmMemo::default());
         assert_eq!((counts.captured, counts.regenerated.corrupt), (1, 1));

@@ -1,124 +1,178 @@
-//! Fast-forward equivalence gate: every corpus reproducer must reach the
-//! same architectural end state whether it is simulated in detail from
-//! cycle 0 or functionally fast-forwarded half-way and resumed in detail
-//! from a checkpoint.
+//! The master correctness property: whatever the timing configuration —
+//! pipeline depths, register scheme, load-speculation policy — the pipeline
+//! must retire *exactly* the instruction stream the functional interpreter
+//! produces, value for value. Every speculation and recovery path
+//! (branches, load shadows, operand misses, memory traps, TLB traps) is
+//! covered because the oracle check runs at every retirement.
 //!
-//! The corpus programs are shrunk adversarial cases — short, branchy, and
-//! historically good at exposing pipeline/oracle drift — which makes them
-//! a sharper probe of the checkpoint restore path than the benchmark
-//! proxies. The resumed machine runs with ISA verification on, so the
-//! post-resume retire stream is checked instruction-by-instruction, not
-//! just at the final state.
+//! Cases are drawn from a deterministic `looseloops-rng` seed schedule so
+//! failures reproduce exactly.
 
-use looseloops::checkpoint::{capture_checkpoint, restore_into, Checkpoint};
-use looseloops::Machine;
-use looseloops_fuzz::{corpus, FuzzCase};
-use std::path::{Path, PathBuf};
+use looseloops::workload::{synthetic, SyntheticParams};
+use looseloops::{LoadSpecPolicy, Machine, PipelineConfig};
+use looseloops_rng::Rng;
 
-fn corpus_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus")
-}
-
-#[test]
-fn corpus_cases_survive_fast_forward_then_detailed_resume() {
-    let entries = corpus::load_dir(&corpus_dir()).expect("corpus must load");
-    assert!(!entries.is_empty());
-    let mut resumed_cases = 0;
-    for entry in entries {
-        let case = &entry.case;
-
-        // Reference: fully detailed from cycle 0.
-        let mut reference = Machine::new(case.config.clone(), case.programs.clone())
-            .expect("corpus config must construct");
-        reference
-            .run(u64::MAX, case.max_cycles)
-            .unwrap_or_else(|e| panic!("`{}` detailed run failed: {e}", entry.name));
-        assert!(reference.is_done(), "`{}` did not halt", entry.name);
-        let total = reference.stats().total_retired();
-        if total < 4 {
-            continue; // nothing worth fast-forwarding over
-        }
-
-        // Fast-forward half the work functionally, resume in detail with
-        // the ISA oracle checking every post-resume retirement.
-        let ckpt = capture_checkpoint(&case.config, case.programs.clone(), total / 2)
-            .unwrap_or_else(|e| panic!("`{}` functional warm-up failed: {e}", entry.name));
-        let mut resumed = Machine::new(case.config.clone(), case.programs.clone()).unwrap();
-        restore_into(&mut resumed, &ckpt)
-            .unwrap_or_else(|e| panic!("`{}` restore failed: {e}", entry.name));
-        resumed.enable_verification();
-        resumed
-            .run(u64::MAX, case.max_cycles)
-            .unwrap_or_else(|e| panic!("`{}` resumed run diverged: {e}", entry.name));
-        assert!(resumed.is_done(), "`{}` resume did not halt", entry.name);
-
-        // The functional prefix plus the detailed suffix must cover the
-        // whole retire stream exactly once.
-        assert_eq!(
-            ckpt.instructions + resumed.stats().total_retired(),
-            total,
-            "`{}`: fast-forwarded {} + resumed {} != detailed {}",
-            entry.name,
-            ckpt.instructions,
-            resumed.stats().total_retired(),
-            total
-        );
-
-        // Final architectural state and memory must be bit-identical to
-        // the reference — checkpoints may not leak into architecture.
-        for t in 0..case.programs.len() {
-            let d = reference.arch_state(t).diff(&resumed.arch_state(t));
-            assert!(
-                d.is_empty(),
-                "`{}` thread {t} end-state drift: {}",
-                entry.name,
-                d.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            );
-        }
-        let md = reference.data_mem().diff(resumed.data_mem());
-        assert!(
-            md.is_empty(),
-            "`{}` memory drift: {}",
-            entry.name,
-            md.iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
-        resumed_cases += 1;
-    }
+fn run_verified(cfg: PipelineConfig, params: SyntheticParams, instructions: u64) {
+    let prog = synthetic(params);
+    let mut m = Machine::new(cfg, vec![prog]).expect("valid config");
+    m.enable_verification(); // panics on the first divergence
+    m.run(instructions, 4_000_000).expect("no deadlock");
     assert!(
-        resumed_cases >= 3,
-        "only {resumed_cases} corpus cases exercised the resume path"
+        m.stats().total_retired() >= instructions.min(1000),
+        "simulation made no progress"
     );
 }
 
+fn arb_params(rng: &mut Rng) -> SyntheticParams {
+    let branches = rng.gen_range(0u32..5);
+    let loads = rng.gen_range(0u32..4);
+    let stores = rng.gen_range(0u32..2);
+    let chain = rng.gen_range(0u32..8);
+    let body_len = rng
+        .gen_range(4u32..24)
+        .max(branches + loads + stores + chain + 1);
+    SyntheticParams {
+        seed: rng.gen_range(1u64..10_000),
+        body_len,
+        branches,
+        taken_bits: rng.gen_range(1u32..4),
+        loads,
+        stores,
+        footprint: *rng.choose(&[16u32 << 10, 64 << 10, 1 << 20]).unwrap(),
+        chain,
+        fp: rng.gen_bool(0.5),
+        base: 16 << 20,
+    }
+}
+
+/// Audited configuration: the per-cycle invariant auditor runs throughout
+/// every equivalence case, so any structural inconsistency a recovery path
+/// introduces fails the run even if the architectural results still match.
+fn audited(cfg: PipelineConfig) -> PipelineConfig {
+    PipelineConfig { audit: true, ..cfg }
+}
+
 #[test]
-fn checkpoints_round_trip_byte_identically_over_generated_programs() {
-    // Serialization property check: encode → decode → re-encode must be
-    // the identity on bytes. Driven by the corpus (shrunk adversarial
-    // cases) plus a band of freshly generated fuzz cases, so the format
-    // is exercised across varied predictors, policies, thread counts,
-    // and memory footprints.
-    let mut cases: Vec<(String, FuzzCase)> = corpus::load_dir(&corpus_dir())
-        .expect("corpus must load")
-        .into_iter()
-        .map(|e| (e.name, e.case))
-        .collect();
-    cases.extend((0..24u64).map(|seed| (format!("seed-{seed}"), FuzzCase::from_seed(seed, None))));
-    for (name, case) in cases {
-        let ckpt = capture_checkpoint(&case.config, case.programs.clone(), 64)
-            .unwrap_or_else(|e| panic!("`{name}` warm-up failed: {e}"));
-        let bytes = ckpt.encode();
-        let back =
-            Checkpoint::decode(&bytes).unwrap_or_else(|e| panic!("`{name}` decode failed: {e}"));
-        assert_eq!(
-            bytes,
-            back.encode(),
-            "`{name}`: checkpoint encoding is not a fixed point"
+fn base_machine_matches_interpreter() {
+    let mut rng = Rng::seed_from_u64(0xe91);
+    for _ in 0..12 {
+        run_verified(audited(PipelineConfig::base()), arb_params(&mut rng), 4_000);
+    }
+}
+
+#[test]
+fn dra_machine_matches_interpreter() {
+    let mut rng = Rng::seed_from_u64(0xe92);
+    for _ in 0..12 {
+        run_verified(
+            audited(PipelineConfig::dra_for_rf(5)),
+            arb_params(&mut rng),
+            4_000,
         );
+    }
+}
+
+#[test]
+fn every_load_policy_matches_interpreter() {
+    let mut rng = Rng::seed_from_u64(0xe93);
+    for policy in [
+        LoadSpecPolicy::Stall,
+        LoadSpecPolicy::ReissueTree,
+        LoadSpecPolicy::ReissueShadow,
+        LoadSpecPolicy::Refetch,
+    ] {
+        for _ in 0..3 {
+            let cfg = PipelineConfig {
+                load_policy: policy,
+                ..PipelineConfig::base()
+            };
+            run_verified(audited(cfg), arb_params(&mut rng), 3_000);
+        }
+    }
+}
+
+#[test]
+fn extreme_latency_splits_match_interpreter() {
+    let mut rng = Rng::seed_from_u64(0xe94);
+    for (dec, ex) in [(3, 9), (9, 3), (3, 3), (9, 9)] {
+        for _ in 0..3 {
+            run_verified(
+                audited(PipelineConfig::base_with_latencies(dec, ex)),
+                arb_params(&mut rng),
+                3_000,
+            );
+        }
+    }
+}
+
+#[test]
+fn every_benchmark_kernel_is_verified_on_base_and_dra() {
+    use looseloops::workload::Benchmark;
+    for b in Benchmark::all() {
+        for cfg in [PipelineConfig::base(), PipelineConfig::dra_for_rf(7)] {
+            let mut m = Machine::new(audited(cfg), vec![b.program()]).expect("valid config");
+            m.enable_verification();
+            m.run(6_000, 4_000_000).expect("no deadlock");
+            assert!(m.stats().total_retired() >= 6_000, "{b} stalled");
+        }
+    }
+}
+
+#[test]
+fn smt_pairs_are_verified() {
+    use looseloops::workload::Benchmark;
+    for pair in Benchmark::pairs() {
+        let mut m = Machine::new(audited(PipelineConfig::base().smt(2)), pair.programs())
+            .expect("valid config");
+        m.enable_verification();
+        m.run(8_000, 4_000_000).expect("no deadlock");
+        assert!(
+            m.stats().retired.iter().all(|&r| r > 0),
+            "{pair} starved a thread"
+        );
+    }
+}
+
+/// The differential-fuzz harness covers the complementary angle: the
+/// per-retire verifier above panics at the *first* divergent retirement,
+/// while `run_case` lets both sides run to halt and then compares the
+/// complete retire streams, the final architectural state (via the public
+/// `ArchState::diff`) and the final data memory. Structure-aware generated
+/// programs — nested loops, branch nests, aliased memory, dependence
+/// chains, barriers, calls — run across sampled configs of both schemes.
+#[test]
+fn generated_programs_match_the_oracle_end_to_end() {
+    for seed in 0..16u64 {
+        let case = looseloops_fuzz::FuzzCase::from_seed(seed, None);
+        let out = looseloops_fuzz::run_case(&case);
+        assert!(
+            out.finding.is_none(),
+            "{}: {}",
+            case.label(),
+            out.finding.unwrap()
+        );
+        assert!(out.retired > 0, "{}: retired nothing", case.label());
+    }
+}
+
+/// Two-thread SMT runs are oracle-exact too (threads use disjoint
+/// address regions).
+#[test]
+fn smt_synthetic_matches_interpreter() {
+    let mut rng = Rng::seed_from_u64(0xe95);
+    for _ in 0..6 {
+        let pa = synthetic(SyntheticParams {
+            base: 16 << 20,
+            ..arb_params(&mut rng)
+        });
+        let pb = synthetic(SyntheticParams {
+            base: 144 << 20,
+            ..arb_params(&mut rng)
+        });
+        let mut m = Machine::new(audited(PipelineConfig::base().smt(2)), vec![pa, pb])
+            .expect("valid config");
+        m.enable_verification();
+        m.run(6_000, 4_000_000).expect("no deadlock");
+        assert!(m.stats().retired.iter().all(|&r| r > 0));
     }
 }

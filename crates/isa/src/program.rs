@@ -80,9 +80,6 @@ pub enum ProgramError {
     TrailingBranch(Opcode),
 }
 
-/// Former name of [`ProgramError`], kept for existing callers.
-pub type BuildError = ProgramError;
-
 impl fmt::Display for ProgramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -395,7 +392,7 @@ mod tests {
         b.br("nowhere");
         assert_eq!(
             b.build().unwrap_err(),
-            BuildError::UndefinedLabel("nowhere".into())
+            ProgramError::UndefinedLabel("nowhere".into())
         );
     }
 
@@ -408,7 +405,7 @@ mod tests {
         b.halt();
         assert_eq!(
             b.build().unwrap_err(),
-            BuildError::DuplicateLabel("x".into())
+            ProgramError::DuplicateLabel("x".into())
         );
     }
 
@@ -482,7 +479,7 @@ mod tests {
         b.halt();
         assert_eq!(
             b.build().unwrap_err(),
-            BuildError::UndefinedLabel("nowhere".into())
+            ProgramError::UndefinedLabel("nowhere".into())
         );
     }
 

@@ -126,11 +126,6 @@ pub struct FaultSummary {
 }
 
 impl FaultSummary {
-    /// Total opportunities across all classes.
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled.iter().sum()
-    }
-
     /// Total fired faults across all classes.
     pub fn total_fired(&self) -> u64 {
         self.fired.iter().sum()

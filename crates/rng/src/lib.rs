@@ -55,11 +55,6 @@ impl Rng {
         result
     }
 
-    /// Next 32 raw bits (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `[0, n)`. `n` must be positive.
     ///
     /// Uses the widening-multiply reduction; the residual bias is on the

@@ -3,9 +3,9 @@
 use crate::args::{ArgError, Args};
 use crate::config::{budget_from_args, config_from_args, BUDGET_FLAGS, CONFIG_FLAGS};
 use looseloops::{
-    cpi_stack_report_on, loop_inventory, restore_into, run_sampled, warm_digest, CheckpointError,
-    CheckpointStore, ExecMode, FigureSpec, Job, Machine, ResultStore, RunBudget, SamplingPlan,
-    SimStats, StageReport, SweepEngine, WarmMemo, Workload,
+    fnv1a64, loop_inventory, restore_into, run_sampled, warm_key, CheckpointStore, ExecMode,
+    FigureKind, FigureSpec, Job, Machine, ResultStore, RunBudget, SamplingPlan, SimStats,
+    StageReport, StoreError, SweepEngine, WarmMemo, Workload,
 };
 use looseloops_workload::Benchmark;
 
@@ -107,20 +107,14 @@ fn mode_from_args(args: &Args, budget: RunBudget) -> Result<ExecMode, ArgError> 
 fn open_in_store_dir<S>(
     args: &Args,
     what: &str,
-    open: impl FnOnce(&str) -> Result<S, CheckpointError>,
+    open: impl FnOnce(&str) -> Result<S, StoreError>,
 ) -> Result<Option<S>, ArgError> {
     let Some(dir) = args.get("store-dir") else {
         return Ok(None);
     };
-    open(dir).map(Some).map_err(|e| {
-        let reason = match e {
-            CheckpointError::Io(msg) => msg,
-            other => other.to_string(),
-        };
-        ArgError(format!(
-            "--store-dir {dir}: cannot open the {what}: {reason}"
-        ))
-    })
+    open(dir)
+        .map(Some)
+        .map_err(|e| ArgError(format!("--store-dir {dir}: cannot open the {what}: {e}")))
 }
 
 /// The checkpoint store in `--store-dir`, if one was given.
@@ -412,16 +406,17 @@ fn loops_attribute(args: &Args) -> Result<(), ArgError> {
         cfg.dec_iq_stages,
         cfg.iq_ex_stages
     );
-    let configs = [(label, cfg.clone())];
-    let rep = cpi_stack_report_on(
-        &sweep,
-        "loops-attribute",
-        "Per-loop CPI attribution (components sum to CPI)",
-        &configs,
-        &workloads,
+    // Only the id, the grid and the budget reach the stacks.
+    let spec = FigureSpec {
+        id: "loops-attribute".into(),
+        title: String::new(),
+        paper_expectation: String::new(),
+        configs: vec![(label, cfg.clone())],
+        workloads,
         budget,
-    );
-    print!("{rep}");
+        kind: FigureKind::Speedup { baseline: 0 },
+    };
+    print!("{}", spec.render_stacks(&sweep.run_jobs(&spec.jobs())));
     println!("loops charged:");
     for l in loop_inventory(&cfg) {
         if let Some(c) = l.cpi_component() {
@@ -519,7 +514,8 @@ pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
     let store = checkpoint_store_from_args(args)?;
 
     let wcfg = workload.config_for(&cfg);
-    let digest = warm_digest(&wcfg, &workload, budget.warmup);
+    let key = warm_key(&wcfg, &workload, budget.warmup);
+    let digest = fnv1a64(key.as_bytes());
     // A stored checkpoint is loaded and left as it is; a missing or
     // unusable one is captured and saved, which replaces the file.
     let job = Job::new(cfg, workload, budget);
@@ -551,7 +547,7 @@ pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
             ""
         }
     );
-    let bytes = ckpt.encode().len();
+    let bytes = ckpt.encode(&key).len();
     match &store {
         Some(s) => println!("file       {} ({bytes} bytes)", s.path(digest).display()),
         None => println!("file       none, in memory only ({bytes} bytes)"),

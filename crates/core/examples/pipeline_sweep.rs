@@ -1,17 +1,19 @@
 //! A miniature of the paper's Figure 4/5 studies: sweep the DEC-IQ/IQ-EX
 //! latencies on a couple of workloads and print relative IPC against the
-//! base 3_3 machine.
+//! base 3_3 machine, then the per-loop CPI stacks behind each table.
 //!
-//! The grids run on the [`SweepEngine`]: all `configs × workloads` points
-//! execute on a worker pool (all cores), and the
-//! 3_3 baseline both tables normalize against is simulated exactly once —
-//! the second sweep takes it from the engine's memo cache.
+//! Each sweep is a [`FigureSpec`] whose jobs run on the [`SweepEngine`]:
+//! all `configs × workloads` points execute on a worker pool (all cores),
+//! and the 3_3 baseline both tables normalize against is simulated
+//! exactly once — the second sweep takes it from the engine's memo cache.
 //!
 //! ```text
 //! cargo run --release --example pipeline_sweep [instructions]
 //! ```
 
-use looseloops::{Benchmark, PipelineConfig, RunBudget, SweepEngine, Workload};
+use looseloops::{
+    Benchmark, FigureKind, FigureSpec, PipelineConfig, RunBudget, SweepEngine, Workload,
+};
 
 fn print_sweep(
     sweep: &SweepEngine,
@@ -29,19 +31,38 @@ fn print_sweep(
     // First config is the 3_3 base machine every table normalizes against;
     // the engine dedups it when it also appears in `latencies`, and the
     // second table gets it from the memo cache.
-    let configs: Vec<PipelineConfig> = std::iter::once((3, 3))
-        .chain(latencies)
-        .map(|(x, y)| PipelineConfig::base_with_latencies(x, y))
-        .collect();
-    let grid = sweep.run_grid(&configs, workloads, budget);
+    let spec = FigureSpec {
+        id: "pipeline-sweep".into(),
+        title: title.into(),
+        paper_expectation: String::new(),
+        configs: std::iter::once((3, 3))
+            .chain(latencies)
+            .map(|(x, y)| {
+                (
+                    format!("{x}_{y}"),
+                    PipelineConfig::base_with_latencies(x, y),
+                )
+            })
+            .collect(),
+        workloads: workloads.to_vec(),
+        budget,
+        kind: FigureKind::Speedup { baseline: 0 },
+    };
+    let results = sweep.run_jobs(&spec.jobs());
+    let speedups = spec.render(&results).series;
     for (w, workload) in workloads.iter().enumerate() {
-        let baseline = grid[0][w].ipc();
         let mut row = format!("{:>10}", workload.name());
-        for cfg_row in &grid[1..] {
-            row.push_str(&format!(" {:>8.3}", cfg_row[w].ipc() / baseline));
+        for series in &speedups[1..] {
+            row.push_str(&format!(" {:>8.3}", series.values[w]));
         }
         println!("{row}");
     }
+    // The stacks behind the table's columns, without the baseline row.
+    let columns = FigureSpec {
+        configs: spec.configs[1..].to_vec(),
+        ..spec
+    };
+    print!("{}", columns.render_stacks(&results[workloads.len()..]));
 }
 
 fn main() {

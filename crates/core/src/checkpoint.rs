@@ -31,7 +31,9 @@
 //! module.
 
 use crate::experiments::Workload;
-use crate::store::StoreMisses;
+use crate::store::{
+    decode_entry, encode_entry, push_u64, push_words, EntryDir, Reader, StoreError, StoreMisses,
+};
 use crate::sweep::{fnv1a64, Job};
 use looseloops_branch::{build_predictor, Btb, DirectionPredictor};
 use looseloops_isa::{fast_forward, ArchState, FlatMemory, Program, Reg, WarmHooks};
@@ -42,48 +44,13 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Current encoding version. Bumped when a section's payload layout
-/// changes incompatibly; unknown *sections* are skipped without a bump.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current layout version (2: the fixed layout, carrying the warm key).
+/// It is part of every [`warm_key`], so a checkpoint of another version
+/// is stored under another name and never opened.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// File magic: "LLCK" (Loose Loops ChecKpoint).
 const MAGIC: [u8; 4] = *b"LLCK";
-
-const SEC_META: [u8; 4] = *b"META";
-const SEC_THRD: [u8; 4] = *b"THRD";
-const SEC_MEMP: [u8; 4] = *b"MEMP";
-const SEC_HIER: [u8; 4] = *b"HIER";
-const SEC_PRED: [u8; 4] = *b"PRED";
-const SEC_BTBS: [u8; 4] = *b"BTBS";
-
-/// Why a checkpoint could not be loaded or stored.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// Filesystem failure (message carries the underlying error).
-    Io(String),
-    /// The file does not start with the `LLCK` magic.
-    BadMagic,
-    /// The file's format version is not one this binary reads.
-    BadVersion(u32),
-    /// The encoding ended mid-field (context names the field).
-    Truncated(&'static str),
-    /// A decoded value is structurally impossible.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o: {e}"),
-            CheckpointError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
-            CheckpointError::BadVersion(v) => write!(f, "unsupported format version {v}"),
-            CheckpointError::Truncated(what) => write!(f, "checkpoint truncated in {what}"),
-            CheckpointError::Corrupt(why) => write!(f, "checkpoint corrupt: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
 
 /// Architectural state of one hardware thread at the checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,30 +92,6 @@ pub struct Checkpoint {
 // Encoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append one `tag` + length-prefixed `payload` section.
-pub(crate) fn push_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
-    push_section_with(out, tag, |out| out.extend_from_slice(payload));
-}
-
-/// Append one `tag` + length-prefixed section whose payload `write`
-/// appends in place.
-fn push_section_with(out: &mut Vec<u8>, tag: [u8; 4], write: impl FnOnce(&mut Vec<u8>)) {
-    out.extend_from_slice(&tag);
-    let at = out.len();
-    push_u64(out, 0);
-    write(out);
-    let len = (out.len() - at - 8) as u64;
-    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
-}
-
 /// One cache's exported warm state: the LRU stamp counter plus
 /// `(tag, valid, last_use)` per line, in slot order.
 type CacheWarmState = (u64, Vec<(u64, bool, u64)>);
@@ -163,73 +106,13 @@ fn encode_cache(out: &mut Vec<u8>, state: &CacheWarmState) {
     }
 }
 
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(
-        &mut self,
-        n: usize,
-        what: &'static str,
-    ) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(CheckpointError::Truncated(what))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, CheckpointError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    /// A decoded element count, sanity-bounded by what the remaining bytes
-    /// could possibly hold (`min_elem_bytes` each) so a corrupt length
-    /// cannot drive an absurd allocation.
-    pub(crate) fn count(
-        &mut self,
-        min_elem_bytes: usize,
-        what: &'static str,
-    ) -> Result<usize, CheckpointError> {
-        let n = self.u64(what)?;
-        let fits = (self.buf.len() - self.pos) / min_elem_bytes.max(1);
-        if n as usize > fits {
-            return Err(CheckpointError::Corrupt(format!(
-                "{what}: count {n} exceeds remaining payload"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-}
-
-fn decode_cache(r: &mut Reader<'_>) -> Result<CacheWarmState, CheckpointError> {
+fn decode_cache(r: &mut Reader<'_>) -> Result<CacheWarmState, StoreError> {
     let stamp = r.u64("cache stamp")?;
     let n = r.count(17, "cache lines")?;
     let mut lines = Vec::with_capacity(n);
     for _ in 0..n {
         let tag = r.u64("cache tag")?;
-        let valid = r.u8("cache valid")? != 0;
+        let valid = r.bool("cache valid")?;
         let last_use = r.u64("cache last_use")?;
         lines.push((tag, valid, last_use));
     }
@@ -237,13 +120,14 @@ fn decode_cache(r: &mut Reader<'_>) -> Result<CacheWarmState, CheckpointError> {
 }
 
 impl Checkpoint {
-    /// Serialize to the on-disk format: magic, version, then
-    /// tag-length-payload sections. Readers skip sections they do not
-    /// recognize, so new sections can be added without a version bump.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize to the on-disk layout: magic, version, the warm `key`
+    /// it is stored under, then every field in a fixed order — the
+    /// instruction count, the threads, the memory pages, the cache and
+    /// TLB residency, the predictor words and the BTB entries.
+    pub fn encode(&self, key: &str) -> Vec<u8> {
         // Sized up front and written in place: a checkpoint can hold
-        // megabytes of pages, and per-section buffers grown by doubling
-        // would hold several copies of them while the store writes one.
+        // megabytes of pages, and a buffer grown by doubling would hold
+        // several copies of them while the store writes one.
         let cache_len = |c: &CacheWarmState| 16 + 17 * c.1.len();
         let threads: usize = self.threads.iter().map(|t| 25 + 8 * t.regs.len()).sum();
         let pages = self.mem.pages_touched() * (8 + 4096);
@@ -253,167 +137,112 @@ impl Checkpoint {
             + 16
             + 16 * self.hier.dtlb.1.len();
         let tables = 8 * self.predictor.len() + 16 * self.btb.len();
-        // Magic and version, six section headers, META, four counts
-        // (threads, pages, predictor words, BTB entries), then the rest.
-        let len = 8 + 6 * 12 + 8 + 4 * 8 + threads + pages + hier + tables;
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(&MAGIC);
-        push_u32(&mut out, CHECKPOINT_VERSION);
+        // The instruction count, four counts (threads, pages, predictor
+        // words, BTB entries), then the rest.
+        let len = 8 + 4 * 8 + threads + pages + hier + tables;
+        let out = encode_entry(MAGIC, CHECKPOINT_VERSION, key, len, |out| {
+            push_u64(out, self.instructions);
 
-        push_section_with(&mut out, SEC_META, |meta| {
-            push_u64(meta, self.instructions);
-        });
-
-        push_section_with(&mut out, SEC_THRD, |thrd| {
-            push_u64(thrd, self.threads.len() as u64);
+            push_u64(out, self.threads.len() as u64);
             for t in &self.threads {
-                push_u64(thrd, t.regs.len() as u64);
-                for &r in &t.regs {
-                    push_u64(thrd, r);
-                }
-                push_u64(thrd, t.pc);
-                push_u64(thrd, t.last_fetch_line);
-                thrd.push(u8::from(t.halted));
+                push_words(out, &t.regs);
+                push_u64(out, t.pc);
+                push_u64(out, t.last_fetch_line);
+                out.push(u8::from(t.halted));
             }
-        });
 
-        push_section_with(&mut out, SEC_MEMP, |memp| {
             // FlatMemory's page map has no iteration-order guarantee; sort
             // so the encoding (and thus every stored checkpoint file) is
             // byte-deterministic for identical state.
             let mut pages: Vec<(u64, &[u8; 4096])> = self.mem.pages().collect();
             pages.sort_unstable_by_key(|&(idx, _)| idx);
-            push_u64(memp, pages.len() as u64);
+            push_u64(out, pages.len() as u64);
             for (idx, bytes) in pages {
-                push_u64(memp, idx);
-                memp.extend_from_slice(&bytes[..]);
+                push_u64(out, idx);
+                out.extend_from_slice(&bytes[..]);
             }
-        });
 
-        push_section_with(&mut out, SEC_HIER, |hier| {
-            encode_cache(hier, &self.hier.l1i);
-            encode_cache(hier, &self.hier.l1d);
-            encode_cache(hier, &self.hier.l2);
-            push_u64(hier, self.hier.dtlb.0);
-            push_u64(hier, self.hier.dtlb.1.len() as u64);
+            encode_cache(out, &self.hier.l1i);
+            encode_cache(out, &self.hier.l1d);
+            encode_cache(out, &self.hier.l2);
+            push_u64(out, self.hier.dtlb.0);
+            push_u64(out, self.hier.dtlb.1.len() as u64);
             for &(page, stamp) in &self.hier.dtlb.1 {
-                push_u64(hier, page);
-                push_u64(hier, stamp);
+                push_u64(out, page);
+                push_u64(out, stamp);
             }
-        });
 
-        push_section_with(&mut out, SEC_PRED, |pred| {
-            push_u64(pred, self.predictor.len() as u64);
-            for &w in &self.predictor {
-                push_u64(pred, w);
-            }
-        });
+            push_words(out, &self.predictor);
 
-        push_section_with(&mut out, SEC_BTBS, |btbs| {
-            push_u64(btbs, self.btb.len() as u64);
+            push_u64(out, self.btb.len() as u64);
             for &(tag, target) in &self.btb {
-                push_u64(btbs, tag);
-                push_u64(btbs, target);
+                push_u64(out, tag);
+                push_u64(out, target);
             }
         });
-
-        debug_assert_eq!(out.len(), len, "encoded length estimate");
+        debug_assert_eq!(out.len(), 16 + key.len() + len, "encoded length estimate");
         out
     }
 
-    /// Parse the on-disk format.
+    /// Parse the on-disk layout, returning the warm key the checkpoint
+    /// was stored under and the checkpoint.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on bad magic, any version but
-    /// [`CHECKPOINT_VERSION`], truncation, or structurally impossible values.
-    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let mut r = Reader::new(bytes);
-        if r.take(4, "magic")? != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = r.u32("version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
+    /// [`StoreError`] on bad magic, any version but
+    /// [`CHECKPOINT_VERSION`], a short encoding, trailing bytes, or
+    /// structurally impossible values.
+    pub fn decode(bytes: &[u8]) -> Result<(String, Checkpoint), StoreError> {
+        decode_entry(bytes, MAGIC, CHECKPOINT_VERSION, |r| {
+            let instructions = r.u64("instructions")?;
 
-        let mut ckpt = Checkpoint {
-            instructions: 0,
-            threads: Vec::new(),
-            mem: FlatMemory::new(),
-            hier: HierarchyWarmState::default(),
-            predictor: Vec::new(),
-            btb: Vec::new(),
-        };
-
-        while !r.done() {
-            let tag: [u8; 4] = r.take(4, "section tag")?.try_into().unwrap();
-            let len = r.u64("section length")? as usize;
-            let payload = r.take(len, "section payload")?;
-            let mut s = Reader::new(payload);
-            match tag {
-                SEC_META => {
-                    ckpt.instructions = s.u64("instructions")?;
-                }
-                SEC_THRD => {
-                    let threads = s.count(25, "thread count")?;
-                    for _ in 0..threads {
-                        let nregs = s.count(8, "register count")?;
-                        let mut regs = Vec::with_capacity(nregs);
-                        for _ in 0..nregs {
-                            regs.push(s.u64("register")?);
-                        }
-                        let pc = s.u64("pc")?;
-                        let last_fetch_line = s.u64("last fetch line")?;
-                        let halted = s.u8("halted")? != 0;
-                        ckpt.threads.push(ThreadCheckpoint {
-                            regs,
-                            pc,
-                            last_fetch_line,
-                            halted,
-                        });
-                    }
-                }
-                SEC_MEMP => {
-                    let pages = s.count(8 + 4096, "page count")?;
-                    for _ in 0..pages {
-                        let idx = s.u64("page index")?;
-                        let bytes: &[u8; 4096] = s.take(4096, "page bytes")?.try_into().unwrap();
-                        ckpt.mem.install_page(idx, bytes);
-                    }
-                }
-                SEC_HIER => {
-                    ckpt.hier.l1i = decode_cache(&mut s)?;
-                    ckpt.hier.l1d = decode_cache(&mut s)?;
-                    ckpt.hier.l2 = decode_cache(&mut s)?;
-                    ckpt.hier.dtlb.0 = s.u64("dtlb stamp")?;
-                    let n = s.count(16, "dtlb entries")?;
-                    for _ in 0..n {
-                        let page = s.u64("dtlb page")?;
-                        let stamp = s.u64("dtlb entry stamp")?;
-                        ckpt.hier.dtlb.1.push((page, stamp));
-                    }
-                }
-                SEC_PRED => {
-                    let n = s.count(8, "predictor words")?;
-                    for _ in 0..n {
-                        ckpt.predictor.push(s.u64("predictor word")?);
-                    }
-                }
-                SEC_BTBS => {
-                    let n = s.count(16, "btb entries")?;
-                    for _ in 0..n {
-                        let tag = s.u64("btb tag")?;
-                        let target = s.u64("btb target")?;
-                        ckpt.btb.push((tag, target));
-                    }
-                }
-                // Forward compatibility: a section this binary does not
-                // know is skipped, not fatal.
-                _ => {}
+            let mut threads = Vec::new();
+            for _ in 0..r.count(25, "thread count")? {
+                threads.push(ThreadCheckpoint {
+                    regs: r.words("registers")?,
+                    pc: r.u64("pc")?,
+                    last_fetch_line: r.u64("last fetch line")?,
+                    halted: r.bool("halted")?,
+                });
             }
-        }
-        Ok(ckpt)
+
+            let mut mem = FlatMemory::new();
+            for _ in 0..r.count(8 + 4096, "page count")? {
+                let idx = r.u64("page index")?;
+                let bytes: &[u8; 4096] = r.take(4096, "page bytes")?.try_into().unwrap();
+                mem.install_page(idx, bytes);
+            }
+
+            let mut hier = HierarchyWarmState {
+                l1i: decode_cache(r)?,
+                l1d: decode_cache(r)?,
+                l2: decode_cache(r)?,
+                dtlb: (r.u64("dtlb stamp")?, Vec::new()),
+            };
+            for _ in 0..r.count(16, "dtlb entries")? {
+                let page = r.u64("dtlb page")?;
+                let stamp = r.u64("dtlb entry stamp")?;
+                hier.dtlb.1.push((page, stamp));
+            }
+
+            let predictor = r.words("predictor words")?;
+
+            let mut btb = Vec::new();
+            for _ in 0..r.count(16, "btb entries")? {
+                let tag = r.u64("btb tag")?;
+                let target = r.u64("btb target")?;
+                btb.push((tag, target));
+            }
+
+            Ok(Checkpoint {
+                instructions,
+                threads,
+                mem,
+                hier,
+                predictor,
+                btb,
+            })
+        })
     }
 }
 
@@ -421,12 +250,12 @@ impl Checkpoint {
 // On-disk store
 // ---------------------------------------------------------------------------
 
-/// A directory of checkpoints keyed by [`warm_digest`]. Saves are
-/// write-to-temporary-then-rename, so concurrent processes sharing a
-/// store never observe a half-written file.
+/// A directory of checkpoints (`*.llck` files) keyed by [`warm_digest`].
+/// Saves are atomic, so concurrent processes sharing a store never
+/// observe a half-written file.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    entries: EntryDir,
 }
 
 impl CheckpointStore {
@@ -434,60 +263,58 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the directory cannot be created.
-    pub fn open(dir: impl AsRef<Path>) -> Result<CheckpointStore, CheckpointError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| CheckpointError::Io(format!("create {}: {e}", dir.display())))?;
-        Ok(CheckpointStore { dir })
+    /// [`StoreError::Io`] when the directory cannot be created.
+    pub fn open(dir: impl AsRef<Path>) -> Result<CheckpointStore, StoreError> {
+        Ok(CheckpointStore {
+            entries: EntryDir::open(dir.as_ref(), "llck")?,
+        })
     }
 
     /// The file a digest maps to.
     pub fn path(&self, digest: u64) -> PathBuf {
-        self.dir.join(format!("{digest:016x}.llck"))
+        self.entries.path(digest)
     }
 
-    /// Load the checkpoint for `digest`; `Ok(None)` when none is stored.
+    /// Load the checkpoint stored under `digest`, verifying it was
+    /// stored for exactly the warm `key`. `Ok(None)` when none is stored
+    /// *or* the file belongs to another key.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on an unreadable or undecodable file (callers
+    /// [`StoreError`] on an unreadable or undecodable file (callers
     /// treat that as a miss and regenerate).
-    pub fn load(&self, digest: u64) -> Result<Option<Checkpoint>, CheckpointError> {
-        let path = self.path(digest);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(CheckpointError::Io(format!("read {}: {e}", path.display()))),
-        };
-        Checkpoint::decode(&bytes).map(Some)
+    pub fn load(&self, digest: u64, key: &str) -> Result<Option<Checkpoint>, StoreError> {
+        self.entries.load(digest, key, Checkpoint::decode)
     }
 
-    /// Store `ckpt` under `digest` (atomic replace).
+    /// Store `ckpt` under `digest` for the warm `key` (atomic replace).
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the temporary cannot be written or
+    /// [`StoreError::Io`] when the temporary cannot be written or
     /// renamed into place.
-    pub fn save(&self, digest: u64, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        let path = self.path(digest);
-        crate::store::atomic_write(&path, &ckpt.encode())
-            .map_err(|e| CheckpointError::Io(format!("write {}: {e}", path.display())))
+    pub fn save(&self, digest: u64, key: &str, ckpt: &Checkpoint) -> Result<(), StoreError> {
+        self.entries.save(digest, &ckpt.encode(key))
     }
 }
 
-/// Stable digest of everything the warm state after functional warm-up
-/// depends on: the encoding version, the memory-hierarchy / predictor /
-/// BTB configuration, the workload, and the warm-up length. Pipeline
-/// depths, queue sizes and register schemes deliberately do **not**
-/// participate — functional warm-up never consults them, which is exactly
-/// why one checkpoint serves every machine of a depth sweep.
-pub fn warm_digest(cfg: &PipelineConfig, workload: &Workload, warmup: u64) -> u64 {
-    let key = format!(
+/// Everything the warm state after functional warm-up depends on, as
+/// the string a checkpoint is stored under: the layout version, the
+/// memory-hierarchy / predictor / BTB configuration, the workload, and
+/// the warm-up length. Pipeline depths, queue sizes and register schemes
+/// deliberately do **not** participate — functional warm-up never
+/// consults them, which is exactly why one checkpoint serves every
+/// machine of a depth sweep.
+pub fn warm_key(cfg: &PipelineConfig, workload: &Workload, warmup: u64) -> String {
+    format!(
         "llck-v{CHECKPOINT_VERSION}|mem={:?}|pred={:?}|btb={}|{workload:?}|warmup={warmup}",
         cfg.mem, cfg.predictor, cfg.btb_entries
-    );
-    fnv1a64(key.as_bytes())
+    )
+}
+
+/// Stable digest of [`warm_key`]: the name of a checkpoint's file.
+pub fn warm_digest(cfg: &PipelineConfig, workload: &Workload, warmup: u64) -> u64 {
+    fnv1a64(warm_key(cfg, workload, warmup).as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -854,11 +681,12 @@ pub fn warm_checkpoint(
     memo: &WarmMemo,
 ) -> Result<Arc<Checkpoint>, SimError> {
     let cfg = job.workload.config_for(&job.config);
-    let digest = warm_digest(&cfg, &job.workload, job.budget.warmup);
+    let key = warm_key(&cfg, &job.workload, job.budget.warmup);
+    let digest = fnv1a64(key.as_bytes());
     let cell = memo.cell(digest);
     cell.get_or_init(|| {
         if let Some(s) = store {
-            match s.load(digest) {
+            match s.load(digest, &key) {
                 Ok(Some(mut ckpt)) => {
                     memo.share_image(&job.workload, job.budget.warmup, &mut ckpt.mem);
                     memo.tally(|c| c.loaded += 1);
@@ -874,7 +702,7 @@ pub fn warm_checkpoint(
         // before the store buffers the encoding.
         memo.share_image(&job.workload, job.budget.warmup, &mut ckpt.mem);
         if let Some(s) = store {
-            if s.save(digest, &ckpt).is_err() {
+            if s.save(digest, &key, &ckpt).is_err() {
                 memo.tally(|c| c.save_failures += 1);
             }
         }
@@ -883,70 +711,57 @@ pub fn warm_checkpoint(
     .clone()
 }
 
-/// Seeded corruptions of an `LLCK` or `LLRS` encoding, for decoder
-/// robustness tests. Even cases flip one to four bits anywhere; odd cases
-/// overwrite a section length, or the first word of a section payload
-/// (a count in most sections), with a boundary or random value.
-#[cfg(test)]
-pub(crate) fn mutants(bytes: &[u8], seed: u64, cases: usize) -> impl Iterator<Item = Vec<u8>> + '_ {
-    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-    let mut fields = Vec::new();
-    let mut pos = 8; // magic + version
-    while pos + 12 <= bytes.len() {
-        fields.push(pos + 4);
-        let len = word(bytes, pos + 4) as usize;
-        if len >= 8 {
-            fields.push(pos + 12);
-        }
-        pos += 12 + len;
-    }
-    let mut rng = looseloops_rng::Rng::seed_from_u64(seed);
-    (0..cases).map(move |case| {
-        let mut m = bytes.to_vec();
-        if case % 2 == 0 {
-            for _ in 0..=rng.bounded(3) {
-                let bit = rng.bounded(m.len() as u64 * 8);
-                m[(bit / 8) as usize] ^= 1 << (bit % 8);
-            }
-        } else {
-            let at = *rng.choose(&fields).expect("encoding has sections");
-            let old = word(&m, at);
-            let edges = [
-                0,
-                1,
-                old.wrapping_sub(1),
-                old.wrapping_add(1),
-                old.wrapping_mul(2),
-                u64::from(u32::MAX),
-                u64::MAX - 7,
-                u64::MAX,
-                rng.next_u64(),
-            ];
-            m[at..at + 8].copy_from_slice(&rng.choose(&edges).unwrap().to_le_bytes());
-        }
-        m
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use looseloops_workload::Benchmark;
+
+    /// The key the tests store checkpoints under.
+    const KEY: &str = "test warm key";
 
     fn ckpt_for(bench: Benchmark, warmup: u64) -> Checkpoint {
         let cfg = PipelineConfig::base();
         capture_checkpoint(&cfg, vec![bench.program()], warmup).expect("capture")
     }
 
+    /// A small checkpoint with every list non-empty: two threads, one
+    /// page, two lines per cache.
+    fn tiny_checkpoint() -> Checkpoint {
+        let mut mem = FlatMemory::new();
+        mem.install_page(3, &[0xa5; 4096]);
+        let cache = |stamp| (stamp, vec![(1, true, stamp), (2, false, 0)]);
+        Checkpoint {
+            instructions: 77,
+            threads: (0..2)
+                .map(|t| ThreadCheckpoint {
+                    regs: vec![t, 5, 9],
+                    pc: 40 + t,
+                    last_fetch_line: 8,
+                    halted: t == 1,
+                })
+                .collect(),
+            mem,
+            hier: HierarchyWarmState {
+                l1i: cache(3),
+                l1d: cache(4),
+                l2: cache(5),
+                dtlb: (6, vec![(7, 2)]),
+            },
+            predictor: vec![1, 2, 3],
+            btb: vec![(4, 44), (u64::MAX, 0)],
+        }
+    }
+
     #[test]
     fn encode_decode_round_trips() {
         let ckpt = ckpt_for(Benchmark::Compress, 5_000);
         assert_eq!(ckpt.instructions, 5_000);
-        let bytes = ckpt.encode();
-        let back = Checkpoint::decode(&bytes).expect("decode");
+        let bytes = ckpt.encode(KEY);
+        let (key, back) = Checkpoint::decode(&bytes).expect("decode");
+        assert_eq!(key, KEY);
         // FlatMemory has no PartialEq; byte-level equality of the
-        // re-encoding covers every section including memory pages.
-        assert_eq!(bytes, back.encode());
+        // re-encoding covers every field including memory pages.
+        assert_eq!(bytes, back.encode(KEY));
         assert_eq!(ckpt.threads, back.threads);
         assert_eq!(ckpt.hier, back.hier);
         assert_eq!(ckpt.predictor, back.predictor);
@@ -955,14 +770,13 @@ mod tests {
 
     #[test]
     fn corrupt_encodings_are_rejected_not_panicked() {
-        let bytes = ckpt_for(Benchmark::Go, 1_000).encode();
+        let bytes = ckpt_for(Benchmark::Go, 1_000).encode(KEY);
         assert_eq!(
             Checkpoint::decode(b"NOPE").unwrap_err(),
-            CheckpointError::BadMagic
+            StoreError::BadMagic
         );
-        // Truncation at every prefix length must yield an error, never a
-        // panic or a silently partial checkpoint that still decodes as
-        // complete.
+        // Truncation must yield an error, never a panic or a silently
+        // partial checkpoint that still decodes as complete.
         for cut in [3, 7, 9, 40, bytes.len() / 2, bytes.len() - 1] {
             assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -972,29 +786,42 @@ mod tests {
             other[4..8].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 Checkpoint::decode(&other).unwrap_err(),
-                CheckpointError::BadVersion(version)
+                StoreError::BadVersion(version)
             );
         }
+        // A flag byte other than 0 or 1 is corrupt, not `true`.
+        let tiny = tiny_checkpoint().encode(KEY);
+        let mut flag = tiny.clone();
+        let halted = 16 + KEY.len() + 8 + 8 + 8 + 3 * 8 + 8 + 8;
+        assert_eq!(flag[halted], 0, "thread 0 runs");
+        flag[halted] = 2;
+        assert!(matches!(
+            Checkpoint::decode(&flag),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn every_prefix_and_a_trailing_byte_are_typed_errors() {
+        let bytes = tiny_checkpoint().encode(KEY);
+        crate::store::assert_exact_length(&bytes, |b| Checkpoint::decode(b).map(drop));
     }
 
     #[test]
     fn mutated_encodings_decode_or_fail_typed_never_panic() {
-        let bytes = ckpt_for(Benchmark::Go, 1_000).encode();
-        for (case, m) in mutants(&bytes, 0x11c4, 300).enumerate() {
+        let bytes = ckpt_for(Benchmark::Go, 1_000).encode(KEY);
+        let counts = crate::store::count_fields(|| {
+            Checkpoint::decode(&bytes).expect("valid");
+        });
+        // The key length; threads and one thread's registers; pages;
+        // three caches' lines; dtlb, predictor and BTB entries.
+        assert_eq!(counts.len(), 10);
+        for (case, m) in crate::store::mutants(&bytes, &counts, 0x11c4, 300).enumerate() {
             // Any `Result` is acceptable; a panic fails the test.
-            let decoded = std::panic::catch_unwind(|| Checkpoint::decode(&m).map(|c| c.encode()));
+            let decoded =
+                std::panic::catch_unwind(|| Checkpoint::decode(&m).map(|(key, c)| c.encode(&key)));
             assert!(decoded.is_ok(), "case {case} panicked");
         }
-    }
-
-    #[test]
-    fn unknown_sections_are_skipped() {
-        let ckpt = ckpt_for(Benchmark::Compress, 500);
-        let mut bytes = ckpt.encode();
-        push_section(&mut bytes, *b"ZZZZ", &[1, 2, 3, 4]);
-        let back = Checkpoint::decode(&bytes).expect("unknown section skipped");
-        assert_eq!(back.threads, ckpt.threads);
-        assert_eq!(back.instructions, ckpt.instructions);
     }
 
     #[test]
@@ -1002,13 +829,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("llck-test-{}", std::process::id()));
         let store = CheckpointStore::open(&dir).expect("open");
         let ckpt = ckpt_for(Benchmark::Swim, 2_000);
-        assert!(store.load(42).expect("miss is not an error").is_none());
-        store.save(42, &ckpt).expect("save");
-        let back = store.load(42).expect("load").expect("present");
-        assert_eq!(back.encode(), ckpt.encode());
+        assert!(store.load(42, KEY).expect("miss is not an error").is_none());
+        store.save(42, KEY, &ckpt).expect("save");
+        let back = store.load(42, KEY).expect("load").expect("present");
+        assert_eq!(back.encode(KEY), ckpt.encode(KEY));
+        // A checkpoint stored for another key is a miss.
+        assert!(store.load(42, "another key").expect("no error").is_none());
         // A corrupt file surfaces as an error the caller regenerates from.
         std::fs::write(store.path(43), b"LLCKgarbage").unwrap();
-        assert!(store.load(43).is_err());
+        assert!(store.load(43, KEY).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1025,21 +854,22 @@ mod tests {
         let checkpoints: Vec<Checkpoint> = (1..=4)
             .map(|i| ckpt_for(Benchmark::Compress, i * 500))
             .collect();
-        let encodings: Vec<Vec<u8>> = checkpoints.iter().map(Checkpoint::encode).collect();
+        let encodings: Vec<Vec<u8>> = checkpoints.iter().map(|c| c.encode(KEY)).collect();
         std::thread::scope(|s| {
             for ckpt in &checkpoints {
                 s.spawn(|| {
                     for _ in 0..25 {
-                        store.save(7, ckpt).expect("save");
+                        store.save(7, KEY, ckpt).expect("save");
                         // Every concurrent load sees a complete entry.
-                        let seen = store.load(7).expect("never torn").expect("present");
-                        assert!(encodings.contains(&seen.encode()), "torn checkpoint");
+                        let seen = store.load(7, KEY).expect("never torn");
+                        let seen = seen.expect("present").encode(KEY);
+                        assert!(encodings.contains(&seen), "torn checkpoint");
                     }
                 });
             }
         });
-        let last = store.load(7).expect("load").expect("present");
-        assert!(encodings.contains(&last.encode()));
+        let last = store.load(7, KEY).expect("load").expect("present");
+        assert!(encodings.contains(&last.encode(KEY)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1076,7 +906,9 @@ mod tests {
         };
         assert_eq!(warm(&WarmMemo::default()), loaded);
 
-        let file = store.path(warm_digest(&job.config, &job.workload, 2_000));
+        let key = warm_key(&job.config, &job.workload, 2_000);
+        let file = store.path(fnv1a64(key.as_bytes()));
+        let stored = std::fs::read(&file).unwrap();
         for version in [0, CHECKPOINT_VERSION + 1] {
             let mut other = std::fs::read(&file).unwrap();
             other[4..8].copy_from_slice(&version.to_le_bytes());
@@ -1084,10 +916,29 @@ mod tests {
             let counts = warm(&WarmMemo::default());
             assert_eq!((counts.captured, counts.regenerated.version_skew), (1, 1));
         }
-        std::fs::write(&file, b"LLCK").unwrap();
-        let counts = warm(&WarmMemo::default());
-        assert_eq!((counts.captured, counts.regenerated.corrupt), (1, 1));
+        // Cut after the magic, and after the instruction count.
+        for cut in [4, 16 + key.len() + 8] {
+            std::fs::write(&file, &stored[..cut]).unwrap();
+            let counts = warm(&WarmMemo::default());
+            assert_eq!((counts.captured, counts.regenerated.corrupt), (1, 1));
+            assert_eq!(std::fs::read(&file).unwrap(), stored, "captured again");
+        }
         assert_eq!(warm(&WarmMemo::default()), loaded, "the file was rewritten");
+
+        // Another job's checkpoint under this job's name is a plain miss:
+        // captured again, never restored.
+        let other = Job::new(
+            PipelineConfig::base(),
+            Workload::Single(Benchmark::Swim),
+            budget,
+        );
+        warm_checkpoint(&other, Some(&store), &WarmMemo::default()).expect("warm");
+        let other_file = store.path(warm_digest(&other.config, &other.workload, 2_000));
+        std::fs::copy(other_file, &file).unwrap();
+        let fresh = WarmMemo::default();
+        let ckpt = warm_checkpoint(&job, Some(&store), &fresh).expect("warm");
+        assert_eq!(fresh.counts(), captured);
+        assert_eq!(ckpt.encode(&key), stored);
         memo.reset_counts();
         assert_eq!(memo.counts(), WarmCounts::default());
         std::fs::remove_dir_all(&dir).ok();
@@ -1171,6 +1022,9 @@ mod tests {
         let mut resumed = FunctionalCursor::from_checkpoint(&cfg, prog, &ckpt).expect("resume");
         resumed.advance(5_000).expect("tail");
         assert_eq!(resumed.executed(), 8_000);
-        assert_eq!(whole.checkpoint().encode(), resumed.checkpoint().encode());
+        assert_eq!(
+            whole.checkpoint().encode(KEY),
+            resumed.checkpoint().encode(KEY)
+        );
     }
 }

@@ -691,33 +691,6 @@ fn predictor_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
     )
 }
 
-/// Per-loop CPI stacks for a labeled config grid × workload set: one row
-/// per (config, workload) point, columns in [`CpiComponent::ALL`]
-/// (re-exported as `looseloops_pipeline::CpiComponent`) order. Every point
-/// is a memoized [`SweepEngine`] job, so generating the stacks for a
-/// figure that already ran is pure cache hits.
-pub fn cpi_stack_report_on(
-    sweep: &SweepEngine,
-    id: &str,
-    title: &str,
-    configs: &[(String, PipelineConfig)],
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> CpiStackReport {
-    let grid_configs: Vec<PipelineConfig> = configs.iter().map(|(_, c)| c.clone()).collect();
-    let grid = sweep.run_grid(&grid_configs, workloads, budget);
-    let mut rep = CpiStackReport::new(id, title);
-    for ((label, _), row) in configs.iter().zip(&grid) {
-        for (w, stats) in workloads.iter().zip(row) {
-            rep.rows.push(CpiStackRow::from_stats(
-                format!("{label}/{}", w.name()),
-                stats,
-            ));
-        }
-    }
-    rep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,17 +50,17 @@ pub mod store;
 pub mod sweep;
 
 pub use checkpoint::{
-    capture_checkpoint, restore_into, warm_digest, Checkpoint, CheckpointError, CheckpointStore,
+    capture_checkpoint, restore_into, warm_digest, warm_key, Checkpoint, CheckpointStore,
     FunctionalCursor, ThreadCheckpoint, WarmCounts, WarmMemo, Warmer, CHECKPOINT_VERSION,
 };
 pub use sampling::{run_sampled, SampledRun, SamplingPlan};
 
-pub use experiments::{cpi_stack_report_on, FigureKind, FigureSpec, Workload};
+pub use experiments::{FigureKind, FigureSpec, Workload};
 pub use loops::{loop_for_component, loop_inventory, LoopInfo, LoopKind, Management, Stage};
 pub use machines::{alpha21264_like, pentium4_like};
 pub use report::{CpiStackReport, CpiStackRow, FigureResult, Series};
 pub use simulator::{try_run_programs, RunBudget};
-pub use store::{atomic_write, ResultStore, StoreMisses, RESULT_STORE_VERSION};
+pub use store::{ResultStore, StoreError, StoreMisses, RESULT_STORE_VERSION};
 pub use sweep::{default_jobs, fnv1a64, parallel_map, ExecMode, Job, SweepEngine, SweepSummary};
 
 // Substrate re-exports.

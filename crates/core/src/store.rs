@@ -1,5 +1,6 @@
-//! On-disk content-addressed result store: a persistent second cache
-//! tier under the [`SweepEngine`](crate::sweep::SweepEngine).
+//! On-disk stores: the content-addressed result store, a persistent
+//! second cache tier under the [`SweepEngine`](crate::sweep::SweepEngine),
+//! and the fixed-layout entry format it shares with the checkpoint store.
 //!
 //! The sweep engine's in-memory memo dies with the process, so every
 //! consumer — CLI figures, the benchmark, CI, the fuzz harness —
@@ -7,48 +8,66 @@
 //! directory of completed runs keyed by the 64-bit FNV digest of the
 //! job's full memo key
 //! ([`Job::key_with_mode`](crate::sweep::Job::key_with_mode)): one file
-//! per result, versioned and self-describing in the same
-//! tag-length-section discipline as the `LLCK` checkpoint format, written
-//! via [`atomic_write`] so concurrent processes sharing one store never
-//! observe a torn entry.
+//! per result, written atomically so concurrent processes sharing one
+//! store never observe a torn entry.
 //!
-//! Collisions and corruption are both survivable by design: every entry
-//! carries the *full* key string it was stored under, and a load whose
-//! key does not match (a 64-bit digest collision) or whose payload does
-//! not decode is treated as a miss — the job simply re-simulates. The
-//! simulator is deterministic, so a stored result is byte-identical to a
-//! fresh run and figures built from the store match store-less figures
-//! exactly (`tests/sweep_determinism.rs` enforces this).
+//! Both stores (results here, warm-up checkpoints in
+//! [`CheckpointStore`](crate::checkpoint::CheckpointStore)) write one
+//! fixed layout: magic, version, the entry's full key, then every field
+//! in a fixed order. Every field is mandatory and the decoder reads to
+//! the exact length, so a short entry is [`StoreError::Truncated`] and
+//! trailing bytes are [`StoreError::Corrupt`]; nothing decodes as a
+//! default.
+//!
+//! Collisions and corruption are both survivable by design: a load whose
+//! stored key does not match (a 64-bit digest collision, or a file under
+//! the wrong name) or whose bytes do not decode is treated as a miss —
+//! the job simply re-simulates. The simulator is deterministic, so a
+//! stored result is byte-identical to a fresh run and figures built from
+//! the store match store-less figures exactly
+//! (`tests/sweep_determinism.rs` enforces this).
 
-use crate::checkpoint::{push_section, push_u32, push_u64, CheckpointError, Reader};
-use looseloops_pipeline::{LoopCostStack, SimStats};
+use looseloops_pipeline::SimStats;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Current result-entry encoding version. Bumped when a section's payload
-/// layout changes incompatibly (version 2: `CORE` became the
-/// [`SimStats::counters`] table and took in the old `MEMS` section);
-/// unknown *sections* are skipped without a bump. Any other version is
-/// refused, and the caller treats that as a miss and overwrites the entry
-/// with its own version.
-pub const RESULT_STORE_VERSION: u32 = 2;
+/// Current result-entry layout version (3: the fixed layout). Any other
+/// version is refused, and the caller treats that as a miss and
+/// overwrites the entry with its own version.
+pub const RESULT_STORE_VERSION: u32 = 3;
 
 /// File magic: "LLRS" (Loose Loops Result Store).
 const MAGIC: [u8; 4] = *b"LLRS";
 
-/// The full memo key string of the stored job (collision guard).
-const SEC_KEYS: [u8; 4] = *b"KEYS";
-/// Every [`SimStats::counters`] slot in table order, then the IQ means
-/// and peak.
-const SEC_CORE: [u8; 4] = *b"CORE";
-/// Per-thread retired-instruction counts.
-const SEC_RETD: [u8; 4] = *b"RETD";
-/// Operand-availability-gap histogram (Figure 6).
-const SEC_GAPH: [u8; 4] = *b"GAPH";
-/// Load-latency histogram.
-const SEC_LODH: [u8; 4] = *b"LODH";
-/// Per-loop CPI stack ([`LoopCostStack`]).
-const SEC_LOOP: [u8; 4] = *b"LOOP";
+/// Why a store entry could not be loaded or saved.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StoreError {
+    /// Filesystem failure (the message names the path and the error).
+    Io(String),
+    /// The entry does not start with its format's magic.
+    BadMagic,
+    /// The entry's format version is not one this binary reads.
+    BadVersion(u32),
+    /// The entry ended mid-field (context names the field).
+    Truncated(&'static str),
+    /// A decoded value is structurally impossible, or bytes follow the
+    /// last field.
+    Corrupt(String),
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreError::Io(e) => f.write_str(e),
+            StoreError::BadMagic => write!(f, "not a store entry (bad magic)"),
+            StoreError::BadVersion(v) => write!(f, "unsupported format version {v}"),
+            StoreError::Truncated(what) => write!(f, "entry truncated in {what}"),
+            StoreError::Corrupt(why) => write!(f, "entry corrupt: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for StoreError {}
 
 /// Write `bytes` to `path` atomically: write to a unique sibling
 /// temporary, then rename into place.
@@ -57,12 +76,7 @@ const SEC_LOOP: [u8; 4] = *b"LOOP";
 /// counter, so two workers of one process storing under one digest never
 /// share a temporary. The final rename is the only shared step, and
 /// rename is atomic.
-///
-/// # Errors
-///
-/// Any filesystem error from the write or the rename (the temporary is
-/// removed, best-effort, when the rename fails).
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
@@ -74,70 +88,217 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     })
 }
 
+/// One directory of entries named `{digest:016x}.{ext}`: the plumbing
+/// both stores share. Writes are atomic, so any number of processes (and
+/// threads within them) can share one directory and every read observes
+/// either nothing or a complete entry. The extensions keep the two
+/// stores apart in one directory, as the CLI's `--store-dir` does.
+#[derive(Debug, Clone)]
+pub(crate) struct EntryDir {
+    dir: PathBuf,
+    ext: &'static str,
+}
+
+impl EntryDir {
+    /// Open (creating if needed) the directory `dir`.
+    pub(crate) fn open(dir: &Path, ext: &'static str) -> Result<EntryDir, StoreError> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| StoreError::Io(format!("create {}: {e}", dir.display())))?;
+        Ok(EntryDir {
+            dir: dir.to_path_buf(),
+            ext,
+        })
+    }
+
+    /// The file a digest maps to.
+    pub(crate) fn path(&self, digest: u64) -> PathBuf {
+        self.dir.join(format!("{digest:016x}.{}", self.ext))
+    }
+
+    /// Decode the entry under `digest` with `decode`. `Ok(None)` when
+    /// nothing is stored there *or* the entry was stored for another key.
+    pub(crate) fn load<T>(
+        &self,
+        digest: u64,
+        key: &str,
+        decode: impl FnOnce(&[u8]) -> Result<(String, T), StoreError>,
+    ) -> Result<Option<T>, StoreError> {
+        let path = self.path(digest);
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(StoreError::Io(format!("read {}: {e}", path.display()))),
+        };
+        let (stored_key, value) = decode(&bytes)?;
+        Ok((stored_key == key).then_some(value))
+    }
+
+    /// Replace the entry under `digest` with `bytes` (atomic).
+    pub(crate) fn save(&self, digest: u64, bytes: &[u8]) -> Result<(), StoreError> {
+        let path = self.path(digest);
+        atomic_write(&path, bytes)
+            .map_err(|e| StoreError::Io(format!("write {}: {e}", path.display())))
+    }
+}
+
+fn push_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A count, then the words.
+pub(crate) fn push_words(out: &mut Vec<u8>, words: &[u64]) {
+    push_u64(out, words.len() as u64);
+    for &w in words {
+        push_u64(out, w);
+    }
+}
+
+/// One entry: magic, version, the key (length, then UTF-8 bytes), then
+/// whatever `fields` appends. `capacity` sizes the buffer up front.
+pub(crate) fn encode_entry(
+    magic: [u8; 4],
+    version: u32,
+    key: &str,
+    capacity: usize,
+    fields: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + key.len() + capacity);
+    out.extend_from_slice(&magic);
+    push_u32(&mut out, version);
+    push_u64(&mut out, key.len() as u64);
+    out.extend_from_slice(key.as_bytes());
+    fields(&mut out);
+    out
+}
+
+/// Parse an entry [`encode_entry`] wrote: check the magic and the
+/// version, read the key, let `fields` read every field, and require
+/// that nothing follows them.
+pub(crate) fn decode_entry<T>(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u32,
+    fields: impl FnOnce(&mut Reader<'_>) -> Result<T, StoreError>,
+) -> Result<(String, T), StoreError> {
+    let mut r = Reader { buf: bytes, pos: 0 };
+    if r.take(4, "magic")? != magic {
+        return Err(StoreError::BadMagic);
+    }
+    let found = r.u32("version")?;
+    if found != version {
+        return Err(StoreError::BadVersion(found));
+    }
+    let len = r.count(1, "key length")?;
+    let key = String::from_utf8(r.take(len, "key")?.to_vec())
+        .map_err(|_| StoreError::Corrupt("key is not UTF-8".into()))?;
+    let value = fields(&mut r)?;
+    match bytes.len() - r.pos {
+        0 => Ok((key, value)),
+        n => Err(StoreError::Corrupt(format!(
+            "{n} byte(s) after the last field"
+        ))),
+    }
+}
+
+/// A cursor over an entry's bytes; every read names its field, so a
+/// short entry reports where it ended.
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], StoreError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.buf.len())
+            .ok_or(StoreError::Truncated(what))?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    pub(crate) fn bool(&mut self, what: &'static str) -> Result<bool, StoreError> {
+        match self.take(1, what)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(StoreError::Corrupt(format!("{what}: {b} is not a flag"))),
+        }
+    }
+
+    fn u32(&mut self, what: &'static str) -> Result<u32, StoreError> {
+        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, StoreError> {
+        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+    }
+
+    /// A decoded element count, sanity-bounded by what the remaining bytes
+    /// could possibly hold (`min_elem_bytes` each) so a corrupt count
+    /// cannot drive an absurd allocation.
+    pub(crate) fn count(
+        &mut self,
+        min_elem_bytes: usize,
+        what: &'static str,
+    ) -> Result<usize, StoreError> {
+        #[cfg(test)]
+        COUNT_FIELDS.with(|f| f.borrow_mut().push(self.pos));
+        let n = self.u64(what)?;
+        let fits = (self.buf.len() - self.pos) / min_elem_bytes.max(1);
+        if n > fits as u64 {
+            return Err(StoreError::Corrupt(format!(
+                "{what}: count {n} exceeds the remaining bytes"
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    /// A count, then that many words ([`push_words`]).
+    pub(crate) fn words(&mut self, what: &'static str) -> Result<Vec<u64>, StoreError> {
+        let n = self.count(8, what)?;
+        let mut words = Vec::with_capacity(n);
+        for _ in 0..n {
+            words.push(self.u64(what)?);
+        }
+        Ok(words)
+    }
+}
+
 fn push_f64(out: &mut Vec<u8>, v: f64) {
     push_u64(out, v.to_bits());
 }
 
-fn push_counts(out: &mut Vec<u8>, values: &[u64]) {
-    push_u64(out, values.len() as u64);
-    for &v in values {
-        push_u64(out, v);
-    }
-}
-
-fn read_counts(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<u64>, CheckpointError> {
-    let n = r.count(8, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u64(what)?);
-    }
-    Ok(out)
-}
-
-/// Serialize one completed run: magic, version, then tag-length-payload
-/// sections ([`SimStats`] counters, histograms, the [`LoopCostStack`])
-/// prefixed by the full memo key. Readers skip unknown sections, so new
-/// sections can be added without a version bump.
+/// Serialize one completed run in the fixed layout: the full memo key,
+/// every [`SimStats::counters`] slot in table order, the IQ means and
+/// peak, the per-thread retired counts, the operand-gap and load-latency
+/// histograms, then the
+/// [`LoopCostStack`](looseloops_pipeline::LoopCostStack).
 pub fn encode_result(key: &str, stats: &SimStats) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    push_u32(&mut out, RESULT_STORE_VERSION);
-
-    push_section(&mut out, SEC_KEYS, key.as_bytes());
-
-    let mut core = Vec::new();
-    for (_, slots) in stats.counters() {
-        for &v in slots {
-            push_u64(&mut core, v);
+    encode_entry(MAGIC, RESULT_STORE_VERSION, key, 0, |out| {
+        for (_, slots) in stats.counters() {
+            for &v in slots {
+                push_u64(out, v);
+            }
         }
-    }
-    push_f64(&mut core, stats.iq_occupancy_mean);
-    push_f64(&mut core, stats.iq_post_issue_mean);
-    push_u64(&mut core, stats.iq_peak as u64);
-    push_section(&mut out, SEC_CORE, &core);
-
-    let mut retd = Vec::new();
-    push_counts(&mut retd, &stats.retired);
-    push_section(&mut out, SEC_RETD, &retd);
-
-    let mut gaph = Vec::new();
-    push_counts(&mut gaph, &stats.operand_gap_hist);
-    push_section(&mut out, SEC_GAPH, &gaph);
-
-    let mut lodh = Vec::new();
-    push_counts(&mut lodh, &stats.load_latency_hist);
-    push_section(&mut out, SEC_LODH, &lodh);
-
-    let mut lp = Vec::new();
-    push_u64(&mut lp, stats.loop_cost.width);
-    push_u64(&mut lp, stats.loop_cost.cycles);
-    push_u64(&mut lp, stats.loop_cost.used);
-    for &v in &stats.loop_cost.lost {
-        push_u64(&mut lp, v);
-    }
-    push_section(&mut out, SEC_LOOP, &lp);
-
-    out
+        push_f64(out, stats.iq_occupancy_mean);
+        push_f64(out, stats.iq_post_issue_mean);
+        push_u64(out, stats.iq_peak as u64);
+        push_words(out, &stats.retired);
+        push_words(out, &stats.operand_gap_hist);
+        push_words(out, &stats.load_latency_hist);
+        push_u64(out, stats.loop_cost.width);
+        push_u64(out, stats.loop_cost.cycles);
+        push_u64(out, stats.loop_cost.used);
+        for &v in &stats.loop_cost.lost {
+            push_u64(out, v);
+        }
+    })
 }
 
 /// Parse a stored result, returning the key it was stored under and the
@@ -145,74 +306,30 @@ pub fn encode_result(key: &str, stats: &SimStats) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`CheckpointError`] on bad magic, any version but
-/// [`RESULT_STORE_VERSION`], truncation, or structurally impossible values
-/// (a missing mandatory section is [`CheckpointError::Truncated`]).
-pub fn decode_result(bytes: &[u8]) -> Result<(String, SimStats), CheckpointError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4, "magic")? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = r.u32("version")?;
-    if version != RESULT_STORE_VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-
-    let mut key: Option<String> = None;
-    let mut stats = SimStats::default();
-    let mut saw_core = false;
-    while !r.done() {
-        let tag: [u8; 4] = r.take(4, "section tag")?.try_into().unwrap();
-        let len = r.u64("section length")? as usize;
-        let payload = r.take(len, "section payload")?;
-        let mut s = Reader::new(payload);
-        match tag {
-            SEC_KEYS => {
-                key = Some(
-                    String::from_utf8(payload.to_vec())
-                        .map_err(|_| CheckpointError::Corrupt("key is not UTF-8".into()))?,
-                );
+/// [`StoreError`] on bad magic, any version but [`RESULT_STORE_VERSION`],
+/// a short entry, trailing bytes, or structurally impossible values.
+pub fn decode_result(bytes: &[u8]) -> Result<(String, SimStats), StoreError> {
+    decode_entry(bytes, MAGIC, RESULT_STORE_VERSION, |r| {
+        let mut stats = SimStats::default();
+        for (name, slots) in stats.counters_mut() {
+            for v in slots {
+                *v = r.u64(name)?;
             }
-            SEC_CORE => {
-                for (name, slots) in stats.counters_mut() {
-                    for v in slots {
-                        *v = s.u64(name)?;
-                    }
-                }
-                stats.iq_occupancy_mean = f64::from_bits(s.u64("iq_occupancy_mean")?);
-                stats.iq_post_issue_mean = f64::from_bits(s.u64("iq_post_issue_mean")?);
-                stats.iq_peak = s.u64("iq_peak")? as usize;
-                if !s.done() {
-                    return Err(CheckpointError::Corrupt(
-                        "CORE section is longer than the counter table".into(),
-                    ));
-                }
-                saw_core = true;
-            }
-            SEC_RETD => stats.retired = read_counts(&mut s, "retired")?,
-            SEC_GAPH => stats.operand_gap_hist = read_counts(&mut s, "gap histogram")?,
-            SEC_LODH => stats.load_latency_hist = read_counts(&mut s, "load-latency histogram")?,
-            SEC_LOOP => {
-                let mut lc = LoopCostStack {
-                    width: s.u64("loop width")?,
-                    cycles: s.u64("loop cycles")?,
-                    used: s.u64("loop used")?,
-                    ..LoopCostStack::default()
-                };
-                for v in &mut lc.lost {
-                    *v = s.u64("loop lost")?;
-                }
-                stats.loop_cost = lc;
-            }
-            // Forward compatibility: unknown sections are skipped.
-            _ => {}
         }
-    }
-    let key = key.ok_or(CheckpointError::Truncated("KEYS section"))?;
-    if !saw_core {
-        return Err(CheckpointError::Truncated("CORE section"));
-    }
-    Ok((key, stats))
+        stats.iq_occupancy_mean = f64::from_bits(r.u64("iq_occupancy_mean")?);
+        stats.iq_post_issue_mean = f64::from_bits(r.u64("iq_post_issue_mean")?);
+        stats.iq_peak = r.u64("iq_peak")? as usize;
+        stats.retired = r.words("retired")?;
+        stats.operand_gap_hist = r.words("gap histogram")?;
+        stats.load_latency_hist = r.words("load-latency histogram")?;
+        stats.loop_cost.width = r.u64("loop width")?;
+        stats.loop_cost.cycles = r.u64("loop cycles")?;
+        stats.loop_cost.used = r.u64("loop used")?;
+        for v in &mut stats.loop_cost.lost {
+            *v = r.u64("loop lost")?;
+        }
+        Ok(stats)
+    })
 }
 
 /// Entries of an on-disk store that were present but could not be used,
@@ -222,8 +339,8 @@ pub fn decode_result(bytes: &[u8]) -> Result<(String, SimStats), CheckpointError
 pub struct StoreMisses {
     /// Entries written by another format version.
     pub version_skew: u64,
-    /// Entries that do not decode: bad magic, truncated, or impossible
-    /// values.
+    /// Entries that do not decode: bad magic, short, trailing bytes, or
+    /// impossible values.
     pub corrupt: u64,
     /// Entries that could not be read.
     pub io: u64,
@@ -231,13 +348,13 @@ pub struct StoreMisses {
 
 impl StoreMisses {
     /// Count one failed load under its cause.
-    pub fn count(&mut self, e: &CheckpointError) {
+    pub fn count(&mut self, e: &StoreError) {
         match e {
-            CheckpointError::BadVersion(_) => self.version_skew += 1,
-            CheckpointError::Io(_) => self.io += 1,
-            CheckpointError::BadMagic
-            | CheckpointError::Truncated(_)
-            | CheckpointError::Corrupt(_) => self.corrupt += 1,
+            StoreError::BadVersion(_) => self.version_skew += 1,
+            StoreError::Io(_) => self.io += 1,
+            StoreError::BadMagic | StoreError::Truncated(_) | StoreError::Corrupt(_) => {
+                self.corrupt += 1;
+            }
         }
     }
 
@@ -261,16 +378,15 @@ impl StoreMisses {
     }
 }
 
-/// A directory of completed sweep results keyed by the FNV-64 digest of
-/// the job's full memo key. Saves go through [`atomic_write`], so any
-/// number of processes (and threads within them) can share one store;
-/// every load observes either nothing or a complete entry. Entries are
-/// `*.llrs` files, so one directory can also hold a
+/// A directory of completed sweep results (`*.llrs` files) keyed by the
+/// FNV-64 digest of the job's full memo key. Saves are atomic, so any
+/// number of processes (and threads within them) can share one store.
+/// One directory can also hold a
 /// [`CheckpointStore`](crate::checkpoint::CheckpointStore)'s `*.llck`
 /// files, as the CLI's `--store-dir` does.
 #[derive(Debug, Clone)]
 pub struct ResultStore {
-    dir: PathBuf,
+    entries: EntryDir,
 }
 
 impl ResultStore {
@@ -278,17 +394,16 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the directory cannot be created.
-    pub fn open(dir: impl AsRef<Path>) -> Result<ResultStore, CheckpointError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| CheckpointError::Io(format!("create {}: {e}", dir.display())))?;
-        Ok(ResultStore { dir })
+    /// [`StoreError::Io`] when the directory cannot be created.
+    pub fn open(dir: impl AsRef<Path>) -> Result<ResultStore, StoreError> {
+        Ok(ResultStore {
+            entries: EntryDir::open(dir.as_ref(), "llrs")?,
+        })
     }
 
     /// The file a digest maps to.
     pub fn path(&self, digest: u64) -> PathBuf {
-        self.dir.join(format!("{digest:016x}.llrs"))
+        self.entries.path(digest)
     }
 
     /// Load the result stored under `digest`, verifying it was stored for
@@ -298,33 +413,96 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on an unreadable or undecodable file (callers
+    /// [`StoreError`] on an unreadable or undecodable file (callers
     /// treat that as a miss and re-simulate).
-    pub fn load(&self, digest: u64, key: &str) -> Result<Option<SimStats>, CheckpointError> {
-        let path = self.path(digest);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(CheckpointError::Io(format!("read {}: {e}", path.display()))),
-        };
-        let (stored_key, stats) = decode_result(&bytes)?;
-        if stored_key != key {
-            return Ok(None);
-        }
-        Ok(Some(stats))
+    pub fn load(&self, digest: u64, key: &str) -> Result<Option<SimStats>, StoreError> {
+        self.entries.load(digest, key, decode_result)
     }
 
     /// Store `stats` under `digest` for `key` (atomic replace).
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the temporary cannot be written or
+    /// [`StoreError::Io`] when the temporary cannot be written or
     /// renamed into place.
-    pub fn save(&self, digest: u64, key: &str, stats: &SimStats) -> Result<(), CheckpointError> {
-        let path = self.path(digest);
-        atomic_write(&path, &encode_result(key, stats))
-            .map_err(|e| CheckpointError::Io(format!("write {}: {e}", path.display())))
+    pub fn save(&self, digest: u64, key: &str, stats: &SimStats) -> Result<(), StoreError> {
+        self.entries.save(digest, &encode_result(key, stats))
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Offsets of the count fields [`Reader::count`] read on this thread.
+    static COUNT_FIELDS: std::cell::RefCell<Vec<usize>> = const {
+        std::cell::RefCell::new(Vec::new())
+    };
+}
+
+/// Offsets of every count field (the key length, array and vector
+/// lengths) that `decode` reads from a valid encoding.
+#[cfg(test)]
+pub(crate) fn count_fields(decode: impl FnOnce()) -> Vec<usize> {
+    COUNT_FIELDS.with(|f| f.borrow_mut().clear());
+    decode();
+    COUNT_FIELDS.with(|f| f.take())
+}
+
+/// Seeded corruptions of an `LLCK` or `LLRS` encoding, for decoder
+/// robustness tests: first every field at `counts` overwritten with each
+/// boundary value in turn, then `flips` cases that flip one to four bits
+/// anywhere.
+#[cfg(test)]
+pub(crate) fn mutants<'a>(
+    bytes: &'a [u8],
+    counts: &'a [usize],
+    seed: u64,
+    flips: usize,
+) -> impl Iterator<Item = Vec<u8>> + 'a {
+    let mut rng = looseloops_rng::Rng::seed_from_u64(seed);
+    let edges = counts.iter().flat_map(move |&at| {
+        let old = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        [
+            0,
+            1,
+            old.wrapping_sub(1),
+            old.wrapping_add(1),
+            old.wrapping_mul(2),
+            u64::from(u32::MAX),
+            u64::MAX - 7,
+            u64::MAX,
+        ]
+        .map(|v| {
+            let mut m = bytes.to_vec();
+            m[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            m
+        })
+    });
+    let flipped = (0..flips).map(move |_| {
+        let mut m = bytes.to_vec();
+        for _ in 0..=rng.bounded(3) {
+            let bit = rng.bounded(m.len() as u64 * 8);
+            m[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+        m
+    });
+    edges.chain(flipped)
+}
+
+/// Every proper prefix of `bytes`, and `bytes` plus one trailing byte,
+/// must fail to decode: a prefix as `Truncated` or `Corrupt` (a count
+/// the rest cannot hold), the longer input as `Corrupt`.
+#[cfg(test)]
+pub(crate) fn assert_exact_length(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<(), StoreError>) {
+    for cut in 0..bytes.len() {
+        let e = decode(&bytes[..cut]).expect_err("a proper prefix decoded");
+        assert!(
+            matches!(e, StoreError::Truncated(_) | StoreError::Corrupt(_)),
+            "cut at {cut}: {e:?}"
+        );
+    }
+    let mut longer = bytes.to_vec();
+    longer.push(0);
+    assert!(matches!(decode(&longer), Err(StoreError::Corrupt(_))));
 }
 
 #[cfg(test)]
@@ -377,19 +555,23 @@ mod tests {
 
     #[test]
     fn version_1_entries_are_refused() {
-        // A version-1 entry as the old encoder wrote it: 37 CORE slots,
-        // then the memory counters in their own MEMS section.
+        // A version-1 entry as the old encoder wrote it: tag-length
+        // sections, a KEYS section, 37 CORE slots, then the memory
+        // counters in their own MEMS section.
         let mut v1 = Vec::new();
         v1.extend_from_slice(&MAGIC);
         push_u32(&mut v1, 1);
-        push_section(&mut v1, SEC_KEYS, b"some job");
-        push_section(&mut v1, SEC_CORE, &[7; 37 * 8]);
-        push_section(&mut v1, *b"MEMS", &[7; 11 * 8]);
-        assert_eq!(
-            decode_result(&v1).unwrap_err(),
-            CheckpointError::BadVersion(1)
-        );
-        // Read as version 2, its CORE section is the wrong length.
+        for (tag, payload) in [
+            (*b"KEYS", &b"some job"[..]),
+            (*b"CORE", &[7; 37 * 8][..]),
+            (*b"MEMS", &[7; 11 * 8][..]),
+        ] {
+            v1.extend_from_slice(&tag);
+            push_u64(&mut v1, payload.len() as u64);
+            v1.extend_from_slice(payload);
+        }
+        assert_eq!(decode_result(&v1).unwrap_err(), StoreError::BadVersion(1));
+        // Read as the current version, it does not decode.
         v1[4..8].copy_from_slice(&RESULT_STORE_VERSION.to_le_bytes());
         assert!(decode_result(&v1).is_err());
     }
@@ -398,10 +580,7 @@ mod tests {
     fn corrupt_entries_are_rejected_not_panicked() {
         let (key, stats) = run_once();
         let bytes = encode_result(&key, &stats);
-        assert_eq!(
-            decode_result(b"NOPE").unwrap_err(),
-            CheckpointError::BadMagic
-        );
+        assert_eq!(decode_result(b"NOPE").unwrap_err(), StoreError::BadMagic);
         for cut in [3, 7, 9, 40, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_result(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -409,36 +588,38 @@ mod tests {
         newer[4..8].copy_from_slice(&(RESULT_STORE_VERSION + 1).to_le_bytes());
         assert_eq!(
             decode_result(&newer).unwrap_err(),
-            CheckpointError::BadVersion(RESULT_STORE_VERSION + 1)
+            StoreError::BadVersion(RESULT_STORE_VERSION + 1)
         );
-        // An entry missing its mandatory sections is truncated, not OK.
-        let mut empty = Vec::new();
-        empty.extend_from_slice(&MAGIC);
-        push_u32(&mut empty, RESULT_STORE_VERSION);
-        assert!(decode_result(&empty).is_err());
+        // An entry that stops after its key is truncated, not OK.
+        let empty = encode_entry(MAGIC, RESULT_STORE_VERSION, &key, 0, |_| {});
+        assert!(matches!(
+            decode_result(&empty),
+            Err(StoreError::Truncated(_))
+        ));
+    }
+
+    #[test]
+    fn every_prefix_and_a_trailing_byte_are_typed_errors() {
+        let (key, stats) = run_once();
+        assert_exact_length(&encode_result(&key, &stats), |b| decode_result(b).map(drop));
     }
 
     #[test]
     fn mutated_entries_decode_or_fail_typed_never_panic() {
         let (key, stats) = run_once();
         let bytes = encode_result(&key, &stats);
-        for (case, m) in crate::checkpoint::mutants(&bytes, 0x11c5, 4_000).enumerate() {
+        let counts = count_fields(|| {
+            decode_result(&bytes).expect("valid");
+        });
+        // The key length, the retired counts and the two histograms.
+        assert_eq!(counts.len(), 4);
+        for (case, m) in mutants(&bytes, &counts, 0x11c5, 2_000).enumerate() {
             // Any `Result` is acceptable; a panic fails the test.
             let decoded = std::panic::catch_unwind(|| {
                 decode_result(&m).map(|(key, stats)| encode_result(&key, &stats))
             });
             assert!(decoded.is_ok(), "case {case} panicked");
         }
-    }
-
-    #[test]
-    fn unknown_sections_are_skipped() {
-        let (key, stats) = run_once();
-        let mut bytes = encode_result(&key, &stats);
-        push_section(&mut bytes, *b"ZZZZ", &[9, 9, 9]);
-        let (back_key, back) = decode_result(&bytes).expect("unknown section skipped");
-        assert_eq!(back_key, key);
-        assert_eq!(back.cycles, stats.cycles);
     }
 
     #[test]

@@ -526,28 +526,6 @@ impl SweepEngine {
         out
     }
 
-    /// Execute the full `configs × workloads` grid at one budget.
-    /// Returns `result[config][workload]`, row-major in input order.
-    pub fn run_grid(
-        &self,
-        configs: &[PipelineConfig],
-        workloads: &[Workload],
-        budget: RunBudget,
-    ) -> Vec<Vec<Arc<SimStats>>> {
-        let jobs: Vec<Job> = configs
-            .iter()
-            .flat_map(|cfg| {
-                workloads
-                    .iter()
-                    .map(move |w| Job::new(cfg.clone(), *w, budget))
-            })
-            .collect();
-        let flat = self.run_jobs(&jobs);
-        flat.chunks(workloads.len().max(1))
-            .map(<[Arc<SimStats>]>::to_vec)
-            .collect()
-    }
-
     /// Counters since construction (or the last [`SweepEngine::reset_metrics`]).
     pub fn summary(&self) -> SweepSummary {
         SweepSummary {
@@ -641,15 +619,19 @@ mod tests {
             Workload::Single(Benchmark::Compress),
             Workload::Single(Benchmark::Swim),
         ];
-        let grid = engine.run_grid(&configs, &workloads, tiny());
-        assert_eq!(grid.len(), 2);
-        for (c, row) in configs.iter().zip(&grid) {
-            assert_eq!(row.len(), 2);
-            for (w, got) in workloads.iter().zip(row) {
-                let reference = w.try_run(c, tiny()).expect("reference run");
-                assert_eq!(got.cycles, reference.cycles);
-                assert_eq!(got.total_retired(), reference.total_retired());
-            }
+        let jobs: Vec<Job> = configs
+            .iter()
+            .flat_map(|c| workloads.map(|w| Job::new(c.clone(), w, tiny())))
+            .collect();
+        let out = engine.run_jobs(&jobs);
+        assert_eq!(out.len(), 4);
+        for (job, got) in jobs.iter().zip(&out) {
+            let reference = job
+                .workload
+                .try_run(&job.config, tiny())
+                .expect("reference run");
+            assert_eq!(got.cycles, reference.cycles);
+            assert_eq!(got.total_retired(), reference.total_retired());
         }
     }
 
@@ -811,6 +793,7 @@ mod tests {
             job(Benchmark::Compress),
             job(Benchmark::Swim),
             job(Benchmark::Go),
+            job(Benchmark::Gcc),
         ];
         let engine = || SweepEngine::with_stores(2, ExecMode::Detailed, None, Some(store.clone()));
         let reference = engine().run_jobs(&jobs);
@@ -818,8 +801,9 @@ mod tests {
         clean.run_jobs(&jobs);
         assert_eq!(clean.summary().store_misses, StoreMisses::default());
 
-        // An older format version, a torn file, and a directory in the
-        // entry's place (unreadable, and it cannot be saved over).
+        // An older format version, a torn file, a directory in the
+        // entry's place (unreadable, and it cannot be saved over), and an
+        // entry cut right after its counter block.
         let path = |j: &Job| store.path(fnv1a64(j.key().as_bytes()));
         let mut old = std::fs::read(path(&jobs[0])).unwrap();
         old[4..8].copy_from_slice(&1u32.to_le_bytes());
@@ -827,31 +811,36 @@ mod tests {
         std::fs::write(path(&jobs[1]), b"LLRS").unwrap();
         std::fs::remove_file(path(&jobs[2])).unwrap();
         std::fs::create_dir(path(&jobs[2])).unwrap();
+        let slots: usize = reference[3].counters().iter().map(|(_, s)| s.len()).sum();
+        let cut = 16 + jobs[3].key().len() + 8 * slots;
+        let entry = std::fs::read(path(&jobs[3])).unwrap();
+        std::fs::write(path(&jobs[3]), &entry[..cut]).unwrap();
 
         let skewed = engine();
         let out = skewed.run_jobs(&jobs);
         let s = skewed.summary();
         let misses = StoreMisses {
             version_skew: 1,
-            corrupt: 1,
+            corrupt: 2,
             io: 1,
         };
-        assert_eq!((s.jobs_run, s.store_hits, s.store_misses), (3, 0, misses));
+        assert_eq!((s.jobs_run, s.store_hits, s.store_misses), (4, 0, misses));
         assert_eq!(s.store_save_failures, 1);
         let line = s.line();
         assert!(
-            line.contains("3 store misses (1 version skew, 1 corrupt, 1 i/o)"),
+            line.contains("4 store misses (1 version skew, 2 corrupt, 1 i/o)"),
             "{line}"
         );
         assert!(line.contains("1 store saves failed"), "{line}");
         for (a, b) in reference.iter().zip(&out) {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
-        // The two rewritten entries now load; the blocked one misses again.
+        // The three rewritten entries now load; the blocked one misses
+        // again.
         let again = engine();
         again.run_jobs(&jobs);
         let s = again.summary();
-        assert_eq!((s.jobs_run, s.store_hits, s.store_misses.io), (1, 2, 1));
+        assert_eq!((s.jobs_run, s.store_hits, s.store_misses.io), (1, 3, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,8 +4,8 @@
 //! engine's memo cache.
 
 use looseloops::{
-    cpi_stack_report_on, pipeline::Machine, Benchmark, CpiComponent, FigureSpec, PipelineConfig,
-    RunBudget, SweepEngine, Workload,
+    pipeline::Machine, Benchmark, CpiComponent, FigureKind, FigureSpec, PipelineConfig, RunBudget,
+    SweepEngine, Workload,
 };
 
 fn tiny() -> RunBudget {
@@ -106,12 +106,21 @@ fn branch_resolution_component_grows_with_pipeline_length() {
 #[test]
 fn cached_and_fresh_stacks_are_identical() {
     let ws = Workload::smoke_set();
-    let configs = [("base".to_string(), PipelineConfig::base())];
+    let spec = FigureSpec {
+        id: "s".into(),
+        title: "t".into(),
+        paper_expectation: String::new(),
+        configs: vec![("base".to_string(), PipelineConfig::base())],
+        workloads: ws.clone(),
+        budget: tiny(),
+        kind: FigureKind::Speedup { baseline: 0 },
+    };
+    let stacks = |sweep: &SweepEngine| spec.render_stacks(&sweep.run_jobs(&spec.jobs()));
 
     let serial = SweepEngine::new(1);
-    let a = cpi_stack_report_on(&serial, "s", "t", &configs, &ws, tiny());
+    let a = stacks(&serial);
     let parallel = SweepEngine::new(8);
-    let b = cpi_stack_report_on(&parallel, "s", "t", &configs, &ws, tiny());
+    let b = stacks(&parallel);
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
@@ -120,7 +129,7 @@ fn cached_and_fresh_stacks_are_identical() {
 
     // Second generation on the same engine: all cache hits, same bytes.
     parallel.reset_metrics();
-    let c = cpi_stack_report_on(&parallel, "s", "t", &configs, &ws, tiny());
+    let c = stacks(&parallel);
     let s = parallel.summary();
     assert_eq!(s.jobs_run, 0, "second pass is pure cache hits");
     assert_eq!(s.cache_hits, ws.len() as u64);

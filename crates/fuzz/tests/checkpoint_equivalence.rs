@@ -112,12 +112,13 @@ fn checkpoints_round_trip_byte_identically_over_generated_programs() {
     for (name, case) in cases {
         let ckpt = capture_checkpoint(&case.config, case.programs.clone(), 64)
             .unwrap_or_else(|e| panic!("`{name}` warm-up failed: {e}"));
-        let bytes = ckpt.encode();
-        let back =
+        let bytes = ckpt.encode(&name);
+        let (key, back) =
             Checkpoint::decode(&bytes).unwrap_or_else(|e| panic!("`{name}` decode failed: {e}"));
+        assert_eq!(key, name);
         assert_eq!(
             bytes,
-            back.encode(),
+            back.encode(&name),
             "`{name}`: checkpoint encoding is not a fixed point"
         );
     }

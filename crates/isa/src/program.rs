@@ -270,10 +270,6 @@ impl ProgramBuilder {
     pub fn xor(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
         self.push(Inst::op_rr(Opcode::Xor, rd, rs1, rs2))
     }
-    /// `rd = rs1 ^ imm`
-    pub fn xori(&mut self, rd: Reg, rs1: Reg, imm: i32) -> &mut Self {
-        self.push(Inst::op_ri(Opcode::Xor, rd, rs1, imm))
-    }
     /// `rd = rs1 << imm`
     pub fn slli(&mut self, rd: Reg, rs1: Reg, imm: i32) -> &mut Self {
         self.push(Inst::op_ri(Opcode::Sll, rd, rs1, imm))

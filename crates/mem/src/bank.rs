@@ -54,11 +54,6 @@ impl BankTracker {
     pub fn conflicts(&self) -> u64 {
         self.conflicts
     }
-
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.busy_until.len()
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +94,6 @@ mod tests {
         assert_eq!(b.bank_of(63), 0);
         assert_eq!(b.bank_of(64), 1);
         assert_eq!(b.bank_of(256), 0);
-        assert_eq!(b.num_banks(), 4);
     }
 
     #[test]

@@ -257,11 +257,6 @@ impl Cache {
             }
         }
     }
-
-    /// Empty the cache and reset recency (statistics are preserved).
-    pub fn invalidate_all(&mut self) {
-        self.lines.fill(Line::default());
-    }
 }
 
 impl fmt::Display for Cache {
@@ -336,15 +331,6 @@ mod tests {
         c.invalidate(0);
         assert!(!c.probe(0));
         assert!(c.probe(64));
-    }
-
-    #[test]
-    fn invalidate_all_flushes() {
-        let mut c = tiny();
-        c.access(0);
-        c.access(64);
-        c.invalidate_all();
-        assert!(!c.probe(0) && !c.probe(64));
     }
 
     #[test]

@@ -163,15 +163,6 @@ impl LoopCostStack {
         self.used + self.total_lost() == self.total_slots()
     }
 
-    /// Fraction of retire slots lost, in [0, 1].
-    pub fn lost_fraction(&self) -> f64 {
-        if self.total_slots() == 0 {
-            0.0
-        } else {
-            self.total_lost() as f64 / self.total_slots() as f64
-        }
-    }
-
     /// Measured cycles per instruction.
     pub fn cpi(&self) -> f64 {
         if self.used == 0 {
@@ -654,7 +645,6 @@ mod tests {
             "stack must sum to measured CPI: {sum} vs {}",
             st.cpi()
         );
-        assert!((st.lost_fraction() - 15.0 / 32.0).abs() < 1e-12);
     }
 
     #[test]

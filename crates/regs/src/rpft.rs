@@ -38,12 +38,6 @@ impl Rpft {
         self.valid[r.index()] = true;
     }
 
-    /// Squash rollback: the allocation is undone, and the *previous* value
-    /// in the register file is current again.
-    pub fn on_rollback(&mut self, r: PhysReg) {
-        self.valid[r.index()] = true;
-    }
-
     /// Number of currently valid (pre-readable) registers.
     pub fn valid_count(&self) -> usize {
         self.valid.iter().filter(|v| **v).count()
@@ -62,15 +56,6 @@ mod tests {
         t.on_allocate(r);
         assert!(!t.can_preread(r));
         t.on_writeback(r);
-        assert!(t.can_preread(r));
-    }
-
-    #[test]
-    fn rollback_restores_validity() {
-        let mut t = Rpft::new(8);
-        let r = PhysReg(1);
-        t.on_allocate(r);
-        t.on_rollback(r);
         assert!(t.can_preread(r));
     }
 

@@ -113,25 +113,107 @@ pub trait DirectionPredictor {
     /// [`DirectionPredictor::restore_history`].)
     fn repair(&mut self, _pc: u64, _ctx: u64, _taken: bool) {}
 
-    /// Snapshot the full predictor state (tables and histories) as a flat
-    /// word vector for a checkpoint. The layout is predictor-specific but
-    /// stable; stateless predictors return an empty vector.
-    fn export_state(&self) -> Vec<u64> {
-        Vec::new()
+    /// Snapshot the full predictor state (tables and histories) for a
+    /// checkpoint; stateless predictors return the empty state.
+    fn export_state(&self) -> PredictorWarmState {
+        PredictorWarmState::default()
     }
 
     /// Restore state captured by [`DirectionPredictor::export_state`] from
     /// a predictor of the same kind and geometry. The default accepts only
     /// the empty (stateless) snapshot.
-    fn import_state(&mut self, words: &[u64]) -> Result<(), String> {
-        if words.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "stateless predictor given {} words of state",
-                words.len()
-            ))
+    fn import_state(&mut self, state: &PredictorWarmState) -> Result<(), String> {
+        state.expect_shape(0, 0, 0, false)
+    }
+}
+
+/// A direction predictor's state as a checkpoint holds it: one byte per
+/// counter and two per local history. Each predictor fills the parts it
+/// has and leaves the rest empty (or 0). Every counter is in its range.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PredictorWarmState {
+    history: u64,
+    counters: Vec<u8>,
+    local_histories: Vec<u16>,
+    local_counters: Vec<u8>,
+}
+
+impl PredictorWarmState {
+    /// A state from its parts: the global history, the 2-bit counters
+    /// (the bimodal or gshare table, or the tournament's global table
+    /// followed by its choice table), the per-branch local histories and
+    /// the 3-bit local pattern counters.
+    ///
+    /// # Errors
+    ///
+    /// A message naming a 2-bit counter above 3 or a pattern counter
+    /// above 7.
+    pub fn new(
+        history: u64,
+        counters: Vec<u8>,
+        local_histories: Vec<u16>,
+        local_counters: Vec<u8>,
+    ) -> Result<PredictorWarmState, String> {
+        for (table, max, what) in [
+            (&counters, 3, "counter"),
+            (&local_counters, 7, "local pattern counter"),
+        ] {
+            if let Some(c) = table.iter().find(|&&c| c > max) {
+                return Err(format!("{what} value {c} out of range 0..={max}"));
+            }
         }
+        Ok(PredictorWarmState {
+            history,
+            counters,
+            local_histories,
+            local_counters,
+        })
+    }
+
+    /// Global branch history.
+    pub fn history(&self) -> u64 {
+        self.history
+    }
+
+    /// 2-bit counter values (0..=3).
+    pub fn counters(&self) -> &[u8] {
+        &self.counters
+    }
+
+    /// Per-branch local histories.
+    pub fn local_histories(&self) -> &[u16] {
+        &self.local_histories
+    }
+
+    /// 3-bit local pattern counter values (0..=7).
+    pub fn local_counters(&self) -> &[u8] {
+        &self.local_counters
+    }
+
+    /// Check that the state has the table sizes of the predictor
+    /// importing it, and no global history unless it keeps one.
+    fn expect_shape(
+        &self,
+        counters: usize,
+        local_histories: usize,
+        local_counters: usize,
+        history: bool,
+    ) -> Result<(), String> {
+        let got = [
+            self.counters.len(),
+            self.local_histories.len(),
+            self.local_counters.len(),
+        ];
+        let want = [counters, local_histories, local_counters];
+        if got != want {
+            return Err(format!(
+                "snapshot has {got:?} counters, local histories and pattern counters; the predictor keeps {want:?}"
+            ));
+        }
+        if !history && self.history != 0 {
+            return Err("snapshot has a global history the predictor does not keep".into());
+        }
+        Ok(())
     }
 }
 
@@ -163,31 +245,14 @@ impl Counter2 {
             self.0 = self.0.saturating_sub(1);
         }
     }
-
-    /// Rebuild a counter from a snapshot value; out-of-range values are
-    /// rejected rather than clamped so corrupt checkpoints surface.
-    pub fn from_value(v: u64) -> Result<Counter2, String> {
-        if v <= 3 {
-            Ok(Counter2(v as u8))
-        } else {
-            Err(format!("counter value {v} out of range 0..=3"))
-        }
-    }
 }
 
-/// Shared helper: restore a `Counter2` table slice from snapshot words.
-fn import_counters(dst: &mut [Counter2], words: &[u64]) -> Result<(), String> {
-    if words.len() != dst.len() {
-        return Err(format!(
-            "snapshot has {} counters, table has {}",
-            words.len(),
-            dst.len()
-        ));
+/// Shared helper: restore a `Counter2` table from snapshot values, which
+/// [`PredictorWarmState`] keeps in range.
+fn import_counters(dst: &mut [Counter2], values: &[u8]) {
+    for (d, &v) in dst.iter_mut().zip(values) {
+        *d = Counter2(v);
     }
-    for (d, &w) in dst.iter_mut().zip(words) {
-        *d = Counter2::from_value(w)?;
-    }
-    Ok(())
 }
 
 /// Static always-taken predictor.
@@ -238,13 +303,17 @@ impl DirectionPredictor for BimodalPredictor {
         self.table[i].train(taken);
     }
 
-    // Layout: [counters...].
-    fn export_state(&self) -> Vec<u64> {
-        self.table.iter().map(|c| u64::from(c.value())).collect()
+    fn export_state(&self) -> PredictorWarmState {
+        PredictorWarmState {
+            counters: self.table.iter().map(|c| c.value()).collect(),
+            ..PredictorWarmState::default()
+        }
     }
 
-    fn import_state(&mut self, words: &[u64]) -> Result<(), String> {
-        import_counters(&mut self.table, words)
+    fn import_state(&mut self, state: &PredictorWarmState) -> Result<(), String> {
+        state.expect_shape(self.table.len(), 0, 0, false)?;
+        import_counters(&mut self.table, &state.counters);
+        Ok(())
     }
 }
 
@@ -321,20 +390,18 @@ impl DirectionPredictor for GsharePredictor {
         self.table[i].train(taken);
     }
 
-    // Layout: [history, counters...].
-    fn export_state(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(1 + self.table.len());
-        words.push(self.history);
-        words.extend(self.table.iter().map(|c| u64::from(c.value())));
-        words
+    fn export_state(&self) -> PredictorWarmState {
+        PredictorWarmState {
+            history: self.history,
+            counters: self.table.iter().map(|c| c.value()).collect(),
+            ..PredictorWarmState::default()
+        }
     }
 
-    fn import_state(&mut self, words: &[u64]) -> Result<(), String> {
-        let (&history, counters) = words
-            .split_first()
-            .ok_or_else(|| "empty gshare snapshot".to_string())?;
-        import_counters(&mut self.table, counters)?;
-        self.history = history;
+    fn import_state(&mut self, state: &PredictorWarmState) -> Result<(), String> {
+        state.expect_shape(self.table.len(), 0, 0, true)?;
+        import_counters(&mut self.table, &state.counters);
+        self.history = state.history;
         Ok(())
     }
 }
@@ -432,33 +499,28 @@ impl DirectionPredictor for LocalPredictor {
         self.train_pattern(hist, taken);
     }
 
-    // Layout: [histories..., pattern counters...].
-    fn export_state(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(self.histories.len() + self.pattern.len());
-        words.extend(self.histories.iter().map(|&h| u64::from(h)));
-        words.extend(self.pattern.iter().map(|&c| u64::from(c)));
-        words
+    fn export_state(&self) -> PredictorWarmState {
+        PredictorWarmState {
+            local_histories: self.histories.clone(),
+            local_counters: self.pattern.clone(),
+            ..PredictorWarmState::default()
+        }
     }
 
-    fn import_state(&mut self, words: &[u64]) -> Result<(), String> {
-        let want = self.histories.len() + self.pattern.len();
-        if words.len() != want {
-            return Err(format!(
-                "local snapshot has {} words, geometry needs {want}",
-                words.len()
-            ));
-        }
-        let (hists, pats) = words.split_at(self.histories.len());
-        for (d, &w) in self.histories.iter_mut().zip(hists) {
-            *d = u16::try_from(w).map_err(|_| format!("local history {w} out of range"))?;
-        }
-        for (d, &w) in self.pattern.iter_mut().zip(pats) {
-            if w > 7 {
-                return Err(format!("pattern counter {w} out of range 0..=7"));
-            }
-            *d = w as u8;
-        }
+    fn import_state(&mut self, state: &PredictorWarmState) -> Result<(), String> {
+        let (h, p) = (self.histories.len(), self.pattern.len());
+        state.expect_shape(0, h, p, false)?;
+        self.import_local(state);
         Ok(())
+    }
+}
+
+impl LocalPredictor {
+    /// Copy the histories and pattern counters of a `state` whose shape
+    /// the caller checked: the part of a snapshot the tournament shares.
+    fn import_local(&mut self, state: &PredictorWarmState) {
+        self.histories.copy_from_slice(&state.local_histories);
+        self.pattern.copy_from_slice(&state.local_counters);
     }
 }
 
@@ -596,32 +658,24 @@ impl DirectionPredictor for TournamentPredictor {
         self.local.repair(pc, ctx & 0xffff, taken);
     }
 
-    // Layout: [history, global..., choice..., local state...].
-    fn export_state(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(1 + 2 * self.global.len());
-        words.push(self.history);
-        words.extend(self.global.iter().map(|c| u64::from(c.value())));
-        words.extend(self.choice.iter().map(|c| u64::from(c.value())));
-        words.extend(self.local.export_state());
-        words
+    fn export_state(&self) -> PredictorWarmState {
+        let counters = self.global.iter().chain(&self.choice);
+        PredictorWarmState {
+            history: self.history,
+            counters: counters.map(|c| c.value()).collect(),
+            ..self.local.export_state()
+        }
     }
 
-    fn import_state(&mut self, words: &[u64]) -> Result<(), String> {
-        let (&history, rest) = words
-            .split_first()
-            .ok_or_else(|| "empty tournament snapshot".to_string())?;
+    fn import_state(&mut self, state: &PredictorWarmState) -> Result<(), String> {
         let n = self.global.len();
-        if rest.len() < 2 * n {
-            return Err(format!(
-                "tournament snapshot has {} words, tables need {}",
-                rest.len(),
-                2 * n
-            ));
-        }
-        import_counters(&mut self.global, &rest[..n])?;
-        import_counters(&mut self.choice, &rest[n..2 * n])?;
-        self.local.import_state(&rest[2 * n..])?;
-        self.history = history;
+        let (h, p) = (self.local.histories.len(), self.local.pattern.len());
+        state.expect_shape(2 * n, h, p, true)?;
+        let (global, choice) = state.counters.split_at(n);
+        import_counters(&mut self.global, global);
+        import_counters(&mut self.choice, choice);
+        self.local.import_local(state);
+        self.history = state.history;
         Ok(())
     }
 }
@@ -761,40 +815,76 @@ mod tests {
         let _ = BimodalPredictor::new(100);
     }
 
+    /// A predictor warmed by one seeded stream, exported and imported into
+    /// a fresh one, predicts a second stream exactly like the original —
+    /// through both the functional (`update`) and the pipelined
+    /// (`predict_ctx`/`train_ctx`/`repair`) paths — and ends in the same
+    /// state.
     #[test]
     fn predictor_state_round_trips_every_kind() {
-        for kind in [
-            PredictorKind::Taken,
-            PredictorKind::Bimodal,
-            PredictorKind::Gshare,
-            PredictorKind::Local,
-            PredictorKind::Tournament,
-        ] {
+        let mut rng = looseloops_rng::Rng::seed_from_u64(0xb7a1);
+        for kind in PredictorKind::all() {
             let mut trained = crate::build_predictor(kind);
-            for i in 0..2000u64 {
-                trained.update((i * 8) % 1024, (i / 3) % 2 == 0);
+            for _ in 0..3000 {
+                let pc = rng.gen_range(0u64..512) * 4;
+                trained.update(pc, rng.gen_bool(0.6));
             }
-            let words = trained.export_state();
+            let state = trained.export_state();
             let mut fresh = crate::build_predictor(kind);
             fresh
-                .import_state(&words)
+                .import_state(&state)
                 .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            assert_eq!(fresh.export_state(), words, "{kind:?}");
-            for pc in (0..1024u64).step_by(8) {
-                assert_eq!(trained.predict(pc), fresh.predict(pc), "{kind:?} pc {pc}");
+            assert_eq!(fresh.export_state(), state, "{kind:?}");
+            for i in 0..3000 {
+                let pc = rng.gen_range(0u64..512) * 4;
+                let taken = rng.gen_bool(0.6);
+                if i % 2 == 0 {
+                    assert_eq!(trained.predict(pc), fresh.predict(pc), "{kind:?} {i}");
+                    trained.update(pc, taken);
+                    fresh.update(pc, taken);
+                } else {
+                    let (t, ctx) = trained.predict_ctx(pc);
+                    assert_eq!(fresh.predict_ctx(pc), (t, ctx), "{kind:?} {i}");
+                    for p in [&mut trained, &mut fresh] {
+                        p.train_ctx(pc, ctx, taken);
+                        if t != taken {
+                            p.repair(pc, ctx, taken);
+                        }
+                    }
+                }
             }
+            assert_eq!(trained.export_state(), fresh.export_state(), "{kind:?}");
         }
     }
 
     #[test]
     fn corrupt_predictor_snapshots_are_rejected() {
+        let counters = |counters| PredictorWarmState::new(0, counters, vec![], vec![]);
+        assert!(counters(vec![4]).is_err(), "out-of-range counter");
+        let local = |c| PredictorWarmState::new(0, vec![], vec![0xffff; 4], vec![c; 4]);
+        assert!(local(8).is_err(), "out-of-range pattern counter");
+
         let mut p = BimodalPredictor::new(16);
-        assert!(p.import_state(&[0; 15]).is_err(), "wrong length");
-        assert!(p.import_state(&[9; 16]).is_err(), "out-of-range counter");
+        p.import_state(&counters(vec![3; 16]).unwrap())
+            .expect("in range");
+        assert!(
+            p.import_state(&counters(vec![0; 15]).unwrap()).is_err(),
+            "wrong length"
+        );
+        let history = PredictorWarmState::new(1, vec![0; 16], vec![], vec![]).unwrap();
+        assert!(
+            p.import_state(&history).is_err(),
+            "bimodal keeps no history"
+        );
+        let mut l = LocalPredictor::new(4, 2);
+        l.import_state(&local(7).unwrap()).expect("in range");
+        assert!(BimodalPredictor::new(4)
+            .import_state(&local(7).unwrap())
+            .is_err());
         let mut t = TournamentPredictor::new(16, 4, 16, 4);
-        assert!(t.import_state(&[]).is_err());
+        assert!(t.import_state(&PredictorWarmState::default()).is_err());
         let mut a = AlwaysTaken;
-        assert!(a.import_state(&[]).is_ok());
-        assert!(a.import_state(&[1]).is_err());
+        assert!(a.import_state(&PredictorWarmState::default()).is_ok());
+        assert!(a.import_state(&counters(vec![1]).unwrap()).is_err());
     }
 }

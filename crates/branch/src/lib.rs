@@ -23,10 +23,10 @@ pub mod direction;
 pub mod line;
 pub mod ras;
 
-pub use btb::Btb;
+pub use btb::{Btb, BtbWarmState};
 pub use direction::{
     AlwaysTaken, BimodalPredictor, DirectionPredictor, GsharePredictor, HistorySnapshot,
-    LocalPredictor, PredictorKind, TournamentPredictor,
+    LocalPredictor, PredictorKind, PredictorWarmState, TournamentPredictor,
 };
 pub use line::LinePredictor;
 pub use ras::{RasCheckpoint, ReturnAddressStack};

@@ -552,13 +552,18 @@ pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
         Some(s) => println!("file       {} ({bytes} bytes)", s.path(digest).display()),
         None => println!("file       none, in memory only ({bytes} bytes)"),
     }
-    let live_btb = ckpt.btb.iter().filter(|(t, _)| *t != u64::MAX).count();
+    if let Some(s) = store.as_ref().filter(|s| s.stale_removed() > 0) {
+        println!("store      {} stale checkpoints removed", s.stale_removed());
+    }
+    let h = &ckpt.hier;
+    let p = &ckpt.predictor;
     println!(
-        "contents   {} thread(s), {} memory page(s), {} predictor word(s), {} BTB entr(ies)",
+        "contents   {} thread(s), {} memory page(s), {} cache line(s), {} predictor counter(s), {} BTB entr(ies)",
         ckpt.threads.len(),
         ckpt.mem.pages_touched(),
-        ckpt.predictor.len(),
-        live_btb
+        h.l1i.tags().len() + h.l1d.tags().len() + h.l2.tags().len(),
+        p.counters().len() + p.local_counters().len(),
+        ckpt.btb.entries().len()
     );
 
     if args.has("verify") {

@@ -32,22 +32,26 @@
 
 use crate::experiments::Workload;
 use crate::store::{
-    decode_entry, encode_entry, push_u64, push_words, EntryDir, Reader, StoreError, StoreMisses,
+    decode_entry, encode_entry, push_u16, push_u32, push_u64, push_words, EntryDir, Reader,
+    StoreError, StoreMisses,
 };
 use crate::sweep::{fnv1a64, Job};
-use looseloops_branch::{build_predictor, Btb, DirectionPredictor};
+use looseloops_branch::{
+    build_predictor, Btb, BtbWarmState, DirectionPredictor, PredictorWarmState,
+};
 use looseloops_isa::{fast_forward, ArchState, FlatMemory, Program, Reg, WarmHooks};
-use looseloops_mem::{AccessKind, HierarchyWarmState, MemHierarchy};
+use looseloops_mem::{AccessKind, CacheWarmState, HierarchyWarmState, MemHierarchy};
 use looseloops_pipeline::{Machine, PipelineConfig, SimError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Current layout version (2: the fixed layout, carrying the warm key).
-/// It is part of every [`warm_key`], so a checkpoint of another version
-/// is stored under another name and never opened.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Current layout version (3: recency-ordered tags, byte-sized predictor
+/// counters, occupied BTB slots only). It is part of every [`warm_key`],
+/// so a checkpoint of another version is stored under another name;
+/// [`CheckpointStore::open`] deletes those of older versions.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// File magic: "LLCK" (Loose Loops ChecKpoint).
 const MAGIC: [u8; 4] = *b"LLCK";
@@ -80,66 +84,114 @@ pub struct Checkpoint {
     pub threads: Vec<ThreadCheckpoint>,
     /// Functional data memory (only touched pages are stored).
     pub mem: FlatMemory,
-    /// Cache and TLB residency (tags + LRU order, no timing).
+    /// Cache and TLB residency (tags in recency order, no timing).
     pub hier: HierarchyWarmState,
-    /// Direction-predictor tables, in the predictor's own export layout.
-    pub predictor: Vec<u64>,
-    /// BTB entries, slot-ordered (`u64::MAX` tag marks an empty slot).
-    pub btb: Vec<(u64, u64)>,
+    /// Direction-predictor counters and histories.
+    pub predictor: PredictorWarmState,
+    /// The BTB's occupied slots.
+    pub btb: BtbWarmState,
 }
 
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// One cache's exported warm state: the LRU stamp counter plus
-/// `(tag, valid, last_use)` per line, in slot order.
-type CacheWarmState = (u64, Vec<(u64, bool, u64)>);
+/// Encoded bytes of one cache's (or the TLB's) warm state.
+fn cache_len(c: &CacheWarmState) -> usize {
+    2 + 8 + 2 * c.counts().len() + 8 + 8 * c.tags().len()
+}
 
-fn encode_cache(out: &mut Vec<u8>, state: &CacheWarmState) {
-    push_u64(out, state.0);
-    push_u64(out, state.1.len() as u64);
-    for &(tag, valid, last_use) in &state.1 {
-        push_u64(out, tag);
-        out.push(u8::from(valid));
-        push_u64(out, last_use);
+/// The ways, the per-set line counts, then the tags.
+fn encode_cache(out: &mut Vec<u8>, c: &CacheWarmState) {
+    push_u16(out, c.ways());
+    push_u64(out, c.counts().len() as u64);
+    for &n in c.counts() {
+        push_u16(out, n);
     }
+    push_words(out, c.tags());
 }
 
 fn decode_cache(r: &mut Reader<'_>) -> Result<CacheWarmState, StoreError> {
-    let stamp = r.u64("cache stamp")?;
-    let n = r.count(17, "cache lines")?;
-    let mut lines = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = r.u64("cache tag")?;
-        let valid = r.bool("cache valid")?;
-        let last_use = r.u64("cache last_use")?;
-        lines.push((tag, valid, last_use));
+    let ways = r.u16("cache ways")?;
+    let sets = r.count(2, "cache sets")?;
+    let mut counts = Vec::with_capacity(sets);
+    for _ in 0..sets {
+        counts.push(r.short_count("set lines")?);
     }
-    Ok((stamp, lines))
+    CacheWarmState::new(ways, counts, r.words("cache tags")?).map_err(StoreError::Corrupt)
+}
+
+fn predictor_len(p: &PredictorWarmState) -> usize {
+    8 + 8 + p.counters().len() + 8 + 2 * p.local_histories().len() + 8 + p.local_counters().len()
+}
+
+/// The global history, then the 2-bit counters, the local histories and
+/// the local pattern counters, each a count and one or two bytes apiece.
+fn encode_predictor(out: &mut Vec<u8>, p: &PredictorWarmState) {
+    push_u64(out, p.history());
+    push_u64(out, p.counters().len() as u64);
+    out.extend_from_slice(p.counters());
+    push_u64(out, p.local_histories().len() as u64);
+    for &h in p.local_histories() {
+        push_u16(out, h);
+    }
+    push_u64(out, p.local_counters().len() as u64);
+    out.extend_from_slice(p.local_counters());
+}
+
+fn decode_predictor(r: &mut Reader<'_>) -> Result<PredictorWarmState, StoreError> {
+    let history = r.u64("global history")?;
+    let n = r.count(1, "predictor counters")?;
+    let counters = r.take(n, "predictor counters")?.to_vec();
+    let n = r.count(2, "local histories")?;
+    let mut local_histories = Vec::with_capacity(n);
+    for _ in 0..n {
+        local_histories.push(r.u16("local history")?);
+    }
+    let n = r.count(1, "local counters")?;
+    let local_counters = r.take(n, "local counters")?.to_vec();
+    PredictorWarmState::new(history, counters, local_histories, local_counters)
+        .map_err(StoreError::Corrupt)
+}
+
+/// The slot count, then `(slot, tag, target)` per occupied slot.
+fn encode_btb(out: &mut Vec<u8>, b: &BtbWarmState) {
+    push_u32(out, b.slots());
+    push_u64(out, b.entries().len() as u64);
+    for &(slot, tag, target) in b.entries() {
+        push_u32(out, slot);
+        push_u64(out, tag);
+        push_u64(out, target);
+    }
+}
+
+fn decode_btb(r: &mut Reader<'_>) -> Result<BtbWarmState, StoreError> {
+    let slots = r.u32("btb slots")?;
+    let n = r.count(20, "btb entries")?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push((r.u32("btb slot")?, r.u64("btb tag")?, r.u64("btb target")?));
+    }
+    BtbWarmState::new(slots, entries).map_err(StoreError::Corrupt)
 }
 
 impl Checkpoint {
     /// Serialize to the on-disk layout: magic, version, the warm `key`
     /// it is stored under, then every field in a fixed order — the
     /// instruction count, the threads, the memory pages, the cache and
-    /// TLB residency, the predictor words and the BTB entries.
+    /// TLB residency, the predictor state and the occupied BTB slots.
     pub fn encode(&self, key: &str) -> Vec<u8> {
         // Sized up front and written in place: a checkpoint can hold
         // megabytes of pages, and a buffer grown by doubling would hold
         // several copies of them while the store writes one.
-        let cache_len = |c: &CacheWarmState| 16 + 17 * c.1.len();
         let threads: usize = self.threads.iter().map(|t| 25 + 8 * t.regs.len()).sum();
         let pages = self.mem.pages_touched() * (8 + 4096);
-        let hier = cache_len(&self.hier.l1i)
-            + cache_len(&self.hier.l1d)
-            + cache_len(&self.hier.l2)
-            + 16
-            + 16 * self.hier.dtlb.1.len();
-        let tables = 8 * self.predictor.len() + 16 * self.btb.len();
-        // The instruction count, four counts (threads, pages, predictor
-        // words, BTB entries), then the rest.
-        let len = 8 + 4 * 8 + threads + pages + hier + tables;
+        let h = &self.hier;
+        let hier = cache_len(&h.l1i) + cache_len(&h.l1d) + cache_len(&h.l2) + cache_len(&h.dtlb);
+        let btb = 4 + 8 + 20 * self.btb.entries().len();
+        // The instruction count and two counts (threads, pages), then the
+        // rest.
+        let len = 8 + 2 * 8 + threads + pages + hier + predictor_len(&self.predictor) + btb;
         let out = encode_entry(MAGIC, CHECKPOINT_VERSION, key, len, |out| {
             push_u64(out, self.instructions);
 
@@ -162,23 +214,11 @@ impl Checkpoint {
                 out.extend_from_slice(&bytes[..]);
             }
 
-            encode_cache(out, &self.hier.l1i);
-            encode_cache(out, &self.hier.l1d);
-            encode_cache(out, &self.hier.l2);
-            push_u64(out, self.hier.dtlb.0);
-            push_u64(out, self.hier.dtlb.1.len() as u64);
-            for &(page, stamp) in &self.hier.dtlb.1 {
-                push_u64(out, page);
-                push_u64(out, stamp);
+            for cache in [&h.l1i, &h.l1d, &h.l2, &h.dtlb] {
+                encode_cache(out, cache);
             }
-
-            push_words(out, &self.predictor);
-
-            push_u64(out, self.btb.len() as u64);
-            for &(tag, target) in &self.btb {
-                push_u64(out, tag);
-                push_u64(out, target);
-            }
+            encode_predictor(out, &self.predictor);
+            encode_btb(out, &self.btb);
         });
         debug_assert_eq!(out.len(), 16 + key.len() + len, "encoded length estimate");
         out
@@ -191,7 +231,9 @@ impl Checkpoint {
     ///
     /// [`StoreError`] on bad magic, any version but
     /// [`CHECKPOINT_VERSION`], a short encoding, trailing bytes, or
-    /// structurally impossible values.
+    /// structurally impossible values: a set holding more lines than its
+    /// ways or one tag twice, a counter out of its range, a BTB slot past
+    /// the table or out of order.
     pub fn decode(bytes: &[u8]) -> Result<(String, Checkpoint), StoreError> {
         decode_entry(bytes, MAGIC, CHECKPOINT_VERSION, |r| {
             let instructions = r.u64("instructions")?;
@@ -213,34 +255,19 @@ impl Checkpoint {
                 mem.install_page(idx, bytes);
             }
 
-            let mut hier = HierarchyWarmState {
+            let hier = HierarchyWarmState {
                 l1i: decode_cache(r)?,
                 l1d: decode_cache(r)?,
                 l2: decode_cache(r)?,
-                dtlb: (r.u64("dtlb stamp")?, Vec::new()),
+                dtlb: decode_cache(r)?,
             };
-            for _ in 0..r.count(16, "dtlb entries")? {
-                let page = r.u64("dtlb page")?;
-                let stamp = r.u64("dtlb entry stamp")?;
-                hier.dtlb.1.push((page, stamp));
-            }
-
-            let predictor = r.words("predictor words")?;
-
-            let mut btb = Vec::new();
-            for _ in 0..r.count(16, "btb entries")? {
-                let tag = r.u64("btb tag")?;
-                let target = r.u64("btb target")?;
-                btb.push((tag, target));
-            }
-
             Ok(Checkpoint {
                 instructions,
                 threads,
                 mem,
                 hier,
-                predictor,
-                btb,
+                predictor: decode_predictor(r)?,
+                btb: decode_btb(r)?,
             })
         })
     }
@@ -256,18 +283,31 @@ impl Checkpoint {
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     entries: EntryDir,
+    stale_removed: u64,
 }
 
 impl CheckpointStore {
-    /// Open (creating if needed) a store rooted at `dir`.
+    /// Open (creating if needed) a store rooted at `dir`, deleting the
+    /// checkpoints an older [`CHECKPOINT_VERSION`] left there: the
+    /// version is part of the file name, so no later run would open,
+    /// count or replace them. Newer versions and other files stay.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when the directory cannot be created.
     pub fn open(dir: impl AsRef<Path>) -> Result<CheckpointStore, StoreError> {
+        let entries = EntryDir::open(dir.as_ref(), "llck")?;
+        let stale_removed = entries.remove_older(MAGIC, CHECKPOINT_VERSION);
         Ok(CheckpointStore {
-            entries: EntryDir::open(dir.as_ref(), "llck")?,
+            entries,
+            stale_removed,
         })
+    }
+
+    /// How many checkpoints of older versions [`CheckpointStore::open`]
+    /// deleted.
+    pub fn stale_removed(&self) -> u64 {
+        self.stale_removed
     }
 
     /// The file a digest maps to.
@@ -725,11 +765,11 @@ mod tests {
     }
 
     /// A small checkpoint with every list non-empty: two threads, one
-    /// page, two lines per cache.
+    /// page, two sets per cache, every predictor table, two BTB slots.
     fn tiny_checkpoint() -> Checkpoint {
         let mut mem = FlatMemory::new();
         mem.install_page(3, &[0xa5; 4096]);
-        let cache = |stamp| (stamp, vec![(1, true, stamp), (2, false, 0)]);
+        let cache = |tag| CacheWarmState::new(2, vec![2, 1], vec![tag, tag + 1, tag]);
         Checkpoint {
             instructions: 77,
             threads: (0..2)
@@ -742,13 +782,14 @@ mod tests {
                 .collect(),
             mem,
             hier: HierarchyWarmState {
-                l1i: cache(3),
-                l1d: cache(4),
-                l2: cache(5),
-                dtlb: (6, vec![(7, 2)]),
+                l1i: cache(3).unwrap(),
+                l1d: cache(4).unwrap(),
+                l2: cache(5).unwrap(),
+                dtlb: CacheWarmState::new(4, vec![1], vec![7]).unwrap(),
             },
-            predictor: vec![1, 2, 3],
-            btb: vec![(4, 44), (u64::MAX, 0)],
+            predictor: PredictorWarmState::new(0b1011, vec![0, 3, 2], vec![0x3ff, 1], vec![7, 0])
+                .unwrap(),
+            btb: BtbWarmState::new(8, vec![(4, 44, 440), (7, 15, 150)]).unwrap(),
         }
     }
 
@@ -801,6 +842,49 @@ mod tests {
         ));
     }
 
+    /// Each structurally impossible warm state decodes to `Corrupt`: a
+    /// set fuller than its ways, a tag twice in one set, a counter out of
+    /// its range, a BTB slot past the table.
+    #[test]
+    fn impossible_warm_state_is_corrupt() {
+        let bytes = tiny_checkpoint().encode(KEY);
+        let fields = crate::store::count_fields(|| {
+            Checkpoint::decode(&bytes).expect("valid");
+        });
+        let offsets = |width| -> Vec<usize> {
+            fields
+                .iter()
+                .filter(|f| f.1 == width)
+                .map(|f| f.0)
+                .collect()
+        };
+        // The wide counts: the key, the threads, two threads' registers,
+        // the pages, then the sets and the tags of L1I, L1D, L2 and the
+        // TLB, the predictor's three tables and the BTB entries. The
+        // short counts: two sets per cache and the TLB's one.
+        let (wide, sets) = (offsets(8), offsets(2));
+        assert_eq!((wide.len(), sets.len()), (17, 7));
+        let (l1d_tags, l2_sets) = (wide[8] + 8, &sets[4..6]);
+        let (counters, local_counters, btb) = (wide[13] + 8, wide[15] + 8, wide[16] + 8);
+        let cases: [(&str, usize, &[u8]); 8] = [
+            ("3 lines in a 2-way set", l2_sets[0], &3u16.to_le_bytes()),
+            ("1 + 2 lines for 3 tags", l2_sets[1], &2u16.to_le_bytes()),
+            ("tag 4 twice in a set", l1d_tags + 8, &4u64.to_le_bytes()),
+            ("a 2-bit counter of 4", counters, &[4]),
+            ("a pattern counter of 8", local_counters, &[8]),
+            ("slot 8 of 8", btb, &8u32.to_le_bytes()),
+            ("slot 4 twice", btb + 20, &4u32.to_le_bytes()),
+            ("the empty tag", btb + 4, &u64::MAX.to_le_bytes()),
+        ];
+        for (case, at, patch) in cases {
+            let mut m = bytes.clone();
+            m[at..at + patch.len()].copy_from_slice(patch);
+            assert_ne!(m, bytes, "{case}");
+            let e = Checkpoint::decode(&m).map(drop).unwrap_err();
+            assert!(matches!(e, StoreError::Corrupt(_)), "{case}: {e:?}");
+        }
+    }
+
     #[test]
     fn every_prefix_and_a_trailing_byte_are_typed_errors() {
         let bytes = tiny_checkpoint().encode(KEY);
@@ -814,9 +898,19 @@ mod tests {
             Checkpoint::decode(&bytes).expect("valid");
         });
         // The key length; threads and one thread's registers; pages;
-        // three caches' lines; dtlb, predictor and BTB entries.
-        assert_eq!(counts.len(), 10);
-        for (case, m) in crate::store::mutants(&bytes, &counts, 0x11c4, 300).enumerate() {
+        // each cache's and the TLB's sets and tags; the predictor's
+        // three tables; the BTB entries.
+        let (wide, sets): (Vec<_>, Vec<_>) = counts.iter().partition(|&&(_, width)| width == 8);
+        assert_eq!(wide.len(), 16);
+        // One line count per set of the two L1s, the L2 and the TLB.
+        assert_eq!(sets.len(), 512 + 512 + 2048 + 1);
+        // Every set that holds a line, and one in 64 of the others.
+        let sets = sets
+            .iter()
+            .enumerate()
+            .filter(|&(i, &(at, _))| bytes[at..at + 2] != [0, 0] || i % 64 == 0);
+        let fields: Vec<_> = wide.into_iter().chain(sets.map(|(_, &f)| f)).collect();
+        for (case, m) in crate::store::mutants(&bytes, &fields, 0x11c4, 300).enumerate() {
             // Any `Result` is acceptable; a panic fails the test.
             let decoded =
                 std::panic::catch_unwind(|| Checkpoint::decode(&m).map(|(key, c)| c.encode(&key)));
@@ -838,6 +932,65 @@ mod tests {
         // A corrupt file surfaces as an error the caller regenerates from.
         std::fs::write(store.path(43), b"LLCKgarbage").unwrap();
         assert!(store.load(43, KEY).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn opening_a_store_deletes_checkpoints_of_older_versions() {
+        let dir = std::env::temp_dir().join(format!("llck-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let header = |version: u32| {
+            let mut h = MAGIC.to_vec();
+            h.extend_from_slice(&version.to_le_bytes());
+            h.extend_from_slice(b"rest of an older layout");
+            h
+        };
+        let stale = dir.join("00000000000000aa.llck");
+        std::fs::write(&stale, header(CHECKPOINT_VERSION - 1)).unwrap();
+        let newer = dir.join("00000000000000bb.llck");
+        std::fs::write(&newer, header(CHECKPOINT_VERSION + 1)).unwrap();
+        // Old headers under other extensions, and `.llck` files that are
+        // not checkpoints.
+        let foreign = [
+            ("00000000000000cc.llrs", &header(1)[..]),
+            ("00000000000000dd.txt", &header(1)[..]),
+            ("short.llck", b"LLCK"),
+            ("other.llck", b"LLRS\x01\0\0\0"),
+        ];
+        for (name, bytes) in foreign {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+
+        let store = CheckpointStore::open(&dir).expect("open");
+        assert_eq!(store.stale_removed(), 1);
+        assert!(!stale.exists());
+        let job = Job::new(
+            PipelineConfig::base(),
+            Workload::Single(Benchmark::Compress),
+            crate::simulator::RunBudget {
+                warmup: 1_000,
+                measure: 1_000,
+                max_cycles: 1_000_000,
+            },
+        );
+        warm_checkpoint(&job, Some(&store), &WarmMemo::default()).expect("capture");
+        // The checkpoints left: the capture and the newer one.
+        let mut versions: Vec<u32> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "llck"))
+            .map(|p| std::fs::read(p).unwrap())
+            .filter(|bytes| bytes.len() >= 8 && bytes[..4] == MAGIC)
+            .map(|bytes| u32::from_le_bytes(bytes[4..8].try_into().unwrap()))
+            .collect();
+        versions.sort_unstable();
+        assert_eq!(versions, [CHECKPOINT_VERSION, CHECKPOINT_VERSION + 1]);
+        for (name, _) in foreign {
+            assert!(dir.join(name).exists(), "{name} was left alone");
+        }
+        let again = CheckpointStore::open(&dir).expect("reopen");
+        assert_eq!(again.stale_removed(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -133,6 +133,32 @@ impl EntryDir {
         Ok((stored_key == key).then_some(value))
     }
 
+    /// Delete every entry of this directory whose header is `magic` and a
+    /// version older than `version`, and return how many went. Entries
+    /// of the current or a newer version, files of other formats and
+    /// files that cannot be read or deleted are left alone.
+    pub(crate) fn remove_older(&self, magic: [u8; 4], version: u32) -> u64 {
+        let Ok(dir) = std::fs::read_dir(&self.dir) else {
+            return 0;
+        };
+        let mut removed = 0;
+        for path in dir.filter_map(|e| e.ok().map(|e| e.path())) {
+            if path.extension().is_none_or(|e| e != self.ext) {
+                continue;
+            }
+            let mut header = [0; 8];
+            let read = std::fs::File::open(&path)
+                .and_then(|mut f| std::io::Read::read_exact(&mut f, &mut header));
+            let old = |h: [u8; 8]| {
+                h[..4] == magic && u32::from_le_bytes(h[4..].try_into().unwrap()) < version
+            };
+            if read.is_ok() && old(header) && std::fs::remove_file(&path).is_ok() {
+                removed += 1;
+            }
+        }
+        removed
+    }
+
     /// Replace the entry under `digest` with `bytes` (atomic).
     pub(crate) fn save(&self, digest: u64, bytes: &[u8]) -> Result<(), StoreError> {
         let path = self.path(digest);
@@ -141,7 +167,11 @@ impl EntryDir {
     }
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn push_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -231,7 +261,11 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn u32(&mut self, what: &'static str) -> Result<u32, StoreError> {
+    pub(crate) fn u16(&mut self, what: &'static str) -> Result<u16, StoreError> {
+        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
@@ -248,7 +282,7 @@ impl<'a> Reader<'a> {
         what: &'static str,
     ) -> Result<usize, StoreError> {
         #[cfg(test)]
-        COUNT_FIELDS.with(|f| f.borrow_mut().push(self.pos));
+        COUNT_FIELDS.with(|f| f.borrow_mut().push((self.pos, 8)));
         let n = self.u64(what)?;
         let fits = (self.buf.len() - self.pos) / min_elem_bytes.max(1);
         if n > fits as u64 {
@@ -257,6 +291,14 @@ impl<'a> Reader<'a> {
             )));
         }
         Ok(n as usize)
+    }
+
+    /// A two-byte count that the caller checks against the rest of the
+    /// entry (a set's resident lines, at most its ways).
+    pub(crate) fn short_count(&mut self, what: &'static str) -> Result<u16, StoreError> {
+        #[cfg(test)]
+        COUNT_FIELDS.with(|f| f.borrow_mut().push((self.pos, 2)));
+        self.u16(what)
     }
 
     /// A count, then that many words ([`push_words`]).
@@ -432,16 +474,18 @@ impl ResultStore {
 
 #[cfg(test)]
 thread_local! {
-    /// Offsets of the count fields [`Reader::count`] read on this thread.
-    static COUNT_FIELDS: std::cell::RefCell<Vec<usize>> = const {
+    /// Offset and width of the count fields [`Reader`] read on this
+    /// thread.
+    static COUNT_FIELDS: std::cell::RefCell<Vec<(usize, usize)>> = const {
         std::cell::RefCell::new(Vec::new())
     };
 }
 
-/// Offsets of every count field (the key length, array and vector
-/// lengths) that `decode` reads from a valid encoding.
+/// Offset and width of every count field (the key length, array and
+/// vector lengths, per-set line counts) that `decode` reads from a valid
+/// encoding.
 #[cfg(test)]
-pub(crate) fn count_fields(decode: impl FnOnce()) -> Vec<usize> {
+pub(crate) fn count_fields(decode: impl FnOnce()) -> Vec<(usize, usize)> {
     COUNT_FIELDS.with(|f| f.borrow_mut().clear());
     decode();
     COUNT_FIELDS.with(|f| f.take())
@@ -449,18 +493,21 @@ pub(crate) fn count_fields(decode: impl FnOnce()) -> Vec<usize> {
 
 /// Seeded corruptions of an `LLCK` or `LLRS` encoding, for decoder
 /// robustness tests: first every field at `counts` overwritten with each
-/// boundary value in turn, then `flips` cases that flip one to four bits
-/// anywhere.
+/// boundary value in turn (cut to the field's width), then `flips` cases
+/// that flip one to four bits anywhere.
 #[cfg(test)]
 pub(crate) fn mutants<'a>(
     bytes: &'a [u8],
-    counts: &'a [usize],
+    counts: &'a [(usize, usize)],
     seed: u64,
     flips: usize,
 ) -> impl Iterator<Item = Vec<u8>> + 'a {
     let mut rng = looseloops_rng::Rng::seed_from_u64(seed);
-    let edges = counts.iter().flat_map(move |&at| {
-        let old = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let edges = counts.iter().flat_map(move |&(at, width)| {
+        let mut old = [0; 8];
+        old[..width].copy_from_slice(&bytes[at..at + width]);
+        let old = u64::from_le_bytes(old);
+        let max = u64::MAX >> (64 - 8 * width);
         [
             0,
             1,
@@ -468,12 +515,12 @@ pub(crate) fn mutants<'a>(
             old.wrapping_add(1),
             old.wrapping_mul(2),
             u64::from(u32::MAX),
-            u64::MAX - 7,
-            u64::MAX,
+            max - 7,
+            max,
         ]
         .map(|v| {
             let mut m = bytes.to_vec();
-            m[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            m[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
             m
         })
     });

@@ -179,6 +179,9 @@ pub struct SweepSummary {
     pub store_save_failures: u64,
     /// Where the warm-up checkpoints of sampled jobs came from.
     pub checkpoints: WarmCounts,
+    /// Checkpoints of older format versions the checkpoint store deleted
+    /// when it was opened.
+    pub stale_checkpoints: u64,
     /// Wall-clock stage profile summed over every executed job; `None`
     /// unless the engine profiles ([`SweepEngine::enable_profile`]).
     pub profile: Option<StageReport>,
@@ -211,6 +214,7 @@ impl SweepSummary {
         note(ckpt.captured, "checkpoints captured");
         note(ckpt.regenerated.total(), &regenerated);
         note(ckpt.save_failures, "checkpoint saves failed");
+        note(self.stale_checkpoints, "stale checkpoints removed");
         note(self.jobs_failed, "FAILED");
         format!(
             "{} jobs run, {} cache hits{counts}, {:.1} sim-MIPS ({} workers, busy {:.2}s over {:.2}s wall)",
@@ -334,6 +338,9 @@ impl SweepEngine {
         } else {
             workers
         };
+        let stale_checkpoints = ckpt_store
+            .as_ref()
+            .map_or(0, CheckpointStore::stale_removed);
         SweepEngine {
             workers,
             mode,
@@ -344,6 +351,7 @@ impl SweepEngine {
             cache: Mutex::new(HashMap::new()),
             metrics: Mutex::new(SweepSummary {
                 workers,
+                stale_checkpoints,
                 ..SweepSummary::default()
             }),
         }

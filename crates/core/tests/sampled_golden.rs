@@ -1,0 +1,106 @@
+//! Golden sampled statistics: `run_sampled` on four paper workloads (three
+//! single-thread kernels and one SMT pair), on the base and the DRA
+//! (5-cycle register file) machine, after a functional warm-up, must
+//! reproduce the pinned FNV-1a digest of its aggregate `SimStats` Debug
+//! rendering.
+//!
+//! Every sampled window starts from warm state that went through a
+//! checkpoint: exported from the functional cursor's caches, TLB,
+//! predictor and BTB, and imported into a fresh detailed machine. Each job
+//! runs twice — once capturing its warm-up checkpoint and saving it to an
+//! on-disk store, once loading it back from that store — so a change to
+//! the warm-state snapshot or to the checkpoint encoding that alters any
+//! restored machine fails here, without waiting for the benchmark's
+//! digests.
+//!
+//! Regenerate `tests/golden/sampled_stats.tsv` (only when a change is
+//! meant to alter simulated results) with:
+//!
+//! ```text
+//! LOOSELOOPS_BLESS=1 cargo test --release -p looseloops --test sampled_golden
+//! ```
+
+use looseloops::pipeline::PipelineConfig;
+use looseloops::{
+    fnv1a64, run_sampled, Benchmark, CheckpointStore, Job, RunBudget, SamplingPlan, WarmCounts,
+    WarmMemo, Workload,
+};
+use std::fmt::Write;
+use std::path::Path;
+
+const BUDGET: RunBudget = RunBudget {
+    warmup: 200_000,
+    measure: 30_000,
+    max_cycles: 2_000_000,
+};
+
+fn workloads() -> [Workload; 4] {
+    [
+        Workload::Single(Benchmark::Compress),
+        Workload::Single(Benchmark::Swim),
+        Workload::Single(Benchmark::Turb3d),
+        Workload::Pair(Benchmark::pairs()[0]),
+    ]
+}
+
+fn machines() -> [(&'static str, PipelineConfig); 2] {
+    [
+        ("base", PipelineConfig::base()),
+        ("dra_rf5", PipelineConfig::dra_for_rf(5)),
+    ]
+}
+
+/// The digest of `job`'s sampled stats under the budget's auto plan, with
+/// the warm-up checkpoint taken from `store` when it holds one.
+fn digest(job: &Job, store: &CheckpointStore, memo: &WarmMemo) -> u64 {
+    let plan = SamplingPlan::for_budget(job.budget);
+    let run = run_sampled(job, plan, Some(store), memo, false).expect("sampled run");
+    fnv1a64(format!("{:?}", run.stats).as_bytes())
+}
+
+fn table() -> String {
+    let dir = std::env::temp_dir().join(format!("ll-sampled-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).expect("open the checkpoint store");
+    let mut out = String::from("# workload\tmachine\tfnv1a64(sampled SimStats Debug)\n");
+    for w in workloads() {
+        for (mname, cfg) in machines() {
+            let job = Job::new(cfg, w, BUDGET);
+            // A fresh memo each time, so the first run captures (or, for
+            // the second machine, loads the first's checkpoint: the warm
+            // key ignores the register scheme) and the second loads.
+            let captured = digest(&job, &store, &WarmMemo::default());
+            let memo = WarmMemo::default();
+            let loaded = digest(&job, &store, &memo);
+            let from_store = WarmCounts {
+                loaded: 1,
+                ..WarmCounts::default()
+            };
+            assert_eq!(memo.counts(), from_store, "{} {mname}", w.name());
+            assert_eq!(
+                captured,
+                loaded,
+                "{} {mname}: a stored checkpoint restores another machine",
+                w.name()
+            );
+            writeln!(out, "{}\t{mname}\t{captured:016x}", w.name()).expect("writing to a String");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+#[test]
+fn sampled_stats_match_the_pinned_digests() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sampled_stats.tsv");
+    let got = table();
+    if std::env::var_os("LOOSELOOPS_BLESS").is_some() {
+        std::fs::write(&path, &got).expect("write the golden table");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("golden table is checked in");
+    assert_eq!(
+        want, got,
+        "sampled statistics drifted from tests/golden/sampled_stats.tsv"
+    );
+}

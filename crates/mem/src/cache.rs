@@ -89,6 +89,78 @@ struct Line {
     last_use: u64,
 }
 
+/// The warm state of a set-associative, true-LRU structure (a cache, or
+/// the TLB as one fully associative set) as a checkpoint holds it: which
+/// tags are resident and their recency order, nothing else.
+///
+/// Recency order is exact. Replacement takes the first invalid way, else
+/// the way with the smallest use stamp; stamps are unique and a tag is
+/// resident at most once per set, so which way a line sits in never
+/// changes a hit, a miss or a victim. The order of each set's stamps is
+/// all that matters, and the order of the tags says it.
+///
+/// Every value describes some structure of its geometry: no set holds
+/// more lines than its ways or one tag twice, and the per-set counts
+/// account for every tag.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CacheWarmState {
+    pub(crate) ways: u16,
+    pub(crate) counts: Vec<u16>,
+    pub(crate) tags: Vec<u64>,
+}
+
+impl CacheWarmState {
+    /// The state of a structure with `ways` ways per set, holding
+    /// `counts[s]` lines in set `s` and, the sets one after the other,
+    /// the tags of each set from least to most recently used.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first set that holds more lines than its
+    /// ways or one tag twice, or the mismatch between the counts and the
+    /// tags.
+    pub fn new(ways: u16, counts: Vec<u16>, tags: Vec<u64>) -> Result<CacheWarmState, String> {
+        let mut rest = &tags[..];
+        for (set, &n) in counts.iter().enumerate() {
+            if n > ways {
+                return Err(format!("set {set} holds {n} lines in {ways} ways"));
+            }
+            let Some((set_tags, tail)) = rest.split_at_checked(n.into()) else {
+                return Err(format!(
+                    "the set counts need more than the {} tags",
+                    tags.len()
+                ));
+            };
+            for (i, tag) in set_tags.iter().enumerate() {
+                if set_tags[..i].contains(tag) {
+                    return Err(format!("set {set} holds tag {tag:#x} twice"));
+                }
+            }
+            rest = tail;
+        }
+        if !rest.is_empty() {
+            return Err(format!("{} tags follow the last set", rest.len()));
+        }
+        Ok(CacheWarmState { ways, counts, tags })
+    }
+
+    /// Ways per set.
+    pub fn ways(&self) -> u16 {
+        self.ways
+    }
+
+    /// Resident lines of each set, in set order.
+    pub fn counts(&self) -> &[u16] {
+        &self.counts
+    }
+
+    /// Every set's resident tags, least to most recently used, the sets
+    /// one after the other.
+    pub fn tags(&self) -> &[u64] {
+        &self.tags
+    }
+}
+
 /// A set-associative, true-LRU, write-allocate timing cache.
 ///
 /// ```
@@ -118,7 +190,10 @@ impl Cache {
             cfg.line_bytes.is_power_of_two() && cfg.line_bytes > 0,
             "bad line size"
         );
-        assert!(cfg.assoc > 0, "associativity must be positive");
+        assert!(
+            cfg.assoc > 0 && cfg.assoc <= usize::from(u16::MAX),
+            "associativity must be 1..=65535"
+        );
         assert!(
             cfg.size_bytes.is_multiple_of(cfg.assoc * cfg.line_bytes) && cfg.num_sets() > 0,
             "capacity must be a whole number of sets"
@@ -213,37 +288,58 @@ impl Cache {
         };
     }
 
-    /// Snapshot the directory for a checkpoint: the recency stamp and one
-    /// `(tag, valid, last_use)` triple per line (sets × ways, row-major by
-    /// set — the in-memory layout). Statistics are not included.
-    pub fn export_state(&self) -> (u64, Vec<(u64, bool, u64)>) {
-        (
-            self.stamp,
-            self.lines
-                .iter()
-                .map(|l| (l.tag, l.valid, l.last_use))
-                .collect(),
-        )
+    /// Snapshot the directory for a checkpoint: each set's valid tags,
+    /// least to most recently used. Statistics are not included.
+    pub fn export_state(&self) -> CacheWarmState {
+        // Sized exactly: checkpoints hold these for a whole sweep.
+        let mut state = CacheWarmState {
+            ways: u16::try_from(self.cfg.assoc).expect("Cache::new bounds the associativity"),
+            counts: Vec::with_capacity(self.cfg.num_sets()),
+            tags: Vec::with_capacity(self.lines.iter().filter(|l| l.valid).count()),
+        };
+        let mut set: Vec<Line> = Vec::with_capacity(self.cfg.assoc);
+        for ways in self.lines.chunks_exact(self.cfg.assoc) {
+            set.clear();
+            set.extend(ways.iter().filter(|l| l.valid));
+            set.sort_unstable_by_key(|l| l.last_use);
+            state.counts.push(set.len() as u16);
+            state.tags.extend(set.iter().map(|l| l.tag));
+        }
+        state
     }
 
-    /// Restore a snapshot from [`Cache::export_state`]. Rejects snapshots
-    /// whose line count does not match this cache's geometry.
-    pub fn import_state(&mut self, stamp: u64, lines: &[(u64, bool, u64)]) -> Result<(), String> {
-        if lines.len() != self.lines.len() {
+    /// Restore a snapshot from [`Cache::export_state`]. Each set's lines
+    /// get use stamps in their listed order, below any stamp an access
+    /// hands out later, so replacement picks the victims the exported
+    /// cache would. Rejects snapshots of another geometry.
+    pub fn import_state(&mut self, state: &CacheWarmState) -> Result<(), String> {
+        if state.counts.len() != self.cfg.num_sets() || usize::from(state.ways) != self.cfg.assoc {
             return Err(format!(
-                "snapshot has {} lines, geometry needs {}",
-                lines.len(),
-                self.lines.len()
+                "snapshot has {} sets of {} ways, geometry needs {} of {}",
+                state.counts.len(),
+                state.ways,
+                self.cfg.num_sets(),
+                self.cfg.assoc
             ));
         }
-        self.stamp = stamp;
-        for (dst, &(tag, valid, last_use)) in self.lines.iter_mut().zip(lines) {
-            *dst = Line {
-                tag,
-                valid,
-                last_use,
-            };
+        let mut tags = state.tags.iter();
+        for (ways, &n) in self
+            .lines
+            .chunks_exact_mut(self.cfg.assoc)
+            .zip(&state.counts)
+        {
+            ways.fill(Line::default());
+            for (stamp, (line, &tag)) in
+                (1..).zip(ways.iter_mut().zip(tags.by_ref().take(n.into())))
+            {
+                *line = Line {
+                    tag,
+                    valid: true,
+                    last_use: stamp,
+                };
+            }
         }
+        self.stamp = u64::from(state.ways);
         Ok(())
     }
 

@@ -3,7 +3,7 @@
 //! main-memory latency.
 
 use crate::bank::BankTracker;
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheStats, CacheWarmState};
 use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
 use crate::tlb::{Tlb, TlbConfig, TlbOutcome};
 
@@ -111,21 +111,22 @@ pub struct HierarchyStats {
     pub prefetches: u64,
 }
 
-/// Portable warm-state snapshot of the hierarchy — cache/TLB tags and
-/// recency only. Each cache entry is `(stamp, lines)` with lines as
-/// `(tag, valid, last_use)`; the TLB entry is `(stamp, (vpn, last_use))`.
-/// In-flight timing state (banks, MSHRs) is intentionally absent: a
-/// checkpoint is taken at a quiesced functional boundary.
+/// Portable warm-state snapshot of the hierarchy: which lines and pages
+/// are resident in each cache and the TLB, and their recency order
+/// ([`CacheWarmState`]: 8 bytes per resident line plus a 2-byte count per
+/// set; validity and use stamps are implied by position). In-flight
+/// timing state (banks, MSHRs) is intentionally absent: a checkpoint is
+/// taken at a quiesced functional boundary.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HierarchyWarmState {
-    /// L1 instruction-cache lines.
-    pub l1i: (u64, Vec<(u64, bool, u64)>),
-    /// L1 data-cache lines.
-    pub l1d: (u64, Vec<(u64, bool, u64)>),
-    /// Unified L2 lines.
-    pub l2: (u64, Vec<(u64, bool, u64)>),
-    /// Data-TLB entries.
-    pub dtlb: (u64, Vec<(u64, u64)>),
+    /// L1 instruction cache.
+    pub l1i: CacheWarmState,
+    /// L1 data cache.
+    pub l1d: CacheWarmState,
+    /// Unified L2.
+    pub l2: CacheWarmState,
+    /// Data TLB: one fully associative set of virtual page numbers.
+    pub dtlb: CacheWarmState,
 }
 
 /// L1I + L1D + L2 + memory timing model.
@@ -337,16 +338,16 @@ impl MemHierarchy {
     /// not match this hierarchy's geometry.
     pub fn import_warm(&mut self, warm: &HierarchyWarmState) -> Result<(), String> {
         self.l1i
-            .import_state(warm.l1i.0, &warm.l1i.1)
+            .import_state(&warm.l1i)
             .map_err(|e| format!("l1i: {e}"))?;
         self.l1d
-            .import_state(warm.l1d.0, &warm.l1d.1)
+            .import_state(&warm.l1d)
             .map_err(|e| format!("l1d: {e}"))?;
         self.l2
-            .import_state(warm.l2.0, &warm.l2.1)
+            .import_state(&warm.l2)
             .map_err(|e| format!("l2: {e}"))?;
         self.dtlb
-            .import_state(warm.dtlb.0, &warm.dtlb.1)
+            .import_state(&warm.dtlb)
             .map_err(|e| format!("dtlb: {e}"))?;
         Ok(())
     }

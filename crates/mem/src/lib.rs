@@ -26,7 +26,7 @@ pub mod prefetch;
 pub mod tlb;
 
 pub use bank::BankTracker;
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig, CacheStats, CacheWarmState};
 pub use hierarchy::{
     AccessKind, AccessResult, HierarchyConfig, HierarchyStats, HierarchyWarmState, HitLevel,
     MemHierarchy,

@@ -6,6 +6,8 @@
 //! the start of the pipe. [`TlbMissPolicy`] lets the pipeline choose between
 //! that trap behaviour and a simpler fixed walk penalty.
 
+use crate::cache::CacheWarmState;
+
 /// What a TLB miss does to the access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlbMissPolicy {
@@ -69,7 +71,10 @@ impl Tlb {
     ///
     /// Panics if `entries` is zero or `page_bytes` is not a power of two.
     pub fn new(cfg: TlbConfig) -> Tlb {
-        assert!(cfg.entries > 0, "TLB needs at least one entry");
+        assert!(
+            cfg.entries > 0 && cfg.entries <= usize::from(u16::MAX),
+            "TLB needs 1..=65535 entries"
+        );
         assert!(
             cfg.page_bytes.is_power_of_two(),
             "page size must be a power of two"
@@ -126,25 +131,35 @@ impl Tlb {
         (self.hits, self.misses)
     }
 
-    /// Snapshot the translations for a checkpoint: the recency stamp and
-    /// the resident `(vpn, last_use)` pairs. Statistics are not included.
-    pub fn export_state(&self) -> (u64, Vec<(u64, u64)>) {
-        (self.stamp, self.entries.clone())
+    /// Snapshot the translations for a checkpoint, as one fully
+    /// associative set: the resident page numbers, least to most recently
+    /// used. Statistics are not included.
+    pub fn export_state(&self) -> CacheWarmState {
+        let mut entries = self.entries.clone();
+        entries.sort_unstable_by_key(|&(_, last_use)| last_use);
+        CacheWarmState {
+            ways: u16::try_from(self.cfg.entries).expect("Tlb::new bounds the capacity"),
+            counts: vec![entries.len() as u16],
+            tags: entries.into_iter().map(|(vpn, _)| vpn).collect(),
+        }
     }
 
-    /// Restore a snapshot from [`Tlb::export_state`]. Rejects snapshots
-    /// holding more entries than this TLB's capacity.
-    pub fn import_state(&mut self, stamp: u64, entries: &[(u64, u64)]) -> Result<(), String> {
-        if entries.len() > self.cfg.entries {
+    /// Restore a snapshot from [`Tlb::export_state`], with use stamps in
+    /// the listed order (exact for the reasons [`CacheWarmState`] gives).
+    /// Rejects snapshots that are not one set of this TLB's capacity.
+    pub fn import_state(&mut self, state: &CacheWarmState) -> Result<(), String> {
+        if state.counts.len() != 1 || usize::from(state.ways) != self.cfg.entries {
             return Err(format!(
-                "snapshot has {} entries, capacity is {}",
-                entries.len(),
+                "snapshot has {} sets of {} entries, the TLB is one set of {}",
+                state.counts.len(),
+                state.ways,
                 self.cfg.entries
             ));
         }
-        self.stamp = stamp;
         self.entries.clear();
-        self.entries.extend_from_slice(entries);
+        self.entries
+            .extend((1..).zip(&state.tags).map(|(stamp, &vpn)| (vpn, stamp)));
+        self.stamp = u64::from(state.ways);
         Ok(())
     }
 }

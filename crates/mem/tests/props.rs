@@ -2,7 +2,9 @@
 //! against executable reference models, driven by a deterministic seed
 //! schedule from `looseloops-rng`.
 
-use looseloops_mem::{BankTracker, Cache, CacheConfig, Tlb, TlbConfig, TlbMissPolicy, TlbOutcome};
+use looseloops_mem::{
+    BankTracker, Cache, CacheConfig, CacheWarmState, Tlb, TlbConfig, TlbMissPolicy, TlbOutcome,
+};
 use looseloops_rng::Rng;
 
 /// Reference set-associative LRU cache: naive timestamps.
@@ -141,4 +143,116 @@ fn tlb_refill_and_accounting() {
             assert_eq!(h + m, accesses);
         }
     }
+}
+
+/// A cache warmed by one random stream (accesses, fills and
+/// invalidations), exported and imported into a fresh cache, answers a
+/// second stream hit-for-hit like the original and ends in the same
+/// state: the recency-ordered snapshot loses nothing replacement reads.
+#[test]
+fn cache_warm_state_round_trip_is_exact() {
+    let cfg = CacheConfig {
+        size_bytes: 1024, // 4 sets x 4 ways x 64 B
+        assoc: 4,
+        line_bytes: 64,
+        hit_latency: 1,
+    };
+    assert_eq!(cfg.num_sets(), 4);
+    let mut rng = Rng::seed_from_u64(0x3e35);
+    for _ in 0..32 {
+        let mut warm = Cache::new(cfg);
+        for _ in 0..rng.gen_range(0usize..300) {
+            let a = rng.gen_range(0u64..4096);
+            match rng.bounded(8) {
+                0 => warm.fill(a),
+                1 => warm.invalidate(a),
+                _ => {
+                    warm.access(a);
+                }
+            }
+        }
+        let state = warm.export_state();
+        assert!(state.tags().len() <= 16);
+        let mut restored = Cache::new(cfg);
+        restored.import_state(&state).expect("same geometry");
+        assert_eq!(restored.export_state(), state);
+        for _ in 0..400 {
+            let a = rng.gen_range(0u64..4096);
+            if rng.bounded(8) == 0 {
+                warm.invalidate(a);
+                restored.invalidate(a);
+            } else {
+                assert_eq!(warm.access(a), restored.access(a), "addr {a}");
+            }
+        }
+        assert_eq!(warm.export_state(), restored.export_state());
+    }
+}
+
+/// The TLB's recency-ordered snapshot is exact in the same sense.
+#[test]
+fn tlb_warm_state_round_trip_is_exact() {
+    let cfg = TlbConfig {
+        entries: 8,
+        page_bytes: 4096,
+        miss_policy: TlbMissPolicy::Penalty(30),
+    };
+    let mut rng = Rng::seed_from_u64(0x3e36);
+    for _ in 0..32 {
+        let mut warm = Tlb::new(cfg);
+        for _ in 0..rng.gen_range(0usize..200) {
+            let _ = warm.access(rng.gen_range(0u64..24) * 4096);
+        }
+        let state = warm.export_state();
+        let mut restored = Tlb::new(cfg);
+        restored.import_state(&state).expect("same capacity");
+        assert_eq!(restored.export_state(), state);
+        for _ in 0..400 {
+            let addr = rng.gen_range(0u64..24) * 4096;
+            assert_eq!(warm.access(addr), restored.access(addr), "addr {addr}");
+        }
+        assert_eq!(warm.export_state(), restored.export_state());
+    }
+}
+
+/// A snapshot that describes no cache cannot be built (a set fuller than
+/// its ways, a tag twice in a set, counts that do not account for the
+/// tags), and a snapshot of another geometry is refused.
+#[test]
+fn malformed_cache_warm_state_is_rejected() {
+    let mut c = Cache::new(CacheConfig {
+        size_bytes: 512, // 4 sets x 2 ways
+        assoc: 2,
+        line_bytes: 64,
+        hit_latency: 1,
+    });
+    let state = |ways, counts: &[u16], tags: &[u64]| {
+        CacheWarmState::new(ways, counts.to_vec(), tags.to_vec())
+    };
+    let good = state(2, &[2, 0, 1, 0], &[5, 6, 7]).expect("well formed");
+    c.import_state(&good).expect("same geometry");
+    assert_eq!(c.export_state(), good);
+    for (ways, counts, tags) in [
+        (2, &[3, 0, 0, 0][..], &[5, 6, 7][..]),
+        (2, &[2, 0, 0, 0], &[5, 5]),
+        (2, &[1, 0, 0, 0], &[5, 6]),
+        (2, &[2, 0, 0, 0], &[5]),
+    ] {
+        assert!(state(ways, counts, tags).is_err(), "{counts:?} {tags:?}");
+    }
+    for other in [state(2, &[0, 0, 0], &[]), state(4, &[0, 0, 0, 0], &[])] {
+        assert!(c.import_state(&other.expect("well formed")).is_err());
+    }
+    let mut tlb = Tlb::new(TlbConfig {
+        entries: 2,
+        page_bytes: 4096,
+        miss_policy: TlbMissPolicy::Trap,
+    });
+    assert!(state(2, &[2], &[3, 3]).is_err());
+    assert!(tlb
+        .import_state(&state(2, &[1, 1], &[1, 2]).unwrap())
+        .is_err());
+    assert!(tlb.import_state(&state(4, &[2], &[3, 4]).unwrap()).is_err());
+    tlb.import_state(&state(2, &[2], &[3, 4]).unwrap())
+        .expect("one full set");
 }

@@ -494,14 +494,17 @@ impl Machine {
         self.hier.import_warm(warm).map_err(SimError::FastForward)
     }
 
-    /// Install direction-predictor warm state (the word vector from
+    /// Install direction-predictor warm state (from
     /// `DirectionPredictor::export_state` of a same-kind predictor).
     ///
     /// # Errors
     ///
     /// [`SimError::FastForward`] on a geometry/kind mismatch.
-    pub fn install_warm_predictor(&mut self, words: &[u64]) -> Result<(), SimError> {
-        self.pred.import_state(words).map_err(SimError::FastForward)
+    pub fn install_warm_predictor(
+        &mut self,
+        state: &looseloops_branch::PredictorWarmState,
+    ) -> Result<(), SimError> {
+        self.pred.import_state(state).map_err(SimError::FastForward)
     }
 
     /// Install BTB warm state (from `Btb::export_state` of a same-size BTB).
@@ -509,10 +512,11 @@ impl Machine {
     /// # Errors
     ///
     /// [`SimError::FastForward`] on a size mismatch.
-    pub fn install_warm_btb(&mut self, entries: &[(u64, u64)]) -> Result<(), SimError> {
-        self.btb
-            .import_state(entries)
-            .map_err(SimError::FastForward)
+    pub fn install_warm_btb(
+        &mut self,
+        state: &looseloops_branch::BtbWarmState,
+    ) -> Result<(), SimError> {
+        self.btb.import_state(state).map_err(SimError::FastForward)
     }
 
     /// Start recording a Kanata pipeline trace (viewable in Konata-style

@@ -42,10 +42,9 @@ use looseloops_branch::{
 use looseloops_isa::{fast_forward, ArchState, FlatMemory, Program, Reg, WarmHooks};
 use looseloops_mem::{AccessKind, CacheWarmState, HierarchyWarmState, MemHierarchy};
 use looseloops_pipeline::{Machine, PipelineConfig, SimError};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Current layout version (3: recency-ordered tags, byte-sized predictor
 /// counters, occupied BTB slots only). It is part of every [`warm_key`],
@@ -627,10 +626,26 @@ pub fn restore_into(m: &mut Machine, ckpt: &Checkpoint) -> Result<(), SimError> 
 // Engine integration
 // ---------------------------------------------------------------------------
 
-type WarmCell = Arc<OnceLock<Result<Arc<Checkpoint>, SimError>>>;
+/// What a [`WarmMemo`] holds for one warm digest.
+#[derive(Default)]
+enum Slot {
+    /// Nothing yet.
+    #[default]
+    Empty,
+    /// Kept until the memo is dropped: there is no store, or the save
+    /// failed, so nothing else could answer a later request.
+    Resident(Arc<Checkpoint>),
+    /// In the store (saved or loaded): answered from memory only while
+    /// some job still holds the checkpoint, and loaded again after.
+    Stored(Weak<Checkpoint>),
+    /// The warm-up failed; later requests get the same error.
+    Failed(SimError),
+}
 
-/// Where a [`WarmMemo`]'s checkpoints came from, counted once per warm
-/// digest (later requests for a digest are memo hits and count nothing).
+/// Where a [`WarmMemo`]'s checkpoints came from. A request the memo
+/// answers from memory counts nothing; with a store attached that is only
+/// while some job still holds the checkpoint, so `loaded` counts every
+/// later request for a stored digest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmCounts {
     /// Checkpoints loaded from the store.
@@ -646,19 +661,24 @@ pub struct WarmCounts {
 }
 
 /// In-memory checkpoint cache shared by one engine's workers, keyed by
-/// [`warm_digest`]. Each digest gets a `OnceLock`, so concurrent jobs that
+/// [`warm_digest`]. Each digest has its own lock, so concurrent jobs that
 /// share a warm prefix block on one capture instead of racing to repeat
 /// it.
 ///
+/// Without a store, or when a save fails, the memo keeps a checkpoint
+/// until it is dropped. A checkpoint the store holds stays in memory only
+/// while some job holds its `Arc`; the next request loads it from the
+/// store, which is far cheaper than capturing it again.
+///
 /// The memory image after warm-up depends only on the workload and the
 /// warm-up length, not on the cache and predictor settings that split
-/// digests. The memo keeps the first image it sees for each (workload,
-/// warm-up) pair, and every later checkpoint of that pair shares each
-/// page whose bytes equal that image's.
+/// digests. Each new checkpoint of a (workload, warm-up) pair shares
+/// every page whose bytes equal those of the latest checkpoint of that
+/// pair still in memory.
 #[derive(Default)]
 pub struct WarmMemo {
-    cells: Mutex<HashMap<u64, WarmCell>>,
-    images: Mutex<HashMap<String, FlatMemory>>,
+    slots: Mutex<HashMap<u64, Arc<Mutex<Slot>>>>,
+    images: Mutex<HashMap<String, Weak<Checkpoint>>>,
     counts: Mutex<WarmCounts>,
 }
 
@@ -678,39 +698,39 @@ impl WarmMemo {
         f(&mut crate::sweep::lock_clean(&self.counts));
     }
 
-    fn cell(&self, digest: u64) -> WarmCell {
+    fn slot(&self, digest: u64) -> Arc<Mutex<Slot>> {
         // The map is only ever inserted into under the lock, so a
         // poisoned lock still guards an intact map.
         Arc::clone(
-            crate::sweep::lock_clean(&self.cells)
+            crate::sweep::lock_clean(&self.slots)
                 .entry(digest)
                 .or_default(),
         )
     }
 
-    /// Share `mem`'s pages with the first image recorded for `workload`
-    /// after `warmup` instructions, or record `mem` as that image.
-    fn share_image(&self, workload: &Workload, warmup: u64, mem: &mut FlatMemory) {
-        let first = {
-            let mut images = crate::sweep::lock_clean(&self.images);
-            match images.entry(format!("{workload:?}|warmup={warmup}")) {
-                Entry::Occupied(e) => e.get().clone(),
-                Entry::Vacant(e) => {
-                    e.insert(mem.clone());
-                    return;
-                }
-            }
-        };
-        mem.share_equal_pages(&first);
+    /// Share `ckpt`'s memory pages with the latest checkpoint of
+    /// `workload` after `warmup` instructions still in memory, and make
+    /// `ckpt` the latest.
+    fn adopt(&self, workload: &Workload, warmup: u64, mut ckpt: Checkpoint) -> Arc<Checkpoint> {
+        let name = format!("{workload:?}|warmup={warmup}");
+        let latest = crate::sweep::lock_clean(&self.images)
+            .get(&name)
+            .and_then(Weak::upgrade);
+        if let Some(latest) = latest {
+            ckpt.mem.share_equal_pages(&latest.mem);
+        }
+        let ckpt = Arc::new(ckpt);
+        crate::sweep::lock_clean(&self.images).insert(name, Arc::downgrade(&ckpt));
+        ckpt
     }
 }
 
 /// The warm checkpoint for `job`: answered from the in-memory memo, then
 /// the on-disk store, then captured by functional execution (and saved
 /// back to the store, best-effort). A checkpoint new to the memo shares
-/// its equal memory pages with the first image of its workload and
-/// warm-up length. [`WarmMemo::counts`] records which tier answered and
-/// why a stored checkpoint or a save failed.
+/// its equal memory pages with the latest in-memory checkpoint of its
+/// workload and warm-up length. [`WarmMemo::counts`] records which tier
+/// answered and why a stored checkpoint or a save failed.
 ///
 /// # Errors
 ///
@@ -723,32 +743,57 @@ pub fn warm_checkpoint(
     let cfg = job.workload.config_for(&job.config);
     let key = warm_key(&cfg, &job.workload, job.budget.warmup);
     let digest = fnv1a64(key.as_bytes());
-    let cell = memo.cell(digest);
-    cell.get_or_init(|| {
-        if let Some(s) = store {
-            match s.load(digest, &key) {
-                Ok(Some(mut ckpt)) => {
-                    memo.share_image(&job.workload, job.budget.warmup, &mut ckpt.mem);
-                    memo.tally(|c| c.loaded += 1);
-                    return Ok(Arc::new(ckpt));
-                }
-                Ok(None) => {}
-                Err(e) => memo.tally(|c| c.regenerated.count(&e)),
+    let slot = memo.slot(digest);
+    // Every update below replaces the slot whole, so a poisoned lock
+    // still guards a valid slot.
+    let mut slot = crate::sweep::lock_clean(&slot);
+    match &*slot {
+        Slot::Resident(ckpt) => return Ok(Arc::clone(ckpt)),
+        Slot::Stored(held) => {
+            if let Some(ckpt) = held.upgrade() {
+                return Ok(ckpt);
             }
         }
-        let mut ckpt = capture_checkpoint(&cfg, job.workload.programs(), job.budget.warmup)?;
-        memo.tally(|c| c.captured += 1);
-        // Shared before saving, so the capture's duplicate pages are freed
-        // before the store buffers the encoding.
-        memo.share_image(&job.workload, job.budget.warmup, &mut ckpt.mem);
-        if let Some(s) = store {
-            if s.save(digest, &key, &ckpt).is_err() {
-                memo.tally(|c| c.save_failures += 1);
+        Slot::Failed(e) => return Err(e.clone()),
+        Slot::Empty => {}
+    }
+    let (workload, warmup) = (&job.workload, job.budget.warmup);
+    if let Some(s) = store {
+        match s.load(digest, &key) {
+            Ok(Some(ckpt)) => {
+                memo.tally(|c| c.loaded += 1);
+                let ckpt = memo.adopt(workload, warmup, ckpt);
+                *slot = Slot::Stored(Arc::downgrade(&ckpt));
+                return Ok(ckpt);
             }
+            Ok(None) => {}
+            Err(e) => memo.tally(|c| c.regenerated.count(&e)),
         }
-        Ok(Arc::new(ckpt))
-    })
-    .clone()
+    }
+    let ckpt = match capture_checkpoint(&cfg, workload.programs(), warmup) {
+        Ok(ckpt) => ckpt,
+        Err(e) => {
+            *slot = Slot::Failed(e.clone());
+            return Err(e);
+        }
+    };
+    memo.tally(|c| c.captured += 1);
+    // Shared before saving, so the capture's duplicate pages are freed
+    // before the store buffers the encoding.
+    let ckpt = memo.adopt(workload, warmup, ckpt);
+    let saved = store.is_some_and(|s| {
+        let saved = s.save(digest, &key, &ckpt).is_ok();
+        if !saved {
+            memo.tally(|c| c.save_failures += 1);
+        }
+        saved
+    });
+    *slot = if saved {
+        Slot::Stored(Arc::downgrade(&ckpt))
+    } else {
+        Slot::Resident(Arc::clone(&ckpt))
+    };
+    Ok(ckpt)
 }
 
 #[cfg(test)]
@@ -1026,19 +1071,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn warm_memo_counts_which_tier_answered_and_why_a_file_was_unusable() {
-        use crate::simulator::RunBudget;
-        let budget = RunBudget {
+    /// A 2,000-instruction warm-up of compress on the base machine.
+    fn small_job() -> Job {
+        let budget = crate::simulator::RunBudget {
             warmup: 2_000,
             measure: 1_000,
             max_cycles: 1_000_000,
         };
-        let job = Job::new(
+        Job::new(
             PipelineConfig::base(),
             Workload::Single(Benchmark::Compress),
             budget,
-        );
+        )
+    }
+
+    #[test]
+    fn warm_memo_counts_which_tier_answered_and_why_a_file_was_unusable() {
+        let job = small_job();
         let dir = std::env::temp_dir().join(format!("llck-counts-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = CheckpointStore::open(&dir).expect("open");
@@ -1052,11 +1101,18 @@ mod tests {
         };
         let memo = WarmMemo::default();
         assert_eq!(warm(&memo), captured, "an empty store captures");
-        assert_eq!(warm(&memo), captured, "a memo hit counts nothing");
         let loaded = WarmCounts {
             loaded: 1,
             ..WarmCounts::default()
         };
+        assert_eq!(
+            warm(&memo),
+            WarmCounts {
+                loaded: 1,
+                ..captured
+            },
+            "no job holds the capture any more, so the store answers"
+        );
         assert_eq!(warm(&WarmMemo::default()), loaded);
 
         let key = warm_key(&job.config, &job.workload, 2_000);
@@ -1083,7 +1139,7 @@ mod tests {
         let other = Job::new(
             PipelineConfig::base(),
             Workload::Single(Benchmark::Swim),
-            budget,
+            job.budget,
         );
         warm_checkpoint(&other, Some(&store), &WarmMemo::default()).expect("warm");
         let other_file = store.path(warm_digest(&other.config, &other.workload, 2_000));
@@ -1094,6 +1150,102 @@ mod tests {
         assert_eq!(ckpt.encode(&key), stored);
         memo.reset_counts();
         assert_eq!(memo.counts(), WarmCounts::default());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn with_a_store_the_memo_holds_a_checkpoint_only_while_a_job_does() {
+        let job = small_job();
+        let key = warm_key(&job.config, &job.workload, job.budget.warmup);
+        let dir = std::env::temp_dir().join(format!("llck-held-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open");
+        let memo = WarmMemo::default();
+        let captured = warm_checkpoint(&job, Some(&store), &memo).expect("capture");
+        let again = warm_checkpoint(&job, Some(&store), &memo).expect("memo hit");
+        assert!(
+            Arc::ptr_eq(&captured, &again),
+            "held, so answered from memory"
+        );
+        let once = WarmCounts {
+            captured: 1,
+            ..WarmCounts::default()
+        };
+        assert_eq!(memo.counts(), once);
+
+        let bytes = captured.encode(&key);
+        drop((captured, again));
+        let loaded = warm_checkpoint(&job, Some(&store), &memo).expect("load");
+        assert_eq!(memo.counts(), WarmCounts { loaded: 1, ..once });
+        assert_eq!(loaded.encode(&key), bytes, "the load is the capture");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn without_a_store_or_after_a_failed_save_the_memo_keeps_the_checkpoint() {
+        let job = small_job();
+        let memo = WarmMemo::default();
+        let first = Arc::downgrade(&warm_checkpoint(&job, None, &memo).expect("capture"));
+        let again = warm_checkpoint(&job, None, &memo).expect("memo hit");
+        assert!(first.upgrade().is_some_and(|f| Arc::ptr_eq(&f, &again)));
+        let once = WarmCounts {
+            captured: 1,
+            ..WarmCounts::default()
+        };
+        assert_eq!(memo.counts(), once);
+
+        // A store whose directory is gone fails every save, and every load
+        // misses.
+        let dir = std::env::temp_dir().join(format!("llck-unsaved-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open");
+        std::fs::remove_dir_all(&dir).expect("remove the store's directory");
+        let memo = WarmMemo::default();
+        let first = Arc::downgrade(&warm_checkpoint(&job, Some(&store), &memo).expect("capture"));
+        let again = warm_checkpoint(&job, Some(&store), &memo).expect("memo hit");
+        assert!(first.upgrade().is_some_and(|f| Arc::ptr_eq(&f, &again)));
+        assert_eq!(
+            memo.counts(),
+            WarmCounts {
+                save_failures: 1,
+                ..once
+            }
+        );
+    }
+
+    #[test]
+    fn two_workers_on_one_digest_capture_once() {
+        let job = small_job();
+        let dir = std::env::temp_dir().join(format!("llck-workers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open");
+        let memo = WarmMemo::default();
+        let (start, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let got: Vec<Arc<Checkpoint>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let ckpt = warm_checkpoint(&job, Some(&store), &memo).expect("warm");
+                        // Both hold their checkpoint until both have one.
+                        done.wait();
+                        ckpt
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        assert!(Arc::ptr_eq(&got[0], &got[1]));
+        assert_eq!(
+            memo.counts(),
+            WarmCounts {
+                captured: 1,
+                ..WarmCounts::default()
+            }
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -310,9 +310,10 @@ impl SweepEngine {
     }
 
     /// An engine that executes jobs under `mode`. A `store` adds an
-    /// on-disk checkpoint cache shared across processes; without one,
-    /// warm-state checkpoints are still shared in memory between jobs of
-    /// the same (config-warm-relevant, workload, warm-up) digest.
+    /// on-disk checkpoint cache shared across processes, and a checkpoint
+    /// then stays in memory only while a job uses it; without one,
+    /// warm-state checkpoints stay in memory for every later job of the
+    /// same (config-warm-relevant, workload, warm-up) digest.
     pub fn with_mode(
         workers: usize,
         mode: ExecMode,

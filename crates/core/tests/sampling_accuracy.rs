@@ -150,8 +150,10 @@ fn sampled_sweep_engine_reuses_one_checkpoint_across_depths() {
         .collect();
     let stats = engine.run_jobs(&jobs);
     assert_eq!(stats.len(), 3);
+    // One worker holds the checkpoint only while a job restores from it,
+    // so the memo releases it and the two later depths load it back.
     let counts = engine.summary().checkpoints;
-    assert_eq!((counts.captured, counts.loaded), (1, 0), "{counts:?}");
+    assert_eq!((counts.captured, counts.loaded), (1, 2), "{counts:?}");
     let files = std::fs::read_dir(&dir)
         .expect("store dir")
         .filter_map(|e| e.ok())

@@ -12,6 +12,7 @@ use crate::reg::{Reg, NUM_ARCH_REGS};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Byte-addressed data memory as seen by the interpreter (and, through the
@@ -29,6 +30,32 @@ pub trait Memory {
 /// Bytes per [`FlatMemory`] page.
 const PAGE_BYTES: usize = 4096;
 
+/// Hashes the page indices of [`FlatMemory`]'s page map: one multiply
+/// by the 64-bit golden ratio, with the high half folded into the low
+/// half so that both the bucket index (low bits) and the control tag
+/// (high bits) vary. Page indices come from the simulated program, and
+/// nothing iterates the map in an order that reaches an output, so
+/// SipHash's resistance to crafted keys buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Simple sparse memory: 4 KiB pages allocated on first touch.
 ///
 /// Pages are copy-on-write: cloning a memory costs one reference count per
@@ -37,7 +64,7 @@ const PAGE_BYTES: usize = 4096;
 /// share one image and each pays only for the pages it writes.
 #[derive(Debug, Default, Clone)]
 pub struct FlatMemory {
-    pages: HashMap<u64, Arc<[u8; PAGE_BYTES]>>,
+    pages: HashMap<u64, Arc<[u8; PAGE_BYTES]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl FlatMemory {

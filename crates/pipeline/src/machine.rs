@@ -2295,26 +2295,31 @@ impl Machine {
         }
 
         // Memory-order violation: a younger load of ours already executed
-        // against an overlapping address (it read stale data).
-        let mut violator: Option<(u64, InstId)> = None;
-        for &lid in &self.threads[t].rob {
+        // against an overlapping address (it read stale data). The ROB is
+        // in program order, so walking it youngest first up to the store
+        // visits exactly the younger instructions and ends on the oldest
+        // violator.
+        let mut violator: Option<InstId> = None;
+        for &lid in self.threads[t].rob.iter().rev() {
             let l = self.slab.expect(lid);
-            if l.seq <= seq || l.class != Class::Load {
+            if l.seq <= seq {
+                break;
+            }
+            if l.class != Class::Load {
                 continue;
             }
             if let Some(la) = l.mem_addr {
                 if overlaps((addr, size), (la, l.mem_size))
                     && matches!(l.phase, InstPhase::Issued | InstPhase::Complete)
-                    && violator.map(|(s, _)| l.seq < s).unwrap_or(true)
                 {
-                    violator = Some((l.seq, lid));
+                    violator = Some(lid);
                 }
             }
         }
         let complete_at = now + self.cfg.lat.agu as u64 - 1;
         self.finish_exec(id, now, complete_at.max(now), None, pc + 1, true);
 
-        if let Some((_, lid)) = violator {
+        if let Some(lid) = violator {
             let (lseq, lpc) = {
                 let l = self.slab.expect(lid);
                 (l.seq, l.pc)

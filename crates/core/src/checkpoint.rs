@@ -522,7 +522,7 @@ impl FunctionalCursor {
     }
 
     /// Advance by up to `instructions` (summed over threads, interleaved
-    /// in [`INTERLEAVE_CHUNK`] slices); returns how many actually executed
+    /// round-robin in fixed-size slices); returns how many actually executed
     /// (less only when every live thread halts).
     ///
     /// # Errors

@@ -17,7 +17,7 @@
 use crate::checkpoint::{
     restore_into, warm_checkpoint, CheckpointStore, FunctionalCursor, WarmMemo,
 };
-use crate::simulator::RunBudget;
+use crate::simulator::{warm_then_measure, RunBudget};
 use crate::sweep::Job;
 use looseloops_pipeline::profile::StageReport;
 use looseloops_pipeline::{Machine, SimError, SimStats};
@@ -225,11 +225,12 @@ pub fn run_sampled(
             m.enable_profile();
         }
         restore_into(&mut m, &cursor.checkpoint())?;
-        if plan.detail_warmup > 0 {
-            m.run(plan.detail_warmup, job.budget.max_cycles)?;
-            m.reset_stats();
-        }
-        let stats = m.run(plan.detail, job.budget.max_cycles)?.clone();
+        let stats = warm_then_measure(
+            &mut m,
+            plan.detail_warmup,
+            plan.detail,
+            job.budget.max_cycles,
+        )?;
         if let (Some(total), Some(window)) = (&mut report, m.profile()) {
             total.add(window);
         }

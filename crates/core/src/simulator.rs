@@ -76,12 +76,24 @@ pub(crate) fn run_profiled(
     if profile {
         m.enable_profile();
     }
-    if budget.warmup > 0 {
-        m.run(budget.warmup, budget.max_cycles)?;
+    let stats = warm_then_measure(&mut m, budget.warmup, budget.measure, budget.max_cycles)?;
+    Ok((stats, m.profile().copied()))
+}
+
+/// Warm `m` up for `warmup` instructions, reset its statistics, then
+/// measure `measure` instructions, each run capped at `max_cycles`: the
+/// body of detailed runs and of every sampled window.
+pub(crate) fn warm_then_measure(
+    m: &mut Machine,
+    warmup: u64,
+    measure: u64,
+    max_cycles: u64,
+) -> Result<SimStats, SimError> {
+    if warmup > 0 {
+        m.run(warmup, max_cycles)?;
         m.reset_stats();
     }
-    let stats = m.run(budget.measure, budget.max_cycles)?.clone();
-    Ok((stats, m.profile().copied()))
+    Ok(m.run(measure, max_cycles)?.clone())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!    machine configuration (scheme × RF latency × policies × predictor ×
 //!    SMT × fault storm) and compares the pipeline against the oracle on
 //!    the full retire stream, final architectural state and final memory.
-//! 3. [`shrink`] — delta-debugging. A failing case is minimized first in
+//! 3. [`shrink()`] — delta-debugging. A failing case is minimized first in
 //!    configuration space (drop faults, drop the second thread, simplify
 //!    policies), then instruction by instruction with branch-displacement
 //!    fixup, until a small reproducer remains.

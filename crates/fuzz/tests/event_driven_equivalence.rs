@@ -11,18 +11,30 @@
 //! Coverage: the checked-in fuzz regression corpus, fresh
 //! structure-aware fuzz cases, fault storms (latency spikes, branch
 //! flips, DRA operand drops) across all four load-speculation policies
-//! and both register schemes, and SMT with store-wait traps.
+//! and both register schemes, SMT with store-wait traps, and rename's
+//! branch-checkpoint limit.
 
 use looseloops::workload::{synthetic, SyntheticParams};
 use looseloops_fuzz::FuzzCase;
 use looseloops_isa::Program;
-use looseloops_pipeline::{FaultPlan, Machine, PipelineConfig};
+use looseloops_pipeline::{FaultPlan, Machine, PipelineConfig, SimStats};
 use std::path::Path;
 
-/// Run `cfg` on `programs` once with each engine and assert identical
-/// observable behavior. The auditor is forced off: it would disable the
-/// quiescence skip (by design) and this suite exists to exercise it.
-fn assert_engines_agree(mut cfg: PipelineConfig, programs: Vec<Program>, label: &str) {
+/// Run `cfg` on `programs` for up to 300,000 cycles once with each engine
+/// and assert identical observable behavior.
+fn assert_engines_agree(cfg: PipelineConfig, programs: Vec<Program>, label: &str) {
+    assert_engines_agree_within(cfg, programs, label, 300_000);
+}
+
+/// [`assert_engines_agree`] for up to `max_cycles` cycles, returning the
+/// statistics. The auditor is forced off: it would disable the quiescence
+/// skip (by design) and this suite exists to exercise it.
+fn assert_engines_agree_within(
+    mut cfg: PipelineConfig,
+    programs: Vec<Program>,
+    label: &str,
+    max_cycles: u64,
+) -> SimStats {
     cfg.audit = false;
     let run = |naive: bool| {
         let mut m = Machine::new(cfg.clone(), programs.clone()).expect("valid config");
@@ -33,22 +45,22 @@ fn assert_engines_agree(mut cfg: PipelineConfig, programs: Vec<Program>, label: 
         // Deadlocks must also be *identical* (same cycle, same snapshot),
         // so keep the error rather than unwrapping.
         let outcome = m
-            .run(u64::MAX, 300_000)
+            .run(u64::MAX, max_cycles)
             .map(|_| ())
             .map_err(|e| e.to_string());
-        (
-            outcome,
-            m.cycle(),
-            format!("{:?}", m.stats()),
-            m.take_retires(),
-        )
+        (outcome, m.cycle(), m.stats().clone(), m.take_retires())
     };
     let fast = run(false);
     let naive = run(true);
     assert_eq!(fast.0, naive.0, "{label}: run outcome diverged");
     assert_eq!(fast.1, naive.1, "{label}: cycle count diverged");
     assert_eq!(fast.3, naive.3, "{label}: retire stream diverged");
-    assert_eq!(fast.2, naive.2, "{label}: SimStats diverged");
+    assert_eq!(
+        format!("{:?}", fast.2),
+        format!("{:?}", naive.2),
+        "{label}: SimStats diverged"
+    );
+    fast.2
 }
 
 #[test]
@@ -122,4 +134,35 @@ fn smt_store_traffic_is_cycle_exact() {
     let cfg = PipelineConfig::base().smt(2);
     let progs = vec![mem_heavy(21), mem_heavy(22)];
     assert_engines_agree(cfg, progs, "smt-2 store traffic");
+}
+
+/// No preset, figure or workload sets `branch_checkpoints`, so this is
+/// the only place rename's checkpoint-limit stall runs: a conditional
+/// branch waits at rename until an older one resolves, and the skip must
+/// charge those stall cycles exactly as stepping does.
+#[test]
+fn branch_checkpoint_limits_are_cycle_exact() {
+    use looseloops::workload::Benchmark;
+    for (scheme, base) in [
+        ("base", PipelineConfig::base()),
+        ("dra5", PipelineConfig::dra_for_rf(5)),
+    ] {
+        for bench in [Benchmark::Go, Benchmark::Gcc] {
+            let retired = [1, 4].map(|limit| {
+                let mut cfg = base.clone();
+                cfg.branch_checkpoints = Some(limit);
+                let label = format!("{bench:?} {scheme} branch_checkpoints={limit}");
+                let stats = assert_engines_agree_within(cfg, vec![bench.program()], &label, 60_000);
+                assert!(
+                    stats.rename_stall_cycles > 0,
+                    "{label}: rename never stalled"
+                );
+                stats.total_retired()
+            });
+            assert!(
+                retired[0] < retired[1],
+                "{bench:?} {scheme}: one checkpoint must retire less than four in the same cycles: {retired:?}"
+            );
+        }
+    }
 }

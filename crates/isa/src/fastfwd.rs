@@ -11,7 +11,7 @@
 //! state only, which is exactly the state a detailed run needs warmed.
 
 use crate::inst::Class;
-use crate::interp::{ArchState, ExecError, Memory};
+use crate::interp::{ArchState, ExecError, FlatMemory};
 use crate::program::Program;
 
 /// Observer for the architectural event stream during fast-forward.
@@ -65,7 +65,7 @@ pub const NO_FETCH_LINE: u64 = u64::MAX;
 pub fn fast_forward(
     st: &mut ArchState,
     prog: &Program,
-    mem: &mut dyn Memory,
+    mem: &mut FlatMemory,
     max_steps: u64,
     hooks: &mut dyn WarmHooks,
     last_fetch_line: &mut u64,

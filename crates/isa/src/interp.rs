@@ -15,18 +15,6 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// Byte-addressed data memory as seen by the interpreter (and, through the
-/// same trait, by the timing simulator's retire stage).
-///
-/// Reads of never-written locations return zero, mirroring a zero-filled
-/// address space.
-pub trait Memory {
-    /// Read `size` bytes (1, 4, or 8) at `addr`, little-endian, zero-extended.
-    fn read(&mut self, addr: u64, size: u8) -> u64;
-    /// Write the low `size` bytes of `val` at `addr`, little-endian.
-    fn write(&mut self, addr: u64, size: u8, val: u64);
-}
-
 /// Bytes per [`FlatMemory`] page.
 const PAGE_BYTES: usize = 4096;
 
@@ -185,7 +173,7 @@ impl FlatMemory {
         )
     }
 
-    fn read_byte(&mut self, addr: u64) -> u8 {
+    fn read_byte(&self, addr: u64) -> u8 {
         match self.pages.get(&(addr >> 12)) {
             Some(p) => p[(addr & 0xfff) as usize],
             None => 0,
@@ -195,10 +183,10 @@ impl FlatMemory {
     fn write_byte(&mut self, addr: u64, val: u8) {
         self.page_mut(addr >> 12)[(addr & 0xfff) as usize] = val;
     }
-}
 
-impl Memory for FlatMemory {
-    fn read(&mut self, addr: u64, size: u8) -> u64 {
+    /// Read `size` bytes (1, 4, or 8) at `addr`, little-endian,
+    /// zero-extended. Never-written locations read as zero.
+    pub fn read(&self, addr: u64, size: u8) -> u64 {
         debug_assert!(matches!(size, 1 | 4 | 8), "unsupported access size {size}");
         let off = (addr & 0xfff) as usize;
         // One page lookup for the whole access; the per-byte path (one
@@ -222,7 +210,8 @@ impl Memory for FlatMemory {
         v
     }
 
-    fn write(&mut self, addr: u64, size: u8, val: u64) {
+    /// Write the low `size` bytes of `val` at `addr`, little-endian.
+    pub fn write(&mut self, addr: u64, size: u8, val: u64) {
         debug_assert!(matches!(size, 1 | 4 | 8), "unsupported access size {size}");
         let off = (addr & 0xfff) as usize;
         if off + size as usize <= PAGE_BYTES {
@@ -450,7 +439,7 @@ impl ArchState {
     /// [`ExecError::Halted`] if the thread has halted, or
     /// [`ExecError::PcOutOfRange`] if the PC does not point at an
     /// instruction.
-    pub fn step(&mut self, prog: &Program, mem: &mut dyn Memory) -> Result<Retired, ExecError> {
+    pub fn step(&mut self, prog: &Program, mem: &mut FlatMemory) -> Result<Retired, ExecError> {
         if self.halted {
             return Err(ExecError::Halted);
         }
@@ -470,7 +459,7 @@ impl ArchState {
     pub fn run(
         &mut self,
         prog: &Program,
-        mem: &mut dyn Memory,
+        mem: &mut FlatMemory,
         max_steps: u64,
     ) -> Result<RunSummary, ExecError> {
         let mut retired = 0;
@@ -486,7 +475,7 @@ impl ArchState {
 
     /// The semantics of `inst` at `pc`; shared by `step` and (via re-export)
     /// the timing simulator's execute stage.
-    pub fn execute(&mut self, inst: Inst, pc: u64, mem: &mut dyn Memory) -> Retired {
+    pub fn execute(&mut self, inst: Inst, pc: u64, mem: &mut FlatMemory) -> Retired {
         use Opcode::*;
         let s1 = self.read_reg(inst.rs1);
         let s2 = if inst.uses_imm {
@@ -678,7 +667,7 @@ mod tests {
         b.stq(Reg::int(4), Reg::int(1), 24);
         b.ldq(Reg::int(5), Reg::int(1), 24);
         b.halt();
-        let (st, mut mem) = run_prog(b);
+        let (st, mem) = run_prog(b);
         assert_eq!(st.read_reg(Reg::int(5)), 55);
         assert_eq!(mem.read(0x2018, 8), 55);
     }
@@ -709,7 +698,7 @@ mod tests {
         b.fsub(Reg::fp(4), Reg::fp(3), Reg::fp(0)); // 0.0
         b.fstq(Reg::fp(2), Reg::int(1), 16);
         b.halt();
-        let (st, mut mem) = run_prog(b);
+        let (st, mem) = run_prog(b);
         assert_eq!(f64::from_bits(st.read_reg(Reg::fp(4))), 0.0);
         assert_eq!(f64::from_bits(mem.read(0x110, 8)), 10.0);
     }
@@ -970,7 +959,7 @@ mod control_tests {
         b.data(0x1ffd, bytes.clone());
         b.halt();
         let prog = b.build().unwrap();
-        let mut mem = FlatMemory::with_program(&prog);
+        let mem = FlatMemory::with_program(&prog);
         assert_eq!(mem.pages_touched(), 4);
         for (i, &want) in bytes.iter().enumerate() {
             assert_eq!(mem.read(0x1ffd + i as u64, 1), u64::from(want), "byte {i}");

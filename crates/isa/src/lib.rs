@@ -54,8 +54,8 @@ pub use disasm::disassemble;
 pub use fastfwd::{fast_forward, NoWarm, WarmHooks, NO_FETCH_LINE};
 pub use inst::{Class, Inst, Opcode};
 pub use interp::{
-    branch_taken, control_target, eval_op, ArchState, ExecError, FlatMemory, Memory, Retired,
-    RunSummary, StateDivergence,
+    branch_taken, control_target, eval_op, ArchState, ExecError, FlatMemory, Retired, RunSummary,
+    StateDivergence,
 };
 pub use predecode::{BranchKind, ClusterAffinity, Predecode, StaticInstInfo};
 pub use program::{Program, ProgramBuilder, ProgramError};

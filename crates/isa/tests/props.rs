@@ -5,7 +5,7 @@
 //! builds and tests without external dependencies (and failures reproduce
 //! exactly).
 
-use looseloops_isa::{eval_op, FlatMemory, Inst, Memory, Opcode, Reg};
+use looseloops_isa::{eval_op, FlatMemory, Inst, Opcode, Reg};
 use looseloops_rng::Rng;
 
 const CASES: u64 = 512;

@@ -131,16 +131,6 @@ pub(crate) struct ThreadState {
     pub(crate) oracle: Option<(ArchState, FlatMemory)>,
 }
 
-impl ThreadState {
-    fn frontend_len(&self) -> usize {
-        self.decode_q.len() + self.transit_q.len()
-    }
-
-    fn icount(&self) -> usize {
-        self.frontend_len() + self.rob.len()
-    }
-}
-
 /// The simulated machine: construct with [`Machine::new`], drive with
 /// [`Machine::run`], read results from [`Machine::stats`]. Fields are
 /// crate-visible for the invariant auditor (`audit.rs`).
@@ -770,7 +760,7 @@ impl Machine {
         self.progressed |= self.iq.next_release().is_some_and(|r| r <= now);
         self.iq.release_confirmed(now);
         self.iq.sample_occupancy();
-        if now < self.frontend_stall_until {
+        if self.frontend_held(now) {
             self.stats.operand_miss_stall_cycles += 1;
         }
         self.stats.cycles += 1;
@@ -810,28 +800,60 @@ impl Machine {
     pub fn set_event_driven(&mut self, on: bool) {
         self.event_driven = on;
     }
+
+    /// The DRA operand-miss recovery stall (paper §5.4) holds fetch,
+    /// rename and insert until `frontend_stall_until`.
+    fn frontend_held(&self, now: u64) -> bool {
+        now < self.frontend_stall_until
+    }
+
+    /// The round-robin of rename, insert and retire: `step` acts once for
+    /// thread `t`, or returns `false` when `t` can do nothing more this
+    /// cycle, until `budget` steps acted or no thread can; returns how many
+    /// acted.
+    #[inline(always)]
+    fn round_robin(
+        &mut self,
+        budget: usize,
+        mut step: impl FnMut(&mut Machine, usize) -> bool,
+    ) -> usize {
+        let nthreads = self.threads.len();
+        // Bit t set: thread t can do nothing more this cycle (`validate`
+        // caps threads at 4).
+        let all = (1u32 << nthreads) - 1;
+        let mut blocked = 0u32;
+        let mut left = budget;
+        while left > 0 && blocked != all {
+            for t in 0..nthreads {
+                if left == 0 {
+                    break;
+                }
+                if blocked & (1 << t) != 0 {
+                    continue;
+                }
+                if step(self, t) {
+                    left -= 1;
+                } else {
+                    blocked |= 1 << t;
+                }
+            }
+        }
+        budget - left
+    }
 }
 
-/// Per-thread "can make no further progress this cycle" flags of the
-/// rename / insert / retire round-robin loops (`validate` caps threads at
-/// 4, well inside the bits).
-#[derive(Default, Clone, Copy)]
-struct ThreadMask(u32);
-
-impl ThreadMask {
-    #[inline]
-    fn has(self, t: usize) -> bool {
-        self.0 & (1 << t) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, t: usize) {
-        self.0 |= 1 << t;
-    }
-
-    /// Every one of `n` threads is blocked.
-    #[inline]
-    fn all(self, n: usize) -> bool {
-        self.0 == (1 << n) - 1
-    }
+/// When a stage can next act for one thread. Fetch, rename, insert and
+/// retire each state their conditions once, in a `*_readiness` function
+/// that both the stage and the quiescence skip call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Readiness {
+    /// The stage acts this cycle.
+    Now,
+    /// Its next work ripens at this later cycle.
+    At(u64),
+    /// Its next work is ripe but held until another stage frees a
+    /// resource; rename counts each such cycle in `rename_stall_cycles`.
+    Stalled,
+    /// It has nothing to act on until another stage acts.
+    Blocked,
 }

@@ -7,7 +7,7 @@ use crate::config::{LoadSpecPolicy, RegisterScheme};
 use crate::dyninst::{DestRename, InstId, InstPhase, OperandSource};
 use crate::lsq::{contains, forward_value, overlaps};
 use crate::stats::CpiComponent;
-use looseloops_isa::{branch_taken, eval_op, Class, Memory, Opcode};
+use looseloops_isa::{branch_taken, eval_op, Class, Opcode};
 use looseloops_mem::AccessKind;
 
 impl Machine {

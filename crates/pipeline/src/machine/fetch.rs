@@ -1,28 +1,44 @@
 //! Fetch: ICOUNT thread choice, one I-cache access per block, and
 //! fetch-time control prediction.
 
-use super::Machine;
+use super::{Machine, Readiness};
 use crate::dyninst::{BranchPrediction, InstId};
 use looseloops_isa::{BranchKind, Class, Program, StaticInstInfo};
 use looseloops_mem::AccessKind;
 
 impl Machine {
-    pub(super) fn do_fetch(&mut self, now: u64) {
-        if now < self.frontend_stall_until {
-            return;
+    /// Decode-queue capacity per thread: the fetch pipe's stages plus two
+    /// groups of slack.
+    fn decode_cap(&self) -> usize {
+        (self.cfg.fetch_stages as usize + 2) * self.cfg.width
+    }
+
+    /// Can thread `t` fetch? A live, unsuspended thread with room in its
+    /// decode queue fetches once its I-cache miss or redirect stall ends.
+    /// Fetching is an I-cache access even when the block then misses.
+    pub(super) fn fetch_readiness(&self, t: usize, now: u64) -> Readiness {
+        if self.frontend_held(now) {
+            return Readiness::At(self.frontend_stall_until);
         }
-        // ICOUNT: fetch from the eligible thread with the fewest in-flight
-        // instructions.
-        let decode_cap = (self.cfg.fetch_stages as usize + 2) * self.cfg.width;
+        let th = &self.threads[t];
+        if th.done || th.fetch_suspended || th.decode_q.len() >= self.decode_cap() {
+            Readiness::Blocked
+        } else if th.fetch_stall_until <= now {
+            Readiness::Now
+        } else {
+            Readiness::At(th.fetch_stall_until)
+        }
+    }
+
+    pub(super) fn do_fetch(&mut self, now: u64) {
+        // ICOUNT: fetch from the ready thread with the fewest instructions
+        // in its decode queue, DEC-IQ transit and ROB.
         let Some(t) = (0..self.threads.len())
-            .filter(|&t| {
+            .filter(|&t| self.fetch_readiness(t, now) == Readiness::Now)
+            .min_by_key(|&t| {
                 let th = &self.threads[t];
-                !th.done
-                    && !th.fetch_suspended
-                    && th.fetch_stall_until <= now
-                    && th.decode_q.len() < decode_cap
+                (th.decode_q.len() + th.transit_q.len() + th.rob.len(), t)
             })
-            .min_by_key(|&t| (self.threads[t].icount(), t))
         else {
             return;
         };

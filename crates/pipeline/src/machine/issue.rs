@@ -268,25 +268,12 @@ impl Machine {
         self.ready_at[src.phys.index()] <= now
     }
 
+    /// Waiting entry `e` may issue at `now`: every source is ready and no
+    /// store-wait gate holds it. The naive engine selects by this, and the
+    /// auditor checks the incremental ready lists against it.
     pub(crate) fn entry_ready(&self, e: &IqEntry, now: u64) -> bool {
         let di = self.slab.expect(e.id);
-        for src in di.srcs.iter().flatten() {
-            if !self.src_ready(src, now) {
-                return false;
-            }
-        }
-        // Store-wait discipline: a load whose PC has trapped before must
-        // wait for every older store's address. `oldest_unknown_seq` is
-        // the incrementally maintained minimum over address-unknown
-        // entries of the thread's store queue, so the old per-evaluation
-        // queue scan reduces to one comparison.
-        if di.class == Class::Load
-            && self.store_wait.must_wait(di.pc)
-            && self.threads[e.thread].oldest_unknown_seq < di.seq
-        {
-            return false;
-        }
-        true
+        di.srcs.iter().flatten().all(|src| self.src_ready(src, now)) && !self.entry_gated(e)
     }
 
     pub(super) fn do_issue(&mut self, now: u64) {

@@ -1,68 +1,81 @@
 //! Rename and insert: map sources and destinations, slot a cluster,
 //! and move renamed instructions from DEC-IQ transit into the IQ.
 
-use super::{Machine, ThreadMask};
+use super::{Machine, Readiness};
 use crate::dyninst::{DestRename, InstId, InstPhase, SrcOperand, NO_CYCLE};
 use crate::iq::{IqEntry, IqState};
 use looseloops_isa::Class;
 use looseloops_regs::PhysReg;
 
 impl Machine {
+    /// DEC-IQ transit capacity per thread: the pipe's stages plus two
+    /// groups of slack.
+    fn transit_cap(&self) -> usize {
+        (self.cfg.dec_iq_stages as usize + 2) * self.cfg.width
+    }
+
+    /// Can thread `t` rename its decode-queue head, with `in_flight`
+    /// instructions renamed and unretired machine-wide? Every condition
+    /// that holds the head back is stated here and nowhere else:
+    /// `rename_one` cannot fail once this says [`Readiness::Now`].
+    pub(super) fn rename_readiness(&self, t: usize, now: u64, in_flight: usize) -> Readiness {
+        if self.frontend_held(now) {
+            return Readiness::At(self.frontend_stall_until);
+        }
+        let th = &self.threads[t];
+        let Some(&(ready, id)) = th.decode_q.front() else {
+            return Readiness::Blocked;
+        };
+        if ready > now {
+            return Readiness::At(ready);
+        }
+        if th.mb_stall_seq.is_some()
+            || th.transit_q.len() >= self.transit_cap()
+            || in_flight >= self.cfg.max_in_flight
+        {
+            return Readiness::Stalled;
+        }
+        // The head's static facts are looked up only when a limit is hit.
+        let info = || {
+            th.code
+                .info(self.slab.expect(id).pc)
+                .expect("fetched implies predecoded")
+        };
+        // No free branch checkpoint: wait for an older branch to resolve.
+        let no_checkpoint = self
+            .cfg
+            .branch_checkpoints
+            .is_some_and(|limit| th.unresolved_branches >= limit)
+            && info().class == Class::CondBranch;
+        let no_register = self.freelist.available() == 0 && info().dest.is_some();
+        if no_checkpoint || no_register {
+            Readiness::Stalled
+        } else {
+            Readiness::Now
+        }
+    }
+
     pub(super) fn do_rename(&mut self, now: u64) {
-        if now < self.frontend_stall_until {
-            return;
-        }
-        // Nothing decoded anywhere: skip the round-robin bookkeeping. No
-        // stall statistics fire on an empty decode queue, so this early-out
-        // is invisible to the simulated results.
-        if self.threads.iter().all(|th| th.decode_q.is_empty()) {
-            return;
-        }
-        let transit_cap = (self.cfg.dec_iq_stages as usize + 2) * self.cfg.width;
-        let mut budget = self.cfg.width;
         // Every successful rename pushes exactly one ROB entry, so the
         // in-flight count can be carried locally instead of re-summing the
         // per-thread ROB lengths for each candidate.
         let mut in_flight = self.total_in_flight();
-        // Round-robin across threads, in per-thread program order, until
-        // the budget runs out or every thread is blocked.
-        let nthreads = self.threads.len();
-        let mut blocked = ThreadMask::default();
-        while budget > 0 && !blocked.all(nthreads) {
-            for t in 0..nthreads {
-                if budget == 0 {
-                    break;
+        let renamed = self.round_robin(self.cfg.width, |m, t| {
+            match m.rename_readiness(t, now, in_flight) {
+                Readiness::Now => {
+                    let (_, id) = m.threads[t].decode_q.pop_front().expect("a ready head");
+                    m.rename_one(t, id, now);
+                    in_flight += 1;
+                    true
                 }
-                if blocked.has(t) {
-                    continue;
+                Readiness::Stalled => {
+                    m.stats.rename_stall_cycles += 1;
+                    false
                 }
-                let th = &self.threads[t];
-                let Some(&(ready, id)) = th.decode_q.front() else {
-                    blocked.set(t);
-                    continue;
-                };
-                if ready > now
-                    || th.mb_stall_seq.is_some()
-                    || th.transit_q.len() >= transit_cap
-                    || in_flight >= self.cfg.max_in_flight
-                {
-                    if ready <= now {
-                        self.stats.rename_stall_cycles += 1;
-                    }
-                    blocked.set(t);
-                    continue;
-                }
-                if !self.rename_one(t, id, now) {
-                    self.stats.rename_stall_cycles += 1;
-                    blocked.set(t);
-                    continue;
-                }
-                self.threads[t].decode_q.pop_front();
-                in_flight += 1;
-                budget -= 1;
-                self.progressed = true;
+                Readiness::At(_) | Readiness::Blocked => false,
             }
-        }
+        });
+        self.progressed |= renamed > 0;
     }
 
     pub(super) fn total_in_flight(&self) -> usize {
@@ -72,9 +85,9 @@ impl Machine {
         self.threads.iter().map(|t| t.rob.len()).sum()
     }
 
-    /// Rename one instruction; returns `false` if it must stall (free-list
-    /// exhaustion or no free branch checkpoint).
-    fn rename_one(&mut self, t: usize, id: InstId, now: u64) -> bool {
+    /// Rename one instruction, which [`Machine::rename_readiness`] has
+    /// found ready.
+    fn rename_one(&mut self, t: usize, id: InstId, now: u64) {
         let pc = self.slab.expect(id).pc;
         // All static facts come from the predecode table — no per-dynamic
         // opcode matches on this path.
@@ -83,13 +96,6 @@ impl Machine {
             .info(pc)
             .expect("fetched implies predecoded");
         let class = info.class;
-        if class == Class::CondBranch {
-            if let Some(limit) = self.cfg.branch_checkpoints {
-                if self.threads[t].unresolved_branches >= limit {
-                    return false; // wait for an older branch to resolve
-                }
-            }
-        }
         // Sources must be looked up against the *pre-instruction* map —
         // before the destination rename overwrites a same-register mapping
         // (e.g. `add r2, r2, r1`).
@@ -101,9 +107,9 @@ impl Machine {
         }
         let dest = match info.dest {
             Some(arch) => {
-                let Some((new, prev)) = self.rename[t].rename_dest(arch, &mut self.freelist) else {
-                    return false;
-                };
+                let (new, prev) = self.rename[t]
+                    .rename_dest(arch, &mut self.freelist)
+                    .expect("rename readiness checked the free list");
                 self.on_allocate_phys(new);
                 Some(DestRename { arch, new, prev })
             }
@@ -211,7 +217,6 @@ impl Machine {
                 self.threads[t].transit_q.push_back((insert_at, id));
             }
         }
-        true
     }
 
     fn on_allocate_phys(&mut self, p: PhysReg) {
@@ -232,59 +237,49 @@ impl Machine {
         self.preg_consumers[p.index()].clear();
     }
 
-    // ---------------------------------------------------------------- insert
+    /// Can thread `t` move its DEC-IQ transit head into the IQ? It can
+    /// once the head has arrived and the IQ has a free slot.
+    pub(super) fn insert_readiness(&self, t: usize, now: u64) -> Readiness {
+        if self.frontend_held(now) {
+            return Readiness::At(self.frontend_stall_until);
+        }
+        match self.threads[t].transit_q.front() {
+            None => Readiness::Blocked,
+            Some(&(ready, _)) if ready > now => Readiness::At(ready),
+            Some(_) if self.iq.free_slots() == 0 => Readiness::Blocked,
+            Some(_) => Readiness::Now,
+        }
+    }
 
     pub(super) fn do_insert(&mut self, now: u64) {
-        if now < self.frontend_stall_until {
-            return;
-        }
-        // Nothing in DEC-IQ transit anywhere: the round-robin below would
-        // only mark every thread blocked and exit, so skip it outright.
-        if self.threads.iter().all(|th| th.transit_q.is_empty()) {
-            return;
-        }
-        let nthreads = self.threads.len();
-        let mut blocked = ThreadMask::default();
-        while !blocked.all(nthreads) {
-            for t in 0..nthreads {
-                if blocked.has(t) {
-                    continue;
-                }
-                let Some(&(ready, id)) = self.threads[t].transit_q.front() else {
-                    blocked.set(t);
-                    continue;
-                };
-                if ready > now || self.iq.free_slots() == 0 {
-                    blocked.set(t);
-                    continue;
-                }
-                let di = self.slab.expect(id);
-                let entry = IqEntry {
-                    id,
-                    seq: di.seq,
-                    thread: t,
-                    cluster: di.cluster,
-                    state: IqState::Waiting,
-                };
-                let slot = self.iq.insert(entry);
-                debug_assert!(slot.is_some());
-                self.cluster_pressure[di.cluster] -= 1;
-                if let Some(tr) = &mut self.tracer {
-                    tr.stage(now, id, "Q");
-                }
-                let di = self.slab.expect_mut(id);
-                di.phase = InstPhase::InIq;
-                di.insert_cycle = now;
-                if let Some(slot) = slot {
-                    di.iq_slot = slot;
-                }
-                self.threads[t].transit_q.pop_front();
-                if let Some(slot) = slot {
-                    // New waiting tenure: hook up incremental readiness.
-                    self.begin_tenure(slot, now);
-                }
-                self.progressed = true;
+        let inserted = self.round_robin(usize::MAX, |m, t| {
+            if m.insert_readiness(t, now) != Readiness::Now {
+                return false;
             }
-        }
+            let (_, id) = m.threads[t].transit_q.pop_front().expect("a ready head");
+            let di = m.slab.expect(id);
+            let entry = IqEntry {
+                id,
+                seq: di.seq,
+                thread: t,
+                cluster: di.cluster,
+                state: IqState::Waiting,
+            };
+            let slot =
+                m.iq.insert(entry)
+                    .expect("insert readiness checked for a free slot");
+            m.cluster_pressure[di.cluster] -= 1;
+            if let Some(tr) = &mut m.tracer {
+                tr.stage(now, id, "Q");
+            }
+            let di = m.slab.expect_mut(id);
+            di.phase = InstPhase::InIq;
+            di.insert_cycle = now;
+            di.iq_slot = slot;
+            // New waiting tenure: hook up incremental readiness.
+            m.begin_tenure(slot, now);
+            true
+        });
+        self.progressed |= inserted > 0;
     }
 }

@@ -1,40 +1,33 @@
 //! Retire and the per-cycle CPI-stack attribution of lost retire slots.
 
-use super::{Machine, ThreadMask};
+use super::{Machine, Readiness};
 use crate::dyninst::{DestRename, InstId, InstPhase, NO_CYCLE};
 use crate::stats::CpiComponent;
-use looseloops_isa::{Class, Memory, Retired};
+use looseloops_isa::{Class, Retired};
 use looseloops_mem::AccessKind;
 
 impl Machine {
-    pub(super) fn do_retire(&mut self, now: u64) -> u64 {
-        let mut budget = self.cfg.width;
-        let nthreads = self.threads.len();
-        let mut blocked = ThreadMask::default();
-        while budget > 0 && !blocked.all(nthreads) {
-            for t in 0..nthreads {
-                if budget == 0 {
-                    break;
-                }
-                if blocked.has(t) {
-                    continue;
-                }
-                let th = &self.threads[t];
-                let head = th.rob.front().filter(|_| !th.done);
-                let Some(&id) =
-                    head.filter(|&&id| self.slab.expect(id).phase == InstPhase::Complete)
-                else {
-                    blocked.set(t);
-                    continue;
-                };
-                self.retire_one(t, id, now);
-                budget -= 1;
-                if self.threads[t].done {
-                    blocked.set(t);
-                }
+    /// Can thread `t` retire? A live thread retires its ROB head once the
+    /// head is complete.
+    pub(super) fn retire_readiness(&self, t: usize) -> Readiness {
+        let th = &self.threads[t];
+        match th.rob.front() {
+            Some(&id) if !th.done && self.slab.expect(id).phase == InstPhase::Complete => {
+                Readiness::Now
             }
+            _ => Readiness::Blocked,
         }
-        (self.cfg.width - budget) as u64
+    }
+
+    pub(super) fn do_retire(&mut self, now: u64) -> u64 {
+        self.round_robin(self.cfg.width, |m, t| {
+            if m.retire_readiness(t) != Readiness::Now {
+                return false;
+            }
+            let id = *m.threads[t].rob.front().expect("a ready head");
+            m.retire_one(t, id, now);
+            true
+        }) as u64
     }
 
     /// Charge this cycle's retire slots to the per-loop CPI stack:
@@ -81,7 +74,7 @@ impl Machine {
             if self.threads.iter().all(|th| th.done) {
                 return CpiComponent::Base; // end-of-program drain
             }
-            if now < self.frontend_stall_until {
+            if self.frontend_held(now) {
                 return CpiComponent::OperandResolution;
             }
             return CpiComponent::Frontend;

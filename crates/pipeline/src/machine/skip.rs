@@ -1,38 +1,16 @@
 //! The quiescence skip: jump the clock over cycles in which no stage
 //! can act.
 
-use super::Machine;
-use crate::dyninst::{InstId, InstPhase};
-use looseloops_isa::Class;
+use super::{Machine, Readiness};
 
 impl Machine {
-    /// Mirror of `rename_one`'s failure paths, without side effects: would
-    /// renaming `id` on thread `t` stall right now?
-    fn rename_would_block(&self, t: usize, id: InstId) -> bool {
-        let di = self.slab.expect(id);
-        if di.class == Class::CondBranch {
-            if let Some(limit) = self.cfg.branch_checkpoints {
-                if self.threads[t].unresolved_branches >= limit {
-                    return true;
-                }
-            }
-        }
-        let info = self.threads[t]
-            .code
-            .info(di.pc)
-            .expect("fetched implies predecoded");
-        info.dest.is_some() && self.freelist.available() == 0
-    }
-
-    /// When no stage can make progress at the current cycle, return the
-    /// earliest future cycle at which anything could change — capped by
-    /// the run budget and the watchdog — so the run loop may jump there.
-    /// Returns `None` when some stage can still act now (or the jump would
-    /// be empty). Soundness: every condition a stage acts on is either
-    /// checked "ripe now" here (→ `None`) or contributes its ripening
-    /// cycle to the target, so every skipped cycle is provably a cycle the
-    /// naive loop would have stepped through without changing anything but
-    /// the per-cycle counters (batch-charged by `skip_to`).
+    /// When no stage can act at the current cycle, return the earliest
+    /// future cycle at which anything could change — capped by the run
+    /// budget and the watchdog — so the run loop may jump there; `None`
+    /// when some stage can act now. Fetch, rename, insert and retire answer
+    /// through the `*_readiness` functions their stages act on, so every
+    /// skipped cycle is one the naive loop would have stepped through
+    /// changing only the per-cycle counters (batch-charged by `skip_to`).
     pub(super) fn quiescent_until(
         &self,
         last_cycle: u64,
@@ -44,92 +22,35 @@ impl Machine {
         if self.iq.ready_total() > 0 {
             return None;
         }
-        // Pending events on any wheel.
-        let wheel_dues = [
+        let events = [
             self.exec_events.next_due(),
             self.complete_events.next_due(),
             self.wakeup_events.next_due(),
             self.ready_events.next_due(),
+            // Write-back: a forwarding-buffer value leaving the buffer.
+            self.fwd.next_expiry(now),
+            self.iq.next_release(),
         ];
-        if wheel_dues.iter().any(|d| d.is_some_and(|d| d <= now)) {
+        let mut target = events.into_iter().flatten().fold(last_cycle, u64::min);
+        if target <= now {
             return None;
         }
-        // Write-back: a forwarding-buffer value expiring now must drain.
-        let expiry = self.fwd.next_expiry(now);
-        if expiry == Some(now) {
-            return None;
-        }
-        // IQ slot release of a confirmed entry.
-        let release = self.iq.next_release();
-        if release.is_some_and(|r| r <= now) {
-            return None;
-        }
-        // Retire: a completed ROB head retires next cycle.
-        for th in &self.threads {
-            if th.done {
-                continue;
+        // `None` as soon as a stage can act now. A stalled rename charges
+        // one stall per cycle, which skip_to batch-charges.
+        let mut wait = |ready| match ready {
+            Readiness::Now => None,
+            Readiness::At(cycle) => {
+                target = target.min(cycle);
+                Some(())
             }
-            if let Some(&id) = th.rob.front() {
-                if self.slab.expect(id).phase == InstPhase::Complete {
-                    return None;
-                }
-            }
-        }
-        let mut target = last_cycle;
-        let fsu = self.frontend_stall_until;
-        if now < fsu {
-            // Fetch/rename/insert are all held by the operand-miss
-            // recovery stall; they can next act when it lifts.
-            target = target.min(fsu);
-        } else {
-            let decode_cap = (self.cfg.fetch_stages as usize + 2) * self.cfg.width;
-            let transit_cap = (self.cfg.dec_iq_stages as usize + 2) * self.cfg.width;
-            let in_flight_full = self.total_in_flight() >= self.cfg.max_in_flight;
-            for (t, th) in self.threads.iter().enumerate() {
-                // Fetch (an eligible thread performs an I-cache access
-                // even if it then stalls — never skip over that).
-                if !th.done && !th.fetch_suspended && th.decode_q.len() < decode_cap {
-                    if th.fetch_stall_until <= now {
-                        return None;
-                    }
-                    target = target.min(th.fetch_stall_until);
-                }
-                // Insert (do_insert has no done/thread gate: mirror that).
-                if let Some(&(ready, _)) = th.transit_q.front() {
-                    if ready <= now {
-                        if self.iq.free_slots() > 0 {
-                            return None;
-                        }
-                    } else {
-                        target = target.min(ready);
-                    }
-                }
-                // Rename.
-                if let Some(&(ready, id)) = th.decode_q.front() {
-                    if ready <= now {
-                        let blocked = th.mb_stall_seq.is_some()
-                            || th.transit_q.len() >= transit_cap
-                            || in_flight_full
-                            || self.rename_would_block(t, id);
-                        if !blocked {
-                            return None;
-                        }
-                        // A ripe blocked thread charges one rename stall
-                        // per cycle; skip_to batch-charges it.
-                    } else {
-                        target = target.min(ready);
-                    }
-                }
-            }
-        }
-        for d in wheel_dues.into_iter().flatten() {
-            target = target.min(d);
-        }
-        if let Some(e) = expiry {
-            target = target.min(e);
-        }
-        if let Some(r) = release {
-            target = target.min(r);
+            Readiness::Stalled | Readiness::Blocked => Some(()),
+        };
+        let in_flight = self.total_in_flight();
+        for t in 0..self.threads.len() {
+            wait(self.retire_readiness(t))?;
+            wait(self.insert_readiness(t, now))?;
+            wait(self.rename_readiness(t, now, in_flight))?;
+            wait(self.fetch_readiness(t, now))?;
         }
         if window > 0 {
             // Step the cycle that trips the watchdog, so a deadlock fires
@@ -144,9 +65,8 @@ impl Machine {
     /// batch-charging everything the naive per-cycle loop would have
     /// recorded over the window: CPI-stack idle attribution (the
     /// classification is constant across a quiescent window — nothing
-    /// retires and `now < frontend_stall_until` cannot flip inside it),
-    /// per-cycle stall counters, IQ occupancy samples, and the cycle
-    /// counter itself.
+    /// retires and the front-end hold cannot lift inside it), per-cycle
+    /// stall counters, IQ occupancy samples, and the cycle counter itself.
     pub(super) fn skip_to(&mut self, target: u64) {
         let now = self.cycle;
         debug_assert!(target > now);
@@ -154,19 +74,16 @@ impl Machine {
         let width = self.cfg.width as u64;
         let cause = self.classify_lost_cycle(now);
         self.stats.loop_cost.charge_idle(width, k, cause);
-        if now < self.frontend_stall_until {
+        if self.frontend_held(now) {
             self.stats.operand_miss_stall_cycles += k;
-        } else {
-            // Every thread with a ripe decode head is provably blocked
-            // (quiescent_until returned) and charges one rename stall per
-            // skipped cycle, exactly as do_rename would have.
-            let ripe = self
-                .threads
-                .iter()
-                .filter(|th| th.decode_q.front().is_some_and(|&(r, _)| r <= now))
-                .count() as u64;
-            self.stats.rename_stall_cycles += k * ripe;
         }
+        // Every stalled rename charges one stall per skipped cycle, exactly
+        // as do_rename would have.
+        let in_flight = self.total_in_flight();
+        let stalled = (0..self.threads.len())
+            .filter(|&t| self.rename_readiness(t, now, in_flight) == Readiness::Stalled)
+            .count() as u64;
+        self.stats.rename_stall_cycles += k * stalled;
         self.iq.sample_occupancy_n(k);
         self.stats.cycles += k;
         self.cycle = target;

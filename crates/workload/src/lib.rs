@@ -12,7 +12,7 @@
 //!
 //! - [`Benchmark`] — the ten single-threaded proxies plus the paper's
 //!   three SMT pairs ([`Benchmark::pairs`]).
-//! - [`synthetic`] — a fully parameterized generator for controlled
+//! - [`synthetic()`] — a fully parameterized generator for controlled
 //!   experiments and property tests.
 //!
 //! All kernels run a practically-infinite outer loop (the harness stops

@@ -1,7 +1,8 @@
 //! Golden simulated statistics: every paper workload on the base and the
-//! DRA (5-cycle register file) machine, under the `ReissueTree` and
-//! `Refetch` load-recovery policies, in both engine modes, must reproduce
-//! the pinned FNV-1a digest of its full `SimStats` Debug rendering.
+//! DRA (5-cycle register file) machine, under every load-recovery policy
+//! (`ReissueTree`, `Refetch`, `Stall` and `ReissueShadow`), in both engine
+//! modes, must reproduce the pinned FNV-1a digest of its full `SimStats`
+//! Debug rendering.
 //!
 //! The event-driven and naive engines share the wake-up bookkeeping
 //! (ready schedules, version stamps, consumer lists), so their agreement
@@ -31,10 +32,12 @@ fn machines() -> [(&'static str, PipelineConfig); 2] {
     ]
 }
 
-fn policies() -> [(&'static str, LoadSpecPolicy); 2] {
+fn policies() -> [(&'static str, LoadSpecPolicy); 4] {
     [
         ("reissue_tree", LoadSpecPolicy::ReissueTree),
         ("refetch", LoadSpecPolicy::Refetch),
+        ("stall", LoadSpecPolicy::Stall),
+        ("reissue_shadow", LoadSpecPolicy::ReissueShadow),
     ]
 }
 

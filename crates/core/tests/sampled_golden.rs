@@ -1,8 +1,9 @@
 //! Golden sampled statistics: `run_sampled` on four paper workloads (three
 //! single-thread kernels and one SMT pair), on the base and the DRA
-//! (5-cycle register file) machine, after a functional warm-up, must
+//! (5-cycle register file) machine and on the base machine with each of
+//! the other four direction predictors, after a functional warm-up, must
 //! reproduce the pinned FNV-1a digest of its aggregate `SimStats` Debug
-//! rendering.
+//! rendering, and of its warm-up checkpoint's stored (LLCK) encoding.
 //!
 //! Every sampled window starts from warm state that went through a
 //! checkpoint: exported from the functional cursor's caches, TLB,
@@ -11,7 +12,8 @@
 //! on-disk store, once loading it back from that store — so a change to
 //! the warm-state snapshot or to the checkpoint encoding that alters any
 //! restored machine fails here, without waiting for the benchmark's
-//! digests.
+//! digests. The encoding column catches a change to the warm state that
+//! no window's statistics happen to show.
 //!
 //! Regenerate `tests/golden/sampled_stats.tsv` (only when a change is
 //! meant to alter simulated results) with:
@@ -20,10 +22,11 @@
 //! LOOSELOOPS_BLESS=1 cargo test --release -p looseloops --test sampled_golden
 //! ```
 
+use looseloops::branch::PredictorKind;
 use looseloops::pipeline::PipelineConfig;
 use looseloops::{
-    fnv1a64, run_sampled, Benchmark, CheckpointStore, Job, RunBudget, SamplingPlan, WarmCounts,
-    WarmMemo, Workload,
+    fnv1a64, run_sampled, warm_digest, Benchmark, CheckpointStore, Job, RunBudget, SamplingPlan,
+    WarmCounts, WarmMemo, Workload,
 };
 use std::fmt::Write;
 use std::path::Path;
@@ -43,11 +46,21 @@ fn workloads() -> [Workload; 4] {
     ]
 }
 
-fn machines() -> [(&'static str, PipelineConfig); 2] {
-    [
+fn machines() -> Vec<(&'static str, PipelineConfig)> {
+    let mut machines = vec![
         ("base", PipelineConfig::base()),
         ("dra_rf5", PipelineConfig::dra_for_rf(5)),
-    ]
+    ];
+    for kind in PredictorKind::all() {
+        if kind != PipelineConfig::base().predictor {
+            let cfg = PipelineConfig {
+                predictor: kind,
+                ..PipelineConfig::base()
+            };
+            machines.push((kind.name(), cfg));
+        }
+    }
+    machines
 }
 
 /// The digest of `job`'s sampled stats under the budget's auto plan, with
@@ -62,7 +75,9 @@ fn table() -> String {
     let dir = std::env::temp_dir().join(format!("ll-sampled-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::open(&dir).expect("open the checkpoint store");
-    let mut out = String::from("# workload\tmachine\tfnv1a64(sampled SimStats Debug)\n");
+    let mut out = String::from(
+        "# workload\tmachine\tfnv1a64(sampled SimStats Debug)\tfnv1a64(warm-up LLCK encoding)\n",
+    );
     for w in workloads() {
         for (mname, cfg) in machines() {
             let job = Job::new(cfg, w, BUDGET);
@@ -83,7 +98,12 @@ fn table() -> String {
                 "{} {mname}: a stored checkpoint restores another machine",
                 w.name()
             );
-            writeln!(out, "{}\t{mname}\t{captured:016x}", w.name()).expect("writing to a String");
+            let cfg = w.config_for(&job.config);
+            let llck = std::fs::read(store.path(warm_digest(&cfg, &w, BUDGET.warmup)))
+                .expect("the captured checkpoint is stored");
+            let llck = fnv1a64(&llck);
+            writeln!(out, "{}\t{mname}\t{captured:016x}\t{llck:016x}", w.name())
+                .expect("writing to a String");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -1,9 +1,12 @@
 //! Conditional-branch direction predictors.
 //!
-//! All predictors speak [`DirectionPredictor`]: `predict` at fetch time,
-//! `update` at branch resolution. Predictors that keep global history
-//! support checkpointing via [`HistorySnapshot`] so the pipeline can repair
-//! history after a squash (speculative-history recovery).
+//! All predictors speak [`DirectionPredictor`]: the pipeline predicts at
+//! fetch with `predict_ctx`, repairs histories when a branch resolves
+//! mispredicted, and trains with `train_ctx` at retirement. Predictors
+//! that keep global history support checkpointing via [`HistorySnapshot`]
+//! so the pipeline can repair history after a squash
+//! (speculative-history recovery). `update`, which the functional warmer
+//! drives, runs that same sequence for one branch.
 
 /// Which direction predictor to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,8 +61,20 @@ pub trait DirectionPredictor {
     /// Predict the direction of the branch at `pc`.
     fn predict(&self, pc: u64) -> bool;
 
-    /// Train with the resolved direction and update any global history.
-    fn update(&mut self, pc: u64, taken: bool);
+    /// Train with the resolved direction and update every history, as the
+    /// pipeline does for a branch with nothing else in flight: predict it
+    /// at fetch, repair the histories if it resolves mispredicted, train at
+    /// retirement.
+    fn update(&mut self, pc: u64, taken: bool) {
+        let history = self.snapshot_history();
+        let (predicted, ctx) = self.predict_ctx(pc);
+        if predicted != taken {
+            self.restore_history(history);
+            self.speculate_history(taken);
+            self.repair(pc, ctx, taken);
+        }
+        self.train_ctx(pc, ctx, taken);
+    }
 
     /// Capture global-history state (no-op snapshot for history-free
     /// predictors).
@@ -75,16 +90,6 @@ pub trait DirectionPredictor {
     /// (no-op for history-free predictors). The pipeline calls this at
     /// fetch and repairs with `restore_history` on a squash.
     fn speculate_history(&mut self, _taken: bool) {}
-
-    /// Train the prediction tables with a resolved outcome **without**
-    /// shifting global history. Pipelines that maintain history
-    /// speculatively at fetch (via [`DirectionPredictor::speculate_history`]
-    /// / [`DirectionPredictor::restore_history`]) use this at branch
-    /// resolution; the default forwards to [`DirectionPredictor::update`]
-    /// and is only correct for history-free predictors.
-    fn train_only(&mut self, pc: u64, taken: bool) {
-        self.update(pc, taken);
-    }
 
     /// Fetch-time prediction for deep pipelines: predict, *speculatively*
     /// shift the prediction into every internal history (global and
@@ -103,9 +108,7 @@ pub trait DirectionPredictor {
     /// Train the tables for a resolved branch using the context returned
     /// by [`DirectionPredictor::predict_ctx`]. Histories are *not*
     /// shifted (they were shifted speculatively at fetch).
-    fn train_ctx(&mut self, pc: u64, _ctx: u64, taken: bool) {
-        self.train_only(pc, taken);
-    }
+    fn train_ctx(&mut self, pc: u64, ctx: u64, taken: bool);
 
     /// Repair per-branch history after a misprediction of this branch:
     /// reset it to the pre-prediction context extended with the true
@@ -263,7 +266,7 @@ impl DirectionPredictor for AlwaysTaken {
     fn predict(&self, _pc: u64) -> bool {
         true
     }
-    fn update(&mut self, _pc: u64, _taken: bool) {}
+    fn train_ctx(&mut self, _pc: u64, _ctx: u64, _taken: bool) {}
 }
 
 /// Classic bimodal predictor: one 2-bit counter per PC hash.
@@ -298,7 +301,7 @@ impl DirectionPredictor for BimodalPredictor {
         self.table[self.index(pc)].taken()
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
+    fn train_ctx(&mut self, pc: u64, _ctx: u64, taken: bool) {
         let i = self.index(pc);
         self.table[i].train(taken);
     }
@@ -355,11 +358,6 @@ impl DirectionPredictor for GsharePredictor {
         self.table[self.index(pc)].taken()
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
-        self.train_only(pc, taken);
-        self.history = (self.history << 1) | taken as u64;
-    }
-
     fn snapshot_history(&self) -> HistorySnapshot {
         HistorySnapshot(self.history)
     }
@@ -370,11 +368,6 @@ impl DirectionPredictor for GsharePredictor {
 
     fn speculate_history(&mut self, taken: bool) {
         self.history = (self.history << 1) | taken as u64;
-    }
-
-    fn train_only(&mut self, pc: u64, taken: bool) {
-        let i = self.index(pc);
-        self.table[i].train(taken);
     }
 
     fn predict_ctx(&mut self, pc: u64) -> (bool, u64) {
@@ -466,13 +459,6 @@ impl DirectionPredictor for LocalPredictor {
         self.pattern[self.pattern_index(pc)] >= 4
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
-        let hist = self.histories[self.index(pc)];
-        self.train_pattern(hist, taken);
-        let hi = self.index(pc);
-        self.histories[hi] = (self.histories[hi] << 1) | taken as u16;
-    }
-
     fn predict_ctx(&mut self, pc: u64) -> (bool, u64) {
         let hi = self.index(pc);
         let ctx = self.histories[hi];
@@ -492,11 +478,6 @@ impl DirectionPredictor for LocalPredictor {
         // the pre-prediction state extended with the true outcome.
         let hi = self.index(pc);
         self.histories[hi] = ((ctx as u16) << 1) | taken as u16;
-    }
-
-    fn train_only(&mut self, pc: u64, taken: bool) {
-        let hist = self.histories[self.index(pc)];
-        self.train_pattern(hist, taken);
     }
 
     fn export_state(&self) -> PredictorWarmState {
@@ -571,10 +552,6 @@ impl TournamentPredictor {
         let mask = (1u64 << self.hist_bits) - 1;
         ((self.history & mask) as usize) & (self.global.len() - 1)
     }
-
-    fn local_pattern_taken(&self, hist: u16) -> bool {
-        self.local.pattern_taken(hist)
-    }
 }
 
 impl DirectionPredictor for TournamentPredictor {
@@ -587,11 +564,6 @@ impl DirectionPredictor for TournamentPredictor {
         }
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
-        self.train_only(pc, taken);
-        self.history = (self.history << 1) | taken as u64;
-    }
-
     fn snapshot_history(&self) -> HistorySnapshot {
         HistorySnapshot(self.history)
     }
@@ -602,19 +574,6 @@ impl DirectionPredictor for TournamentPredictor {
 
     fn speculate_history(&mut self, taken: bool) {
         self.history = (self.history << 1) | taken as u64;
-    }
-
-    fn train_only(&mut self, pc: u64, taken: bool) {
-        let gi = self.gindex();
-        let global_pred = self.global[gi].taken();
-        let local_pred = self.local.predict(pc);
-        // Train the choice table toward whichever component was right
-        // (only when they disagree).
-        if global_pred != local_pred {
-            self.choice[gi].train(global_pred == taken);
-        }
-        self.global[gi].train(taken);
-        self.local.update(pc, taken);
     }
 
     fn predict_ctx(&mut self, pc: u64) -> (bool, u64) {
@@ -641,12 +600,10 @@ impl DirectionPredictor for TournamentPredictor {
         let mask = (1u64 << self.hist_bits) - 1;
         let gi = ((gctx & mask) as usize) & (self.global.len() - 1);
         let global_pred = self.global[gi].taken();
-        let lmask = (1u16 << 10) - 1; // matches local construction below
-        let local_pred = {
-            // Reconstruct the local prediction made at fetch.
-            let _ = lmask;
-            self.local_pattern_taken(lctx as u16)
-        };
+        // Reconstruct the local prediction made at fetch.
+        let local_pred = self.local.pattern_taken(lctx as u16);
+        // Train the choice table toward whichever component was right
+        // (only when they disagree).
         if global_pred != local_pred {
             self.choice[gi].train(global_pred == taken);
         }
@@ -817,9 +774,9 @@ mod tests {
 
     /// A predictor warmed by one seeded stream, exported and imported into
     /// a fresh one, predicts a second stream exactly like the original —
-    /// through both the functional (`update`) and the pipelined
-    /// (`predict_ctx`/`train_ctx`/`repair`) paths — and ends in the same
-    /// state.
+    /// one branch at a time (`update`), and with the pipelined calls
+    /// (`predict_ctx`/`train_ctx`/`repair`) made directly — and ends in the
+    /// same state.
     #[test]
     fn predictor_state_round_trips_every_kind() {
         let mut rng = looseloops_rng::Rng::seed_from_u64(0xb7a1);

@@ -84,20 +84,27 @@ impl CacheStats {
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
-    // Monotonic use stamp for true LRU.
+    // Monotonic use stamp for true LRU; 0 marks an empty way.
     last_use: u64,
 }
 
-/// The warm state of a set-associative, true-LRU structure (a cache, or
-/// the TLB as one fully associative set) as a checkpoint holds it: which
-/// tags are resident and their recency order, nothing else.
+impl Line {
+    fn holds(&self, tag: u64) -> bool {
+        self.tag == tag && self.last_use != 0
+    }
+}
+
+/// The warm state of a set-associative, true-LRU cache (the data TLB is
+/// one too: a single fully associative set) as a checkpoint holds it:
+/// which tags are resident and their recency order, nothing else.
 ///
-/// Recency order is exact. Replacement takes the first invalid way, else
-/// the way with the smallest use stamp; stamps are unique and a tag is
-/// resident at most once per set, so which way a line sits in never
-/// changes a hit, a miss or a victim. The order of each set's stamps is
-/// all that matters, and the order of the tags says it.
+/// Recency order is exact. Every resident line carries a unique, nonzero
+/// use stamp and an empty way carries stamp 0, so replacement takes the
+/// way with the smallest stamp: the first empty way, else the least
+/// recently used line. A tag is resident at most once per set, so which
+/// way a line sits in never changes a hit, a miss or a victim. The order
+/// of each set's stamps is all that matters, and the order of the tags
+/// says it.
 ///
 /// Every value describes some structure of its geometry: no set holds
 /// more lines than its ways or one tag twice, and the per-set counts
@@ -174,6 +181,11 @@ impl CacheWarmState {
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>, // sets * assoc, row-major by set
+    // An address's set is `(addr >> line_shift) & set_mask` and its tag
+    // `addr >> tag_shift`: the geometry is all powers of two.
+    line_shift: u32,
+    set_mask: u64,
+    tag_shift: u32,
     stamp: u64,
     stats: CacheStats,
 }
@@ -202,8 +214,12 @@ impl Cache {
             cfg.num_sets().is_power_of_two(),
             "set count must be a power of two"
         );
+        let line_shift = cfg.line_bytes.trailing_zeros();
         Cache {
             lines: vec![Line::default(); cfg.num_sets() * cfg.assoc],
+            line_shift,
+            set_mask: cfg.num_sets() as u64 - 1,
+            tag_shift: line_shift + cfg.num_sets().trailing_zeros(),
             cfg,
             stamp: 0,
             stats: CacheStats::default(),
@@ -220,87 +236,70 @@ impl Cache {
         self.stats
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.cfg.line_bytes as u64) as usize) & (self.cfg.num_sets() - 1)
+    /// The ways of `addr`'s set, and the tag `addr` has in it.
+    fn ways_of(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let first = ((addr >> self.line_shift) & self.set_mask) as usize * self.cfg.assoc;
+        (first..first + self.cfg.assoc, addr >> self.tag_shift)
     }
 
-    fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes as u64 / self.cfg.num_sets() as u64
+    /// Make `addr`'s line the most recently used, replacing the way with
+    /// the smallest stamp on a miss. Returns whether it was resident.
+    fn touch(&mut self, addr: u64) -> bool {
+        self.stamp += 1;
+        let (ways, tag) = self.ways_of(addr);
+        let ways = &mut self.lines[ways];
+        let (line, hit) = match ways.iter().position(|l| l.holds(tag)) {
+            Some(way) => (&mut ways[way], true),
+            None => {
+                let lru = ways.iter_mut().min_by_key(|l| l.last_use);
+                (lru.expect("assoc > 0"), false)
+            }
+        };
+        *line = Line {
+            tag,
+            last_use: self.stamp,
+        };
+        hit
     }
 
     /// Access `addr`: returns `true` on a hit. On a miss the line is filled
     /// (write-allocate), evicting the LRU way. Recency and statistics are
     /// updated either way.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let ways = &mut self.lines[set * self.cfg.assoc..(set + 1) * self.cfg.assoc];
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = stamp;
+        let hit = self.touch(addr);
+        if hit {
             self.stats.hits += 1;
-            return true;
+        } else {
+            self.stats.misses += 1;
         }
-        self.stats.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_use } else { 0 })
-            .expect("assoc > 0");
-        *victim = Line {
-            tag,
-            valid: true,
-            last_use: stamp,
-        };
-        false
+        hit
     }
 
     /// Would `addr` hit right now? No state is modified.
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.lines[set * self.cfg.assoc..(set + 1) * self.cfg.assoc]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (ways, tag) = self.ways_of(addr);
+        self.lines[ways].iter().any(|l| l.holds(tag))
     }
 
     /// Fill `addr`'s line without counting an access (used for prefetch-like
     /// warm-up and by tests).
     pub fn fill(&mut self, addr: u64) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let assoc = self.cfg.assoc;
-        let ways = &mut self.lines[set * assoc..(set + 1) * assoc];
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = stamp;
-            return;
-        }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_use } else { 0 })
-            .expect("assoc");
-        *victim = Line {
-            tag,
-            valid: true,
-            last_use: stamp,
-        };
+        self.touch(addr);
     }
 
-    /// Snapshot the directory for a checkpoint: each set's valid tags,
+    /// Snapshot the directory for a checkpoint: each set's resident tags,
     /// least to most recently used. Statistics are not included.
     pub fn export_state(&self) -> CacheWarmState {
         // Sized exactly: checkpoints hold these for a whole sweep.
         let mut state = CacheWarmState {
             ways: u16::try_from(self.cfg.assoc).expect("Cache::new bounds the associativity"),
             counts: Vec::with_capacity(self.cfg.num_sets()),
-            tags: Vec::with_capacity(self.lines.iter().filter(|l| l.valid).count()),
+            tags: Vec::with_capacity(self.lines.iter().filter(|l| l.last_use != 0).count()),
         };
         let mut set: Vec<Line> = Vec::with_capacity(self.cfg.assoc);
         for ways in self.lines.chunks_exact(self.cfg.assoc) {
             set.clear();
-            set.extend(ways.iter().filter(|l| l.valid));
+            set.extend(ways.iter().filter(|l| l.last_use != 0));
             set.sort_unstable_by_key(|l| l.last_use);
             state.counts.push(set.len() as u16);
             state.tags.extend(set.iter().map(|l| l.tag));
@@ -334,7 +333,6 @@ impl Cache {
             {
                 *line = Line {
                     tag,
-                    valid: true,
                     last_use: stamp,
                 };
             }
@@ -345,11 +343,10 @@ impl Cache {
 
     /// Invalidate the line containing `addr`, if resident.
     pub fn invalidate(&mut self, addr: u64) {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        for l in &mut self.lines[set * self.cfg.assoc..(set + 1) * self.cfg.assoc] {
-            if l.valid && l.tag == tag {
-                l.valid = false;
+        let (ways, tag) = self.ways_of(addr);
+        for l in &mut self.lines[ways] {
+            if l.holds(tag) {
+                *l = Line::default();
             }
         }
     }

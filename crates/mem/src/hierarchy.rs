@@ -5,7 +5,7 @@
 use crate::bank::BankTracker;
 use crate::cache::{Cache, CacheConfig, CacheStats, CacheWarmState};
 use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
-use crate::tlb::{Tlb, TlbConfig, TlbOutcome};
+use crate::tlb::{TlbConfig, TlbMissPolicy};
 
 /// Which port an access uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +146,8 @@ pub struct MemHierarchy {
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
-    dtlb: Tlb,
+    // One fully associative set of pages (`TlbConfig::geometry`).
+    dtlb: Cache,
     banks: BankTracker,
     // Completion cycles of outstanding L1D misses.
     mshr_busy: Vec<u64>,
@@ -161,7 +162,7 @@ impl MemHierarchy {
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
-            dtlb: Tlb::new(cfg.dtlb),
+            dtlb: Cache::new(cfg.dtlb.geometry()),
             banks: BankTracker::new(cfg.l1d_banks, cfg.l1d.line_bytes as u64),
             mshr_busy: Vec::with_capacity(cfg.mshrs),
             mshr_waits: 0,
@@ -186,119 +187,105 @@ impl MemHierarchy {
         self.cfg
     }
 
-    /// Perform one timed access at cycle `now`.
-    pub fn access(&mut self, kind: AccessKind, addr: u64, now: u64) -> AccessResult {
-        match kind {
-            AccessKind::InstFetch => {
-                let (l1, l1_lat) = (&mut self.l1i, self.cfg.l1i.hit_latency);
-                if l1.access(addr) {
-                    return AccessResult {
-                        latency: l1_lat,
-                        level: HitLevel::L1,
-                        tlb_trap: false,
-                        bank_wait: 0,
-                    };
-                }
-                if self.l2.access(addr) {
-                    return AccessResult {
-                        latency: l1_lat + self.cfg.l2.hit_latency,
-                        level: HitLevel::L2,
-                        tlb_trap: false,
-                        bank_wait: 0,
-                    };
-                }
-                AccessResult {
-                    latency: l1_lat + self.cfg.l2.hit_latency + self.cfg.mem_latency,
-                    level: HitLevel::Memory,
-                    tlb_trap: false,
-                    bank_wait: 0,
-                }
-            }
+    /// Walk `addr` through the levels `kind` uses, updating residency and
+    /// recency: the data TLB (data accesses only), the first-level cache,
+    /// and L2 when the first level misses. Returns the level that supplied
+    /// the line and whether the TLB missed.
+    fn walk(&mut self, kind: AccessKind, addr: u64) -> (HitLevel, bool) {
+        let (l1, tlb_miss) = match kind {
+            AccessKind::InstFetch => (&mut self.l1i, false),
             AccessKind::DataRead | AccessKind::DataWrite => {
-                // Stalls the request suffers *before* it can allocate an
-                // MSHR: the L1 pipeline itself, a TLB walk, a busy bank.
-                let mut pre = self.cfg.l1d.hit_latency;
-                let mut tlb_trap = false;
-                match self.dtlb.access(addr) {
-                    TlbOutcome::Hit => {}
-                    TlbOutcome::MissPenalty { extra } => pre += extra,
-                    TlbOutcome::MissTrap => tlb_trap = true,
-                }
-                let bank_wait = self.banks.reserve(addr, now) as u32;
-                pre += bank_wait;
-                // The miss's own service time below L1.
-                let mut service = 0u32;
-                let level = if self.l1d.access(addr) {
-                    HitLevel::L1
-                } else if self.l2.access(addr) {
-                    service += self.cfg.l2.hit_latency;
-                    HitLevel::L2
-                } else {
-                    service += self.cfg.l2.hit_latency + self.cfg.mem_latency;
-                    HitLevel::Memory
-                };
-                let mut mshr_wait = 0u32;
-                if level != HitLevel::L1 {
-                    // An L1 miss allocates an MSHR once it reaches the cache
-                    // (after its pre-MSHR stalls) and holds it until the fill
-                    // returns. When all MSHRs are busy the miss waits for the
-                    // earliest to free — measured from its own arrival, not
-                    // the call cycle, so a cycle spent in the TLB walk or a
-                    // bank queue is never also charged as MSHR wait, and the
-                    // slot's recorded flight time covers exactly its own
-                    // wait + service.
-                    let t_req = now + u64::from(pre);
-                    self.mshr_busy.retain(|&done| done > t_req);
-                    if self.mshr_busy.len() >= self.cfg.mshrs {
-                        let earliest = *self.mshr_busy.iter().min().expect("non-empty");
-                        // > 0 by the retain above; saturate rather than
-                        // silently truncate a pathological wait.
-                        let wait = earliest - t_req;
-                        debug_assert!(
-                            u32::try_from(wait).is_ok(),
-                            "MSHR wait {wait} overflows u32"
-                        );
-                        mshr_wait = u32::try_from(wait).unwrap_or(u32::MAX);
-                        self.mshr_waits += 1;
-                        // Retire the slot we are taking over.
-                        if let Some(pos) = self.mshr_busy.iter().position(|&d| d == earliest) {
-                            self.mshr_busy.swap_remove(pos);
-                        }
-                    }
-                    self.mshr_busy
-                        .push(t_req + u64::from(mshr_wait) + u64::from(service));
-                }
-                AccessResult {
-                    latency: pre.saturating_add(mshr_wait).saturating_add(service),
-                    level,
-                    tlb_trap,
-                    bank_wait,
+                (&mut self.l1d, !self.dtlb.access(addr))
+            }
+        };
+        let level = if l1.access(addr) {
+            HitLevel::L1
+        } else if self.l2.access(addr) {
+            HitLevel::L2
+        } else {
+            HitLevel::Memory
+        };
+        (level, tlb_miss)
+    }
+
+    /// Perform one timed access at cycle `now`: the residency walk of
+    /// [`MemHierarchy::warm_access`], plus the TLB miss policy, bank and
+    /// MSHR timing of data accesses.
+    pub fn access(&mut self, kind: AccessKind, addr: u64, now: u64) -> AccessResult {
+        let (level, tlb_miss) = self.walk(kind, addr);
+        // The miss's own service time below L1.
+        let service = match level {
+            HitLevel::L1 => 0,
+            HitLevel::L2 => self.cfg.l2.hit_latency,
+            HitLevel::Memory => self.cfg.l2.hit_latency + self.cfg.mem_latency,
+        };
+        if kind == AccessKind::InstFetch {
+            return AccessResult {
+                latency: self.cfg.l1i.hit_latency + service,
+                level,
+                tlb_trap: false,
+                bank_wait: 0,
+            };
+        }
+        // Stalls the request suffers *before* it can allocate an MSHR: the
+        // L1 pipeline itself, a TLB walk, a busy bank.
+        let mut pre = self.cfg.l1d.hit_latency;
+        let mut tlb_trap = false;
+        if tlb_miss {
+            match self.cfg.dtlb.miss_policy {
+                TlbMissPolicy::Penalty(extra) => pre += extra,
+                TlbMissPolicy::Trap => tlb_trap = true,
+            }
+        }
+        let bank_wait = self.banks.reserve(addr, now) as u32;
+        pre += bank_wait;
+        let mut mshr_wait = 0u32;
+        if level != HitLevel::L1 {
+            // An L1 miss allocates an MSHR once it reaches the cache (after
+            // its pre-MSHR stalls) and holds it until the fill returns.
+            // When all MSHRs are busy the miss waits for the earliest to
+            // free — measured from its own arrival, not the call cycle, so
+            // a cycle spent in the TLB walk or a bank queue is never also
+            // charged as MSHR wait, and the slot's recorded flight time
+            // covers exactly its own wait + service.
+            let t_req = now + u64::from(pre);
+            self.mshr_busy.retain(|&done| done > t_req);
+            if self.mshr_busy.len() >= self.cfg.mshrs {
+                let earliest = *self.mshr_busy.iter().min().expect("non-empty");
+                // > 0 by the retain above; saturate rather than silently
+                // truncate a pathological wait.
+                let wait = earliest - t_req;
+                debug_assert!(
+                    u32::try_from(wait).is_ok(),
+                    "MSHR wait {wait} overflows u32"
+                );
+                mshr_wait = u32::try_from(wait).unwrap_or(u32::MAX);
+                self.mshr_waits += 1;
+                // Retire the slot we are taking over.
+                if let Some(pos) = self.mshr_busy.iter().position(|&d| d == earliest) {
+                    self.mshr_busy.swap_remove(pos);
                 }
             }
+            self.mshr_busy
+                .push(t_req + u64::from(mshr_wait) + u64::from(service));
+        }
+        AccessResult {
+            latency: pre.saturating_add(mshr_wait).saturating_add(service),
+            level,
+            tlb_trap,
+            bank_wait,
         }
     }
 
-    /// Functionally warm the hierarchy: update cache/TLB contents and
-    /// recency exactly as [`MemHierarchy::access`] would, but with no
-    /// bank/MSHR timing and no latency computation. This is the hook the
-    /// fast-forward interpreter drives; after a warm-up done entirely
-    /// through it, tag/LRU state matches a detailed warm-up of the same
-    /// access stream (in-flight MSHR/bank state is empty, which is the
-    /// correct quiesced state at a functional/detailed boundary).
+    /// Functionally warm the hierarchy: the residency walk of
+    /// [`MemHierarchy::access`] without its bank/MSHR timing and latency.
+    /// This is the hook the fast-forward interpreter drives; after a
+    /// warm-up done entirely through it, tag/LRU state matches a detailed
+    /// warm-up of the same access stream (in-flight MSHR/bank state is
+    /// empty, which is the correct quiesced state at a functional/detailed
+    /// boundary).
     pub fn warm_access(&mut self, kind: AccessKind, addr: u64) {
-        match kind {
-            AccessKind::InstFetch => {
-                if !self.l1i.access(addr) {
-                    self.l2.access(addr);
-                }
-            }
-            AccessKind::DataRead | AccessKind::DataWrite => {
-                let _ = self.dtlb.access(addr);
-                if !self.l1d.access(addr) {
-                    self.l2.access(addr);
-                }
-            }
-        }
+        self.walk(kind, addr);
     }
 
     /// Number of MSHRs still occupied by misses in flight at cycle `now`.
@@ -366,13 +353,13 @@ impl MemHierarchy {
 
     /// Snapshot of all counters.
     pub fn stats(&self) -> HierarchyStats {
-        let (dtlb_hits, dtlb_misses) = self.dtlb.stats();
+        let dtlb = self.dtlb.stats();
         HierarchyStats {
             l1i: self.l1i.stats(),
             l1d: self.l1d.stats(),
             l2: self.l2.stats(),
-            dtlb_hits,
-            dtlb_misses,
+            dtlb_hits: dtlb.hits,
+            dtlb_misses: dtlb.misses,
             bank_conflicts: self.banks.conflicts(),
             mshr_waits: self.mshr_waits,
             prefetches: self.prefetcher.as_ref().map_or(0, StreamPrefetcher::issued),
@@ -383,7 +370,6 @@ impl MemHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tlb::TlbMissPolicy;
 
     fn small() -> MemHierarchy {
         MemHierarchy::new(HierarchyConfig {

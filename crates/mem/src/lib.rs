@@ -10,14 +10,16 @@
 //!
 //! Components:
 //!
-//! - [`Cache`]: set-associative, LRU, write-allocate timing cache.
+//! - [`Cache`]: set-associative, LRU, write-allocate timing cache. The data
+//!   TLB is one too: a single fully associative set of pages.
 //! - [`BankTracker`]: per-cycle bank-busy accounting for bank conflicts.
-//! - [`Tlb`]: small fully-associative translation buffer whose misses can
-//!   either add a fixed walk penalty or raise a pipeline trap (the paper's
+//! - [`TlbConfig`]: the data TLB's size and its miss policy, which either
+//!   adds a fixed walk penalty or raises a pipeline trap (the paper's
 //!   `turb3d` discussion relies on dTLB-miss traps recovering from fetch).
-//! - [`MemHierarchy`]: L1I + L1D + unified L2 + main memory — the
-//!   configuration of the paper's base machine — returning an
-//!   [`AccessResult`] per access.
+//! - [`MemHierarchy`]: L1I + L1D + unified L2 + data TLB + main memory —
+//!   the configuration of the paper's base machine — returning an
+//!   [`AccessResult`] per access. Timed accesses and the functional
+//!   warmer's accesses take one walk through the levels.
 
 pub mod bank;
 pub mod cache;
@@ -32,4 +34,4 @@ pub use hierarchy::{
     MemHierarchy,
 };
 pub use prefetch::{PrefetchConfig, StreamPrefetcher};
-pub use tlb::{Tlb, TlbConfig, TlbMissPolicy, TlbOutcome};
+pub use tlb::{TlbConfig, TlbMissPolicy};

@@ -374,20 +374,13 @@ impl Machine {
             }
         }
         if matches!(self.cfg.load_policy, LoadSpecPolicy::Stall) {
+            self.finish_exec(id, now, complete_at, Some(value), pc + 1, false);
             // Consumers were never woken speculatively; wake them for the
             // known outcome, no earlier than the determination point.
             if let Some(DestRename { new, .. }) = self.slab.expect(id).dest {
                 let v = ((complete_at + 1).saturating_sub(y)).max(known_at + 1);
                 self.set_ready_at(new, v);
             }
-            let di = self.slab.expect_mut(id);
-            let stamp = di.issue_count;
-            di.next_pc = Some(pc + 1);
-            di.result = Some(value);
-            let free_at = now + self.cfg.confirm_feedback as u64 + self.cfg.iq_clear_extra as u64;
-            let slot = self.slab.expect(id).iq_slot;
-            self.iq.mark_confirmed(slot, id, free_at);
-            self.complete_events.schedule(complete_at, (id, stamp));
             return;
         }
         if sched_hit {

@@ -306,7 +306,7 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
         "profile-stages",
     ]);
     args.reject_unknown(&allowed)?;
-    let known = || format!("{}, all", FigureSpec::IDS.join(", "));
+    let known = || format!("{}, all", FigureSpec::ids().collect::<Vec<_>>().join(", "));
     let id = args
         .positional()
         .first()
@@ -326,7 +326,7 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
                 "--json-out applies to a single figure, not `all`".into(),
             ));
         }
-        FigureSpec::IDS.to_vec()
+        FigureSpec::ids().collect()
     } else {
         vec![id]
     };
@@ -414,7 +414,7 @@ fn loops_attribute(args: &Args) -> Result<(), ArgError> {
         configs: vec![(label, cfg.clone())],
         workloads,
         budget,
-        kind: FigureKind::Speedup { baseline: 0 },
+        kind: FigureKind::Speedup,
     };
     print!("{}", spec.render_stacks(&sweep.run_jobs(&spec.jobs())));
     println!("loops charged:");
@@ -496,7 +496,10 @@ pub fn list(_args: &Args) -> Result<(), ArgError> {
     for p in Benchmark::pairs() {
         println!("  {}", p.name());
     }
-    println!("figures: {}", FigureSpec::IDS.join(" "));
+    println!(
+        "figures: {}",
+        FigureSpec::ids().collect::<Vec<_>>().join(" ")
+    );
     Ok(())
 }
 

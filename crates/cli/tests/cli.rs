@@ -38,6 +38,14 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn help_names_every_figure_id() {
+    let text = stdout(&["help"]);
+    for id in looseloops::FigureSpec::ids() {
+        assert!(text.contains(id), "help must name `{id}`");
+    }
+}
+
+#[test]
 fn list_names_everything() {
     let text = stdout(&["list"]);
     for name in ["compress", "turb3d", "apsi-swim", "fig8"] {
@@ -271,7 +279,7 @@ fn unknown_figure_lists_every_known_id() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown figure `nonesuch`"), "{err}");
-    for id in looseloops::FigureSpec::IDS {
+    for id in looseloops::FigureSpec::ids() {
         assert!(err.contains(id), "error must name `{id}`: {err}");
     }
 }

@@ -1,9 +1,10 @@
 //! The paper's evaluation, experiment by experiment.
 //!
-//! Each figure of the evaluation section is a [`FigureSpec`]: a labeled
-//! machine grid, a workload set and a [`RunBudget`], looked up by id
-//! through [`FigureSpec::for_id`] (the ids are [`FigureSpec::IDS`]) and
-//! run on a caller-owned [`SweepEngine`] with [`FigureSpec::run_on`]. The
+//! Each figure of the evaluation section is one row of a table: its ids,
+//! title, paper expectation, rendering rule, machine grid and workload
+//! rule. [`FigureSpec::for_id`] turns a row into a [`FigureSpec`] (the
+//! ids are [`FigureSpec::ids`]) for a workload set and a [`RunBudget`],
+//! to run on a caller-owned [`SweepEngine`] with [`FigureSpec::run_on`]. The
 //! `looseloops figure` command runs them at a large budget and prints the
 //! tables recorded in EXPERIMENTS.md; tests run them with tiny budgets to
 //! keep CI fast.
@@ -11,11 +12,11 @@
 use crate::report::{CpiStackReport, CpiStackRow, FigureResult, Series};
 use crate::simulator::{try_run_programs, RunBudget};
 use crate::sweep::{Job, SweepEngine};
-use looseloops_branch;
+use looseloops_branch::PredictorKind;
 use looseloops_isa::Program;
-use looseloops_mem;
-use looseloops_pipeline::{LoadSpecPolicy, PipelineConfig, SimError, SimStats};
-use looseloops_regs;
+use looseloops_mem::PrefetchConfig;
+use looseloops_pipeline::{LoadSpecPolicy, PipelineConfig, RegisterScheme, SimError, SimStats};
+use looseloops_regs::CrcPolicy;
 use looseloops_workload::{Benchmark, SmtPair};
 use std::sync::Arc;
 
@@ -112,11 +113,8 @@ impl Workload {
 /// [`FigureResult`]. Pure data → pure function: no engine involved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FigureKind {
-    /// IPC of every config relative to `configs[baseline]`, per workload.
-    Speedup {
-        /// Index of the reference config.
-        baseline: usize,
-    },
+    /// IPC of every config relative to the first config, per workload.
+    Speedup,
     /// Figure 6: operand-availability-gap CDF of the single grid point,
     /// columns are gap values 0..=60.
     GapCdf,
@@ -152,22 +150,277 @@ pub struct FigureSpec {
     pub kind: FigureKind,
 }
 
+/// Which workloads a figure runs, given the caller's set.
+enum WorkloadRule {
+    /// The caller's set.
+    Caller,
+    /// This one workload, whatever the caller asked for.
+    Pinned(Workload),
+    /// The caller's set plus this one.
+    Plus(Workload),
+}
+
+/// One row of [`FIGURES`]: a figure of the evaluation, less the caller's
+/// workloads and budget.
+struct Figure {
+    /// Canonical id, as [`FigureSpec::id`] reports it.
+    id: &'static str,
+    /// The id `looseloops figure` lists (the ablations drop `ablation-`).
+    cli_id: &'static str,
+    title: &'static str,
+    expectation: &'static str,
+    kind: FigureKind,
+    /// The labeled machine grid, baseline first.
+    grid: fn() -> Vec<(String, PipelineConfig)>,
+    workloads: WorkloadRule,
+}
+
+/// The base machine at each `(DEC-IQ, IQ-EX)` split, labeled `X_Y`.
+fn depth_grid(splits: [(u32, u32); 4]) -> Vec<(String, PipelineConfig)> {
+    splits
+        .into_iter()
+        .map(|(x, y)| {
+            (
+                format!("{x}_{y}"),
+                PipelineConfig::base_with_latencies(x, y),
+            )
+        })
+        .collect()
+}
+
+/// `base` once per labeled point, with the point's value put in by `set`.
+fn vary<L: ToString, T>(
+    base: PipelineConfig,
+    set: fn(&mut PipelineConfig, T),
+    points: impl IntoIterator<Item = (L, T)>,
+) -> Vec<(String, PipelineConfig)> {
+    points
+        .into_iter()
+        .map(|(label, value)| {
+            let mut cfg = base.clone();
+            set(&mut cfg, value);
+            (label.to_string(), cfg)
+        })
+        .collect()
+}
+
+/// Every figure, in the order `looseloops figure all` prints them.
+static FIGURES: [Figure; 11] = [
+    // Figure 4: DEC→EX swept from 6 to 18 cycles.
+    Figure {
+        id: "fig4",
+        cli_id: "fig4",
+        title: "Performance for varying pipeline lengths (relative to 6 cycles DEC->EX)",
+        expectation: "monotonic losses up to ~24% at 18 cycles; int codes lose to the branch loop, \
+         swim/turb3d to the load loop; hydro2d/mgrid (memory-bound) and apsi (low ILP) \
+         are least sensitive; SMT pairs lose less than their worst member",
+        kind: FigureKind::Speedup,
+        grid: || depth_grid([(3, 3), (5, 5), (7, 7), (9, 9)]),
+        workloads: WorkloadRule::Caller,
+    },
+    // Figure 5: a fixed 12-cycle DEC→EX, split differently.
+    Figure {
+        id: "fig5",
+        cli_id: "fig5",
+        title: "Performance for a fixed 12-cycle DEC->EX, shifting stages out of IQ-EX (relative to 3_9)",
+        expectation: "up to ~15% gain for 9_3 on the load-loop-sensitive codes (swim, turb3d, apsi-swim); \
+         branch-bound and memory-bound codes are flat",
+        kind: FigureKind::Speedup,
+        grid: || depth_grid([(3, 9), (5, 7), (7, 5), (9, 3)]),
+        workloads: WorkloadRule::Caller,
+    },
+    // Figure 6: the operand-gap CDF of turb3d on the base machine.
+    Figure {
+        id: "fig6",
+        cli_id: "fig6",
+        title: "CDF of cycles between first- and second-operand availability (turb3d)",
+        expectation: "~25% of instructions have gaps of 25+ cycles; the 9-cycle \
+         forwarding buffer covers only ~50% of instructions",
+        kind: FigureKind::GapCdf,
+        grid: || vec![("base".to_string(), PipelineConfig::base())],
+        workloads: WorkloadRule::Pinned(Workload::Single(Benchmark::Turb3d)),
+    },
+    // Figure 8: DRA:5_3 vs Base:5_5, DRA:7_3 vs Base:5_7, DRA:9_3 vs
+    // Base:5_9 for 3-, 5- and 7-cycle register files.
+    Figure {
+        id: "fig8",
+        cli_id: "fig8",
+        title: "DRA speedup over the base machine, per register-file latency",
+        expectation: "gains up to 4% / 9% / 15% for 3/5/7-cycle register files, \
+         growing with RF latency; apsi (and apsi-swim) LOSE 10-14% \
+         from operand-resolution-loop misses",
+        kind: FigureKind::DraPairSpeedup,
+        grid: || {
+            [3, 5, 7]
+                .into_iter()
+                .flat_map(|rf| {
+                    [PipelineConfig::base_for_rf(rf), PipelineConfig::dra_for_rf(rf)].map(|cfg| {
+                        let scheme = if cfg.scheme.is_dra() { "dra" } else { "base" };
+                        let (x, y) = (cfg.dec_iq_stages, cfg.iq_ex_stages);
+                        (format!("{scheme}:{x}_{y} (rf{rf})"), cfg)
+                    })
+                })
+                .collect()
+        },
+        workloads: WorkloadRule::Caller,
+    },
+    // Figure 9: where the DRA's operands come from.
+    Figure {
+        id: "fig9",
+        cli_id: "fig9",
+        title: "Operand sources under the DRA (7_3, 5-cycle register file)",
+        expectation: "more than half of operands come from the forwarding buffer; \
+         the rest split between pre-read and the CRCs; miss rates are \
+         well under 1% except apsi at ~1.5%",
+        kind: FigureKind::OperandSources,
+        grid: || vec![("dra:7_3 (rf5)".to_string(), PipelineConfig::dra_for_rf(5))],
+        workloads: WorkloadRule::Caller,
+    },
+    // §2.2.2: the four load-resolution-loop policies. The pointer-chase
+    // micro is the workload where the policy is the entire story.
+    Figure {
+        id: "ablation-load-policy",
+        cli_id: "load-policy",
+        title: "Load mis-speculation recovery policies (relative to tree reissue)",
+        expectation: "reissue beats stall; refetch is significantly worse than reissue (paper §2.2.2); \
+         21264-style shadow reissue trails tree reissue",
+        kind: FigureKind::Speedup,
+        grid: || {
+            vary(
+                PipelineConfig::base(),
+                |cfg, p| cfg.load_policy = p,
+                [
+                    ("reissue-tree", LoadSpecPolicy::ReissueTree),
+                    ("reissue-shadow", LoadSpecPolicy::ReissueShadow),
+                    ("stall", LoadSpecPolicy::Stall),
+                    ("refetch", LoadSpecPolicy::Refetch),
+                ],
+            )
+        },
+        workloads: WorkloadRule::Plus(Workload::Micro("chase")),
+    },
+    // §5.1: CRC size and replacement policy, and idealized insertion-table
+    // cleanup on squash, all on the 5-cycle-RF DRA (7_3).
+    Figure {
+        id: "ablation-dra-design",
+        cli_id: "dra-design",
+        title: "DRA design choices (7_3, 5-cycle RF; relative to the paper's 16-entry FIFO CRC)",
+        expectation: "paper §5.1: mechanisms smarter than FIFO gain almost nothing; capacity matters          more than policy",
+        kind: FigureKind::Speedup,
+        grid: || {
+            vary(
+                PipelineConfig::dra_for_rf(5),
+                |cfg, (crc_entries, crc_policy, cleanup)| {
+                    cfg.scheme = RegisterScheme::Dra {
+                        crc_entries,
+                        crc_policy,
+                    };
+                    cfg.dra_ideal_squash_cleanup = cleanup;
+                },
+                [
+                    ("fifo-16 (paper)", (16, CrcPolicy::Fifo, false)),
+                    ("lru-16", (16, CrcPolicy::Lru, false)),
+                    ("fifo-8", (8, CrcPolicy::Fifo, false)),
+                    ("fifo-32", (32, CrcPolicy::Fifo, false)),
+                    ("ideal-cleanup", (16, CrcPolicy::Fifo, true)),
+                ],
+            )
+        },
+        workloads: WorkloadRule::Caller,
+    },
+    // §2.2.1: the forwarding buffer keeps 9 cycles of results (5 for
+    // long-latency ops + 4 of write-back delay).
+    Figure {
+        id: "ablation-fwd-window",
+        cli_id: "fwd-window",
+        title: "Forwarding-buffer retention window under the DRA (7_3; relative to the paper's 9)",
+        expectation: "the 9-cycle window was sized to hand values to the register file exactly as          they expire; shrinking it shifts traffic to the CRCs (more operand misses),          growing it buys little because the gap distribution has a long tail (Figure 6)",
+        kind: FigureKind::Speedup,
+        grid: || {
+            vary(
+                PipelineConfig::dra_for_rf(5),
+                |cfg, w| cfg.fwd_window = w,
+                [9, 5, 13, 17].map(|w| (format!("window-{w}"), w)),
+            )
+        },
+        workloads: WorkloadRule::Caller,
+    },
+    // §2.2.2's IQ-pressure argument: reissue retention shrinks the
+    // effective window.
+    Figure {
+        id: "ablation-iq-size",
+        cli_id: "iq-size",
+        title: "Instruction-queue capacity on the base machine (relative to the paper's 128)",
+        expectation: "issued instructions are retained for the 8-cycle loop delay plus a clear          cycle; small IQs lose exposed ILP exactly as §2.2.2 argues",
+        kind: FigureKind::Speedup,
+        grid: || {
+            vary(
+                PipelineConfig::base(),
+                |cfg, n| cfg.iq_entries = n,
+                [128, 64, 32, 256].map(|n| (format!("iq-{n}"), n)),
+            )
+        },
+        workloads: WorkloadRule::Caller,
+    },
+    // Beyond the paper: a stride prefetcher attacks the load loop's
+    // mis-speculation rate where the DRA attacks its delay.
+    Figure {
+        id: "ablation-prefetch",
+        cli_id: "prefetch",
+        title: "Stride prefetching vs / with the DRA (5-cycle RF; relative to the base machine)",
+        expectation: "extension beyond the paper: prefetching cuts the load loop's mis-speculation          rate, the DRA cuts its delay — the streaming codes should take both",
+        kind: FigureKind::Speedup,
+        grid: || {
+            [
+                ("base", PipelineConfig::base_for_rf(5)),
+                ("dra", PipelineConfig::dra_for_rf(5)),
+            ]
+            .into_iter()
+            .flat_map(|(name, cfg)| {
+                vary(
+                    cfg,
+                    |cfg, prefetch| cfg.mem.prefetch = prefetch,
+                    [
+                        (name.to_string(), None),
+                        (format!("{name}+prefetch"), Some(PrefetchConfig::default())),
+                    ],
+                )
+            })
+            .collect()
+        },
+        workloads: WorkloadRule::Caller,
+    },
+    // The branch-resolution loop's mis-speculation rate under weaker
+    // direction predictors.
+    Figure {
+        id: "ablation-predictor",
+        cli_id: "predictor",
+        title: "Direction predictors on the base machine (relative to the tournament)",
+        expectation: "weaker predictors fire the branch-resolution loop more often; the          branch-limited integer codes pay the most",
+        kind: FigureKind::Speedup,
+        grid: || {
+            vary(
+                PipelineConfig::base(),
+                |cfg, k| cfg.predictor = k,
+                [
+                    ("tournament", PredictorKind::Tournament),
+                    ("gshare", PredictorKind::Gshare),
+                    ("local", PredictorKind::Local),
+                    ("bimodal", PredictorKind::Bimodal),
+                    ("always-taken", PredictorKind::Taken),
+                ],
+            )
+        },
+        workloads: WorkloadRule::Caller,
+    },
+];
+
 impl FigureSpec {
     /// Every figure id, in the order `looseloops figure all` prints them.
     /// The ablations also answer to their canonical `ablation-*` ids.
-    pub const IDS: [&'static str; 11] = [
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig8",
-        "fig9",
-        "load-policy",
-        "dra-design",
-        "fwd-window",
-        "iq-size",
-        "prefetch",
-        "predictor",
-    ];
+    pub fn ids() -> impl Iterator<Item = &'static str> {
+        FIGURES.iter().map(|f| f.cli_id)
+    }
 
     /// The spec behind a figure id, canonical (`ablation-load-policy`) or
     /// CLI-short (`load-policy`). `workloads` seeds the workload set;
@@ -175,20 +428,21 @@ impl FigureSpec {
     /// load-policy ablation appends its chase microbenchmark. `None` for
     /// an unknown id.
     pub fn for_id(id: &str, workloads: &[Workload], budget: RunBudget) -> Option<FigureSpec> {
-        match id {
-            "fig4" => Some(fig4_spec(workloads, budget)),
-            "fig5" => Some(fig5_spec(workloads, budget)),
-            "fig6" => Some(fig6_spec(budget)),
-            "fig8" => Some(fig8_spec(workloads, budget)),
-            "fig9" => Some(fig9_spec(workloads, budget)),
-            "load-policy" | "ablation-load-policy" => Some(load_policy_spec(workloads, budget)),
-            "dra-design" | "ablation-dra-design" => Some(dra_design_spec(workloads, budget)),
-            "fwd-window" | "ablation-fwd-window" => Some(fwd_window_spec(workloads, budget)),
-            "iq-size" | "ablation-iq-size" => Some(iq_size_spec(workloads, budget)),
-            "prefetch" | "ablation-prefetch" => Some(prefetch_spec(workloads, budget)),
-            "predictor" | "ablation-predictor" => Some(predictor_spec(workloads, budget)),
-            _ => None,
-        }
+        let f = FIGURES.iter().find(|f| f.id == id || f.cli_id == id)?;
+        let workloads = match f.workloads {
+            WorkloadRule::Caller => workloads.to_vec(),
+            WorkloadRule::Pinned(w) => vec![w],
+            WorkloadRule::Plus(w) => workloads.iter().copied().chain([w]).collect(),
+        };
+        Some(FigureSpec {
+            id: f.id.into(),
+            title: f.title.into(),
+            paper_expectation: f.expectation.into(),
+            configs: (f.grid)(),
+            workloads,
+            budget,
+            kind: f.kind,
+        })
     }
 
     /// The full `configs × workloads` grid as sweep jobs, row-major in
@@ -220,7 +474,7 @@ impl FigureSpec {
             self.id
         );
         let series = match self.kind {
-            FigureKind::Speedup { baseline } => {
+            FigureKind::Speedup => {
                 // ipc[config][workload]
                 let ipc: Vec<Vec<f64>> = results
                     .chunks(nw.max(1))
@@ -231,7 +485,7 @@ impl FigureSpec {
                     .enumerate()
                     .map(|(i, (label, _))| Series {
                         label: label.clone(),
-                        values: (0..nw).map(|w| ipc[i][w] / ipc[baseline][w]).collect(),
+                        values: (0..nw).map(|w| ipc[i][w] / ipc[0][w]).collect(),
                     })
                     .collect()
             }
@@ -320,377 +574,6 @@ impl FigureSpec {
     }
 }
 
-fn spec(
-    id: &str,
-    title: &str,
-    expectation: &str,
-    configs: Vec<(String, PipelineConfig)>,
-    workloads: &[Workload],
-    budget: RunBudget,
-    kind: FigureKind,
-) -> FigureSpec {
-    FigureSpec {
-        id: id.into(),
-        title: title.into(),
-        paper_expectation: expectation.into(),
-        configs,
-        workloads: workloads.to_vec(),
-        budget,
-        kind,
-    }
-}
-
-/// The labeled machine grid of Figure 4: DEC→EX swept from 6 to 18
-/// cycles.
-fn fig4_configs() -> Vec<(String, PipelineConfig)> {
-    [(3, 3), (5, 5), (7, 7), (9, 9)]
-        .into_iter()
-        .map(|(x, y)| {
-            (
-                format!("{x}_{y}"),
-                PipelineConfig::base_with_latencies(x, y),
-            )
-        })
-        .collect()
-}
-
-/// **Figure 4** — performance vs pipeline length. DEC→EX is swept from 6
-/// to 18 cycles (configs 3_3, 5_5, 7_7, 9_9); results are speedups
-/// relative to the 6-cycle machine.
-fn fig4_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "fig4",
-        "Performance for varying pipeline lengths (relative to 6 cycles DEC->EX)",
-        "monotonic losses up to ~24% at 18 cycles; int codes lose to the branch loop, \
-         swim/turb3d to the load loop; hydro2d/mgrid (memory-bound) and apsi (low ILP) \
-         are least sensitive; SMT pairs lose less than their worst member",
-        fig4_configs(),
-        workloads,
-        budget,
-        FigureKind::Speedup { baseline: 0 },
-    )
-}
-
-/// The labeled machine grid of Figure 5: fixed 12-cycle DEC→EX, varying
-/// the DEC-IQ / IQ-EX split.
-fn fig5_configs() -> Vec<(String, PipelineConfig)> {
-    [(3, 9), (5, 7), (7, 5), (9, 3)]
-        .into_iter()
-        .map(|(x, y)| {
-            (
-                format!("{x}_{y}"),
-                PipelineConfig::base_with_latencies(x, y),
-            )
-        })
-        .collect()
-}
-
-/// **Figure 5** — fixed overall DEC→EX length (12 cycles), varying the
-/// DEC-IQ / IQ-EX split: 3_9, 5_7, 7_5, 9_3 relative to 3_9.
-fn fig5_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "fig5",
-        "Performance for a fixed 12-cycle DEC->EX, shifting stages out of IQ-EX (relative to 3_9)",
-        "up to ~15% gain for 9_3 on the load-loop-sensitive codes (swim, turb3d, apsi-swim); \
-         branch-bound and memory-bound codes are flat",
-        fig5_configs(),
-        workloads,
-        budget,
-        FigureKind::Speedup { baseline: 0 },
-    )
-}
-
-/// **Figure 6** — cumulative distribution of the gap (in cycles) between
-/// an instruction's first and second operand becoming available, measured
-/// on `turb3d` on the base machine. Columns are gap values 0..=60.
-fn fig6_spec(budget: RunBudget) -> FigureSpec {
-    spec(
-        "fig6",
-        "CDF of cycles between first- and second-operand availability (turb3d)",
-        "~25% of instructions have gaps of 25+ cycles; the 9-cycle \
-         forwarding buffer covers only ~50% of instructions",
-        vec![("base".to_string(), PipelineConfig::base())],
-        &[Workload::Single(Benchmark::Turb3d)],
-        budget,
-        FigureKind::GapCdf,
-    )
-}
-
-/// The labeled machine grid of Figure 8: base and DRA per register-file
-/// latency, rows 2k base / 2k+1 the matched DRA.
-fn fig8_configs() -> Vec<(String, PipelineConfig)> {
-    [3u32, 5, 7]
-        .into_iter()
-        .flat_map(|rf| {
-            let base = PipelineConfig::base_for_rf(rf);
-            let dra = PipelineConfig::dra_for_rf(rf);
-            [
-                (
-                    format!("base:{}_{} (rf{rf})", base.dec_iq_stages, base.iq_ex_stages),
-                    base,
-                ),
-                (
-                    format!("dra:{}_{} (rf{rf})", dra.dec_iq_stages, dra.iq_ex_stages),
-                    dra,
-                ),
-            ]
-        })
-        .collect()
-}
-
-/// **Figure 8** — DRA speedups for register-file read latencies of 3, 5
-/// and 7 cycles: DRA:5_3 vs Base:5_5, DRA:7_3 vs Base:5_7, DRA:9_3 vs
-/// Base:5_9.
-fn fig8_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "fig8",
-        "DRA speedup over the base machine, per register-file latency",
-        "gains up to 4% / 9% / 15% for 3/5/7-cycle register files, \
-         growing with RF latency; apsi (and apsi-swim) LOSE 10-14% \
-         from operand-resolution-loop misses",
-        fig8_configs(),
-        workloads,
-        budget,
-        FigureKind::DraPairSpeedup,
-    )
-}
-
-/// **Figure 9** — where operands come from under the DRA (7_3
-/// configuration, 5-cycle register file): pre-read / forwarding buffer /
-/// CRC / miss fractions per workload.
-fn fig9_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "fig9",
-        "Operand sources under the DRA (7_3, 5-cycle register file)",
-        "more than half of operands come from the forwarding buffer; \
-         the rest split between pre-read and the CRCs; miss rates are \
-         well under 1% except apsi at ~1.5%",
-        vec![("dra:7_3 (rf5)".to_string(), PipelineConfig::dra_for_rf(5))],
-        workloads,
-        budget,
-        FigureKind::OperandSources,
-    )
-}
-
-/// The labeled machines of the load-policy ablation.
-fn load_policy_configs() -> Vec<(String, PipelineConfig)> {
-    [
-        ("reissue-tree", LoadSpecPolicy::ReissueTree),
-        ("reissue-shadow", LoadSpecPolicy::ReissueShadow),
-        ("stall", LoadSpecPolicy::Stall),
-        ("refetch", LoadSpecPolicy::Refetch),
-    ]
-    .into_iter()
-    .map(|(name, p)| {
-        (
-            name.to_string(),
-            PipelineConfig {
-                load_policy: p,
-                ..PipelineConfig::base()
-            },
-        )
-    })
-    .collect()
-}
-
-/// **§2.2.2 ablation** — the four load-resolution-loop management
-/// policies, as speedups relative to the paper's choice (tree reissue).
-fn load_policy_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    // Append the pointer-chase microbenchmark: the workload where the
-    // load-resolution-loop policy is the entire story.
-    let mut workloads: Vec<Workload> = workloads.to_vec();
-    workloads.push(Workload::Micro("chase"));
-    spec(
-        "ablation-load-policy",
-        "Load mis-speculation recovery policies (relative to tree reissue)",
-        "reissue beats stall; refetch is significantly worse than reissue (paper §2.2.2); \
-         21264-style shadow reissue trails tree reissue",
-        load_policy_configs(),
-        &workloads,
-        budget,
-        FigureKind::Speedup { baseline: 0 },
-    )
-}
-
-/// The labeled machines of the DRA-design ablation.
-fn dra_design_configs() -> Vec<(String, PipelineConfig)> {
-    use looseloops_regs::CrcPolicy;
-    let dra = |entries: usize, policy: CrcPolicy, cleanup: bool| {
-        let mut cfg = PipelineConfig::dra_for_rf(5);
-        cfg.scheme = looseloops_pipeline::RegisterScheme::Dra {
-            crc_entries: entries,
-            crc_policy: policy,
-        };
-        cfg.dra_ideal_squash_cleanup = cleanup;
-        cfg
-    };
-    vec![
-        (
-            "fifo-16 (paper)".to_string(),
-            dra(16, CrcPolicy::Fifo, false),
-        ),
-        ("lru-16".to_string(), dra(16, CrcPolicy::Lru, false)),
-        ("fifo-8".to_string(), dra(8, CrcPolicy::Fifo, false)),
-        ("fifo-32".to_string(), dra(32, CrcPolicy::Fifo, false)),
-        ("ideal-cleanup".to_string(), dra(16, CrcPolicy::Fifo, true)),
-    ]
-}
-
-/// **DRA design ablation** — the design choices DESIGN.md calls out:
-/// CRC size (8/16/32 entries), CRC replacement policy (FIFO vs the
-/// "smarter" LRU the paper deemed unnecessary), and idealized
-/// insertion-table cleanup on squash. All at the 5-cycle-RF DRA (7_3),
-/// relative to the paper's 16-entry FIFO.
-fn dra_design_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "ablation-dra-design",
-        "DRA design choices (7_3, 5-cycle RF; relative to the paper's 16-entry FIFO CRC)",
-        "paper §5.1: mechanisms smarter than FIFO gain almost nothing; capacity matters          more than policy",
-        dra_design_configs(),
-        workloads,
-        budget,
-        FigureKind::Speedup { baseline: 0 },
-    )
-}
-
-/// The labeled machines of the forwarding-window ablation.
-fn fwd_window_configs() -> Vec<(String, PipelineConfig)> {
-    [9u64, 5, 13, 17]
-        .into_iter()
-        .map(|w| {
-            (
-                format!("window-{w}"),
-                PipelineConfig {
-                    fwd_window: w,
-                    ..PipelineConfig::dra_for_rf(5)
-                },
-            )
-        })
-        .collect()
-}
-
-/// **Forwarding-window ablation** — the base machine's buffer retains 9
-/// cycles of results (5 for long-latency ops + 4 of write-back delay,
-/// §2.2.1). Shorter windows push more operands onto the register-file /
-/// CRC paths; longer ones are increasingly unimplementable CAMs.
-fn fwd_window_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "ablation-fwd-window",
-        "Forwarding-buffer retention window under the DRA (7_3; relative to the paper's 9)",
-        "the 9-cycle window was sized to hand values to the register file exactly as          they expire; shrinking it shifts traffic to the CRCs (more operand misses),          growing it buys little because the gap distribution has a long tail (Figure 6)",
-        fwd_window_configs(),
-        workloads,
-        budget,
-        FigureKind::Speedup { baseline: 0 },
-    )
-}
-
-/// The labeled machines of the IQ-capacity ablation.
-fn iq_size_configs() -> Vec<(String, PipelineConfig)> {
-    [128usize, 64, 32, 256]
-        .into_iter()
-        .map(|n| {
-            (
-                format!("iq-{n}"),
-                PipelineConfig {
-                    iq_entries: n,
-                    ..PipelineConfig::base()
-                },
-            )
-        })
-        .collect()
-}
-
-/// **IQ-capacity ablation** — §2.2.2's IQ-pressure argument: reissue
-/// retention shrinks the effective window, so smaller IQs magnify the
-/// load-resolution loop's cost.
-fn iq_size_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "ablation-iq-size",
-        "Instruction-queue capacity on the base machine (relative to the paper's 128)",
-        "issued instructions are retained for the 8-cycle loop delay plus a clear          cycle; small IQs lose exposed ILP exactly as §2.2.2 argues",
-        iq_size_configs(),
-        workloads,
-        budget,
-        FigureKind::Speedup { baseline: 0 },
-    )
-}
-
-/// The labeled machines of the prefetcher ablation.
-fn prefetch_configs() -> Vec<(String, PipelineConfig)> {
-    use looseloops_mem::PrefetchConfig;
-    let with_pf = |mut cfg: PipelineConfig| {
-        cfg.mem.prefetch = Some(PrefetchConfig::default());
-        cfg
-    };
-    vec![
-        ("base".to_string(), PipelineConfig::base_for_rf(5)),
-        (
-            "base+prefetch".to_string(),
-            with_pf(PipelineConfig::base_for_rf(5)),
-        ),
-        ("dra".to_string(), PipelineConfig::dra_for_rf(5)),
-        (
-            "dra+prefetch".to_string(),
-            with_pf(PipelineConfig::dra_for_rf(5)),
-        ),
-    ]
-}
-
-/// **Prefetcher extension** — the paper attacks the load-resolution
-/// loop's *delay* (DRA); a stride prefetcher attacks its mis-speculation
-/// *rate*. This ablation runs base / base+prefetch / DRA / DRA+prefetch
-/// (5-cycle RF) to show the two are complementary.
-fn prefetch_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "ablation-prefetch",
-        "Stride prefetching vs / with the DRA (5-cycle RF; relative to the base machine)",
-        "extension beyond the paper: prefetching cuts the load loop's mis-speculation          rate, the DRA cuts its delay — the streaming codes should take both",
-        prefetch_configs(),
-        workloads,
-        budget,
-        FigureKind::Speedup { baseline: 0 },
-    )
-}
-
-/// The labeled machines of the predictor ablation.
-fn predictor_configs() -> Vec<(String, PipelineConfig)> {
-    use looseloops_branch::PredictorKind;
-    [
-        ("tournament", PredictorKind::Tournament),
-        ("gshare", PredictorKind::Gshare),
-        ("local", PredictorKind::Local),
-        ("bimodal", PredictorKind::Bimodal),
-        ("always-taken", PredictorKind::Taken),
-    ]
-    .into_iter()
-    .map(|(n, k)| {
-        (
-            n.to_string(),
-            PipelineConfig {
-                predictor: k,
-                ..PipelineConfig::base()
-            },
-        )
-    })
-    .collect()
-}
-
-/// **Predictor ablation** — the branch-resolution loop's mis-speculation
-/// rate under different direction predictors, as speedup relative to the
-/// paper-style tournament.
-fn predictor_spec(workloads: &[Workload], budget: RunBudget) -> FigureSpec {
-    spec(
-        "ablation-predictor",
-        "Direction predictors on the base machine (relative to the tournament)",
-        "weaker predictors fire the branch-resolution loop more often; the          branch-limited integer codes pay the most",
-        predictor_configs(),
-        workloads,
-        budget,
-        FigureKind::Speedup { baseline: 0 },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,7 +600,7 @@ mod tests {
     #[test]
     fn every_id_resolves_and_aliases_match_their_short_ids() {
         let ws = Workload::smoke_set();
-        for id in FigureSpec::IDS {
+        for id in FigureSpec::ids() {
             let spec = FigureSpec::for_id(id, &ws, tiny())
                 .unwrap_or_else(|| panic!("`{id}` must resolve"));
             if id.starts_with("fig") {

@@ -113,7 +113,7 @@ fn cached_and_fresh_stacks_are_identical() {
         configs: vec![("base".to_string(), PipelineConfig::base())],
         workloads: ws.clone(),
         budget: tiny(),
-        kind: FigureKind::Speedup { baseline: 0 },
+        kind: FigureKind::Speedup,
     };
     let stacks = |sweep: &SweepEngine| spec.render_stacks(&sweep.run_jobs(&spec.jobs()));
 

@@ -63,19 +63,19 @@ impl StreamPrefetcher {
     }
 
     /// Observe a demand access by the load at `pc` to `addr`; returns the
-    /// addresses to prefetch (empty until the stride is confirmed).
-    pub fn observe(&mut self, pc: u64, addr: u64) -> Vec<u64> {
+    /// addresses to prefetch (none until the stride is confirmed). The
+    /// addresses are computed as they are taken, so nothing is allocated.
+    pub fn observe(&mut self, pc: u64, addr: u64) -> impl Iterator<Item = u64> {
         let i = (pc as usize) & (self.table.len() - 1);
         let e = &mut self.table[i];
-        let mut out = Vec::new();
+        let mut stride = 0;
+        let mut ahead = 0;
         if e.tag == pc {
-            let stride = addr.wrapping_sub(e.last_addr) as i64;
+            stride = addr.wrapping_sub(e.last_addr) as i64;
             if stride != 0 && stride == e.stride {
                 if e.confirmed {
-                    for k in 1..=self.cfg.degree as i64 {
-                        out.push(addr.wrapping_add((stride * k) as u64));
-                    }
-                    self.issued += out.len() as u64;
+                    ahead = i64::from(self.cfg.degree);
+                    self.issued += u64::from(self.cfg.degree);
                 } else {
                     e.confirmed = true;
                 }
@@ -92,7 +92,7 @@ impl StreamPrefetcher {
                 confirmed: false,
             };
         }
-        out
+        (1..=ahead).map(move |k| addr.wrapping_add((stride * k) as u64))
     }
 
     /// Prefetches issued so far.
@@ -111,10 +111,10 @@ mod tests {
             entries: 16,
             degree: 2,
         });
-        assert!(p.observe(0x10, 1000).is_empty()); // learn addr
-        assert!(p.observe(0x10, 1064).is_empty()); // learn stride
-        assert!(p.observe(0x10, 1128).is_empty()); // confirm
-        let pf = p.observe(0x10, 1192);
+        assert_eq!(p.observe(0x10, 1000).count(), 0); // learn addr
+        assert_eq!(p.observe(0x10, 1064).count(), 0); // learn stride
+        assert_eq!(p.observe(0x10, 1128).count(), 0); // confirm
+        let pf: Vec<u64> = p.observe(0x10, 1192).collect();
         assert_eq!(pf, vec![1256, 1320], "stream of 64s, degree 2");
         assert_eq!(p.issued(), 2);
     }
@@ -125,16 +125,17 @@ mod tests {
             entries: 16,
             degree: 1,
         });
-        p.observe(0x20, 0);
-        p.observe(0x20, 64);
-        p.observe(0x20, 128);
-        assert!(p.observe(0x20, 512).is_empty(), "stride broke");
-        assert!(
-            p.observe(0x20, 896).is_empty(),
+        assert_eq!(p.observe(0x20, 0).count(), 0);
+        assert_eq!(p.observe(0x20, 64).count(), 0);
+        assert_eq!(p.observe(0x20, 128).count(), 0);
+        assert_eq!(p.observe(0x20, 512).count(), 0, "stride broke");
+        assert_eq!(
+            p.observe(0x20, 896).count(),
+            0,
             "new stride not yet confirmed"
         );
-        p.observe(0x20, 1280);
-        assert!(!p.observe(0x20, 1664).is_empty(), "new stride confirmed");
+        assert_eq!(p.observe(0x20, 1280).count(), 1);
+        assert_eq!(p.observe(0x20, 1664).count(), 1, "new stride confirmed");
     }
 
     #[test]
@@ -143,10 +144,10 @@ mod tests {
             entries: 16,
             degree: 1,
         });
-        p.observe(0x30, 10_000);
-        p.observe(0x30, 9_936);
-        p.observe(0x30, 9_872);
-        let pf = p.observe(0x30, 9_808);
+        assert_eq!(p.observe(0x30, 10_000).count(), 0);
+        assert_eq!(p.observe(0x30, 9_936).count(), 0);
+        assert_eq!(p.observe(0x30, 9_872).count(), 0);
+        let pf: Vec<u64> = p.observe(0x30, 9_808).collect();
         assert_eq!(pf, vec![9_744]);
     }
 
@@ -156,17 +157,17 @@ mod tests {
             entries: 16,
             degree: 1,
         });
-        p.observe(0x1, 0);
-        p.observe(0x1, 64);
-        p.observe(0x11, 0); // aliases 0x1 in a 16-entry table
-        assert!(p.observe(0x1, 128).is_empty(), "entry was stolen");
+        assert_eq!(p.observe(0x1, 0).count(), 0);
+        assert_eq!(p.observe(0x1, 64).count(), 0);
+        assert_eq!(p.observe(0x11, 0).count(), 0); // aliases 0x1 in a 16-entry table
+        assert_eq!(p.observe(0x1, 128).count(), 0, "entry was stolen");
     }
 
     #[test]
     fn zero_stride_never_prefetches() {
         let mut p = StreamPrefetcher::new(PrefetchConfig::default());
         for _ in 0..10 {
-            assert!(p.observe(0x40, 4096).is_empty());
+            assert_eq!(p.observe(0x40, 4096).count(), 0);
         }
     }
 }

@@ -594,8 +594,12 @@ impl Machine {
     /// statistics.
     ///
     /// When `cfg.audit` is set, the invariant auditor runs after every
-    /// cycle; when `cfg.watchdog_window` is non-zero, a forward-progress
-    /// watchdog monitors retirement.
+    /// stepped cycle and after every quiescence skip, so the skip runs
+    /// audited too: the checks are of state, which a skip leaves as the
+    /// stepped cycles would, and the loop-cost check also covers the
+    /// retire slots the skip charged in one batch. When
+    /// `cfg.watchdog_window` is non-zero, a forward-progress watchdog
+    /// monitors retirement.
     ///
     /// # Errors
     ///
@@ -612,17 +616,9 @@ impl Machine {
         // anything still trips it.
         let mut last_retired = self.stats.total_retired();
         let mut last_progress_cycle = self.cycle;
-        // Quiescence skip is only sound when the auditor is off: the
-        // auditor must observe (and count) every cycle.
-        let may_skip = self.event_driven && !self.cfg.audit;
         while !self.is_done() && self.stats.total_retired() < target && self.cycle < last_cycle {
             self.step_cycle();
-            if self.cfg.audit {
-                if let Err(v) = self.audit() {
-                    self.finalize_stats();
-                    return Err(v.into());
-                }
-            }
+            self.audit_if_enabled()?;
             let retired = self.stats.total_retired();
             if retired != last_retired {
                 last_retired = retired;
@@ -641,7 +637,7 @@ impl Machine {
             // Only skip when the loop will actually continue — a skip
             // after the final retirement (or budget exhaustion) would
             // charge cycles the naive loop never steps.
-            if may_skip
+            if self.event_driven
                 && !self.progressed
                 && !self.is_done()
                 && self.stats.total_retired() < target
@@ -649,11 +645,24 @@ impl Machine {
             {
                 if let Some(t) = self.quiescent_until(last_cycle, window, last_progress_cycle) {
                     self.skip_to(t);
+                    self.audit_if_enabled()?;
                 }
             }
         }
         self.finalize_stats();
         Ok(&self.stats)
+    }
+
+    /// Under `cfg.audit`, check every invariant; a violation finalizes the
+    /// statistics and ends the run.
+    fn audit_if_enabled(&mut self) -> Result<(), SimError> {
+        if self.cfg.audit {
+            if let Err(v) = self.audit() {
+                self.finalize_stats();
+                return Err(v.into());
+            }
+        }
+        Ok(())
     }
 
     /// Point-in-time occupancy of every pipeline structure (the payload of

@@ -13,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use looseloops_isa::asm;
+use looseloops_mem::PrefetchConfig;
 use looseloops_pipeline::{Machine, PipelineConfig};
 
 /// Counts heap acquisitions (alloc/alloc_zeroed/realloc) while armed.
@@ -69,11 +70,33 @@ const KERNEL: &str = "
         halt
 ";
 
+/// [`KERNEL`] plus a load that walks one page a line at a time (wrapping
+/// at the page end), so the stride prefetcher confirms its stream and
+/// issues fills on nearly every iteration.
+const STRIDE_KERNEL: &str = "
+        addi r1, r31, 30000
+        addi r2, r31, 0x1000
+    top:
+        ldq  r3, 0(r2)
+        add  r3, r3, r1
+        stq  r3, 0(r2)
+        ldq  r4, 0(r2)
+        add  r5, r5, r4
+        addi r6, r6, 64
+        andi r6, r6, 0xfff
+        add  r7, r2, r6
+        ldq  r8, 0(r7)
+        add  r5, r5, r8
+        subi r1, r1, 1
+        bne  r1, top
+        halt
+";
+
 const WARMUP_CYCLES: u64 = 20_000;
 const MEASURE_CYCLES: u64 = 10_000;
 
-fn assert_steady_state_allocation_free(cfg: PipelineConfig, what: &str) {
-    let prog = asm::assemble(KERNEL).unwrap();
+fn assert_steady_state_allocation_free(cfg: PipelineConfig, kernel: &str, what: &str) {
+    let prog = asm::assemble(kernel).unwrap();
     // Plain measurement configuration: auditor, tracer, oracle, and retire
     // capture all off — they are diagnostic layers with their own buffers,
     // not part of the cycle engine under test.
@@ -130,6 +153,9 @@ fn assert_steady_state_allocation_free(cfg: PipelineConfig, what: &str) {
 
 #[test]
 fn step_cycle_is_allocation_free_in_steady_state() {
-    assert_steady_state_allocation_free(PipelineConfig::base(), "base machine");
-    assert_steady_state_allocation_free(PipelineConfig::dra_for_rf(3), "DRA machine");
+    assert_steady_state_allocation_free(PipelineConfig::base(), KERNEL, "base machine");
+    assert_steady_state_allocation_free(PipelineConfig::dra_for_rf(3), KERNEL, "DRA machine");
+    let mut prefetching = PipelineConfig::base();
+    prefetching.mem.prefetch = Some(PrefetchConfig::default());
+    assert_steady_state_allocation_free(prefetching, STRIDE_KERNEL, "prefetching machine");
 }

@@ -295,16 +295,23 @@ fn sweep_from_args(args: &Args, mode: ExecMode) -> Result<SweepEngine, ArgError>
 
 /// `looseloops figure`
 pub fn figure(args: &Args) -> Result<(), ArgError> {
-    let allowed = config_flag_set(&[
-        "smoke",
-        "json-out",
-        "workloads",
-        "jobs",
-        "stacks",
-        "sample",
-        "store-dir",
-        "profile-stages",
-    ]);
+    // The figure table fixes every machine, so of the machine flags only
+    // `--audit` applies: it turns the auditor on in every grid config.
+    let allowed = [
+        BUDGET_FLAGS,
+        &[
+            "audit",
+            "smoke",
+            "json-out",
+            "workloads",
+            "jobs",
+            "stacks",
+            "sample",
+            "store-dir",
+            "profile-stages",
+        ],
+    ]
+    .concat();
     args.reject_unknown(&allowed)?;
     let known = || format!("{}, all", FigureSpec::ids().collect::<Vec<_>>().join(", "));
     let id = args
@@ -330,13 +337,20 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
     } else {
         vec![id]
     };
-    let specs = ids
+    let mut specs = ids
         .iter()
         .map(|fid| {
             FigureSpec::for_id(fid, &workloads, budget)
                 .ok_or_else(|| ArgError(format!("unknown figure `{fid}` (known: {})", known())))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    if args.has("audit") {
+        for spec in &mut specs {
+            for (_, cfg) in &mut spec.configs {
+                cfg.audit = true;
+            }
+        }
+    }
     let mode = mode_from_args(args, budget)?;
     let sweep = sweep_from_args(args, mode)?;
     // `all` runs every figure on one engine, so overlapping grids (the

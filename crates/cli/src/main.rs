@@ -62,6 +62,9 @@ COMMANDS:
              under --sample; the [sweep] line on stderr counts entries
              it could not use, by cause)
              --profile-stages  (per-figure wall-clock stage breakdown)
+             --audit  (every grid machine under the per-cycle invariant
+             auditor; the figure table fixes the machines, so no other
+             machine flag applies)
     checkpoint
              Build or inspect the functional warm-up checkpoint a
              workload's sweep points share

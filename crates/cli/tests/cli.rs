@@ -206,6 +206,35 @@ fn figure_store_dir_makes_the_second_run_simulation_free() {
 }
 
 #[test]
+fn figure_rejects_machine_flags() {
+    let out = looseloops(&argv("figure fig6 --smoke --scheme dra"));
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --scheme"), "{err}");
+}
+
+#[test]
+fn figure_audit_reaches_the_machine_config() {
+    let dir = scratch_dir("audit");
+    let mut audited = argv("figure fig6 --smoke --audit --store-dir");
+    audited.push(dir.to_str().unwrap());
+    let mut plain = argv("figure fig6 --smoke --store-dir");
+    plain.push(dir.to_str().unwrap());
+
+    let audited = ok(&audited);
+    let plain = ok(&plain);
+    // The audited run stored its result under an audited config, so the
+    // unaudited run finds nothing of its own in the store.
+    let log = String::from_utf8_lossy(&plain.stderr);
+    assert!(log.contains("1 jobs run"), "{log}");
+    assert_eq!(
+        audited.stdout, plain.stdout,
+        "the auditor changes no figure"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_store_of_an_older_format_costs_one_summary_line() {
     let dir = scratch_dir("old-store");
     let figures = "figure all --smoke --workloads compress,swim --jobs 2";

@@ -18,7 +18,6 @@
 //! to re-run candidate cases by the thousand.
 
 use crate::gen::{generate, GenProfile};
-use looseloops::parallel_map;
 use looseloops_isa::{ArchState, FlatMemory, Program, Retired};
 use looseloops_pipeline::{FaultPlan, LoadSpecPolicy, Machine, PipelineConfig};
 use looseloops_rng::Rng;
@@ -312,23 +311,6 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         retired,
         cycles,
     }
-}
-
-/// Run cases for `seeds` consecutive seeds starting at `start`, on `jobs`
-/// workers. Results are index-ordered and bit-identical whatever the
-/// worker count (the cases are independent and the pool reassembles by
-/// index — see [`looseloops::parallel_map`]).
-pub fn run_seed_range(
-    start: u64,
-    seeds: u64,
-    jobs: usize,
-    profile: Option<GenProfile>,
-) -> Vec<(u64, CaseOutcome)> {
-    parallel_map(jobs, seeds as usize, |i| {
-        let seed = start + i as u64;
-        let case = FuzzCase::from_seed(seed, profile);
-        (seed, run_case(&case))
-    })
 }
 
 #[cfg(test)]

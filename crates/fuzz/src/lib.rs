@@ -31,7 +31,7 @@ pub mod gen;
 pub mod shrink;
 
 pub use campaign::{run_campaign, CampaignOpts, CampaignReport};
-pub use case::{run_case, run_seed_range, CaseOutcome, Finding, FindingKind, FuzzCase};
+pub use case::{run_case, CaseOutcome, Finding, FindingKind, FuzzCase};
 pub use corpus::{load_dir, save_entry, CorpusError};
 pub use gen::{generate, GenProfile};
 pub use shrink::{shrink, Shrunk};

@@ -42,6 +42,55 @@ impl Machine {
         Ok(())
     }
 
+    /// Before a quiescence skip to `target`, re-derive from scratch that
+    /// nothing falls due in `[cycle, target)`: no queued event of any
+    /// stream (not only each queue's front) drains before `target`, each
+    /// queue is in cycle order, and neither the forwarding buffer's next
+    /// expiry, the IQ's next release nor `watchdog` (the last cycle a skip
+    /// may reach and still step the cycle that trips the watchdog) lies
+    /// before it. [`Machine::run`] calls this before every skip when
+    /// `cfg.audit` is set.
+    pub(crate) fn audit_skip(
+        &self,
+        target: u64,
+        watchdog: Option<u64>,
+    ) -> Result<(), InvariantViolation> {
+        let queues = [
+            ("begin-execute", self.exec_events.check_quiet_before(target)),
+            (
+                "completion",
+                self.complete_events.check_quiet_before(target),
+            ),
+            ("wake-up", self.wakeup_events.check_quiet_before(target)),
+            (
+                "readiness-timer",
+                self.ready_events.check_quiet_before(target),
+            ),
+        ];
+        for (name, checked) in queues {
+            checked.map_err(|detail| {
+                self.violation(
+                    InvariantKind::SkipBoundary,
+                    format!("skip to cycle {target}: {name} queue: {detail}"),
+                )
+            })?;
+        }
+        let due = [
+            ("forwarding-buffer expiry", self.fwd.next_expiry(self.cycle)),
+            ("IQ release", self.iq.next_release()),
+            ("watchdog", watchdog),
+        ];
+        for (name, at) in due {
+            if let Some(at) = at.filter(|&at| at < target) {
+                return Err(self.violation(
+                    InvariantKind::SkipBoundary,
+                    format!("skip to cycle {target} passes the {name} at cycle {at}"),
+                ));
+            }
+        }
+        Ok(())
+    }
+
     fn violation(&self, kind: InvariantKind, detail: String) -> InvariantViolation {
         InvariantViolation {
             cycle: self.cycle,

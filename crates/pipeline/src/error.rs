@@ -396,6 +396,10 @@ pub enum InvariantKind {
     /// asymmetry: instruction fetches never occupy MSHRs, so data-side
     /// occupancy alone must stay within bounds.
     MemHierarchyConsistency,
+    /// The quiescence skip would jump over a cycle at which something
+    /// falls due: a queued event (or an event queue out of cycle order),
+    /// a forwarding-buffer expiry, an IQ release or the watchdog.
+    SkipBoundary,
 }
 
 impl fmt::Display for InvariantKind {
@@ -411,6 +415,7 @@ impl fmt::Display for InvariantKind {
             InvariantKind::InsertionTableConsistency => "insertion-table-consistency",
             InvariantKind::LoopCostConservation => "loop-cost-conservation",
             InvariantKind::MemHierarchyConsistency => "mem-hierarchy-consistency",
+            InvariantKind::SkipBoundary => "skip-boundary",
         };
         f.write_str(name)
     }

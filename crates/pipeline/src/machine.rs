@@ -11,14 +11,14 @@
 
 use crate::config::{PipelineConfig, RegisterScheme};
 use crate::dyninst::{InstId, InstPhase, InstSlab};
-use crate::error::{DeadlockError, PipelineSnapshot, SimError, ThreadSnapshot};
+use crate::error::{DeadlockError, InvariantViolation, PipelineSnapshot, SimError, ThreadSnapshot};
 use crate::faults::FaultInjector;
 use crate::iq::IssueQueue;
 use crate::lsq::StoreWaitTable;
 use crate::profile::{NoProbe, Probe, Stopwatch};
 use crate::stats::{CpiComponent, SimStats};
 use crate::trace::PipelineTracer;
-use crate::wheel::{Due, TimingWheel};
+use crate::wheel::{Due, EventQueue};
 use looseloops_branch::{
     build_predictor, Btb, DirectionPredictor, LinePredictor, ReturnAddressStack,
 };
@@ -41,13 +41,6 @@ mod skip;
 mod timing_tests;
 
 use issue::Tenure;
-
-/// Bucket count for the event wheels. Most delays are bounded by small
-/// config latencies (issue-to-execute transit, ALU/cache latencies); even
-/// a memory miss with a TLB walk stays well inside 256 cycles, so the
-/// overflow heap only sees fault-injected latency spikes and pathological
-/// configurations.
-const WHEEL_HORIZON: u64 = 256;
 
 /// Reusable per-stage working buffers. Every stage that needs a scratch
 /// list takes the buffer out (`std::mem::take`), uses it, and puts it
@@ -172,18 +165,19 @@ pub struct Machine {
     pub(crate) btb: Btb,
     pub(crate) line_pred: LinePredictor,
     pub(crate) store_wait: StoreWaitTable,
-    // Event wheels: cycle -> [(inst, issue-stamp)] in insertion order.
-    pub(crate) exec_events: TimingWheel<(InstId, u32)>,
-    pub(crate) complete_events: TimingWheel<(InstId, u32)>,
+    // Event queues: (cycle, (inst, issue-stamp)) in (cycle, schedule
+    // order).
+    pub(crate) exec_events: EventQueue<(InstId, u32)>,
+    pub(crate) complete_events: EventQueue<(InstId, u32)>,
     /// Delayed wake-up corrections: the IQ learns a load missed only after
     /// the load-resolution loop's feedback delay. (cycle -> [(inst, stamp,
     /// corrected ready_at)]).
-    pub(crate) wakeup_events: TimingWheel<(InstId, u32, u64)>,
+    pub(crate) wakeup_events: EventQueue<(InstId, u32, u64)>,
     /// Readiness timers for the incremental scheduler: when a wake-up
     /// names a finite future cycle for a waiting entry, a `(slot, epoch)`
     /// record fires here at that cycle and the entry is re-evaluated.
     /// Spurious fires (withdrawn or superseded wake-ups) are harmless.
-    pub(crate) ready_events: TimingWheel<(u32, u32)>,
+    pub(crate) ready_events: EventQueue<(u32, u32)>,
     /// Per physical register: `(slot, epoch)` records of waiting IQ
     /// entries whose readiness may change when this register's wake-up
     /// schedule changes. Registered at the start of each waiting tenure
@@ -327,10 +321,10 @@ impl Machine {
             cycle: 0,
             seq: 0,
             slab: InstSlab::new(),
-            exec_events: TimingWheel::new(WHEEL_HORIZON),
-            complete_events: TimingWheel::new(WHEEL_HORIZON),
-            wakeup_events: TimingWheel::new(WHEEL_HORIZON),
-            ready_events: TimingWheel::new(WHEEL_HORIZON),
+            exec_events: EventQueue::new(),
+            complete_events: EventQueue::new(),
+            wakeup_events: EventQueue::new(),
+            ready_events: EventQueue::new(),
             preg_consumers: vec![Vec::new(); cfg.phys_regs],
             tenures: vec![Tenure::default(); cfg.iq_entries],
             gated_loads: vec![Vec::new(); cfg.threads],
@@ -618,7 +612,7 @@ impl Machine {
         let mut last_progress_cycle = self.cycle;
         while !self.is_done() && self.stats.total_retired() < target && self.cycle < last_cycle {
             self.step_cycle();
-            self.audit_if_enabled()?;
+            self.audit_if_enabled(Machine::audit)?;
             let retired = self.stats.total_retired();
             if retired != last_retired {
                 last_retired = retired;
@@ -643,9 +637,15 @@ impl Machine {
                 && self.stats.total_retired() < target
                 && self.cycle < last_cycle
             {
-                if let Some(t) = self.quiescent_until(last_cycle, window, last_progress_cycle) {
+                // Step the cycle that trips the watchdog, so a deadlock
+                // fires at exactly the same cycle (and with the same
+                // snapshot) as under naive stepping.
+                let watchdog = (window > 0)
+                    .then(|| last_progress_cycle.saturating_add(window).saturating_sub(1));
+                if let Some(t) = self.quiescent_until(last_cycle, watchdog) {
+                    self.audit_if_enabled(|m| m.audit_skip(t, watchdog))?;
                     self.skip_to(t);
-                    self.audit_if_enabled()?;
+                    self.audit_if_enabled(Machine::audit)?;
                 }
             }
         }
@@ -653,11 +653,14 @@ impl Machine {
         Ok(&self.stats)
     }
 
-    /// Under `cfg.audit`, check every invariant; a violation finalizes the
+    /// Under `cfg.audit`, run `check`; a violation finalizes the
     /// statistics and ends the run.
-    fn audit_if_enabled(&mut self) -> Result<(), SimError> {
+    fn audit_if_enabled(
+        &mut self,
+        check: impl FnOnce(&mut Machine) -> Result<(), InvariantViolation>,
+    ) -> Result<(), SimError> {
         if self.cfg.audit {
-            if let Err(v) = self.audit() {
+            if let Err(v) = check(self) {
                 self.finalize_stats();
                 return Err(v.into());
             }

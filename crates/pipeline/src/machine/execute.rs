@@ -37,11 +37,11 @@ impl Machine {
         let mut due = std::mem::take(&mut self.scratch.exec_due);
         self.exec_events.drain_due(now, &mut due);
         // Oldest-first so same-cycle store→load forwarding within a thread
-        // resolves in program order. The wheel orders a batch by schedule
+        // resolves in program order. The queue orders a batch by schedule
         // time, which usually — but not always (replays reschedule old
         // instructions late) — matches program order, so check before
         // paying for the sort. Instruction seq is the required key; the
-        // wheel's own per-batch ordering is NOT a substitute.
+        // queue's own per-batch ordering is NOT a substitute.
         let mut list = std::mem::take(&mut self.scratch.exec_list);
         list.clear();
         list.extend(due.drain(..).filter_map(|e| {
@@ -565,15 +565,15 @@ impl Machine {
     }
 
     pub(super) fn do_complete(&mut self, now: u64) {
-        // Drain every due bucket. Results scheduled "for this cycle" during
-        // a later stage of the previous iteration (single-cycle ops
+        // Drain every due completion. Results scheduled "for this cycle"
+        // during a later stage of the previous iteration (single-cycle ops
         // complete in their execute cycle) are picked up here, one
         // simulator iteration later, stamped with their true cycle (the
-        // wheel preserves each event's requested cycle).
+        // queue preserves each event's requested cycle).
         let mut drained = std::mem::take(&mut self.scratch.complete_due);
         self.complete_events.drain_due(now, &mut drained);
         // Program-order (instruction seq) sort, skipped when the batch
-        // already arrives ordered — see `do_execute` for why the wheel's
+        // already arrives ordered — see `do_execute` for why the queue's
         // schedule-time ordering is not a substitute for this key.
         let mut due = std::mem::take(&mut self.scratch.due);
         due.clear();

@@ -103,7 +103,7 @@ impl Machine {
 
     /// Re-evaluate the waiting entry in `slot` against current wake-up and
     /// store-wait state, moving it between the cluster ready list, the
-    /// store-wait gate list, and the readiness timer wheel. Idempotent —
+    /// store-wait gate list, and the readiness timer queue. Idempotent —
     /// spurious calls (stale timers, duplicate consumer records) are
     /// harmless. The caller must have validated that `slot` is `Waiting`.
     fn reeval_entry(&mut self, slot: u32, now: u64) {

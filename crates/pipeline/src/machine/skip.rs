@@ -6,17 +6,13 @@ use super::{Machine, Readiness};
 impl Machine {
     /// When no stage can act at the current cycle, return the earliest
     /// future cycle at which anything could change — capped by the run
-    /// budget and the watchdog — so the run loop may jump there; `None`
+    /// budget and by `watchdog`, the last cycle a skip may reach before
+    /// the watchdog must be stepped — so the run loop may jump there; `None`
     /// when some stage can act now. Fetch, rename, insert and retire answer
     /// through the `*_readiness` functions their stages act on, so every
     /// skipped cycle is one the naive loop would have stepped through
     /// changing only the per-cycle counters (batch-charged by `skip_to`).
-    pub(super) fn quiescent_until(
-        &self,
-        last_cycle: u64,
-        window: u64,
-        last_progress_cycle: u64,
-    ) -> Option<u64> {
+    pub(super) fn quiescent_until(&self, last_cycle: u64, watchdog: Option<u64>) -> Option<u64> {
         let now = self.cycle;
         // Issue: anything on a ready list issues next cycle.
         if self.iq.ready_total() > 0 {
@@ -30,6 +26,7 @@ impl Machine {
             // Write-back: a forwarding-buffer value leaving the buffer.
             self.fwd.next_expiry(now),
             self.iq.next_release(),
+            watchdog,
         ];
         let mut target = events.into_iter().flatten().fold(last_cycle, u64::min);
         if target <= now {
@@ -51,12 +48,6 @@ impl Machine {
             wait(self.insert_readiness(t, now))?;
             wait(self.rename_readiness(t, now, in_flight))?;
             wait(self.fetch_readiness(t, now))?;
-        }
-        if window > 0 {
-            // Step the cycle that trips the watchdog, so a deadlock fires
-            // at exactly the same cycle (and with the same snapshot) as
-            // under naive stepping.
-            target = target.min(last_progress_cycle.saturating_add(window).saturating_sub(1));
         }
         (target > now).then_some(target)
     }

@@ -1,13 +1,14 @@
 //! Steady-state allocation audit for the cycle engine.
 //!
 //! The zero-allocation contract: once the machine reaches its in-flight
-//! high-water mark (slab, IQ arena, timing-wheel buckets, scratch buffers,
+//! high-water mark (slab, IQ arena, event-queue deques, scratch buffers,
 //! forwarding-buffer ring all at capacity), `step_cycle` must not touch the
 //! heap at all. A counting global allocator proves it: warm up, arm the
 //! counter, run 10k cycles, expect exactly zero allocations.
 //!
-//! This binary holds only this test so no concurrent test thread can
-//! perturb the global counter.
+//! This binary holds only this test, which runs every machine in turn: the
+//! allocation counter and `predecode::build_count` are process-global, so
+//! no concurrent test thread may perturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -92,6 +93,27 @@ const STRIDE_KERNEL: &str = "
         halt
 ";
 
+/// [`KERNEL`] plus a load that walks 256 KiB a page and a line at a time
+/// (stride 4160, wrapping), touching a new page on every iteration, so
+/// completions and readiness timers are scheduled at uneven distances.
+const PAGE_WALK_KERNEL: &str = "
+        addi r1, r31, 30000
+        addi r2, r31, 0x1000
+    top:
+        ldq  r3, 0(r2)
+        add  r3, r3, r1
+        stq  r3, 0(r2)
+        ldq  r4, 0(r2)
+        add  r5, r5, r4
+        addi r6, r6, 4160
+        andi r6, r6, 0x3ffff
+        add  r7, r2, r6
+        ldq  r8, 0(r7)
+        subi r1, r1, 1
+        bne  r1, top
+        halt
+";
+
 const WARMUP_CYCLES: u64 = 20_000;
 const MEASURE_CYCLES: u64 = 10_000;
 
@@ -157,5 +179,6 @@ fn step_cycle_is_allocation_free_in_steady_state() {
     assert_steady_state_allocation_free(PipelineConfig::dra_for_rf(3), KERNEL, "DRA machine");
     let mut prefetching = PipelineConfig::base();
     prefetching.mem.prefetch = Some(PrefetchConfig::default());
-    assert_steady_state_allocation_free(prefetching, STRIDE_KERNEL, "prefetching machine");
+    assert_steady_state_allocation_free(prefetching.clone(), STRIDE_KERNEL, "prefetching machine");
+    assert_steady_state_allocation_free(prefetching, PAGE_WALK_KERNEL, "page-walking machine");
 }

@@ -12,14 +12,17 @@
 //!   [`FlatMemory::diff`];
 //! - **liveness**: the machine must halt within the cycle budget (the
 //!   watchdog is armed, so wedges surface as typed deadlocks, not
-//!   timeouts).
+//!   timeouts);
+//! - the **engines**: once the oracle checks pass, [`engines_agree`] runs
+//!   the case on the event-driven and the naive per-cycle engine, which
+//!   must agree on outcome, cycle count, retire stream and statistics.
 //!
 //! Failures are *data* (a [`Finding`]), never panics — the shrinker needs
 //! to re-run candidate cases by the thousand.
 
 use crate::gen::{generate, GenProfile};
 use looseloops_isa::{ArchState, FlatMemory, Program, Retired};
-use looseloops_pipeline::{FaultPlan, LoadSpecPolicy, Machine, PipelineConfig};
+use looseloops_pipeline::{FaultPlan, LoadSpecPolicy, Machine, PipelineConfig, SimStats};
 use looseloops_rng::Rng;
 use std::fmt;
 
@@ -41,6 +44,8 @@ pub enum FindingKind {
     FinalState,
     /// Final data memory differs after both sides halted.
     MemoryDivergence,
+    /// The naive per-cycle engine disagrees with the event-driven one.
+    EngineDivergence,
 }
 
 impl fmt::Display for FindingKind {
@@ -52,6 +57,7 @@ impl fmt::Display for FindingKind {
             FindingKind::RetireDivergence => "retire divergence",
             FindingKind::FinalState => "final-state divergence",
             FindingKind::MemoryDivergence => "memory divergence",
+            FindingKind::EngineDivergence => "engine divergence",
         })
     }
 }
@@ -212,6 +218,58 @@ fn oracle_run(
     Ok((st, mem, retires))
 }
 
+/// Run `cfg` on `programs` for up to `max_cycles` cycles on the
+/// event-driven and the naive per-cycle engine and compare the outcome (a
+/// deadlock's snapshot included), cycles, retire stream and statistics but
+/// `audit_checks` (the auditor also checks after each quiescence skip).
+/// `Ok` holds the statistics; `Err` names the first part that differs.
+pub fn engines_agree(
+    cfg: &PipelineConfig,
+    programs: &[Program],
+    max_cycles: u64,
+) -> Result<SimStats, String> {
+    let run = |event_driven: bool| {
+        let mut m = Machine::new(cfg.clone(), programs.to_vec()).map_err(|e| e.to_string())?;
+        m.set_event_driven(event_driven);
+        m.enable_retire_capture();
+        let outcome = m
+            .run(u64::MAX, max_cycles)
+            .map(|_| ())
+            .map_err(|e| e.to_string());
+        let stats = SimStats {
+            audit_checks: 0,
+            ..m.stats().clone()
+        };
+        Ok::<_, String>((outcome, m.cycle(), m.take_retires(), stats))
+    };
+    let (fast, naive) = (run(true)?, run(false)?);
+    if (&fast.0, fast.1) != (&naive.0, naive.1) {
+        return Err(format!(
+            "outcome at cycle: event-driven {:?} at {}, naive {:?} at {}",
+            fast.0, fast.1, naive.0, naive.1
+        ));
+    }
+    let n = fast.2.len().max(naive.2.len());
+    if let Some(i) = (0..n).find(|&i| fast.2.get(i) != naive.2.get(i)) {
+        return Err(format!(
+            "retirement #{i}: event-driven {:?}, naive {:?}",
+            fast.2.get(i),
+            naive.2.get(i)
+        ));
+    }
+    let (a, b) = (format!("{:?}", fast.3), format!("{:?}", naive.3));
+    if a != b {
+        // Name the first differing `field: value` rather than both dumps.
+        let (x, y) = a
+            .split(", ")
+            .zip(b.split(", "))
+            .find(|(x, y)| x != y)
+            .unwrap_or((&a, &b));
+        return Err(format!("SimStats: event-driven `{x}`, naive `{y}`"));
+    }
+    Ok(fast.3)
+}
+
 /// Execute one case differentially. Never panics on divergence — failures
 /// come back as [`Finding`]s.
 pub fn run_case(case: &FuzzCase) -> CaseOutcome {
@@ -304,6 +362,10 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
                 );
             }
         }
+    }
+
+    if let Err(detail) = engines_agree(&case.config, &case.programs, case.max_cycles) {
+        return fail(FindingKind::EngineDivergence, detail);
     }
 
     CaseOutcome {

@@ -13,7 +13,8 @@
 //! 2. [`case`] — the differential harness. Each seed also samples a
 //!    machine configuration (scheme × RF latency × policies × predictor ×
 //!    SMT × fault storm) and compares the pipeline against the oracle on
-//!    the full retire stream, final architectural state and final memory.
+//!    the full retire stream, final architectural state and final memory,
+//!    then the event-driven engine against the naive per-cycle one.
 //! 3. [`shrink()`] — delta-debugging. A failing case is minimized first in
 //!    configuration space (drop faults, drop the second thread, simplify
 //!    policies), then instruction by instruction with branch-displacement
@@ -31,7 +32,7 @@ pub mod gen;
 pub mod shrink;
 
 pub use campaign::{run_campaign, CampaignOpts, CampaignReport};
-pub use case::{run_case, CaseOutcome, Finding, FindingKind, FuzzCase};
+pub use case::{engines_agree, run_case, CaseOutcome, Finding, FindingKind, FuzzCase};
 pub use corpus::{load_dir, save_entry, CorpusError};
 pub use gen::{generate, GenProfile};
 pub use shrink::{shrink, Shrunk};

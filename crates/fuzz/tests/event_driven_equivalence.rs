@@ -5,9 +5,10 @@
 //! behavior *exactly* — same cycle count, same `SimStats` (CPI stack,
 //! stall counters, IQ occupancy sums included), same retire stream.
 //! Every case here runs twice, event-driven (the default) vs naive
-//! (`set_event_driven(false)`), and compares the full Debug rendering of
-//! the statistics (all but the auditor's own pass count) plus the
-//! captured retire streams.
+//! (`set_event_driven(false)`), and [`looseloops_fuzz::engines_agree`]
+//! compares the outcome, the cycle count, the captured retire streams and
+//! the full Debug rendering of the statistics (all but the auditor's own
+//! pass count) — the check every fuzz case also runs.
 //!
 //! Coverage: the checked-in fuzz regression corpus, fresh
 //! structure-aware fuzz cases, fault storms (latency spikes, branch
@@ -16,9 +17,9 @@
 //! branch-checkpoint limit.
 
 use looseloops::workload::{synthetic, SyntheticParams};
-use looseloops_fuzz::FuzzCase;
+use looseloops_fuzz::{engines_agree, FuzzCase};
 use looseloops_isa::Program;
-use looseloops_pipeline::{FaultPlan, Machine, PipelineConfig, SimStats};
+use looseloops_pipeline::{FaultPlan, PipelineConfig, SimStats};
 use std::path::Path;
 
 /// Run `cfg` on `programs` for up to 300,000 cycles once with each engine
@@ -29,44 +30,15 @@ fn assert_engines_agree(cfg: PipelineConfig, programs: Vec<Program>, label: &str
 
 /// [`assert_engines_agree`] for up to `max_cycles` cycles, returning the
 /// statistics. Audited cases (the fuzz corpus and fresh fuzz cases) run
-/// the auditor in both engines; it checks the event-driven engine after
-/// each skip too, so `audit_checks` is the one counter left out of the
-/// comparison.
+/// the auditor in both engines.
 fn assert_engines_agree_within(
     cfg: PipelineConfig,
     programs: Vec<Program>,
     label: &str,
     max_cycles: u64,
 ) -> SimStats {
-    let run = |naive: bool| {
-        let mut m = Machine::new(cfg.clone(), programs.clone()).expect("valid config");
-        if naive {
-            m.set_event_driven(false);
-        }
-        m.enable_retire_capture();
-        // Deadlocks must also be *identical* (same cycle, same snapshot),
-        // so keep the error rather than unwrapping.
-        let outcome = m
-            .run(u64::MAX, max_cycles)
-            .map(|_| ())
-            .map_err(|e| e.to_string());
-        let stats = SimStats {
-            audit_checks: 0,
-            ..m.stats().clone()
-        };
-        (outcome, m.cycle(), stats, m.take_retires())
-    };
-    let fast = run(false);
-    let naive = run(true);
-    assert_eq!(fast.0, naive.0, "{label}: run outcome diverged");
-    assert_eq!(fast.1, naive.1, "{label}: cycle count diverged");
-    assert_eq!(fast.3, naive.3, "{label}: retire stream diverged");
-    assert_eq!(
-        format!("{:?}", fast.2),
-        format!("{:?}", naive.2),
-        "{label}: SimStats diverged"
-    );
-    fast.2
+    engines_agree(&cfg, &programs, max_cycles)
+        .unwrap_or_else(|detail| panic!("{label}: engines diverged: {detail}"))
 }
 
 #[test]

@@ -43,13 +43,13 @@ impl Machine {
     }
 
     /// Before a quiescence skip to `target`, re-derive from scratch that
-    /// nothing falls due in `[cycle, target)`: no queued event of any
-    /// stream (not only each queue's front) drains before `target`, each
-    /// queue is in cycle order, and neither the forwarding buffer's next
-    /// expiry, the IQ's next release nor `watchdog` (the last cycle a skip
-    /// may reach and still step the cycle that trips the watchdog) lies
-    /// before it. [`Machine::run`] calls this before every skip when
-    /// `cfg.audit` is set.
+    /// nothing falls due in `[cycle, target)`: no queued event of any of
+    /// the six streams (not only each queue's front) drains before
+    /// `target`, each queue is in cycle order, and `watchdog` (the last
+    /// cycle a skip may reach and still step the cycle that trips the
+    /// watchdog) does not lie before it. Write-backs and IQ releases are
+    /// events too, so every queued one is checked. [`Machine::run`] calls
+    /// this before every skip when `cfg.audit` is set.
     pub(crate) fn audit_skip(
         &self,
         target: u64,
@@ -66,6 +66,11 @@ impl Machine {
                 "readiness-timer",
                 self.ready_events.check_quiet_before(target),
             ),
+            (
+                "write-back",
+                self.writeback_events.check_quiet_before(target),
+            ),
+            ("release", self.release_events.check_quiet_before(target)),
         ];
         for (name, checked) in queues {
             checked.map_err(|detail| {
@@ -75,18 +80,11 @@ impl Machine {
                 )
             })?;
         }
-        let due = [
-            ("forwarding-buffer expiry", self.fwd.next_expiry(self.cycle)),
-            ("IQ release", self.iq.next_release()),
-            ("watchdog", watchdog),
-        ];
-        for (name, at) in due {
-            if let Some(at) = at.filter(|&at| at < target) {
-                return Err(self.violation(
-                    InvariantKind::SkipBoundary,
-                    format!("skip to cycle {target} passes the {name} at cycle {at}"),
-                ));
-            }
+        if let Some(at) = watchdog.filter(|&at| at < target) {
+            return Err(self.violation(
+                InvariantKind::SkipBoundary,
+                format!("skip to cycle {target} passes the watchdog at cycle {at}"),
+            ));
         }
         Ok(())
     }
@@ -195,7 +193,7 @@ impl Machine {
             }
         }
         for e in self.iq.iter() {
-            if matches!(e.state, IqState::Confirmed { .. }) {
+            if matches!(e.state, IqState::Confirmed) {
                 continue;
             }
             match self.slab.get(e.id) {

@@ -257,9 +257,10 @@ pub struct PipelineSnapshot {
     pub max_in_flight: usize,
     /// Cycle until which the front end is stalled (operand-miss recovery).
     pub frontend_stall_until: u64,
-    /// Pending execute/complete/wakeup events (a wedged machine with empty
-    /// event queues will never progress).
-    pub pending_events: (usize, usize, usize),
+    /// Pending events per event stream, by name: begin-execute,
+    /// completion, wake-up, readiness-timer, write-back and release (a
+    /// wedged machine with all six queues empty will never progress).
+    pub pending_events: [(&'static str, usize); 6],
     /// Per-thread occupancy.
     pub threads: Vec<ThreadSnapshot>,
 }
@@ -306,11 +307,11 @@ impl fmt::Display for PipelineSnapshot {
             self.max_in_flight,
             self.frontend_stall_until,
         )?;
-        let (e, cm, wk) = self.pending_events;
-        writeln!(
-            f,
-            "  pending events: execute {e}, complete {cm}, wakeup {wk}"
-        )?;
+        write!(f, "  pending events:")?;
+        for (i, (name, n)) in self.pending_events.iter().enumerate() {
+            write!(f, "{} {name} {n}", if i == 0 { "" } else { "," })?;
+        }
+        writeln!(f)?;
         for (t, th) in self.threads.iter().enumerate() {
             write!(
                 f,
@@ -397,8 +398,9 @@ pub enum InvariantKind {
     /// occupancy alone must stay within bounds.
     MemHierarchyConsistency,
     /// The quiescence skip would jump over a cycle at which something
-    /// falls due: a queued event (or an event queue out of cycle order),
-    /// a forwarding-buffer expiry, an IQ release or the watchdog.
+    /// falls due: a queued event of any stream, write-backs and IQ
+    /// releases included (or an event queue out of cycle order), or the
+    /// watchdog.
     SkipBoundary,
 }
 
@@ -465,7 +467,14 @@ mod tests {
                 in_flight: 48,
                 max_in_flight: 256,
                 frontend_stall_until: 0,
-                pending_events: (0, 1, 0),
+                pending_events: [
+                    ("begin-execute", 0),
+                    ("completion", 1),
+                    ("wake-up", 0),
+                    ("readiness-timer", 2),
+                    ("write-back", 3),
+                    ("release", 4),
+                ],
                 threads: vec![ThreadSnapshot {
                     done: false,
                     fetch_pc: 42,
@@ -484,6 +493,10 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("no instruction retired for 50000 cycles"));
         assert!(s.contains("IQ 4/128"));
+        assert!(s.contains(
+            "pending events: begin-execute 0, completion 1, wake-up 0, \
+             readiness-timer 2, write-back 3, release 4"
+        ));
         assert!(s.contains("thread 0"));
         assert!(s.contains("oldest seq 100 pc 17 [Issued]"));
         // It round-trips through SimError.

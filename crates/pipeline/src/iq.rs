@@ -16,15 +16,15 @@
 //!
 //! - per-cluster *ready lists* (`(seq, slot)`, age-sorted) — the
 //!   incrementally maintained set of issue-eligible waiting entries, so
-//!   event-driven select takes each list's head;
-//! - a FIFO *release queue* of confirmed entries — confirmation delay is a
-//!   machine constant, so `free_at` values are confirmed in nondecreasing
-//!   order and releasing due entries only inspects the queue front.
+//!   event-driven select takes each list's head.
 //!
-//! Squashes clear slots in place; stale release-queue records are
-//! recognized (and skipped) by the entry's unique `seq`. Steady-state
-//! operation allocates nothing: the arena, free-list, ready lists and
-//! release queue all retain their high-water capacity.
+//! A confirmed entry's slot release is the machine's to schedule: it
+//! queues `(slot, seq)` for the cycle the slot frees and calls
+//! [`IssueQueue::release`] when that cycle arrives. Squashes clear slots
+//! in place; a release record for a squashed entry is recognized (and
+//! skipped) by the entry's unique `seq`. Steady-state operation allocates
+//! nothing: the arena, free-list and ready lists all retain their
+//! high-water capacity.
 
 use crate::dyninst::InstId;
 use std::collections::VecDeque;
@@ -36,11 +36,9 @@ pub enum IqState {
     Waiting,
     /// Issued speculatively; retained in case of replay.
     Issued,
-    /// Confirmed by execute; the slot frees at the embedded cycle.
-    Confirmed {
-        /// Cycle at which the entry's slot is reusable.
-        free_at: u64,
-    },
+    /// Confirmed by execute; the slot frees when the machine's release
+    /// event for it falls due.
+    Confirmed,
 }
 
 /// One IQ entry.
@@ -93,9 +91,6 @@ pub struct IssueQueue {
     ready: Vec<VecDeque<(u64, u32)>>,
     /// Total entries across all ready lists.
     ready_count: usize,
-    /// Confirmed entries in confirmation order: `(free_at, slot, seq)`.
-    /// `free_at` is nondecreasing (constant confirmation delay).
-    release_q: VecDeque<(u64, u32, u64)>,
     per_cluster: Vec<u32>,
     /// Live entries.
     len: usize,
@@ -118,7 +113,6 @@ impl IssueQueue {
             free: (0..capacity as u32).rev().collect(),
             ready: vec![VecDeque::new(); clusters],
             ready_count: 0,
-            release_q: VecDeque::new(),
             per_cluster: vec![0; clusters],
             len: 0,
             not_waiting: 0,
@@ -167,7 +161,7 @@ impl IssueQueue {
             match e.state {
                 IqState::Waiting => b.0 += 1,
                 IqState::Issued => b.1 += 1,
-                IqState::Confirmed { .. } => b.2 += 1,
+                IqState::Confirmed => b.2 += 1,
             }
         }
         b
@@ -402,40 +396,23 @@ impl IssueQueue {
         self.begin_waiting_tenure(slot);
     }
 
-    /// Issued → Confirmed (execute will not replay); the slot frees at
-    /// `free_at`. Confirmation delay is a machine constant, so calls see
-    /// nondecreasing `free_at` — the release queue stays sorted.
-    pub fn mark_confirmed(&mut self, slot: u32, id: InstId, free_at: u64) {
-        let Some(e) = self.entry_at(slot, id) else {
-            return;
-        };
+    /// Issued → Confirmed (execute will not replay). Returns the entry's
+    /// `seq` when it confirmed the entry (`None` for a stale `slot` hint):
+    /// the caller then schedules [`IssueQueue::release`]`(slot, seq)` for
+    /// the cycle the slot frees.
+    pub fn mark_confirmed(&mut self, slot: u32, id: InstId) -> Option<u64> {
+        let e = self.entry_at(slot, id)?;
         debug_assert_eq!(e.state, IqState::Issued, "only issued entries confirm");
         if !matches!(e.state, IqState::Issued) {
-            return;
+            return None;
         }
-        e.state = IqState::Confirmed { free_at };
-        let seq = e.seq;
-        debug_assert!(
-            self.release_q.back().is_none_or(|&(f, _, _)| f <= free_at),
-            "confirmation delay is constant, so free_at must be nondecreasing"
-        );
-        self.release_q.push_back((free_at, slot, seq));
+        e.state = IqState::Confirmed;
+        Some(e.seq)
     }
 
     /// Iterate all live entries (slot order).
     pub fn iter(&self) -> impl Iterator<Item = &IqEntry> {
         self.slots.iter().flatten()
-    }
-
-    /// The `free_at` cycle of the oldest confirmed entry awaiting release
-    /// (`None` when the release queue is empty). `free_at` values are
-    /// nondecreasing, so this is the earliest cycle a release can change
-    /// the queue's occupancy; the quiescence skip must not jump past it.
-    /// The front record may be stale (squashed entry) — treating it as a
-    /// pending release is conservative, never wrong.
-    #[inline]
-    pub fn next_release(&self) -> Option<u64> {
-        self.release_q.front().map(|&(free_at, _, _)| free_at)
     }
 
     /// The entry at `slot` if it is live and `Waiting`.
@@ -446,28 +423,23 @@ impl IssueQueue {
             .filter(|e| e.state == IqState::Waiting)
     }
 
-    /// Release confirmed entries whose `free_at` has arrived.
-    pub fn release_confirmed(&mut self, now: u64) {
-        while let Some(&(free_at, slot, seq)) = self.release_q.front() {
-            if free_at > now {
-                break;
-            }
-            self.release_q.pop_front();
-            // A squash may have cleared the slot (and may have refilled it
-            // with a younger entry): the unique `seq` disambiguates.
-            let live = self.slots[slot as usize]
-                .as_ref()
-                .is_some_and(|e| e.seq == seq && matches!(e.state, IqState::Confirmed { .. }));
-            if !live {
-                continue;
-            }
-            // invariant: `live` above proved the slot occupied.
-            let e = self.slots[slot as usize].take().expect("live slot");
-            self.per_cluster[e.cluster] -= 1;
-            self.len -= 1;
-            self.not_waiting -= 1;
-            self.free.push(slot);
+    /// Free `slot` if it still holds the confirmed entry `seq`. A squash
+    /// may have cleared the slot (and may have refilled it with a younger
+    /// entry): the unique `seq` disambiguates, and a stale record does
+    /// nothing.
+    pub fn release(&mut self, slot: u32, seq: u64) {
+        let live = self.slots[slot as usize]
+            .as_ref()
+            .is_some_and(|e| e.seq == seq && matches!(e.state, IqState::Confirmed));
+        if !live {
+            return;
         }
+        // invariant: `live` above proved the slot occupied.
+        let e = self.slots[slot as usize].take().expect("live slot");
+        self.per_cluster[e.cluster] -= 1;
+        self.len -= 1;
+        self.not_waiting -= 1;
+        self.free.push(slot);
     }
 
     /// Remove entries selected by `kill` (squash). Returns how many were
@@ -489,7 +461,7 @@ impl IssueQueue {
             } else {
                 self.not_waiting -= 1;
             }
-            // Stale release-queue records are skipped by their seq check.
+            // Stale release records are skipped by their seq check.
             // External (slot, epoch) records go stale when the slot's next
             // tenure bumps the epoch.
             self.slots[slot as usize] = None;
@@ -581,10 +553,9 @@ mod tests {
         let mut q = IssueQueue::new(4, 4);
         let (slot, id) = put(&mut q, 1, 0);
         q.mark_issued(slot, id);
-        q.mark_confirmed(slot, id, 10);
-        q.release_confirmed(9);
-        assert_eq!(q.len(), 1, "not yet");
-        q.release_confirmed(10);
+        assert_eq!(q.mark_confirmed(slot, id), Some(1));
+        assert_eq!(q.iter().next().map(|e| e.state), Some(IqState::Confirmed));
+        q.release(slot, 1);
         assert_eq!(q.len(), 0);
         assert_eq!(q.free_slots(), 4);
     }
@@ -740,17 +711,19 @@ mod tests {
         let mut q = IssueQueue::new(1, 1);
         let (slot, id) = put(&mut q, 1, 0);
         q.mark_issued(slot, id);
-        q.mark_confirmed(slot, id, 5);
+        assert_eq!(q.mark_confirmed(slot, id), Some(1));
         // Squash before the release cycle; the record for seq 1 is stale.
         assert_eq!(q.squash(|e| e.seq == 1), 1);
         // The slot is reused by a younger entry before cycle 5.
         let (slot2, id2) = put(&mut q, 2, 0);
         assert_eq!(slot2, slot, "single-slot IQ reuses the slot");
-        q.release_confirmed(5);
+        q.release(slot, 1);
         assert_eq!(q.len(), 1, "the younger entry survives the stale record");
         q.mark_issued(slot2, id2);
-        q.mark_confirmed(slot2, id2, 9);
-        q.release_confirmed(9);
+        q.release(slot2, 2);
+        assert_eq!(q.len(), 1, "an unconfirmed entry is not released");
+        assert_eq!(q.mark_confirmed(slot2, id2), Some(2));
+        q.release(slot2, 2);
         assert_eq!(q.len(), 0);
     }
 }

@@ -64,10 +64,12 @@ pub(crate) struct Scratch {
     to_replay: Vec<InstId>,
     /// squash_after: not-yet-renamed front-end victims.
     dropped: Vec<InstId>,
-    /// do_writeback: values leaving the forwarding buffer this cycle.
-    expiring: Vec<(PhysReg, u64)>,
+    /// Events drained from `writeback_events` this cycle.
+    writeback_due: Vec<Due<PhysReg>>,
     /// Events drained from `ready_events` this cycle.
     ready_due: Vec<Due<(u32, u32)>>,
+    /// Events drained from `release_events` this cycle.
+    release_due: Vec<Due<(u32, u64)>>,
     /// on_store_wait_marked: ready-list loads to re-gate.
     gate_sweep: Vec<u32>,
 }
@@ -178,6 +180,11 @@ pub struct Machine {
     /// record fires here at that cycle and the entry is re-evaluated.
     /// Spurious fires (withdrawn or superseded wake-ups) are harmless.
     pub(crate) ready_events: EventQueue<(u32, u32)>,
+    /// Register-file write-backs: a result's register, due when the
+    /// result leaves the forwarding buffer (production cycle + window).
+    pub(crate) writeback_events: EventQueue<PhysReg>,
+    /// IQ slot releases: a confirmed entry's `(slot, seq)` at `free_at`.
+    pub(crate) release_events: EventQueue<(u32, u64)>,
     /// Per physical register: `(slot, epoch)` records of waiting IQ
     /// entries whose readiness may change when this register's wake-up
     /// schedule changes. Registered at the start of each waiting tenure
@@ -200,8 +207,9 @@ pub struct Machine {
     /// compares against.
     pub(crate) event_driven: bool,
     /// Did the just-stepped cycle visibly do anything (retire, event
-    /// fire, issue, insert, rename, fetch access, write-back, slot
-    /// release)? Cleared at the top of every step. Purely a gate on the
+    /// fire, issue, insert, rename, fetch access)? A drained IQ release
+    /// counts even when stale, a stale write-back does not. Cleared at
+    /// the top of every step. Purely a gate on the
     /// quiescence *check*: a false negative costs one evaluation of
     /// [`Machine::quiescent_until`], a false positive delays a skip by
     /// one stepped cycle — neither affects simulated results.
@@ -325,6 +333,8 @@ impl Machine {
             complete_events: EventQueue::new(),
             wakeup_events: EventQueue::new(),
             ready_events: EventQueue::new(),
+            writeback_events: EventQueue::new(),
+            release_events: EventQueue::new(),
             preg_consumers: vec![Vec::new(); cfg.phys_regs],
             tenures: vec![Tenure::default(); cfg.iq_entries],
             gated_loads: vec![Vec::new(); cfg.threads],
@@ -681,11 +691,14 @@ impl Machine {
             in_flight: self.total_in_flight(),
             max_in_flight: self.cfg.max_in_flight,
             frontend_stall_until: self.frontend_stall_until,
-            pending_events: (
-                self.exec_events.len(),
-                self.complete_events.len(),
-                self.wakeup_events.len(),
-            ),
+            pending_events: [
+                ("begin-execute", self.exec_events.len()),
+                ("completion", self.complete_events.len()),
+                ("wake-up", self.wakeup_events.len()),
+                ("readiness-timer", self.ready_events.len()),
+                ("write-back", self.writeback_events.len()),
+                ("release", self.release_events.len()),
+            ],
             threads: self
                 .threads
                 .iter()
@@ -769,8 +782,18 @@ impl Machine {
         probe.lap(8);
         self.do_fetch(now);
         probe.lap(9);
-        self.progressed |= self.iq.next_release().is_some_and(|r| r <= now);
-        self.iq.release_confirmed(now);
+        // Drop write-backs gone stale (re-written or reallocated
+        // registers) from the front, so `next_due` names a real one.
+        let fwd = &self.fwd;
+        self.writeback_events
+            .prune_front(|due, &p| fwd.leaving(p, due).is_none());
+        let mut released = std::mem::take(&mut self.scratch.release_due);
+        self.release_events.drain_due(now, &mut released);
+        self.progressed |= !released.is_empty();
+        for e in &released {
+            self.iq.release(e.payload.0, e.payload.1);
+        }
+        self.scratch.release_due = released;
         self.iq.sample_occupancy();
         if self.frontend_held(now) {
             self.stats.operand_miss_stall_cycles += 1;

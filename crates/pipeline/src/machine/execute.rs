@@ -260,7 +260,9 @@ impl Machine {
     ) {
         let free_at = now + self.cfg.confirm_feedback as u64 + self.cfg.iq_clear_extra as u64;
         let slot = self.slab.expect(id).iq_slot;
-        self.iq.mark_confirmed(slot, id, free_at);
+        if let Some(seq) = self.iq.mark_confirmed(slot, id) {
+            self.release_events.schedule(free_at, (slot, seq));
+        }
         let y = self.cfg.iq_ex_stages as u64;
         let di = self.slab.expect_mut(id);
         di.result = result;
@@ -577,10 +579,15 @@ impl Machine {
         // schedule-time ordering is not a substitute for this key.
         let mut due = std::mem::take(&mut self.scratch.due);
         due.clear();
+        let window = self.cfg.fwd_window;
         due.extend(drained.drain(..).filter_map(|e| {
             let (id, stamp) = e.payload;
-            let di = self.slab.get(id)?;
-            (di.issue_count == stamp).then_some((di.seq, id, stamp, e.cycle))
+            let di = self.slab.get(id).filter(|di| di.issue_count == stamp)?;
+            if let (Some(DestRename { new, .. }), Some(_)) = (di.dest, di.result) {
+                // In drain (cycle) order, so the schedule appends.
+                self.writeback_events.schedule(e.cycle + window, new);
+            }
+            Some((di.seq, id, stamp, e.cycle))
         }));
         self.scratch.complete_due = drained;
         if !due.is_sorted_by_key(|&(seq, _, _, _)| seq) {
@@ -612,12 +619,19 @@ impl Machine {
     /// Register-file write-back: values leaving the forwarding buffer
     /// become pre-readable (RPFT) and, under the DRA, are captured by the
     /// cluster register caches whose insertion tables show outstanding
-    /// consumers.
+    /// consumers. A write-back whose register was re-written or
+    /// reallocated since it was queued is stale and skipped.
     pub(super) fn do_writeback(&mut self, now: u64) {
-        let mut expiring = std::mem::take(&mut self.scratch.expiring);
-        self.fwd.expiring_into(now, &mut expiring);
-        self.progressed |= !expiring.is_empty();
-        for &(p, v) in &expiring {
+        let mut due = std::mem::take(&mut self.scratch.writeback_due);
+        self.writeback_events.drain_due(now, &mut due);
+        due.sort_unstable_by_key(|e| e.payload);
+        due.dedup_by_key(|e| e.payload);
+        for e in &due {
+            let p = e.payload;
+            let Some(v) = self.fwd.leaving(p, now) else {
+                continue;
+            };
+            self.progressed = true;
             self.rpft.on_writeback(p);
             if self.cfg.scheme.is_dra() {
                 for c in 0..self.cfg.clusters {
@@ -627,7 +641,7 @@ impl Machine {
                 }
             }
         }
-        self.scratch.expiring = expiring;
+        self.scratch.writeback_due = due;
         self.fwd.evict_expired(now);
     }
 }

@@ -23,9 +23,8 @@ impl Machine {
             self.complete_events.next_due(),
             self.wakeup_events.next_due(),
             self.ready_events.next_due(),
-            // Write-back: a forwarding-buffer value leaving the buffer.
-            self.fwd.next_expiry(now),
-            self.iq.next_release(),
+            self.writeback_events.next_due(),
+            self.release_events.next_due(),
             watchdog,
         ];
         let mut target = events.into_iter().flatten().fold(last_cycle, u64::min);

@@ -146,22 +146,34 @@ fn dependent_alu_chain_is_back_to_back() {
 }
 
 /// The skip-boundary audit fails a skip whose target passes a queued
-/// event or the watchdog cycle, and passes one that stops on them.
+/// event of any stream, write-backs and IQ releases included, or the
+/// watchdog cycle, and passes one that stops on them.
 #[test]
 fn skip_boundary_audit_rejects_a_target_past_a_queued_event() {
     let prog = looseloops_isa::asm::assemble("add r1, r2, r3\nhalt").unwrap();
-    let mut m = Machine::new(PipelineConfig::base(), vec![prog]).unwrap();
-    m.cycle = 10;
-    m.ready_events.schedule(12, (0, 0));
-    m.ready_events.schedule(15, (0, 0));
-    assert!(
-        m.audit_skip(12, Some(12)).is_ok(),
-        "a skip may stop on a due cycle"
-    );
-    for (target, watchdog) in [(13, None), (12, Some(11))] {
+    for name in ["readiness-timer", "write-back", "release"] {
+        let mut m = Machine::new(PipelineConfig::base(), vec![prog.clone()]).unwrap();
+        m.cycle = 10;
+        match name {
+            "readiness-timer" => m.ready_events.schedule(12, (0, 0)),
+            "write-back" => m.writeback_events.schedule(12, PhysReg(1)),
+            _ => m.release_events.schedule(12, (0, 1)),
+        }
+        m.ready_events.schedule(15, (0, 0));
+        assert!(
+            m.audit_skip(12, Some(12)).is_ok(),
+            "{name}: a skip may stop on a due cycle"
+        );
         let err = m
-            .audit_skip(target, watchdog)
-            .expect_err("a skip past a due cycle must fail");
+            .audit_skip(13, None)
+            .expect_err("a skip past a queued event must fail");
         assert_eq!(err.kind, crate::error::InvariantKind::SkipBoundary);
+        assert!(err.detail.contains(&format!("{name} queue")), "{err}");
     }
+    let m = Machine::new(PipelineConfig::base(), vec![prog]).unwrap();
+    let err = m
+        .audit_skip(12, Some(11))
+        .expect_err("a skip past the watchdog must fail");
+    assert_eq!(err.kind, crate::error::InvariantKind::SkipBoundary);
+    assert!(err.detail.contains("watchdog"), "{err}");
 }

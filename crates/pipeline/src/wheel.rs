@@ -1,9 +1,10 @@
 //! Time-ordered event queues for the cycle engine.
 //!
-//! The cycle engine schedules four kinds of future work (begin-execute,
-//! complete, delayed wake-up corrections, readiness timers). Each stream
-//! is one [`EventQueue`]: a `VecDeque` kept in `(cycle, schedule order)`.
-//! Begin-execute and wake-up events have fixed delays, so they append; a
+//! The cycle engine schedules six kinds of future work (begin-execute,
+//! complete, delayed wake-up corrections, readiness timers, register-file
+//! write-backs and IQ slot releases). Each stream is one [`EventQueue`]: a
+//! `VecDeque` kept in `(cycle, schedule order)`. Begin-execute, wake-up,
+//! write-back and release events have fixed delays, so they append; a
 //! completion or timer due before the back is inserted after every event
 //! of its own or an earlier cycle. The deque keeps its high-water
 //! capacity, so after warm-up scheduling and draining allocate nothing.
@@ -72,6 +73,17 @@ impl<T> EventQueue<T> {
         while let Some(e) = self.events.pop_front_if(|e| e.cycle <= now) {
             out.push(e);
         }
+    }
+
+    /// Drop front events while `stale(requested cycle, payload)` holds, so
+    /// that [`EventQueue::next_due`] of a stream whose events can go stale
+    /// names a cycle at which something happens.
+    pub fn prune_front(&mut self, mut stale: impl FnMut(u64, &T) -> bool) {
+        while self
+            .events
+            .pop_front_if(|e| stale(e.cycle, &e.payload))
+            .is_some()
+        {}
     }
 
     /// Pending events.
@@ -303,6 +315,25 @@ mod tests {
         });
         let err = q.check_quiet_before(15).expect_err("disorder must fail");
         assert!(err.contains("queued after"), "{err}");
+    }
+
+    #[test]
+    fn prune_front_stops_at_the_first_live_event() {
+        let mut q = EventQueue::new();
+        for (cycle, payload) in [(5u64, 1u32), (6, 2), (7, 3), (9, 4)] {
+            q.schedule(cycle, payload);
+        }
+        // Payloads 1 and 2 are stale, 3 is live: 4 stays queued behind it
+        // even though it is stale too.
+        let stale = |_: u64, &p: &u32| p != 3;
+        q.prune_front(stale);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.next_due(), Some(7));
+        assert_eq!(drain_queue(&mut q, 7), vec![(7, 3)]);
+        q.prune_front(stale);
+        assert_eq!(q.next_due(), None);
+        q.prune_front(stale); // an empty queue is a no-op
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

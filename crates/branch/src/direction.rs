@@ -45,11 +45,6 @@ impl PredictorKind {
             PredictorKind::Taken => "taken",
         }
     }
-
-    /// Parse a [`PredictorKind::name`].
-    pub fn from_name(s: &str) -> Option<PredictorKind> {
-        PredictorKind::all().into_iter().find(|p| p.name() == s)
-    }
 }
 
 /// Opaque saved global-history state (contents depend on the predictor).

@@ -1,8 +1,8 @@
 //! Flag → [`PipelineConfig`] translation shared by the subcommands.
 
 use crate::args::{ArgError, Args};
-use looseloops::branch::PredictorKind;
-use looseloops::{FaultPlan, LoadSpecPolicy, PipelineConfig, RunBudget};
+use looseloops::pipeline::spec::MACHINE_KEYS;
+use looseloops::{FaultPlan, PipelineConfig, RunBudget};
 
 /// Flags understood by every simulation-running subcommand.
 pub const CONFIG_FLAGS: &[&str] = &[
@@ -15,102 +15,41 @@ pub const CONFIG_FLAGS: &[&str] = &[
     "audit",
     "watchdog",
     "inject",
-    "inject-seed",
 ];
 
 /// Budget flags.
 pub const BUDGET_FLAGS: &[&str] = &["warmup", "measure", "max-cycles"];
 
-/// Build a machine configuration from flags.
-///
-/// `--scheme base|dra` (default base), `--rf 3|5|7`, `--dec X`, `--ex Y`
-/// (explicit latencies override the rf-derived ones), `--policy
-/// tree|shadow|stall|refetch`, `--predictor
-/// tournament|gshare|local|bimodal|taken`. The thread count is not a
-/// flag: the workload sets it.
+/// Build a machine configuration from flags. The machine flags are the
+/// machine-spec keys ([`looseloops::pipeline::spec`]) but `threads`, which
+/// the workload sets; `--inject` takes a fault spec.
 ///
 /// # Errors
 ///
-/// Reports unknown schemes/policies/predictors and invalid combinations
-/// (via [`PipelineConfig::validate`]).
+/// Reports specs that do not parse and invalid combinations (via
+/// [`PipelineConfig::validate`]).
 pub fn config_from_args(args: &Args) -> Result<PipelineConfig, ArgError> {
-    let rf: u32 = args.get_or("rf", 3)?;
-    let mut cfg = match args.get("scheme").unwrap_or("base") {
-        "base" => PipelineConfig::base_for_rf(rf),
-        "dra" => PipelineConfig::dra_for_rf(rf),
-        other => return Err(ArgError(format!("unknown scheme `{other}` (base|dra)"))),
-    };
-    if let Some(dec) = args.get("dec") {
-        cfg.dec_iq_stages = dec
-            .parse()
-            .map_err(|_| ArgError(format!("--dec: bad value `{dec}`")))?;
+    let mut spec = Vec::new();
+    for key in MACHINE_KEYS.into_iter().filter(|&key| key != "threads") {
+        if let Some(v) = args.get(key) {
+            // One flag is one spec field: its value may not add others.
+            if v.contains(|c: char| c == ',' || c == '=' || c.is_whitespace()) {
+                return Err(ArgError(format!("--{key}: bad value `{v}`")));
+            }
+            spec.push(format!("{key}={v}"));
+        }
     }
-    if let Some(ex) = args.get("ex") {
-        cfg.iq_ex_stages = ex
-            .parse()
-            .map_err(|_| ArgError(format!("--ex: bad value `{ex}`")))?;
-    }
-    if let Some(p) = args.get("policy") {
-        cfg.load_policy = LoadSpecPolicy::from_name(p).ok_or_else(|| {
-            ArgError(format!(
-                "unknown policy `{p}` ({})",
-                LoadSpecPolicy::all().map(LoadSpecPolicy::name).join("|")
-            ))
-        })?;
-    }
-    if let Some(p) = args.get("predictor") {
-        cfg.predictor = PredictorKind::from_name(p).ok_or_else(|| {
-            ArgError(format!(
-                "unknown predictor `{p}` ({})",
-                PredictorKind::all().map(PredictorKind::name).join("|")
-            ))
-        })?;
-    }
+    let mut cfg = PipelineConfig::from_spec(&spec.join(" ")).map_err(|e| ArgError(e.0))?;
     if args.has("audit") {
         cfg.audit = true;
     }
     cfg.watchdog_window = args.get_or("watchdog", cfg.watchdog_window)?;
     if let Some(spec) = args.get("inject") {
-        cfg.faults = Some(faults_from_spec(spec, args.get_or("inject-seed", 1)?)?);
+        let plan = FaultPlan::from_spec(spec).map_err(|e| ArgError(format!("--inject: {e}")))?;
+        cfg.faults = Some(plan);
     }
     cfg.validate().map_err(|e| ArgError(e.to_string()))?;
     Ok(cfg)
-}
-
-/// Parse `--inject` specs: comma-separated `branch:RATE`, `load:RATE[:CYCLES]`,
-/// `operand:RATE` entries, e.g. `--inject branch:0.01,load:0.05:300`.
-fn faults_from_spec(spec: &str, seed: u64) -> Result<FaultPlan, ArgError> {
-    let mut plan = FaultPlan {
-        seed,
-        ..FaultPlan::default()
-    };
-    for entry in spec.split(',') {
-        let mut fields = entry.split(':');
-        let kind = fields.next().unwrap_or("");
-        let rate: f64 = fields
-            .next()
-            .ok_or_else(|| ArgError(format!("--inject `{entry}`: missing rate (kind:rate)")))?
-            .parse()
-            .map_err(|_| ArgError(format!("--inject `{entry}`: bad rate")))?;
-        match kind {
-            "branch" => plan.branch_flip_rate = rate,
-            "load" => {
-                plan.load_spike_rate = rate;
-                if let Some(cycles) = fields.next() {
-                    plan.load_spike_cycles = cycles
-                        .parse()
-                        .map_err(|_| ArgError(format!("--inject `{entry}`: bad spike cycles")))?;
-                }
-            }
-            "operand" => plan.operand_miss_rate = rate,
-            other => {
-                return Err(ArgError(format!(
-                    "--inject: unknown fault kind `{other}` (branch|load|operand)"
-                )))
-            }
-        }
-    }
-    Ok(plan)
 }
 
 /// Build a run budget from `--warmup/--measure/--max-cycles`.
@@ -168,6 +107,8 @@ mod tests {
         assert!(config_from_args(&args("--scheme fancy")).is_err());
         assert!(config_from_args(&args("--policy yolo")).is_err());
         assert!(config_from_args(&args("--predictor psychic")).is_err());
+        // A flag value cannot smuggle in another key.
+        assert!(config_from_args(&args("--dec 7,ex=9")).is_err());
         // The alternatives come from the enums' own name tables.
         assert_eq!(
             config_from_args(&args("--policy yolo")).unwrap_err().0,
@@ -204,8 +145,7 @@ mod tests {
 
     #[test]
     fn inject_spec_parses() {
-        let cfg =
-            config_from_args(&args("--inject branch:0.01,load:0.05:300 --inject-seed 7")).unwrap();
+        let cfg = config_from_args(&args("--inject seed=7,branch=0.01,load=0.05:300")).unwrap();
         let plan = cfg.faults.unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.branch_flip_rate, 0.01);
@@ -216,10 +156,10 @@ mod tests {
 
     #[test]
     fn bad_inject_specs_report() {
-        assert!(config_from_args(&args("--inject gamma:0.5")).is_err());
+        assert!(config_from_args(&args("--inject gamma=0.5")).is_err());
         assert!(config_from_args(&args("--inject branch")).is_err());
-        assert!(config_from_args(&args("--inject branch:lots")).is_err());
+        assert!(config_from_args(&args("--inject branch=lots")).is_err());
         // Out-of-range rate is caught by PipelineConfig::validate.
-        assert!(config_from_args(&args("--inject branch:1.5")).is_err());
+        assert!(config_from_args(&args("--inject branch=1.5")).is_err());
     }
 }

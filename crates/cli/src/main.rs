@@ -30,12 +30,15 @@ COMMANDS:
              --scheme base|dra  --rf N  --dec X  --ex Y
              --policy tree|shadow|stall|refetch
              --predictor tournament|gshare|local|bimodal|taken
+             (the keys of a fuzz corpus `config:` line but threads,
+             which the workload sets)
              --warmup N  --measure N  --max-cycles N
              --verify  --trace FILE  --json
              --audit  (per-cycle invariant auditor)
              --watchdog N  (deadlock window in cycles, 0 = off)
-             --inject branch:RATE,load:RATE[:CYCLES],operand:RATE
-             --inject-seed N  (fault schedule seed, default 1)
+             --inject seed=N,branch=RATE,load=RATE[:CYCLES],operand=RATE,
+             window=A:B  (fault storm, every key optional, seed 1 by
+             default; a fuzz corpus `faults:` line is the same spec)
              --sample auto|w=N,detail=N,warm=N  (functional warm-up, then
              interval sampling with a CPI error bar; the gap between
              windows follows from the budget; the one-window plan
@@ -116,7 +119,6 @@ fn main() -> ExitCode {
         "max-cycles",
         "watchdog",
         "inject",
-        "inject-seed",
         "seeds",
         "start",
         "budget",

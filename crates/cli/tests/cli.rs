@@ -149,6 +149,23 @@ fn loops_inventory_prints() {
 }
 
 #[test]
+fn inject_takes_the_fault_spec_with_its_seed() {
+    let text = stdout(&argv(
+        "run --bench swim --measure 2000 --inject seed=7,branch=0.05",
+    ));
+    let (_, rest) = text.split_once("faults injected ").expect("hardening line");
+    let fired: u64 = rest.split(' ').next().unwrap().parse().unwrap();
+    assert!(fired > 0, "{text}");
+    // The seed is a key of the spec; the old separate flag is gone.
+    let out = looseloops(&argv(
+        "run --bench swim --measure 2000 --inject branch=0.05 --inject-seed 7",
+    ));
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --inject-seed"), "{err}");
+}
+
+#[test]
 fn errors_exit_nonzero_with_message() {
     let out = looseloops(&["run"]);
     assert!(!out.status.success());

@@ -21,20 +21,20 @@ fn run_sample(name: &str) -> Machine {
 
 #[test]
 fn dotproduct_computes_the_dot_product() {
-    let mut m = run_sample("dotproduct.s");
+    let m = run_sample("dotproduct.s");
     let expect: u64 = (1..=16u64).map(|i| i * (17 - i)).sum();
     assert_eq!(m.arch_reg(0, Reg::int(7)), expect);
 }
 
 #[test]
 fn fib_computes_fib_30() {
-    let mut m = run_sample("fib.s");
+    let m = run_sample("fib.s");
     assert_eq!(m.arch_reg(0, Reg::int(3)), 832_040);
 }
 
 #[test]
 fn memcpy_checksum_matches_source() {
-    let mut m = run_sample("memcpy.s");
+    let m = run_sample("memcpy.s");
     assert_eq!(
         m.arch_reg(0, Reg::int(5)),
         0xdead + 0xbeef + 0xcafe + 0xf00d

@@ -13,9 +13,10 @@
 //! - **liveness**: the machine must halt within the cycle budget (the
 //!   watchdog is armed, so wedges surface as typed deadlocks, not
 //!   timeouts);
-//! - the **engines**: once the oracle checks pass, [`engines_agree`] runs
-//!   the case on the event-driven and the naive per-cycle engine, which
-//!   must agree on outcome, cycle count, retire stream and statistics.
+//! - the **engines**: once the oracle checks pass, the event-driven run
+//!   they checked is compared with a naive per-cycle run of the case; the
+//!   two must agree on outcome, cycle count, retire stream and statistics
+//!   (the comparison [`engines_agree`] makes).
 //!
 //! Failures are *data* (a [`Finding`]), never panics — the shrinker needs
 //! to re-run candidate cases by the thousand.
@@ -218,56 +219,92 @@ fn oracle_run(
     Ok((st, mem, retires))
 }
 
+/// One engine's run of a case, with retire capture. `outcome`'s `Err`
+/// holds the [`looseloops_pipeline::SimError`]'s text.
+struct EngineRun {
+    machine: Machine,
+    outcome: Result<(), String>,
+    retires: Vec<(usize, Retired)>,
+}
+
+impl EngineRun {
+    /// Run `cfg` on `programs` for up to `max_cycles` cycles on the
+    /// event-driven or the naive per-cycle engine; `Err` if the machine
+    /// cannot be built.
+    fn new(
+        cfg: &PipelineConfig,
+        programs: &[Program],
+        max_cycles: u64,
+        event_driven: bool,
+    ) -> Result<Self, String> {
+        let mut machine =
+            Machine::new(cfg.clone(), programs.to_vec()).map_err(|e| e.to_string())?;
+        machine.set_event_driven(event_driven);
+        machine.enable_retire_capture();
+        let outcome = machine
+            .run(u64::MAX, max_cycles)
+            .map(|_| ())
+            .map_err(|e| e.to_string());
+        let retires = machine.take_retires();
+        Ok(EngineRun {
+            machine,
+            outcome,
+            retires,
+        })
+    }
+
+    /// Compare this event-driven run with a naive per-cycle run of the
+    /// same case: the outcome (a deadlock's snapshot included), cycles,
+    /// retire stream and statistics but `audit_checks` (the auditor also
+    /// checks after each quiescence skip). `Err` names the first part
+    /// that differs.
+    fn agrees_with(&self, naive: &EngineRun) -> Result<(), String> {
+        let (fast_at, naive_at) = (self.machine.cycle(), naive.machine.cycle());
+        if (&self.outcome, fast_at) != (&naive.outcome, naive_at) {
+            return Err(format!(
+                "outcome at cycle: event-driven {:?} at {fast_at}, naive {:?} at {naive_at}",
+                self.outcome, naive.outcome
+            ));
+        }
+        let (a, b) = (&self.retires, &naive.retires);
+        if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+            return Err(format!(
+                "retirement #{i}: event-driven {:?}, naive {:?}",
+                a.get(i),
+                b.get(i)
+            ));
+        }
+        let stats = |r: &EngineRun| {
+            let mut stats = r.machine.stats().clone();
+            stats.audit_checks = 0;
+            format!("{stats:?}")
+        };
+        let (a, b) = (stats(self), stats(naive));
+        if a != b {
+            // Name the first differing `field: value` rather than both dumps.
+            let (x, y) = a
+                .split(", ")
+                .zip(b.split(", "))
+                .find(|(x, y)| x != y)
+                .unwrap_or((&a, &b));
+            return Err(format!("SimStats: event-driven `{x}`, naive `{y}`"));
+        }
+        Ok(())
+    }
+}
+
 /// Run `cfg` on `programs` for up to `max_cycles` cycles on the
-/// event-driven and the naive per-cycle engine and compare the outcome (a
-/// deadlock's snapshot included), cycles, retire stream and statistics but
-/// `audit_checks` (the auditor also checks after each quiescence skip).
-/// `Ok` holds the statistics; `Err` names the first part that differs.
+/// event-driven and the naive per-cycle engine and compare them as
+/// `run_case` does once its oracle checks pass. `Ok` holds the
+/// event-driven run's statistics; `Err` names the first part that differs.
 pub fn engines_agree(
     cfg: &PipelineConfig,
     programs: &[Program],
     max_cycles: u64,
 ) -> Result<SimStats, String> {
-    let run = |event_driven: bool| {
-        let mut m = Machine::new(cfg.clone(), programs.to_vec()).map_err(|e| e.to_string())?;
-        m.set_event_driven(event_driven);
-        m.enable_retire_capture();
-        let outcome = m
-            .run(u64::MAX, max_cycles)
-            .map(|_| ())
-            .map_err(|e| e.to_string());
-        let stats = SimStats {
-            audit_checks: 0,
-            ..m.stats().clone()
-        };
-        Ok::<_, String>((outcome, m.cycle(), m.take_retires(), stats))
-    };
-    let (fast, naive) = (run(true)?, run(false)?);
-    if (&fast.0, fast.1) != (&naive.0, naive.1) {
-        return Err(format!(
-            "outcome at cycle: event-driven {:?} at {}, naive {:?} at {}",
-            fast.0, fast.1, naive.0, naive.1
-        ));
-    }
-    let n = fast.2.len().max(naive.2.len());
-    if let Some(i) = (0..n).find(|&i| fast.2.get(i) != naive.2.get(i)) {
-        return Err(format!(
-            "retirement #{i}: event-driven {:?}, naive {:?}",
-            fast.2.get(i),
-            naive.2.get(i)
-        ));
-    }
-    let (a, b) = (format!("{:?}", fast.3), format!("{:?}", naive.3));
-    if a != b {
-        // Name the first differing `field: value` rather than both dumps.
-        let (x, y) = a
-            .split(", ")
-            .zip(b.split(", "))
-            .find(|(x, y)| x != y)
-            .unwrap_or((&a, &b));
-        return Err(format!("SimStats: event-driven `{x}`, naive `{y}`"));
-    }
-    Ok(fast.3)
+    let fast = EngineRun::new(cfg, programs, max_cycles, true)?;
+    fast.agrees_with(&EngineRun::new(cfg, programs, max_cycles, false)?)?;
+    Ok(fast.machine.stats().clone())
 }
 
 /// Execute one case differentially. Never panics on divergence — failures
@@ -288,15 +325,16 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         }
     }
 
-    // Timing side.
-    let mut m = match Machine::new(case.config.clone(), case.programs.clone()) {
-        Ok(m) => m,
+    // Timing side: one event-driven run serves the oracle checks and,
+    // once they pass, the comparison with the naive engine.
+    let mut run = match EngineRun::new(&case.config, &case.programs, case.max_cycles, true) {
+        Ok(run) => run,
         Err(e) => return fail(FindingKind::Sim, format!("machine construction: {e}")),
     };
-    m.enable_retire_capture();
-    if let Err(e) = m.run(u64::MAX, case.max_cycles) {
-        return fail(FindingKind::Sim, e.to_string());
+    if let Err(e) = &run.outcome {
+        return fail(FindingKind::Sim, e.clone());
     }
+    let m = &mut run.machine;
     let cycles = m.cycle();
     let retired = m.stats().total_retired();
     if !m.is_done() {
@@ -310,9 +348,9 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     }
 
     // Per-thread retire streams, in architectural order.
-    let all = m.take_retires();
     for (t, (o_state, o_mem, o_retires)) in oracle.iter().enumerate() {
-        let machine_stream: Vec<&Retired> = all
+        let machine_stream: Vec<&Retired> = run
+            .retires
             .iter()
             .filter(|(th, _)| *th == t)
             .map(|(_, r)| r)
@@ -364,7 +402,8 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         }
     }
 
-    if let Err(detail) = engines_agree(&case.config, &case.programs, case.max_cycles) {
+    let naive = EngineRun::new(&case.config, &case.programs, case.max_cycles, false);
+    if let Err(detail) = naive.and_then(|naive| run.agrees_with(&naive)) {
         return fail(FindingKind::EngineDivergence, detail);
     }
 

@@ -22,15 +22,19 @@
 //! header keys are likewise hard errors. Two-thread cases separate their
 //! programs with a `; thread 1` line.
 //!
+//! The `config:` and `faults:` values are [`looseloops_pipeline::spec`]'s
+//! machine and fault specs (`faults: none` is no plan), the text that
+//! `looseloops run` reads as machine flags and as `--inject`.
+//!
 //! The body is the standard assembler syntax ([`looseloops_isa::asm`]),
 //! produced by [`looseloops_isa::disassemble`] — so every corpus entry is
 //! also readable (and hand-editable) as a plain program listing.
 
 use crate::case::{Finding, FuzzCase};
 use crate::gen::GenProfile;
-use looseloops::branch::PredictorKind;
 use looseloops_isa::{assemble, disassemble};
-use looseloops_pipeline::{FaultPlan, LoadSpecPolicy, PipelineConfig, RegisterScheme};
+use looseloops_pipeline::spec::{missing_key, MACHINE_KEYS};
+use looseloops_pipeline::{FaultPlan, PipelineConfig};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -89,119 +93,6 @@ pub struct CorpusEntry {
     pub case: FuzzCase,
 }
 
-fn config_line(cfg: &PipelineConfig) -> String {
-    let scheme = match cfg.scheme {
-        RegisterScheme::Monolithic => "base",
-        RegisterScheme::Dra { .. } => "dra",
-    };
-    format!(
-        "scheme={scheme} rf={} dec={} ex={} policy={} predictor={} threads={}",
-        cfg.rf_read_latency,
-        cfg.dec_iq_stages,
-        cfg.iq_ex_stages,
-        cfg.load_policy.name(),
-        cfg.predictor.name(),
-        cfg.threads
-    )
-}
-
-fn faults_line(plan: &Option<FaultPlan>) -> String {
-    match plan {
-        None => "none".to_string(),
-        Some(p) => {
-            let window = match p.window {
-                None => "none".to_string(),
-                Some((a, b)) => format!("{a}:{b}"),
-            };
-            format!(
-                "seed={} branch={} load={}:{} operand={} window={window}",
-                p.seed,
-                p.branch_flip_rate,
-                p.load_spike_rate,
-                p.load_spike_cycles,
-                p.operand_miss_rate
-            )
-        }
-    }
-}
-
-fn parse_kv<'a>(field: &'a str, key: &str) -> Option<&'a str> {
-    field.strip_prefix(key)?.strip_prefix('=')
-}
-
-fn config_from(line: &str) -> Option<PipelineConfig> {
-    let mut scheme = None;
-    let mut rf = None;
-    let mut dec = None;
-    let mut ex = None;
-    let mut policy = None;
-    let mut predictor = None;
-    let mut threads = None;
-    for field in line.split_whitespace() {
-        if let Some(v) = parse_kv(field, "scheme") {
-            scheme = Some(v.to_string());
-        } else if let Some(v) = parse_kv(field, "rf") {
-            rf = v.parse::<u32>().ok();
-        } else if let Some(v) = parse_kv(field, "dec") {
-            dec = v.parse::<u32>().ok();
-        } else if let Some(v) = parse_kv(field, "ex") {
-            ex = v.parse::<u32>().ok();
-        } else if let Some(v) = parse_kv(field, "policy") {
-            policy = LoadSpecPolicy::from_name(v);
-        } else if let Some(v) = parse_kv(field, "predictor") {
-            predictor = PredictorKind::from_name(v);
-        } else if let Some(v) = parse_kv(field, "threads") {
-            threads = v.parse::<usize>().ok();
-        } else {
-            return None;
-        }
-    }
-    let rf = rf?;
-    let mut cfg = match scheme?.as_str() {
-        "base" => PipelineConfig::base_for_rf(rf),
-        "dra" => PipelineConfig::dra_for_rf(rf),
-        _ => return None,
-    };
-    cfg.dec_iq_stages = dec?;
-    cfg.iq_ex_stages = ex?;
-    cfg.load_policy = policy?;
-    cfg.predictor = predictor?;
-    cfg.threads = threads?;
-    cfg.audit = true;
-    cfg.watchdog_window = 50_000;
-    Some(cfg)
-}
-
-fn faults_from(line: &str) -> Option<Option<FaultPlan>> {
-    if line.trim() == "none" {
-        return Some(None);
-    }
-    let mut plan = FaultPlan::default();
-    for field in line.split_whitespace() {
-        if let Some(v) = parse_kv(field, "seed") {
-            plan.seed = v.parse().ok()?;
-        } else if let Some(v) = parse_kv(field, "branch") {
-            plan.branch_flip_rate = v.parse().ok()?;
-        } else if let Some(v) = parse_kv(field, "load") {
-            let (rate, cycles) = v.split_once(':')?;
-            plan.load_spike_rate = rate.parse().ok()?;
-            plan.load_spike_cycles = cycles.parse().ok()?;
-        } else if let Some(v) = parse_kv(field, "operand") {
-            plan.operand_miss_rate = v.parse().ok()?;
-        } else if let Some(v) = parse_kv(field, "window") {
-            plan.window = if v == "none" {
-                None
-            } else {
-                let (a, b) = v.split_once(':')?;
-                Some((a.parse().ok()?, b.parse().ok()?))
-            };
-        } else {
-            return None;
-        }
-    }
-    Some(Some(plan))
-}
-
 /// Serialize a case (plus the finding it reproduced) to corpus text.
 pub fn to_text(name: &str, case: &FuzzCase, finding: &Finding) -> String {
     let mut out = String::new();
@@ -209,8 +100,12 @@ pub fn to_text(name: &str, case: &FuzzCase, finding: &Finding) -> String {
     out.push('\n');
     out.push_str(&format!("; name: {name}\n"));
     out.push_str(&format!("; finding: {}\n", finding.kind));
-    out.push_str(&format!("; config: {}\n", config_line(&case.config)));
-    out.push_str(&format!("; faults: {}\n", faults_line(&case.config.faults)));
+    out.push_str(&format!("; config: {}\n", case.config.spec()));
+    let faults = case.config.faults.map(|plan| plan.spec());
+    out.push_str(&format!(
+        "; faults: {}\n",
+        faults.as_deref().unwrap_or("none")
+    ));
     out.push_str(&format!("; max-cycles: {}\n", case.max_cycles));
     out.push_str(&format!("; oracle-steps: {}\n", case.oracle_steps));
     for (t, prog) in case.programs.iter().enumerate() {
@@ -242,22 +137,29 @@ pub fn from_text(path: &Path, text: &str) -> Result<CorpusEntry, CorpusError> {
     let mut in_header = true;
     for line in lines {
         let header = line.strip_prefix("; ").map(str::trim);
+        let bad = || CorpusError::BadHeader {
+            path: path.to_path_buf(),
+            line: line.to_string(),
+        };
         if in_header {
             if let Some(h) = header {
-                let (key, value) = h.split_once(':').ok_or_else(|| CorpusError::BadHeader {
-                    path: path.to_path_buf(),
-                    line: line.to_string(),
-                })?;
+                let (key, value) = h.split_once(':').ok_or_else(bad)?;
                 let value = value.trim();
-                let bad = || CorpusError::BadHeader {
-                    path: path.to_path_buf(),
-                    line: line.to_string(),
-                };
                 match key.trim() {
                     "name" => name = Some(value.to_string()),
                     "finding" => finding = Some(value.to_string()),
-                    "config" => config = Some(config_from(value).ok_or_else(bad)?),
-                    "faults" => faults = Some(faults_from(value).ok_or_else(bad)?),
+                    "config" => {
+                        // Corpus files come from outside the program: the
+                        // machine spec must name every key.
+                        if missing_key(value, &MACHINE_KEYS).is_some() {
+                            return Err(bad());
+                        }
+                        config = Some(PipelineConfig::from_spec(value).map_err(|_| bad())?);
+                    }
+                    "faults" if value == "none" => faults = Some(None),
+                    "faults" => {
+                        faults = Some(Some(FaultPlan::from_spec(value).map_err(|_| bad())?))
+                    }
                     "max-cycles" => max_cycles = Some(value.parse().map_err(|_| bad())?),
                     "oracle-steps" => oracle_steps = Some(value.parse().map_err(|_| bad())?),
                     _ => return Err(bad()),
@@ -270,10 +172,7 @@ pub fn from_text(path: &Path, text: &str) -> Result<CorpusEntry, CorpusError> {
         if let Some(h) = header {
             if let Some(t) = h.strip_prefix("thread ") {
                 if t.trim().parse::<usize>().is_err() {
-                    return Err(CorpusError::BadHeader {
-                        path: path.to_path_buf(),
-                        line: line.to_string(),
-                    });
+                    return Err(bad());
                 }
                 bodies.push(String::new());
                 continue;
@@ -289,6 +188,9 @@ pub fn from_text(path: &Path, text: &str) -> Result<CorpusEntry, CorpusError> {
         key,
     };
     let mut config = config.ok_or_else(|| missing("config"))?;
+    // The replay arms the auditor and the watchdog, as every fuzz case does.
+    config.audit = true;
+    config.watchdog_window = 50_000;
     config.faults = faults.ok_or_else(|| missing("faults"))?;
     if bodies.is_empty() || bodies.len() != config.threads {
         return Err(CorpusError::BadProgram {
@@ -375,6 +277,18 @@ mod tests {
 
     #[test]
     fn corpus_text_round_trips() {
+        // Every sampled machine and fault plan, faults included, comes
+        // back `{:?}`-equal.
+        for seed in 0..200 {
+            let case = FuzzCase::from_seed(seed, None);
+            let text = to_text("t", &case, &sample_finding());
+            let entry = from_text(Path::new("t.ll"), &text).expect("parse");
+            assert_eq!(
+                format!("{:?}", entry.case.config),
+                format!("{:?}", case.config),
+                "seed {seed}"
+            );
+        }
         let case = sample_case();
         let text = to_text("t", &case, &sample_finding());
         let entry = from_text(Path::new("t.ll"), &text).expect("parse");
@@ -383,10 +297,6 @@ mod tests {
             assert_eq!(a.insts, b.insts);
             assert_eq!(a.init_data, b.init_data);
         }
-        assert_eq!(
-            format!("{:?}", entry.case.config),
-            format!("{:?}", case.config)
-        );
         assert_eq!(entry.case.max_cycles, case.max_cycles);
         // And the round-tripped case actually runs.
         assert!(run_case(&entry.case).finding.is_none());
@@ -432,6 +342,21 @@ mod tests {
             to_text("t", &case, &sample_finding()).replace("; max-cycles:", "; cycle-budget:");
         let err = from_text(Path::new("t.ll"), &text).unwrap_err();
         assert!(matches!(err, CorpusError::BadHeader { .. }), "{err}");
+    }
+
+    #[test]
+    fn incomplete_or_malformed_specs_fail_loudly() {
+        let text = to_text("t", &sample_case(), &sample_finding());
+        for (from, to) in [
+            (" threads=", " cores="),
+            (" rf=", " ex="),
+            ("policy=", "policy=yolo"),
+            ("; faults: ", "; faults: gamma=1 "),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let err = from_text(Path::new("t.ll"), &text.replacen(from, to, 1)).unwrap_err();
+            assert!(matches!(err, CorpusError::BadHeader { .. }), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl LoadSpecPolicy {
             LoadSpecPolicy::Refetch => "refetch",
         }
     }
-
-    /// Parse a [`LoadSpecPolicy::name`].
-    pub fn from_name(s: &str) -> Option<LoadSpecPolicy> {
-        LoadSpecPolicy::all().into_iter().find(|p| p.name() == s)
-    }
 }
 
 /// Execution latencies by instruction class, in cycles.

@@ -46,6 +46,7 @@ pub mod iq;
 pub mod lsq;
 pub mod machine;
 pub mod profile;
+pub mod spec;
 pub mod stats;
 pub mod trace;
 pub(crate) mod wheel;
@@ -60,5 +61,6 @@ pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSummary};
 pub use iq::{IqEntry, IqState, IssueQueue};
 pub use lsq::StoreWaitTable;
 pub use machine::Machine;
+pub use spec::SpecError;
 pub use stats::{CpiComponent, LoopCostStack, SimStats};
 pub use trace::PipelineTracer;

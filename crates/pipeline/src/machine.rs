@@ -375,11 +375,21 @@ impl Machine {
     /// Architectural value of register `r` in `thread` (via the retired
     /// rename mapping — only meaningful once the pipeline has drained, e.g.
     /// after the thread halts).
-    pub fn arch_reg(&mut self, thread: usize, r: looseloops_isa::Reg) -> u64 {
+    pub fn arch_reg(&self, thread: usize, r: looseloops_isa::Reg) -> u64 {
         if r.is_zero() {
             return 0;
         }
-        let p = self.rename[thread].lookup(r);
+        self.read_reg(self.rename[thread].lookup(r))
+    }
+
+    /// The register file's value of `p`: every read comes through here, so
+    /// debug builds check that none reads an in-flight register.
+    #[inline]
+    pub(crate) fn read_reg(&self, p: PhysReg) -> u64 {
+        debug_assert!(
+            self.avail_cycle[p.index()] != u64::MAX,
+            "read of in-flight {p}"
+        );
         self.physfile.read(p)
     }
 
@@ -388,7 +398,7 @@ impl Machine {
     /// instruction, and the halt flag — as an interpreter [`ArchState`],
     /// so it can be [`ArchState::diff`]ed against the functional model's.
     /// Like `arch_reg`, only meaningful once the pipeline has drained.
-    pub fn arch_state(&mut self, thread: usize) -> ArchState {
+    pub fn arch_state(&self, thread: usize) -> ArchState {
         let mut st = ArchState::new(&self.threads[thread].program);
         for idx in 0..looseloops_isa::reg::NUM_ARCH_REGS {
             let r = looseloops_isa::Reg::from_index(idx);

@@ -107,7 +107,7 @@ impl Machine {
                     } else {
                         sources[i] = Some(OperandSource::RegFile);
                     }
-                    vals[i] = self.physfile.read(p);
+                    vals[i] = self.read_reg(p);
                 }
                 RegisterScheme::Dra { .. } => {
                     // Fault injection: force this lookup to miss. Safe

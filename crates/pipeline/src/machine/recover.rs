@@ -58,7 +58,7 @@ impl Machine {
         let src = di.srcs[slot].as_mut().expect("missing operand slot");
         src.obtained = Some(OperandSource::Miss);
         src.ready_at = (delivery + 1).saturating_sub(y);
-        let value = self.physfile.read(phys);
+        let value = self.read_reg(phys);
         let src = self.slab.expect_mut(id).srcs[slot].as_mut().expect("slot");
         src.payload = value;
         src.payload_valid = true;
@@ -186,7 +186,6 @@ impl Machine {
                 }
                 self.ready_at[new.index()] = 0;
                 self.avail_cycle[new.index()] = 0;
-                self.physfile.mark_ready(new);
             }
             if let Some(tr) = &mut self.tracer {
                 tr.flush(self.cycle, id);

@@ -149,7 +149,7 @@ impl Machine {
             if self.cfg.scheme.is_dra() {
                 if self.rpft.can_preread(phys) {
                     // Completed operand: pre-read during DEC-IQ.
-                    payload = self.physfile.read(phys);
+                    payload = self.read_reg(phys);
                     payload_valid = true;
                 } else {
                     // Not in the register file yet: tell this cluster's
@@ -220,7 +220,6 @@ impl Machine {
     }
 
     fn on_allocate_phys(&mut self, p: PhysReg) {
-        self.physfile.mark_allocated(p);
         self.rpft.on_allocate(p);
         self.fwd.invalidate(p);
         for c in &mut self.crcs {

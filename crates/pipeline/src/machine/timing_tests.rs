@@ -45,6 +45,21 @@ fn iq_entries_are_retained_for_the_loop_delay() {
     );
 }
 
+/// The register file is read only once the producer has completed: a
+/// read of an in-flight register is a pipeline bug, caught in debug
+/// builds at the one machine-side read helper.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "read of in-flight")]
+fn reading_inflight_register_panics() {
+    let prog = looseloops_isa::asm::assemble("halt").unwrap();
+    let mut m = Machine::new(PipelineConfig::base(), vec![prog]).unwrap();
+    let p = PhysReg(300);
+    assert_eq!(m.read_reg(p), 0, "a completed register reads");
+    m.avail_cycle[p.index()] = u64::MAX; // allocated, not yet produced
+    let _ = m.read_reg(p);
+}
+
 /// A broadcast that repeats a register's wake-up cycle must still bump
 /// its version, and so release a consumer that execute blocked on the
 /// current version; once nobody is blocked, the repeat is a no-op.

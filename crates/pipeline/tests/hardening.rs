@@ -242,12 +242,12 @@ fn ipc_recovers_after_a_windowed_storm() {
     // return to fault-free throughput, so the total slowdown is bounded by
     // a small multiple of the fault-free run, not a permanent degradation.
     let baseline = {
-        let mut m = run_verified(PipelineConfig::base(), SUM_LOOP);
+        let m = run_verified(PipelineConfig::base(), SUM_LOOP);
         assert_eq!(m.arch_reg(0, Reg::int(2)), SUM_LOOP_RESULT);
         m.cycle()
     };
     let plan = FaultPlan::branch_storm(17, 0.5).in_window(0, 2_000);
-    let mut m = run_verified(
+    let m = run_verified(
         PipelineConfig {
             faults: Some(plan),
             ..PipelineConfig::base()

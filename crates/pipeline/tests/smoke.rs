@@ -29,7 +29,7 @@ const SUM_LOOP: &str = "
 
 #[test]
 fn sum_loop_base() {
-    let mut m = run_to_halt(PipelineConfig::base(), SUM_LOOP);
+    let m = run_to_halt(PipelineConfig::base(), SUM_LOOP);
     assert_eq!(m.arch_reg(0, Reg::int(2)), 5050);
     let s = m.stats();
     assert_eq!(s.total_retired(), 302);
@@ -38,7 +38,7 @@ fn sum_loop_base() {
 
 #[test]
 fn sum_loop_dra() {
-    let mut m = run_to_halt(PipelineConfig::dra_for_rf(3), SUM_LOOP);
+    let m = run_to_halt(PipelineConfig::dra_for_rf(3), SUM_LOOP);
     assert_eq!(m.arch_reg(0, Reg::int(2)), 5050);
 }
 
@@ -58,7 +58,7 @@ fn loads_and_stores() {
             ldq  r5, 0(r1)
             halt
     ";
-    let mut m = run_to_halt(PipelineConfig::base(), src);
+    let m = run_to_halt(PipelineConfig::base(), src);
     assert_eq!(m.arch_reg(0, Reg::int(4)), 36);
     assert_eq!(m.arch_reg(0, Reg::int(5)), 36);
     assert!(m.stats().loads >= 9);
@@ -74,7 +74,7 @@ fn store_load_forwarding_same_addr() {
             add  r4, r3, r2
             halt
     ";
-    let mut m = run_to_halt(PipelineConfig::base(), src);
+    let m = run_to_halt(PipelineConfig::base(), src);
     assert_eq!(m.arch_reg(0, Reg::int(4)), 84);
 }
 
@@ -88,7 +88,7 @@ fn call_return() {
             addi r1, r31, 5
             ret r26
     ";
-    let mut m = run_to_halt(PipelineConfig::base(), src);
+    let m = run_to_halt(PipelineConfig::base(), src);
     assert_eq!(m.arch_reg(0, Reg::int(2)), 105);
 }
 
@@ -116,7 +116,7 @@ fn all_load_policies_agree_on_results() {
             load_policy: policy,
             ..PipelineConfig::base()
         };
-        let mut m = run_to_halt(cfg, src);
+        let m = run_to_halt(cfg, src);
         assert_eq!(m.arch_reg(0, Reg::int(4)), 100, "policy {policy:?}");
     }
 }
@@ -133,7 +133,7 @@ fn fp_math() {
             fcmpeq r2, f3, f0
             halt
     ";
-    let mut m = run_to_halt(PipelineConfig::base(), src);
+    let m = run_to_halt(PipelineConfig::base(), src);
     assert_eq!(m.arch_reg(0, Reg::int(2)), 1, "2.5 * 4.0 / 4.0 == 2.5");
 }
 
@@ -145,7 +145,7 @@ fn memory_barrier_retires() {
             addi r2, r1, 1
             halt
     ";
-    let mut m = run_to_halt(PipelineConfig::base(), src);
+    let m = run_to_halt(PipelineConfig::base(), src);
     assert_eq!(m.arch_reg(0, Reg::int(2)), 2);
     assert_eq!(m.stats().mem_barriers, 1);
 }

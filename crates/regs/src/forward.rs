@@ -85,34 +85,20 @@ impl ForwardingBuffer {
         self.values[r.index()] = value;
     }
 
-    #[inline]
-    fn live_value(&self, r: PhysReg, now: u64) -> Option<u64> {
-        let cycle = *self.cycles.get(r.index())?;
-        if cycle != EMPTY && cycle >= self.watermark && now >= cycle && now - cycle < self.window {
-            Some(self.values[r.index()])
-        } else {
-            None
-        }
-    }
-
     /// Look up `r` at `now`: a hit if its producer wrote within the window
     /// (strictly fewer than `window` cycles ago, counting the producing
     /// cycle itself).
     #[inline]
     pub fn lookup(&mut self, r: PhysReg, now: u64) -> Option<u64> {
-        let v = self.live_value(r, now);
+        let cycle = self.cycles.get(r.index()).copied().unwrap_or(EMPTY);
+        let live =
+            cycle != EMPTY && cycle >= self.watermark && now >= cycle && now - cycle < self.window;
+        let v = live.then(|| self.values[r.index()]);
         match v {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
         v
-    }
-
-    /// Non-counting lookup for diagnostics and the insertion-table protocol
-    /// (checking whether a value is *about to leave* the buffer).
-    #[inline]
-    pub fn probe(&self, r: PhysReg, now: u64) -> Option<u64> {
-        self.live_value(r, now)
     }
 
     /// `r`'s value if it leaves the buffer exactly at `now` — i.e. is
@@ -215,7 +201,7 @@ mod tests {
         let mut f = ForwardingBuffer::new(2);
         f.insert(PhysReg(1), 5, 0);
         f.evict_expired(10);
-        assert!(f.probe(PhysReg(1), 1).is_none());
+        assert_eq!(f.lookup(PhysReg(1), 1), None);
     }
 
     #[test]
@@ -224,13 +210,5 @@ mod tests {
         f.insert(PhysReg(7), 99, 50);
         f.invalidate(PhysReg(7));
         assert_eq!(f.lookup(PhysReg(7), 51), None);
-    }
-
-    #[test]
-    fn probe_does_not_count() {
-        let mut f = ForwardingBuffer::new(9);
-        f.insert(PhysReg(1), 1, 0);
-        let _ = f.probe(PhysReg(1), 0);
-        assert_eq!(f.stats(), (0, 0));
     }
 }

@@ -2,81 +2,36 @@
 //!
 //! In the paper's base machine this is the structure whose 3–7-cycle access
 //! sits on the IQ→EX path; the DRA's whole point is to move reads of it off
-//! that path. The file itself just tracks values and readiness — access
-//! *latency* is charged by the pipeline, which knows which path the read
-//! takes.
+//! that path. The file itself just holds values: when a value is there is
+//! the pipeline's to know (it tracks each producer's completion cycle), and
+//! so is the access *latency*, which depends on the path the read takes.
 
 use crate::PhysReg;
 
-/// Value + readiness storage for all physical registers.
+/// Value storage for all physical registers.
 #[derive(Debug, Clone)]
 pub struct PhysRegFile {
     values: Vec<u64>,
-    ready: Vec<bool>,
-    writes: u64,
-    reads: u64,
 }
 
 impl PhysRegFile {
-    /// A file of `total` registers, all zero and **ready** (fresh initial
-    /// mappings read as architectural zeros).
+    /// A file of `total` registers, all zero (fresh initial mappings read
+    /// as architectural zeros).
     pub fn new(total: usize) -> PhysRegFile {
         PhysRegFile {
             values: vec![0; total],
-            ready: vec![true; total],
-            writes: 0,
-            reads: 0,
         }
     }
 
-    /// Number of physical registers.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if the file has no registers (never true in practice).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Read a register's value.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if the register is not ready — the pipeline
-    /// must never architecturally read an in-flight register.
-    pub fn read(&mut self, r: PhysReg) -> u64 {
-        debug_assert!(self.ready[r.index()], "read of not-ready {r}");
-        self.reads += 1;
+    /// Read a register's value. The caller must not read a register whose
+    /// producer has not written it back.
+    pub fn read(&self, r: PhysReg) -> u64 {
         self.values[r.index()]
     }
 
-    /// Write a value and mark the register ready.
+    /// Write a register's value.
     pub fn write(&mut self, r: PhysReg, val: u64) {
-        self.writes += 1;
         self.values[r.index()] = val;
-        self.ready[r.index()] = true;
-    }
-
-    /// Is the value present (producer has written back)?
-    pub fn is_ready(&self, r: PhysReg) -> bool {
-        self.ready[r.index()]
-    }
-
-    /// Mark a freshly allocated register not-ready (called at rename).
-    pub fn mark_allocated(&mut self, r: PhysReg) {
-        self.ready[r.index()] = false;
-    }
-
-    /// Mark ready without changing the value (squash rollback: the old
-    /// producer's value is still architecturally current).
-    pub fn mark_ready(&mut self, r: PhysReg) {
-        self.ready[r.index()] = true;
-    }
-
-    /// (reads, writes) performed so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 }
 
@@ -86,39 +41,18 @@ mod tests {
 
     #[test]
     fn starts_ready_and_zero() {
-        let mut f = PhysRegFile::new(8);
-        assert_eq!(f.len(), 8);
-        assert!(f.is_ready(PhysReg(3)));
+        let f = PhysRegFile::new(8);
         assert_eq!(f.read(PhysReg(3)), 0);
     }
 
     #[test]
     fn allocate_write_read_cycle() {
+        // A reallocated register's new value replaces the old one.
         let mut f = PhysRegFile::new(8);
         let r = PhysReg(5);
-        f.mark_allocated(r);
-        assert!(!f.is_ready(r));
+        f.write(r, 7);
         f.write(r, 42);
-        assert!(f.is_ready(r));
         assert_eq!(f.read(r), 42);
-        assert_eq!(f.stats(), (1, 1));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic]
-    fn reading_inflight_register_panics() {
-        let mut f = PhysRegFile::new(4);
-        f.mark_allocated(PhysReg(1));
-        let _ = f.read(PhysReg(1));
-    }
-
-    #[test]
-    fn mark_ready_preserves_value() {
-        let mut f = PhysRegFile::new(4);
-        f.write(PhysReg(2), 7);
-        f.mark_allocated(PhysReg(2));
-        f.mark_ready(PhysReg(2));
-        assert_eq!(f.read(PhysReg(2)), 7);
+        assert_eq!(f.read(PhysReg(4)), 0);
     }
 }

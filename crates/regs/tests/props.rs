@@ -136,7 +136,7 @@ fn forwarding_window_is_exact() {
                 .find(|&&(r, _, _)| r == reg)
                 .filter(|&&(_, c, _)| t >= c && t - c < window)
                 .map(|&(_, _, v)| v);
-            assert_eq!(fwd.probe(PhysReg(reg), t), expect);
+            assert_eq!(fwd.lookup(PhysReg(reg), t), expect);
         }
     }
 }

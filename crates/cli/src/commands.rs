@@ -27,29 +27,29 @@ fn print_stats(stats: &SimStats, json: bool) {
             [one] => format!("\"{name}\": {one}"),
             many => format!("\"{name}\": {many:?}"),
         }));
-        println!("{{\n  {}\n}}", fields.join(",\n  "));
+        outln!("{{\n  {}\n}}", fields.join(",\n  "));
         return;
     }
-    println!("cycles                {}", stats.cycles);
-    println!(
+    outln!("cycles                {}", stats.cycles);
+    outln!(
         "instructions retired  {} {:?}",
         stats.total_retired(),
         stats.retired
     );
-    println!("IPC                   {:.4}", stats.ipc());
-    println!(
+    outln!("IPC                   {:.4}", stats.ipc());
+    outln!(
         "branches              {} ({} mispredicted, {:.2}%)",
         stats.branches,
         stats.branch_mispredicts,
         stats.branch_mispredict_rate() * 100.0
     );
-    println!(
+    outln!(
         "loads                 {} ({} L1 misses, {:.2}%)",
         stats.loads,
         stats.load_l1_misses,
         stats.load_miss_rate() * 100.0
     );
-    println!(
+    outln!(
         "useless work          {} (load replays {}, shadow {}, operand {}, squashed-after-issue {})",
         stats.useless_work(),
         stats.load_replays,
@@ -58,7 +58,7 @@ fn print_stats(stats: &SimStats, json: bool) {
         stats.squashed_after_issue
     );
     let f = stats.operand_source_fractions();
-    println!(
+    outln!(
         "operand sources       pre-read {:.1}%  forward {:.1}%  crc {:.1}%  regfile {:.1}%  miss {:.3}%",
         f[0] * 100.0,
         f[1] * 100.0,
@@ -66,16 +66,20 @@ fn print_stats(stats: &SimStats, json: bool) {
         f[3] * 100.0,
         f[4] * 100.0
     );
-    println!(
+    outln!(
         "traps                 memory-order {}  dTLB {}  barriers {}",
-        stats.mem_order_traps, stats.tlb_traps, stats.mem_barriers
+        stats.mem_order_traps,
+        stats.tlb_traps,
+        stats.mem_barriers
     );
-    println!(
+    outln!(
         "IQ occupancy          mean {:.1}  post-issue {:.1}  peak {}",
-        stats.iq_occupancy_mean, stats.iq_post_issue_mean, stats.iq_peak
+        stats.iq_occupancy_mean,
+        stats.iq_post_issue_mean,
+        stats.iq_peak
     );
     if stats.audit_checks > 0 || stats.faults_injected > 0 || stats.deadlocks_detected > 0 {
-        println!(
+        outln!(
             "hardening             audit checks {}  faults injected {} (flip/spike/miss {:?})  deadlocks {}",
             stats.audit_checks, stats.faults_injected, stats.faults_by_kind, stats.deadlocks_detected
         );
@@ -180,14 +184,15 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         let label = workload.name();
         let json = args.has("json");
         if !json {
-            println!(
+            outln!(
                 "== {label} (sampled: {} windows of {} detailed instrs) ==",
-                plan.windows, plan.detail
+                plan.windows,
+                plan.detail
             );
         }
         print_stats(&run.stats, json);
         if !json {
-            println!("sampling              {}", run.error_bar());
+            outln!("sampling              {}", run.error_bar());
         }
         emit_profile(&label, run.profile.map(StageReport::calibrated));
         return Ok(());
@@ -239,14 +244,14 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         .map_err(|e| ArgError(e.to_string()))?;
 
     if !args.has("json") {
-        println!("== {label} ==");
+        outln!("== {label} ==");
     }
     print_stats(m.stats(), args.has("json"));
     if let Some(path) = args.get("trace") {
         std::fs::write(path, m.take_trace())
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         if !args.has("json") {
-            println!("trace written to {path}");
+            outln!("trace written to {path}");
         }
     }
     emit_profile(&label, m.profile().map(|p| p.calibrated()));
@@ -360,11 +365,11 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
     let mut last = None;
     for (fid, spec) in ids.iter().zip(&specs) {
         let before = sweep.summary().profile;
-        let results = sweep.run_jobs(&spec.jobs());
+        let results = sweep.run_all(&spec.jobs()).map_err(ArgError)?;
         let fig = spec.render(&results);
-        print!("{fig}");
+        out!("{fig}");
         if args.has("stacks") {
-            print!("{}", spec.render_stacks(&results));
+            out!("{}", spec.render_stacks(&results));
         }
         // What this figure's own simulations cost; none when every job
         // was answered from a cache.
@@ -380,7 +385,7 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
     if let (Some(path), Some(fig)) = (args.get("json-out"), last) {
         std::fs::write(path, fig.to_json())
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        println!("(json written to {path})");
+        outln!("(json written to {path})");
     }
     Ok(())
 }
@@ -393,12 +398,15 @@ pub fn loops(args: &Args) -> Result<(), ArgError> {
     // `loop_inventory` reads only the scheme and the pipe lengths.
     args.reject_unknown(&["scheme", "rf", "dec", "ex"])?;
     let cfg = config_from_args(args)?;
-    println!(
+    outln!(
         "machine: DEC-IQ={} IQ-EX={} RF-read={} scheme={:?}",
-        cfg.dec_iq_stages, cfg.iq_ex_stages, cfg.rf_read_latency, cfg.scheme
+        cfg.dec_iq_stages,
+        cfg.iq_ex_stages,
+        cfg.rf_read_latency,
+        cfg.scheme
     );
     for l in loop_inventory(&cfg) {
-        println!("  {l}");
+        outln!("  {l}");
     }
     Ok(())
 }
@@ -430,14 +438,15 @@ fn loops_attribute(args: &Args) -> Result<(), ArgError> {
         budget,
         kind: FigureKind::Speedup,
     };
-    print!("{}", spec.render_stacks(&sweep.run_jobs(&spec.jobs())));
-    println!("loops charged:");
+    let results = sweep.run_all(&spec.jobs()).map_err(ArgError)?;
+    out!("{}", spec.render_stacks(&results));
+    outln!("loops charged:");
     for l in loop_inventory(&cfg) {
         if let Some(c) = l.cpi_component() {
-            println!("  {:<18} <- {l}", c.name());
+            outln!("  {:<18} <- {l}", c.name());
         }
     }
-    println!(
+    outln!(
         "conservation: every cycle's {} retire slots are either used by a retiring \
          instruction or charged to exactly one component (enforced by the invariant \
          auditor under --audit)",
@@ -459,13 +468,13 @@ pub fn asm(args: &Args) -> Result<(), ArgError> {
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let prog = looseloops_isa::asm::assemble_named(path, &src)
         .map_err(|e| ArgError(format!("{path}: {e}")))?;
-    println!(
+    outln!(
         "{path}: {} instructions, {} data chunks",
         prog.len(),
         prog.init_data.len()
     );
     if args.has("disasm") {
-        print!("{}", looseloops_isa::disassemble(&prog));
+        out!("{}", looseloops_isa::disassemble(&prog));
     }
     Ok(())
 }
@@ -482,35 +491,35 @@ pub fn kernel(args: &Args) -> Result<(), ArgError> {
         .find(|b| b.name() == name)
         .ok_or_else(|| ArgError(format!("unknown benchmark `{name}`")))?;
     let prog = b.program();
-    println!("{name}: {}", b.description());
-    println!(
+    outln!("{name}: {}", b.description());
+    outln!(
         "{} instructions, {} data chunks ({} bytes of initial data)",
         prog.len(),
         prog.init_data.len(),
         prog.init_data.iter().map(|(_, b)| b.len()).sum::<usize>()
     );
     if args.has("disasm") {
-        print!("{}", looseloops_isa::disassemble(&prog));
+        out!("{}", looseloops_isa::disassemble(&prog));
     }
     Ok(())
 }
 
 /// `looseloops list`
 pub fn list(_args: &Args) -> Result<(), ArgError> {
-    println!("benchmarks (Spec95 proxies):");
+    outln!("benchmarks (Spec95 proxies):");
     for b in Benchmark::all() {
-        println!(
+        outln!(
             "  {:<10} {:<4} {}",
             b.name(),
             if b.is_int() { "int" } else { "fp" },
             b.description()
         );
     }
-    println!("SMT pairs:");
+    outln!("SMT pairs:");
     for p in Benchmark::pairs() {
-        println!("  {}", p.name());
+        outln!("  {}", p.name());
     }
-    println!(
+    outln!(
         "figures: {}",
         FigureSpec::ids().collect::<Vec<_>>().join(" ")
     );
@@ -551,12 +560,12 @@ pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
     }
     let already_stored = counts.loaded > 0;
 
-    println!(
+    outln!(
         "{} after {} functional warm-up instruction(s)",
         workload.name(),
         ckpt.instructions
     );
-    println!(
+    outln!(
         "digest     {digest:016x}{}",
         if already_stored {
             "  (already stored)"
@@ -566,15 +575,15 @@ pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
     );
     let bytes = ckpt.encode(&key).len();
     match &store {
-        Some(s) => println!("file       {} ({bytes} bytes)", s.path(digest).display()),
-        None => println!("file       none, in memory only ({bytes} bytes)"),
+        Some(s) => outln!("file       {} ({bytes} bytes)", s.path(digest).display()),
+        None => outln!("file       none, in memory only ({bytes} bytes)"),
     }
     if let Some(s) = store.as_ref().filter(|s| s.stale_removed() > 0) {
-        println!("store      {} stale checkpoints removed", s.stale_removed());
+        outln!("store      {} stale checkpoints removed", s.stale_removed());
     }
     let h = &ckpt.hier;
     let p = &ckpt.predictor;
-    println!(
+    outln!(
         "contents   {} thread(s), {} memory page(s), {} cache line(s), {} predictor counter(s), {} BTB entr(ies)",
         ckpt.threads.len(),
         ckpt.mem.pages_touched(),
@@ -590,7 +599,7 @@ pub fn checkpoint(args: &Args) -> Result<(), ArgError> {
         m.enable_verification();
         m.run(check, budget.max_cycles)
             .map_err(|e| ArgError(format!("resume verification failed: {e}")))?;
-        println!(
+        outln!(
             "verify     ok — detailed resume matched the ISA oracle for {} instruction(s)",
             m.stats().total_retired()
         );
@@ -620,17 +629,19 @@ pub fn fuzz(args: &Args) -> Result<(), ArgError> {
         for entry in &entries {
             let out = looseloops_fuzz::run_case(&entry.case);
             match out.finding {
-                None => println!(
+                None => outln!(
                     "ok   {:<40} ({} retired, recorded: {})",
-                    entry.name, out.retired, entry.recorded_finding
+                    entry.name,
+                    out.retired,
+                    entry.recorded_finding
                 ),
                 Some(f) => {
-                    println!("FAIL {:<40} {f}", entry.name);
+                    outln!("FAIL {:<40} {f}", entry.name);
                     failed += 1;
                 }
             }
         }
-        println!(
+        outln!(
             "replayed {} corpus entr(ies), {failed} failure(s)",
             entries.len()
         );
@@ -668,7 +679,7 @@ pub fn fuzz(args: &Args) -> Result<(), ArgError> {
             .transpose()?,
     };
     let report = looseloops_fuzz::run_campaign(&opts);
-    print!("{report}");
+    out!("{report}");
 
     if let Some(dir) = args.get("write-corpus") {
         let dir = std::path::Path::new(dir);
@@ -677,7 +688,7 @@ pub fn fuzz(args: &Args) -> Result<(), ArgError> {
                 let name = format!("fuzz-seed-{:04x}", fail.seed);
                 let path = looseloops_fuzz::save_entry(dir, &name, case, finding)
                     .map_err(|e| ArgError(format!("corpus: {e}")))?;
-                println!("wrote {}", path.display());
+                outln!("wrote {}", path.display());
             }
         }
     }

@@ -10,12 +10,41 @@
 //! looseloops list
 //! ```
 
+use args::Args;
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
+
+/// Write to standard output; every command prints through here. A closed
+/// pipe (`looseloops … | head`) ends the process quietly with status 0,
+/// as any filter whose reader has gone; any other write error ends it
+/// with status 1.
+fn write_stdout(text: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod commands;
 mod config;
-
-use args::Args;
-use std::process::ExitCode;
 
 const USAGE: &str = "\
 looseloops — 'Loose Loops Sink Chips' (HPCA 2002) reproduction
@@ -147,7 +176,7 @@ fn main() -> ExitCode {
         "kernel" => commands::kernel(&args),
         "list" => commands::list(&args),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         other => Err(args::ArgError(format!(

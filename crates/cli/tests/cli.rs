@@ -456,3 +456,35 @@ fn sampled_figure_keeps_results_and_checkpoints_in_one_store_dir() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_closed_stdout_pipe_ends_the_command_quietly() {
+    // A listing well past a pipe's 64 KiB buffer, so the command is still
+    // writing after the reader has gone, whenever it starts.
+    let path = std::env::temp_dir().join(format!("looseloops_pipe_{}.s", std::process::id()));
+    std::fs::write(&path, "addi r1, r1, 1\n".repeat(10_000) + "halt\n").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_looseloops"))
+        .args(["asm", path.to_str().unwrap(), "--disasm"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let _ = std::fs::remove_file(&path);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+    assert!(err.is_empty(), "{err}");
+}
+
+#[test]
+fn a_failed_sweep_job_is_an_error_naming_the_job() {
+    let cmd = "loops attribute --watchdog 1 --workloads gcc --warmup 0 --measure 2000 --jobs 1";
+    let out = looseloops(&argv(cmd));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("1 sweep job(s) failed"), "{err}");
+    assert!(err.contains("gcc#"), "the job's label: {err}");
+    assert!(err.contains("pipeline deadlock"), "{err}");
+}

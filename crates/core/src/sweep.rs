@@ -508,15 +508,16 @@ impl SweepEngine {
             .collect()
     }
 
-    /// [`SweepEngine::try_run_jobs`] for infallible contexts (the figure
-    /// generators, whose configurations are known-valid).
+    /// [`SweepEngine::try_run_jobs`] as one result: every job's
+    /// statistics in input order or, once the whole batch has drained,
+    /// one message listing every failed job's label and error — a failed
+    /// job cannot silently discard the results of the jobs that did
+    /// complete.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// After the whole batch has drained, panics listing every failed
-    /// job's label and error — a bad config cannot silently discard the
-    /// results of the jobs that did complete.
-    pub fn run_jobs(&self, jobs: &[Job]) -> Vec<Arc<SimStats>> {
+    /// The labeled failures, if any job failed.
+    pub fn run_all(&self, jobs: &[Job]) -> Result<Vec<Arc<SimStats>>, String> {
         let results = self.try_run_jobs(jobs);
         let mut failures: Vec<String> = Vec::new();
         let mut out = Vec::with_capacity(results.len());
@@ -526,13 +527,24 @@ impl SweepEngine {
                 Err(e) => failures.push(format!("{}: {e}", job.label())),
             }
         }
-        assert!(
-            failures.is_empty(),
+        if failures.is_empty() {
+            return Ok(out);
+        }
+        Err(format!(
             "{} sweep job(s) failed:\n  {}",
             failures.len(),
             failures.join("\n  ")
-        );
-        out
+        ))
+    }
+
+    /// [`SweepEngine::run_all`] for infallible contexts (the figure
+    /// generators, whose configurations are known-valid).
+    ///
+    /// # Panics
+    ///
+    /// With `run_all`'s message, if any job failed.
+    pub fn run_jobs(&self, jobs: &[Job]) -> Vec<Arc<SimStats>> {
+        self.run_all(jobs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Counters since construction (or the last [`SweepEngine::reset_metrics`]).

@@ -3,13 +3,11 @@
 //! ISA oracle.
 //!
 //! A case fails when any of these diverge:
-//! - the **retire stream**: every retired instruction's PC, decoded form,
-//!   written register/value, memory address, branch outcome and next PC,
-//!   compared in architectural order per thread;
-//! - the **final architectural state**: all 64 registers, the PC and the
-//!   halt flag, via [`ArchState::diff`];
-//! - the **final data memory** (single-thread cases), via
-//!   [`FlatMemory::diff`];
+//! - the **ISA**: the event-driven run is verified by the machine's own
+//!   oracle ([`Machine::enable_verification`]), which checks every
+//!   retirement in architectural order per thread, each thread's final
+//!   registers, PC and halt flag, and (single-thread cases) the final data
+//!   memory;
 //! - **liveness**: the machine must halt within the cycle budget (the
 //!   watchdog is armed, so wedges surface as typed deadlocks, not
 //!   timeouts);
@@ -22,8 +20,11 @@
 //! to re-run candidate cases by the thousand.
 
 use crate::gen::{generate, GenProfile};
+use looseloops::branch::PredictorKind;
 use looseloops_isa::{ArchState, FlatMemory, Program, Retired};
-use looseloops_pipeline::{FaultPlan, LoadSpecPolicy, Machine, PipelineConfig, SimStats};
+use looseloops_pipeline::{
+    DivergenceCheck, FaultPlan, LoadSpecPolicy, Machine, PipelineConfig, SimError, SimStats,
+};
 use looseloops_rng::Rng;
 use std::fmt;
 
@@ -39,11 +40,12 @@ pub enum FindingKind {
     Sim,
     /// The machine did not retire its halt within the cycle budget.
     HaltMismatch,
-    /// The retire streams differ (first mismatching retirement).
+    /// A retirement differs from the oracle's (the machine oracle's
+    /// [`DivergenceCheck::Retire`]).
     RetireDivergence,
-    /// Final register/PC/halt state differs after both sides halted.
+    /// Final register/PC/halt state differs after the thread halted.
     FinalState,
-    /// Final data memory differs after both sides halted.
+    /// Final data memory differs after the (single) thread halted.
     MemoryDivergence,
     /// The naive per-cycle engine disagrees with the event-driven one.
     EngineDivergence,
@@ -147,20 +149,8 @@ fn sample_config(rng: &mut Rng) -> PipelineConfig {
     };
     cfg.dec_iq_stages += rng.gen_range(0u32..3);
     cfg.iq_ex_stages += rng.gen_range(0u32..3);
-    cfg.load_policy = *rng
-        .choose(&[
-            LoadSpecPolicy::ReissueTree,
-            LoadSpecPolicy::ReissueShadow,
-            LoadSpecPolicy::Stall,
-            LoadSpecPolicy::Refetch,
-        ])
-        .unwrap();
-    {
-        use looseloops::branch::PredictorKind::*;
-        cfg.predictor = *rng
-            .choose(&[Tournament, Gshare, Local, Bimodal, Taken])
-            .unwrap();
-    }
+    cfg.load_policy = *rng.choose(&LoadSpecPolicy::all()).unwrap();
+    cfg.predictor = *rng.choose(&PredictorKind::all()).unwrap();
     if rng.gen_bool(0.25) {
         cfg.threads = 2;
     }
@@ -191,60 +181,32 @@ fn sample_config(rng: &mut Rng) -> PipelineConfig {
     cfg
 }
 
-/// Run the oracle for one program, collecting its full retire stream.
-fn oracle_run(
-    prog: &Program,
-    steps: u64,
-) -> Result<(ArchState, FlatMemory, Vec<Retired>), Finding> {
-    let mut mem = FlatMemory::with_program(prog);
-    let mut st = ArchState::new(prog);
-    let mut retires = Vec::new();
-    while !st.is_halted() {
-        if retires.len() as u64 >= steps {
-            return Err(Finding {
-                kind: FindingKind::OracleError,
-                detail: format!("oracle exhausted {steps} steps without halting"),
-            });
-        }
-        match st.step(prog, &mut mem) {
-            Ok(r) => retires.push(r),
-            Err(e) => {
-                return Err(Finding {
-                    kind: FindingKind::OracleError,
-                    detail: format!("oracle at pc {}: {e}", st.pc()),
-                })
-            }
-        }
-    }
-    Ok((st, mem, retires))
-}
-
-/// One engine's run of a case, with retire capture. `outcome`'s `Err`
-/// holds the [`looseloops_pipeline::SimError`]'s text.
+/// One engine's run of a case, with retire capture.
 struct EngineRun {
     machine: Machine,
-    outcome: Result<(), String>,
+    outcome: Result<(), SimError>,
     retires: Vec<(usize, Retired)>,
 }
 
 impl EngineRun {
     /// Run `cfg` on `programs` for up to `max_cycles` cycles on the
-    /// event-driven or the naive per-cycle engine; `Err` if the machine
-    /// cannot be built.
+    /// event-driven or the naive per-cycle engine, under the machine's
+    /// oracle when `verify`; `Err` if the machine cannot be built.
     fn new(
         cfg: &PipelineConfig,
         programs: &[Program],
         max_cycles: u64,
         event_driven: bool,
+        verify: bool,
     ) -> Result<Self, String> {
         let mut machine =
             Machine::new(cfg.clone(), programs.to_vec()).map_err(|e| e.to_string())?;
         machine.set_event_driven(event_driven);
         machine.enable_retire_capture();
-        let outcome = machine
-            .run(u64::MAX, max_cycles)
-            .map(|_| ())
-            .map_err(|e| e.to_string());
+        if verify {
+            machine.enable_verification();
+        }
+        let outcome = machine.run(u64::MAX, max_cycles).map(|_| ());
         let retires = machine.take_retires();
         Ok(EngineRun {
             machine,
@@ -259,12 +221,13 @@ impl EngineRun {
     /// checks after each quiescence skip). `Err` names the first part
     /// that differs.
     fn agrees_with(&self, naive: &EngineRun) -> Result<(), String> {
-        let (fast_at, naive_at) = (self.machine.cycle(), naive.machine.cycle());
-        if (&self.outcome, fast_at) != (&naive.outcome, naive_at) {
-            return Err(format!(
-                "outcome at cycle: event-driven {:?} at {fast_at}, naive {:?} at {naive_at}",
-                self.outcome, naive.outcome
-            ));
+        let outcome = |r: &EngineRun| {
+            let text = r.outcome.as_ref().map_err(ToString::to_string);
+            format!("{text:?} at {}", r.machine.cycle())
+        };
+        let (a, b) = (outcome(self), outcome(naive));
+        if a != b {
+            return Err(format!("outcome at cycle: event-driven {a}, naive {b}"));
         }
         let (a, b) = (&self.retires, &naive.retires);
         if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
@@ -302,8 +265,8 @@ pub fn engines_agree(
     programs: &[Program],
     max_cycles: u64,
 ) -> Result<SimStats, String> {
-    let fast = EngineRun::new(cfg, programs, max_cycles, true)?;
-    fast.agrees_with(&EngineRun::new(cfg, programs, max_cycles, false)?)?;
+    let fast = EngineRun::new(cfg, programs, max_cycles, true, false)?;
+    fast.agrees_with(&EngineRun::new(cfg, programs, max_cycles, false, false)?)?;
     Ok(fast.machine.stats().clone())
 }
 
@@ -316,28 +279,39 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         cycles: 0,
     };
 
-    // Oracle side, per thread.
-    let mut oracle = Vec::with_capacity(case.programs.len());
+    // The oracle runs alone first, so that a program it cannot run to
+    // halt is a generator bug, not a pipeline one.
     for prog in &case.programs {
-        match oracle_run(prog, case.oracle_steps) {
-            Ok(o) => oracle.push(o),
-            Err(f) => return fail(f.kind, f.detail),
-        }
+        let (mut st, steps) = (ArchState::new(prog), case.oracle_steps);
+        let detail = match st.run(prog, &mut FlatMemory::with_program(prog), steps) {
+            Ok(run) if run.halted => continue,
+            Ok(_) => format!("oracle exhausted {steps} steps without halting"),
+            Err(e) => format!("oracle at pc {}: {e}", st.pc()),
+        };
+        return fail(FindingKind::OracleError, detail);
     }
 
-    // Timing side: one event-driven run serves the oracle checks and,
-    // once they pass, the comparison with the naive engine.
-    let mut run = match EngineRun::new(&case.config, &case.programs, case.max_cycles, true) {
+    // Timing side: one event-driven run under the machine's oracle serves
+    // the ISA checks and, once they pass, the comparison with the naive
+    // engine.
+    let run = match EngineRun::new(&case.config, &case.programs, case.max_cycles, true, true) {
         Ok(run) => run,
         Err(e) => return fail(FindingKind::Sim, format!("machine construction: {e}")),
     };
     if let Err(e) = &run.outcome {
-        return fail(FindingKind::Sim, e.clone());
+        let kind = match e {
+            SimError::Divergence(d) => match d.check {
+                DivergenceCheck::Retire => FindingKind::RetireDivergence,
+                DivergenceCheck::FinalState => FindingKind::FinalState,
+                DivergenceCheck::Memory => FindingKind::MemoryDivergence,
+            },
+            _ => FindingKind::Sim,
+        };
+        return fail(kind, e.to_string());
     }
-    let m = &mut run.machine;
-    let cycles = m.cycle();
-    let retired = m.stats().total_retired();
-    if !m.is_done() {
+    let cycles = run.machine.cycle();
+    let retired = run.machine.stats().total_retired();
+    if !run.machine.is_done() {
         return fail(
             FindingKind::HaltMismatch,
             format!(
@@ -347,62 +321,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         );
     }
 
-    // Per-thread retire streams, in architectural order.
-    for (t, (o_state, o_mem, o_retires)) in oracle.iter().enumerate() {
-        let machine_stream: Vec<&Retired> = run
-            .retires
-            .iter()
-            .filter(|(th, _)| *th == t)
-            .map(|(_, r)| r)
-            .collect();
-        if machine_stream.len() != o_retires.len() {
-            return fail(
-                FindingKind::RetireDivergence,
-                format!(
-                    "thread {t}: oracle retired {} instructions, machine {}",
-                    o_retires.len(),
-                    machine_stream.len()
-                ),
-            );
-        }
-        for (i, (o, g)) in o_retires.iter().zip(&machine_stream).enumerate() {
-            if o != *g {
-                return fail(
-                    FindingKind::RetireDivergence,
-                    format!("thread {t} retirement #{i}: oracle {o:?} != machine {g:?}"),
-                );
-            }
-        }
-        // Final architectural state through the public diff API.
-        let d = o_state.diff(&m.arch_state(t));
-        if !d.is_empty() {
-            return fail(
-                FindingKind::FinalState,
-                format!(
-                    "thread {t}: {}",
-                    d.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                ),
-            );
-        }
-        // Memory: only meaningful single-threaded (SMT shares one image).
-        if case.programs.len() == 1 {
-            let md = o_mem.diff(m.data_mem());
-            if !md.is_empty() {
-                return fail(
-                    FindingKind::MemoryDivergence,
-                    md.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("; "),
-                );
-            }
-        }
-    }
-
-    let naive = EngineRun::new(&case.config, &case.programs, case.max_cycles, false);
+    let naive = EngineRun::new(&case.config, &case.programs, case.max_cycles, false, false);
     if let Err(detail) = naive.and_then(|naive| run.agrees_with(&naive)) {
         return fail(FindingKind::EngineDivergence, detail);
     }

@@ -50,7 +50,11 @@ pub enum CorpusError {
     /// First line is not the v1 banner.
     BadBanner { path: PathBuf, got: String },
     /// A `; key: value` header has an unknown key or malformed value.
-    BadHeader { path: PathBuf, line: String },
+    BadHeader {
+        path: PathBuf,
+        line: String,
+        reason: String,
+    },
     /// A required header is missing.
     MissingHeader { path: PathBuf, key: &'static str },
     /// The program body failed to assemble.
@@ -67,8 +71,8 @@ impl fmt::Display for CorpusError {
                  regenerate the corpus if the format changed",
                 path.display()
             ),
-            CorpusError::BadHeader { path, line } => {
-                write!(f, "{}: bad header line {line:?}", path.display())
+            CorpusError::BadHeader { path, line, reason } => {
+                write!(f, "{}: bad header line {line:?}: {reason}", path.display())
             }
             CorpusError::MissingHeader { path, key } => {
                 write!(f, "{}: missing required header `{key}`", path.display())
@@ -137,13 +141,15 @@ pub fn from_text(path: &Path, text: &str) -> Result<CorpusEntry, CorpusError> {
     let mut in_header = true;
     for line in lines {
         let header = line.strip_prefix("; ").map(str::trim);
-        let bad = || CorpusError::BadHeader {
+        let bad = |reason: String| CorpusError::BadHeader {
             path: path.to_path_buf(),
             line: line.to_string(),
+            reason,
         };
+        let number = |v: &str| v.parse::<u64>().map_err(|e| bad(format!("`{v}`: {e}")));
         if in_header {
             if let Some(h) = header {
-                let (key, value) = h.split_once(':').ok_or_else(bad)?;
+                let (key, value) = h.split_once(':').ok_or_else(|| bad("missing `:`".into()))?;
                 let value = value.trim();
                 match key.trim() {
                     "name" => name = Some(value.to_string()),
@@ -151,18 +157,18 @@ pub fn from_text(path: &Path, text: &str) -> Result<CorpusEntry, CorpusError> {
                     "config" => {
                         // Corpus files come from outside the program: the
                         // machine spec must name every key.
-                        if missing_key(value, &MACHINE_KEYS).is_some() {
-                            return Err(bad());
+                        if let Some(key) = missing_key(value, &MACHINE_KEYS) {
+                            return Err(bad(format!("missing machine key `{key}`")));
                         }
-                        config = Some(PipelineConfig::from_spec(value).map_err(|_| bad())?);
+                        config = Some(PipelineConfig::from_spec(value).map_err(|e| bad(e.0))?);
                     }
                     "faults" if value == "none" => faults = Some(None),
                     "faults" => {
-                        faults = Some(Some(FaultPlan::from_spec(value).map_err(|_| bad())?))
+                        faults = Some(Some(FaultPlan::from_spec(value).map_err(|e| bad(e.0))?))
                     }
-                    "max-cycles" => max_cycles = Some(value.parse().map_err(|_| bad())?),
-                    "oracle-steps" => oracle_steps = Some(value.parse().map_err(|_| bad())?),
-                    _ => return Err(bad()),
+                    "max-cycles" => max_cycles = Some(number(value)?),
+                    "oracle-steps" => oracle_steps = Some(number(value)?),
+                    other => return Err(bad(format!("unknown key `{other}`"))),
                 }
                 continue;
             }
@@ -171,9 +177,7 @@ pub fn from_text(path: &Path, text: &str) -> Result<CorpusEntry, CorpusError> {
         }
         if let Some(h) = header {
             if let Some(t) = h.strip_prefix("thread ") {
-                if t.trim().parse::<usize>().is_err() {
-                    return Err(bad());
-                }
+                number(t.trim())?;
                 bodies.push(String::new());
                 continue;
             }
@@ -347,15 +351,26 @@ mod tests {
     #[test]
     fn incomplete_or_malformed_specs_fail_loudly() {
         let text = to_text("t", &sample_case(), &sample_finding());
-        for (from, to) in [
-            (" threads=", " cores="),
-            (" rf=", " ex="),
-            ("policy=", "policy=yolo"),
-            ("; faults: ", "; faults: gamma=1 "),
+        let policy = format!("policy={}", sample_case().config.load_policy.name());
+        for (from, to, reason) in [
+            (" threads=", " cores=", "missing machine key `threads`"),
+            (" rf=", " ex=", "missing machine key `rf`"),
+            (
+                policy.as_str(),
+                "policy=yolo",
+                "unknown policy `yolo` (tree|shadow|stall|refetch)",
+            ),
+            (
+                "; faults: ",
+                "; faults: gamma=1 ",
+                "unknown fault key `gamma`",
+            ),
         ] {
             assert!(text.contains(from), "{from}");
             let err = from_text(Path::new("t.ll"), &text.replacen(from, to, 1)).unwrap_err();
             assert!(matches!(err, CorpusError::BadHeader { .. }), "{to}: {err}");
+            // The spec parser's reason reaches the message.
+            assert!(err.to_string().contains(reason), "{to}: {err}");
         }
     }
 

@@ -12,9 +12,9 @@
 //!    calls and cross-bank FP conversions.
 //! 2. [`case`] — the differential harness. Each seed also samples a
 //!    machine configuration (scheme × RF latency × policies × predictor ×
-//!    SMT × fault storm) and compares the pipeline against the oracle on
-//!    the full retire stream, final architectural state and final memory,
-//!    then the event-driven engine against the naive per-cycle one.
+//!    SMT × fault storm) and runs the pipeline under its ISA oracle (retire
+//!    stream, final architectural state and final memory), then compares
+//!    the event-driven engine with the naive per-cycle one.
 //! 3. [`shrink()`] — delta-debugging. A failing case is minimized first in
 //!    configuration space (drop faults, drop the second thread, simplify
 //!    policies), then instruction by instruction with branch-displacement

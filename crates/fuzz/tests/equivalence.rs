@@ -15,8 +15,9 @@ use looseloops_rng::Rng;
 fn run_verified(cfg: PipelineConfig, params: SyntheticParams, instructions: u64) {
     let prog = synthetic(params);
     let mut m = Machine::new(cfg, vec![prog]).expect("valid config");
-    m.enable_verification(); // panics on the first divergence
-    m.run(instructions, 4_000_000).expect("no deadlock");
+    m.enable_verification(); // the first divergence is the run's error
+    m.run(instructions, 4_000_000)
+        .expect("no deadlock or divergence");
     assert!(
         m.stats().total_retired() >= instructions.min(1000),
         "simulation made no progress"

@@ -1,10 +1,10 @@
 //! Typed simulation errors.
 //!
 //! Construction and run paths report failures through [`SimError`] instead
-//! of panicking: configuration problems become [`ConfigError`], a pipeline
-//! that stops retiring becomes a [`DeadlockError`] carrying a per-stage
-//! occupancy snapshot, and the per-cycle auditor (see `audit.rs`) reports
-//! broken structural invariants as [`InvariantViolation`]. The `Display`
+//! of panicking: bad configurations become [`ConfigError`], a pipeline that
+//! stops retiring a [`DeadlockError`] with a per-stage occupancy snapshot,
+//! a broken structural invariant (see `audit.rs`) an [`InvariantViolation`]
+//! and a disagreement with the ISA oracle a [`Divergence`]. The `Display`
 //! impls are hand-written in the `thiserror` style so the crate stays
 //! dependency-free.
 
@@ -27,6 +27,8 @@ pub enum SimError {
     Deadlock(Box<DeadlockError>),
     /// The per-cycle auditor found a broken structural invariant.
     Invariant(InvariantViolation),
+    /// The verification oracle disagreed with the machine.
+    Divergence(Box<Divergence>),
     /// Functional fast-forward or checkpoint restore failed (interpreter
     /// fault, or warm state that does not match the machine's geometry).
     FastForward(String),
@@ -48,6 +50,7 @@ impl fmt::Display for SimError {
             }
             SimError::Deadlock(e) => e.fmt(f),
             SimError::Invariant(e) => e.fmt(f),
+            SimError::Divergence(e) => e.fmt(f),
             SimError::FastForward(e) => write!(f, "fast-forward failed: {e}"),
             SimError::Panicked(msg) => write!(f, "job panicked: {msg}"),
         }
@@ -79,6 +82,45 @@ impl From<InvariantViolation> for SimError {
     fn from(e: InvariantViolation) -> SimError {
         SimError::Invariant(e)
     }
+}
+
+/// A thread's first disagreement with its ISA oracle
+/// ([`crate::Machine::enable_verification`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Divergence {
+    /// The thread that diverged.
+    pub thread: usize,
+    /// Cycle of the retirement at which the check failed.
+    pub cycle: u64,
+    /// PC of that retirement (the `halt` for the final checks).
+    pub pc: u64,
+    /// Which check failed.
+    pub check: DivergenceCheck,
+    /// What differs, oracle side first.
+    pub detail: String,
+}
+
+impl fmt::Display for Divergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "thread {} diverged from the ISA oracle at cycle {}, pc {}: [{:?}] {}",
+            self.thread, self.cycle, self.pc, self.check, self.detail
+        )
+    }
+}
+
+impl std::error::Error for Divergence {}
+
+/// The checks the verification oracle makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DivergenceCheck {
+    /// A retirement differs from the oracle's, or the oracle cannot step.
+    Retire,
+    /// After `halt`: the registers, PC or halt flag differ.
+    FinalState,
+    /// After `halt` on a single-threaded machine: the data memory differs.
+    Memory,
 }
 
 /// A specific inconsistency in a [`crate::PipelineConfig`].

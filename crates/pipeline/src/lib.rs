@@ -54,8 +54,8 @@ pub(crate) mod wheel;
 pub use config::{ExecLatencies, LoadSpecPolicy, PipelineConfig, RegisterScheme};
 pub use dyninst::{DynInst, InstId, InstPhase, OperandSource};
 pub use error::{
-    ConfigError, DeadlockError, InvariantKind, InvariantViolation, PipelineSnapshot, SimError,
-    ThreadSnapshot,
+    ConfigError, DeadlockError, Divergence, DivergenceCheck, InvariantKind, InvariantViolation,
+    PipelineSnapshot, SimError, ThreadSnapshot,
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSummary};
 pub use iq::{IqEntry, IqState, IssueQueue};

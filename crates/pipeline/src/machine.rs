@@ -230,6 +230,8 @@ pub struct Machine {
     pub(crate) stats_base: SimStats,
     /// Captured retire stream (for equivalence tests), if enabled.
     pub(crate) retire_capture: Option<Vec<(usize, Retired)>>,
+    /// The verification oracle's first mismatch, until `run` returns it.
+    pub(crate) divergence: Option<Box<crate::error::Divergence>>,
     /// Kanata pipeline tracer, if enabled.
     pub(crate) tracer: Option<PipelineTracer>,
     /// Armed fault injector (from `cfg.faults`), if any.
@@ -345,6 +347,7 @@ impl Machine {
             frontend_stall_until: 0,
             cluster_pressure: vec![0; cfg.clusters],
             retire_capture: None,
+            divergence: None,
             tracer: None,
             injector: cfg.faults.map(FaultInjector::new),
             cfg,
@@ -421,21 +424,17 @@ impl Machine {
     /// starting from the machine's *current* architectural state — so this
     /// works both on a fresh machine and immediately after a checkpoint
     /// restore (call it before running, or after the pipeline has fully
-    /// drained).
+    /// drained). At a thread's `halt`, its registers, PC and halt flag
+    /// ([`ArchState::diff`]) and, on one thread, the data memory
+    /// ([`FlatMemory::diff`]) must equal the oracle's too. The first
+    /// mismatch ends the later `run` with [`SimError::Divergence`].
     ///
-    /// # Panics
-    ///
-    /// Any later `run` panics on the first divergence. Only valid for
-    /// workloads whose threads touch disjoint memory (all bundled
-    /// workloads do): each thread's oracle gets its own clone of the
-    /// shared data memory.
+    /// Only valid for workloads whose threads touch disjoint memory (all
+    /// bundled workloads do): each thread's oracle gets its own clone of
+    /// the shared data memory.
     pub fn enable_verification(&mut self) {
-        let states: Vec<ArchState> = (0..self.threads.len())
-            .map(|t| self.arch_state(t))
-            .collect();
-        for (t, st) in states.into_iter().enumerate() {
-            let mem = self.data_mem.clone();
-            self.threads[t].oracle = Some((st, mem));
+        for t in 0..self.threads.len() {
+            self.threads[t].oracle = Some((self.arch_state(t), self.data_mem.clone()));
         }
     }
 
@@ -618,10 +617,10 @@ impl Machine {
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if no instruction retires for a whole
-    /// watchdog window while un-halted threads still have work, and
+    /// watchdog window while un-halted threads still have work,
     /// [`SimError::Invariant`] if the auditor finds a broken structural
-    /// invariant. Both carry enough state to diagnose the wedge; the
-    /// machine is left intact for inspection.
+    /// invariant, [`SimError::Divergence`] if the ISA oracle disagrees.
+    /// Each carries enough state to diagnose it; the machine is left intact.
     pub fn run(&mut self, max_retired: u64, max_cycles: u64) -> Result<&SimStats, SimError> {
         let target = self.stats.total_retired().saturating_add(max_retired);
         let last_cycle = self.cycle.saturating_add(max_cycles);
@@ -637,6 +636,10 @@ impl Machine {
             if retired != last_retired {
                 last_retired = retired;
                 last_progress_cycle = self.cycle;
+                if let Some(d) = self.divergence.take() {
+                    self.finalize_stats();
+                    return Err(SimError::Divergence(d));
+                }
             } else if window > 0 && self.cycle - last_progress_cycle >= window {
                 self.stats.deadlocks_detected += 1;
                 self.finalize_stats();

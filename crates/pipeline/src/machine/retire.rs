@@ -2,6 +2,7 @@
 
 use super::{Machine, Readiness};
 use crate::dyninst::{DestRename, InstId, InstPhase, NO_CYCLE};
+use crate::error::{Divergence, DivergenceCheck, DivergenceCheck::*};
 use crate::stats::CpiComponent;
 use looseloops_isa::{Class, Retired};
 use looseloops_mem::AccessKind;
@@ -196,21 +197,13 @@ impl Machine {
             self.stats.record_gap(gap);
         }
 
-        // Oracle check.
-        {
-            let th = &mut self.threads[t];
-            if let Some((oracle, omem)) = &mut th.oracle {
-                let expect = oracle.step(&th.program, omem).expect("oracle keeps pace");
-                assert_eq!(
-                    expect, retired,
-                    "retire stream diverged from the functional model at thread {t} pc {pc} (cycle {now})"
-                );
-            }
+        self.threads[t].arch_pc = next_pc;
+        if self.threads[t].oracle.is_some() {
+            self.verify(t, &retired, now);
         }
         if let Some(log) = &mut self.retire_capture {
             log.push((t, retired));
         }
-        self.threads[t].arch_pc = next_pc;
 
         if let Some(tr) = &mut self.tracer {
             tr.retire(now, id);
@@ -224,5 +217,42 @@ impl Machine {
             self.stats.tlb_traps += 1;
             self.squash_after(t, seq, next_pc, now + 1, CpiComponent::MemoryTrap);
         }
+    }
+
+    /// Check thread `t`'s retirement, and at its `halt` its final state,
+    /// against its oracle; keep the first mismatch for [`Machine::run`].
+    fn verify(&mut self, t: usize, retired: &Retired, now: u64) {
+        let th = &mut self.threads[t];
+        let Some((oracle, mem)) = &mut th.oracle else {
+            return;
+        };
+        let found = match oracle.step(&th.program, mem) {
+            Ok(expect) if expect == *retired => self.final_mismatch(t),
+            Ok(expect) => Some((Retire, format!("oracle {expect:?}, machine {retired:?}"))),
+            Err(e) => Some((Retire, format!("oracle: {e}; machine {retired:?}"))),
+        };
+        if let Some((check, detail)) = found {
+            self.divergence.get_or_insert(Box::new(Divergence {
+                thread: t,
+                cycle: now,
+                pc: retired.pc,
+                check,
+                detail,
+            }));
+        }
+    }
+
+    /// Once thread `t` has halted: how its state, then (on a single-threaded
+    /// machine) the data memory, differ from its oracle's.
+    fn final_mismatch(&self, t: usize) -> Option<(DivergenceCheck, String)> {
+        let th = &self.threads[t];
+        let (oracle, mem) = th.oracle.as_ref().filter(|_| th.done)?;
+        let mut checks = vec![(FinalState, oracle.diff(&self.arch_state(t)))];
+        if self.threads.len() == 1 {
+            checks.push((Memory, mem.diff(&self.data_mem)));
+        }
+        let (check, diff) = checks.into_iter().find(|(_, d)| !d.is_empty())?;
+        let diff: Vec<String> = diff.iter().map(ToString::to_string).collect();
+        Some((check, diff.join("; ")))
     }
 }

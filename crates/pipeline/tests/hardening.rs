@@ -1,9 +1,12 @@
 //! Hardening integration tests: the forward-progress watchdog, the
-//! per-cycle invariant auditor, and fault-injection storms with full
-//! architectural verification against the ISA interpreter.
+//! per-cycle invariant auditor, the verification oracle's typed
+//! divergences, and fault-injection storms with full architectural
+//! verification against the ISA interpreter.
 
 use looseloops_isa::{asm, ArchState, FlatMemory, Reg};
-use looseloops_pipeline::{FaultPlan, Machine, PipelineConfig, SimError};
+use looseloops_pipeline::{
+    Divergence, DivergenceCheck, FaultPlan, Machine, PipelineConfig, SimError,
+};
 
 /// 200-iteration accumulation loop: r2 ends at 1 + 2 + … + 200 = 20100.
 const SUM_LOOP: &str = "
@@ -145,6 +148,63 @@ fn watchdog_zero_disables_detection() {
     m.run(u64::MAX, 20_000).unwrap();
     assert!(!m.is_done());
     assert_eq!(m.stats().deadlocks_detected, 0);
+}
+
+/// Run `LOAD_LOOP` verified, after `poke` has changed the machine behind
+/// the oracle's back; the run must end in a divergence.
+fn divergence_after(poke: impl FnOnce(&mut Machine)) -> (Machine, Divergence) {
+    let prog = asm::assemble(LOAD_LOOP).unwrap();
+    let mut m = Machine::new(PipelineConfig::base(), vec![prog]).unwrap();
+    m.enable_verification();
+    poke(&mut m);
+    let err = m
+        .run(u64::MAX, 1_000_000)
+        .expect_err("the oracle must object");
+    let SimError::Divergence(d) = err else {
+        panic!("expected a divergence, got: {err}")
+    };
+    (m, *d)
+}
+
+#[test]
+fn a_load_of_changed_memory_is_a_retire_divergence() {
+    // The first load (pc 3) reads the table's first quadword.
+    let (m, d) = divergence_after(|m| m.data_mem().write(0x1000, 8, 99));
+    assert_eq!(d.check, DivergenceCheck::Retire);
+    assert_eq!((d.thread, d.pc), (0, 3));
+    assert!(d.cycle > 0 && d.cycle < m.cycle(), "{d}");
+    assert!(!m.is_done(), "the run ends at the divergence");
+    let text = SimError::Divergence(Box::new(d)).to_string();
+    assert!(text.contains("thread 0") && text.contains("pc 3"), "{text}");
+    assert!(text.contains("[Retire]"), "{text}");
+}
+
+#[test]
+fn a_byte_the_program_never_touches_is_a_memory_divergence_at_halt() {
+    let (m, d) = divergence_after(|m| m.data_mem().write(0x8000, 1, 0xab));
+    assert!(
+        m.is_done(),
+        "every retirement matched, so the thread halted"
+    );
+    assert_eq!(d.check, DivergenceCheck::Memory);
+    assert_eq!((d.thread, d.pc), (0, 10), "the check runs at the `halt`");
+    assert_eq!(d.detail, "mem[0x8000]: 0x00 != 0xab");
+}
+
+#[test]
+fn a_register_the_program_never_reads_is_a_final_state_divergence_at_halt() {
+    let (m, d) = divergence_after(|m| {
+        let mut regs = vec![0; 64];
+        regs[20] = 7;
+        m.restore_thread_state(0, &regs, 0, false).unwrap();
+    });
+    assert!(
+        m.is_done(),
+        "every retirement matched, so the thread halted"
+    );
+    assert_eq!(d.check, DivergenceCheck::FinalState);
+    assert_eq!((d.thread, d.pc), (0, 10));
+    assert!(d.detail.contains("r20"), "{d}");
 }
 
 #[test]

@@ -110,8 +110,6 @@ impl fmt::Display for Divergence {
     }
 }
 
-impl std::error::Error for Divergence {}
-
 /// The checks the verification oracle makes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DivergenceCheck {

@@ -427,7 +427,8 @@ impl Machine {
     /// drained). At a thread's `halt`, its registers, PC and halt flag
     /// ([`ArchState::diff`]) and, on one thread, the data memory
     /// ([`FlatMemory::diff`]) must equal the oracle's too. The first
-    /// mismatch ends the later `run` with [`SimError::Divergence`].
+    /// mismatch ends the later `run` with [`SimError::Divergence`] (when
+    /// stepping by hand, see [`Machine::divergence`]).
     ///
     /// Only valid for workloads whose threads touch disjoint memory (all
     /// bundled workloads do): each thread's oracle gets its own clone of
@@ -436,6 +437,11 @@ impl Machine {
         for t in 0..self.threads.len() {
             self.threads[t].oracle = Some((self.arch_state(t), self.data_mem.clone()));
         }
+    }
+
+    /// The verification oracle's first mismatch not yet returned by `run`.
+    pub fn divergence(&self) -> Option<&crate::error::Divergence> {
+        self.divergence.as_deref()
     }
 
     /// Restore a thread's architectural state (all 64 registers, the PC of
@@ -741,7 +747,8 @@ impl Machine {
         }
     }
 
-    /// Advance exactly one cycle.
+    /// Advance exactly one cycle. A verification mismatch is kept for
+    /// [`Machine::divergence`], not returned.
     pub fn step_cycle(&mut self) {
         let Some(p) = self.profile.as_deref_mut() else {
             self.step_stages(&mut NoProbe);

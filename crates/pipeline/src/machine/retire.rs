@@ -198,9 +198,7 @@ impl Machine {
         }
 
         self.threads[t].arch_pc = next_pc;
-        if self.threads[t].oracle.is_some() {
-            self.verify(t, &retired, now);
-        }
+        self.verify(t, &retired, now);
         if let Some(log) = &mut self.retire_capture {
             log.push((t, retired));
         }
@@ -227,8 +225,9 @@ impl Machine {
             return;
         };
         let found = match oracle.step(&th.program, mem) {
-            Ok(expect) if expect == *retired => self.final_mismatch(t),
-            Ok(expect) => Some((Retire, format!("oracle {expect:?}, machine {retired:?}"))),
+            Ok(exp) if exp == *retired && th.done => self.final_mismatch(t),
+            Ok(exp) if exp == *retired => None,
+            Ok(exp) => Some((Retire, format!("oracle {exp:?}, machine {retired:?}"))),
             Err(e) => Some((Retire, format!("oracle: {e}; machine {retired:?}"))),
         };
         if let Some((check, detail)) = found {
@@ -245,14 +244,12 @@ impl Machine {
     /// Once thread `t` has halted: how its state, then (on a single-threaded
     /// machine) the data memory, differ from its oracle's.
     fn final_mismatch(&self, t: usize) -> Option<(DivergenceCheck, String)> {
-        let th = &self.threads[t];
-        let (oracle, mem) = th.oracle.as_ref().filter(|_| th.done)?;
-        let mut checks = vec![(FinalState, oracle.diff(&self.arch_state(t)))];
-        if self.threads.len() == 1 {
-            checks.push((Memory, mem.diff(&self.data_mem)));
+        let (oracle, mem) = self.threads[t].oracle.as_ref()?;
+        let (mut check, mut diff) = (FinalState, oracle.diff(&self.arch_state(t)));
+        if diff.is_empty() && self.threads.len() == 1 {
+            (check, diff) = (Memory, mem.diff(&self.data_mem));
         }
-        let (check, diff) = checks.into_iter().find(|(_, d)| !d.is_empty())?;
         let diff: Vec<String> = diff.iter().map(ToString::to_string).collect();
-        Some((check, diff.join("; ")))
+        (!diff.is_empty()).then(|| (check, diff.join("; ")))
     }
 }

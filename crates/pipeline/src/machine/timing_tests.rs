@@ -37,6 +37,7 @@ fn iq_entries_are_retained_for_the_loop_delay() {
         }
     }
     assert!(m.is_done());
+    assert_eq!(m.divergence(), None, "the retire stream must match the ISA");
     let (issued, freed) = (issued_at.unwrap(), freed_at.unwrap());
     assert_eq!(
         freed,
@@ -127,6 +128,7 @@ fn dependent_alu_chain_is_back_to_back() {
         }
     }
     assert!(m.is_done());
+    assert_eq!(m.divergence(), None, "the retire stream must match the ISA");
     // Re-run capturing completion cycles via a fresh machine and the
     // retire capture (completion separation == 1 implies back-to-back).
     let prog = looseloops_isa::asm::assemble(

@@ -180,6 +180,19 @@ fn a_load_of_changed_memory_is_a_retire_divergence() {
 }
 
 #[test]
+fn a_machine_stepped_by_hand_keeps_the_divergence_for_its_caller() {
+    let prog = asm::assemble(LOAD_LOOP).unwrap();
+    let mut m = Machine::new(PipelineConfig::base(), vec![prog]).unwrap();
+    m.enable_verification();
+    m.data_mem().write(0x1000, 8, 99);
+    while m.divergence().is_none() && m.cycle() < 1_000_000 {
+        m.step_cycle();
+    }
+    let d = m.divergence().expect("the oracle must object");
+    assert_eq!((d.thread, d.pc, d.check), (0, 3, DivergenceCheck::Retire));
+}
+
+#[test]
 fn a_byte_the_program_never_touches_is_a_memory_divergence_at_halt() {
     let (m, d) = divergence_after(|m| m.data_mem().write(0x8000, 1, 0xab));
     assert!(

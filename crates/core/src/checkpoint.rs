@@ -234,40 +234,43 @@ impl Checkpoint {
     /// ways or one tag twice, a counter out of its range, a BTB slot past
     /// the table or out of order.
     pub fn decode(bytes: &[u8]) -> Result<(String, Checkpoint), StoreError> {
-        decode_entry(bytes, MAGIC, CHECKPOINT_VERSION, |r| {
-            let instructions = r.u64("instructions")?;
+        decode_entry(bytes, MAGIC, CHECKPOINT_VERSION, Checkpoint::fields)
+    }
 
-            let mut threads = Vec::new();
-            for _ in 0..r.count(25, "thread count")? {
-                threads.push(ThreadCheckpoint {
-                    regs: r.words("registers")?,
-                    pc: r.u64("pc")?,
-                    last_fetch_line: r.u64("last fetch line")?,
-                    halted: r.bool("halted")?,
-                });
-            }
+    /// The fields of a stored checkpoint, after its key.
+    fn fields(r: &mut Reader<'_>) -> Result<Checkpoint, StoreError> {
+        let instructions = r.u64("instructions")?;
 
-            let mut mem = FlatMemory::new();
-            for _ in 0..r.count(8 + 4096, "page count")? {
-                let idx = r.u64("page index")?;
-                let bytes: &[u8; 4096] = r.take(4096, "page bytes")?.try_into().unwrap();
-                mem.install_page(idx, bytes);
-            }
+        let mut threads = Vec::new();
+        for _ in 0..r.count(25, "thread count")? {
+            threads.push(ThreadCheckpoint {
+                regs: r.words("registers")?,
+                pc: r.u64("pc")?,
+                last_fetch_line: r.u64("last fetch line")?,
+                halted: r.bool("halted")?,
+            });
+        }
 
-            let hier = HierarchyWarmState {
-                l1i: decode_cache(r)?,
-                l1d: decode_cache(r)?,
-                l2: decode_cache(r)?,
-                dtlb: decode_cache(r)?,
-            };
-            Ok(Checkpoint {
-                instructions,
-                threads,
-                mem,
-                hier,
-                predictor: decode_predictor(r)?,
-                btb: decode_btb(r)?,
-            })
+        let mut mem = FlatMemory::new();
+        for _ in 0..r.count(8 + 4096, "page count")? {
+            let idx = r.u64("page index")?;
+            let bytes: &[u8; 4096] = r.take(4096, "page bytes")?.try_into().unwrap();
+            mem.install_page(idx, bytes);
+        }
+
+        let hier = HierarchyWarmState {
+            l1i: decode_cache(r)?,
+            l1d: decode_cache(r)?,
+            l2: decode_cache(r)?,
+            dtlb: decode_cache(r)?,
+        };
+        Ok(Checkpoint {
+            instructions,
+            threads,
+            mem,
+            hier,
+            predictor: decode_predictor(r)?,
+            btb: decode_btb(r)?,
         })
     }
 }
@@ -295,8 +298,8 @@ impl CheckpointStore {
     ///
     /// [`StoreError::Io`] when the directory cannot be created.
     pub fn open(dir: impl AsRef<Path>) -> Result<CheckpointStore, StoreError> {
-        let entries = EntryDir::open(dir.as_ref(), "llck")?;
-        let stale_removed = entries.remove_older(MAGIC, CHECKPOINT_VERSION);
+        let entries = EntryDir::open(dir.as_ref(), "llck", MAGIC, CHECKPOINT_VERSION)?;
+        let stale_removed = entries.remove_older();
         Ok(CheckpointStore {
             entries,
             stale_removed,
@@ -323,7 +326,7 @@ impl CheckpointStore {
     /// [`StoreError`] on an unreadable or undecodable file (callers
     /// treat that as a miss and regenerate).
     pub fn load(&self, digest: u64, key: &str) -> Result<Option<Checkpoint>, StoreError> {
-        self.entries.load(digest, key, Checkpoint::decode)
+        self.entries.load(digest, key, Checkpoint::fields)
     }
 
     /// Store `ckpt` under `digest` for the warm `key` (atomic replace).

@@ -88,25 +88,36 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     })
 }
 
-/// One directory of entries named `{digest:016x}.{ext}`: the plumbing
-/// both stores share. Writes are atomic, so any number of processes (and
-/// threads within them) can share one directory and every read observes
-/// either nothing or a complete entry. The extensions keep the two
-/// stores apart in one directory, as the CLI's `--store-dir` does.
+/// One directory of entries named `{digest:016x}.{ext}`, each in the
+/// fixed layout under one magic and version: the plumbing both stores
+/// share. Writes are atomic, so any number of processes (and threads
+/// within them) can share one directory and every read observes either
+/// nothing or a complete entry. The extensions keep the two stores apart
+/// in one directory, as the CLI's `--store-dir` does.
 #[derive(Debug, Clone)]
 pub(crate) struct EntryDir {
     dir: PathBuf,
     ext: &'static str,
+    magic: [u8; 4],
+    version: u32,
 }
 
 impl EntryDir {
-    /// Open (creating if needed) the directory `dir`.
-    pub(crate) fn open(dir: &Path, ext: &'static str) -> Result<EntryDir, StoreError> {
+    /// Open (creating if needed) the directory `dir` of `ext` entries
+    /// whose header is `magic` and `version`.
+    pub(crate) fn open(
+        dir: &Path,
+        ext: &'static str,
+        magic: [u8; 4],
+        version: u32,
+    ) -> Result<EntryDir, StoreError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| StoreError::Io(format!("create {}: {e}", dir.display())))?;
         Ok(EntryDir {
             dir: dir.to_path_buf(),
             ext,
+            magic,
+            version,
         })
     }
 
@@ -115,13 +126,16 @@ impl EntryDir {
         self.dir.join(format!("{digest:016x}.{}", self.ext))
     }
 
-    /// Decode the entry under `digest` with `decode`. `Ok(None)` when
-    /// nothing is stored there *or* the entry was stored for another key.
+    /// Decode the entry under `digest`, reading its fields with `fields`.
+    /// `Ok(None)` when nothing is stored there *or* the entry was stored
+    /// for another key. The stored key is compared in place, without a
+    /// copy; an entry stored for another key is still decoded, so it
+    /// fails with the same typed error as any other load of it would.
     pub(crate) fn load<T>(
         &self,
         digest: u64,
         key: &str,
-        decode: impl FnOnce(&[u8]) -> Result<(String, T), StoreError>,
+        fields: impl FnOnce(&mut Reader<'_>) -> Result<T, StoreError>,
     ) -> Result<Option<T>, StoreError> {
         let path = self.path(digest);
         let bytes = match std::fs::read(&path) {
@@ -129,15 +143,23 @@ impl EntryDir {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(format!("read {}: {e}", path.display()))),
         };
-        let (stored_key, value) = decode(&bytes)?;
-        Ok((stored_key == key).then_some(value))
+        let ours = |stored: &[u8]| {
+            if stored == key.as_bytes() {
+                Ok(true)
+            } else {
+                key_text(stored).map(|_| false)
+            }
+        };
+        let (ours, value) = parse_entry(&bytes, self.magic, self.version, ours, fields)?;
+        Ok(ours.then_some(value))
     }
 
-    /// Delete every entry of this directory whose header is `magic` and a
-    /// version older than `version`, and return how many went. Entries
+    /// Delete every entry of this directory whose header is its magic and
+    /// a version older than its own, and return how many went. Entries
     /// of the current or a newer version, files of other formats and
     /// files that cannot be read or deleted are left alone.
-    pub(crate) fn remove_older(&self, magic: [u8; 4], version: u32) -> u64 {
+    pub(crate) fn remove_older(&self) -> u64 {
+        let (magic, version) = (self.magic, self.version);
         let Ok(dir) = std::fs::read_dir(&self.dir) else {
             return 0;
         };
@@ -205,15 +227,21 @@ pub(crate) fn encode_entry(
     out
 }
 
+/// A stored key's bytes as text.
+fn key_text(stored: &[u8]) -> Result<&str, StoreError> {
+    std::str::from_utf8(stored).map_err(|_| StoreError::Corrupt("key is not UTF-8".into()))
+}
+
 /// Parse an entry [`encode_entry`] wrote: check the magic and the
-/// version, read the key, let `fields` read every field, and require
-/// that nothing follows them.
-pub(crate) fn decode_entry<T>(
-    bytes: &[u8],
+/// version, hand the stored key's bytes to `key`, let `fields` read every
+/// field, and require that nothing follows them.
+fn parse_entry<'a, K, T>(
+    bytes: &'a [u8],
     magic: [u8; 4],
     version: u32,
-    fields: impl FnOnce(&mut Reader<'_>) -> Result<T, StoreError>,
-) -> Result<(String, T), StoreError> {
+    key: impl FnOnce(&'a [u8]) -> Result<K, StoreError>,
+    fields: impl FnOnce(&mut Reader<'a>) -> Result<T, StoreError>,
+) -> Result<(K, T), StoreError> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.take(4, "magic")? != magic {
         return Err(StoreError::BadMagic);
@@ -223,8 +251,7 @@ pub(crate) fn decode_entry<T>(
         return Err(StoreError::BadVersion(found));
     }
     let len = r.count(1, "key length")?;
-    let key = String::from_utf8(r.take(len, "key")?.to_vec())
-        .map_err(|_| StoreError::Corrupt("key is not UTF-8".into()))?;
+    let key = key(r.take(len, "key")?)?;
     let value = fields(&mut r)?;
     match bytes.len() - r.pos {
         0 => Ok((key, value)),
@@ -232,6 +259,22 @@ pub(crate) fn decode_entry<T>(
             "{n} byte(s) after the last field"
         ))),
     }
+}
+
+/// [`parse_entry`] returning the stored key as an owned string.
+pub(crate) fn decode_entry<T>(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u32,
+    fields: impl FnOnce(&mut Reader<'_>) -> Result<T, StoreError>,
+) -> Result<(String, T), StoreError> {
+    parse_entry(
+        bytes,
+        magic,
+        version,
+        |k| key_text(k).map(str::to_owned),
+        fields,
+    )
 }
 
 /// A cursor over an entry's bytes; every read names its field, so a
@@ -351,27 +394,30 @@ pub fn encode_result(key: &str, stats: &SimStats) -> Vec<u8> {
 /// [`StoreError`] on bad magic, any version but [`RESULT_STORE_VERSION`],
 /// a short entry, trailing bytes, or structurally impossible values.
 pub fn decode_result(bytes: &[u8]) -> Result<(String, SimStats), StoreError> {
-    decode_entry(bytes, MAGIC, RESULT_STORE_VERSION, |r| {
-        let mut stats = SimStats::default();
-        for (name, slots) in stats.counters_mut() {
-            for v in slots {
-                *v = r.u64(name)?;
-            }
+    decode_entry(bytes, MAGIC, RESULT_STORE_VERSION, result_fields)
+}
+
+/// The fields of a stored result, after its key.
+fn result_fields(r: &mut Reader<'_>) -> Result<SimStats, StoreError> {
+    let mut stats = SimStats::default();
+    for (name, slots) in stats.counters_mut() {
+        for v in slots {
+            *v = r.u64(name)?;
         }
-        stats.iq_occupancy_mean = f64::from_bits(r.u64("iq_occupancy_mean")?);
-        stats.iq_post_issue_mean = f64::from_bits(r.u64("iq_post_issue_mean")?);
-        stats.iq_peak = r.u64("iq_peak")? as usize;
-        stats.retired = r.words("retired")?;
-        stats.operand_gap_hist = r.words("gap histogram")?;
-        stats.load_latency_hist = r.words("load-latency histogram")?;
-        stats.loop_cost.width = r.u64("loop width")?;
-        stats.loop_cost.cycles = r.u64("loop cycles")?;
-        stats.loop_cost.used = r.u64("loop used")?;
-        for v in &mut stats.loop_cost.lost {
-            *v = r.u64("loop lost")?;
-        }
-        Ok(stats)
-    })
+    }
+    stats.iq_occupancy_mean = f64::from_bits(r.u64("iq_occupancy_mean")?);
+    stats.iq_post_issue_mean = f64::from_bits(r.u64("iq_post_issue_mean")?);
+    stats.iq_peak = r.u64("iq_peak")? as usize;
+    stats.retired = r.words("retired")?;
+    stats.operand_gap_hist = r.words("gap histogram")?;
+    stats.load_latency_hist = r.words("load-latency histogram")?;
+    stats.loop_cost.width = r.u64("loop width")?;
+    stats.loop_cost.cycles = r.u64("loop cycles")?;
+    stats.loop_cost.used = r.u64("loop used")?;
+    for v in &mut stats.loop_cost.lost {
+        *v = r.u64("loop lost")?;
+    }
+    Ok(stats)
 }
 
 /// Entries of an on-disk store that were present but could not be used,
@@ -439,7 +485,7 @@ impl ResultStore {
     /// [`StoreError::Io`] when the directory cannot be created.
     pub fn open(dir: impl AsRef<Path>) -> Result<ResultStore, StoreError> {
         Ok(ResultStore {
-            entries: EntryDir::open(dir.as_ref(), "llrs")?,
+            entries: EntryDir::open(dir.as_ref(), "llrs", MAGIC, RESULT_STORE_VERSION)?,
         })
     }
 
@@ -458,7 +504,7 @@ impl ResultStore {
     /// [`StoreError`] on an unreadable or undecodable file (callers
     /// treat that as a miss and re-simulate).
     pub fn load(&self, digest: u64, key: &str) -> Result<Option<SimStats>, StoreError> {
-        self.entries.load(digest, key, decode_result)
+        self.entries.load(digest, key, result_fields)
     }
 
     /// Store `stats` under `digest` for `key` (atomic replace).
@@ -690,6 +736,35 @@ mod tests {
         // A corrupt file surfaces as an error the caller re-simulates from.
         std::fs::write(store.path(77), b"LLRSgarbage").unwrap();
         assert!(store.load(77, &key).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_load_for_another_key_keeps_every_typed_error() {
+        let (dir, store) = temp_store("other-key");
+        let (key, stats) = run_once();
+        let bytes = encode_result(&key, &stats);
+        let load = |entry: &[u8], as_key: &str| {
+            std::fs::write(store.path(9), entry).unwrap();
+            store.load(9, as_key)
+        };
+        // Whole, the entry answers its own key and misses for another.
+        assert!(load(&bytes, &key).expect("own key").is_some());
+        assert!(load(&bytes, "another job").expect("plain miss").is_none());
+        // Malformed, it fails the same way whichever key asks.
+        let cut = &bytes[..bytes.len() - 1];
+        let mut not_utf8 = bytes.clone();
+        not_utf8[16] = 0xff;
+        for (entry, want) in [
+            (cut, decode_result(cut).unwrap_err()),
+            (
+                &not_utf8[..],
+                StoreError::Corrupt("key is not UTF-8".into()),
+            ),
+        ] {
+            assert_eq!(load(entry, &key).unwrap_err(), want);
+            assert_eq!(load(entry, "another job").unwrap_err(), want);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

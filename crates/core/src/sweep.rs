@@ -30,8 +30,9 @@ use crate::simulator::RunBudget;
 use crate::store::{ResultStore, StoreMisses};
 use looseloops_pipeline::profile::StageReport;
 use looseloops_pipeline::{LoopCostStack, PipelineConfig, SimError, SimStats};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -94,15 +95,122 @@ pub enum ExecMode {
     Sampled(SamplingPlan),
 }
 
-/// FNV-1a, the classic 64-bit offset-basis/prime pair. Stable across
-/// processes and platforms, unlike `DefaultHasher`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// The FNV-1a offset basis: the state of a digest over no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue the FNV-1a state `h` over `bytes`. Continuing a prefix's
+/// state over the rest equals hashing the whole, so a key's digest can
+/// reuse its shared configuration prefix.
+fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a, the classic 64-bit offset-basis/prime pair. Stable across
+/// processes and platforms, unlike `DefaultHasher`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_continue(FNV_BASIS, bytes)
+}
+
+/// Append what follows the configuration in a memo key:
+/// `|{workload:?}|{budget:?}`, then `|{mode:?}` unless the mode is
+/// [`ExecMode::Detailed`]. The one definition of the key layout after its
+/// configuration prefix.
+fn push_key_suffix(out: &mut String, workload: &Workload, budget: &RunBudget, mode: ExecMode) {
+    let _ = write!(out, "|{workload:?}|{budget:?}");
+    if mode != ExecMode::Detailed {
+        let _ = write!(out, "|{mode:?}");
+    }
+}
+
+/// A job's memo key under the engine's mode and its [`fnv1a64`] digest:
+/// the name of its result-store entry and its memo bucket.
+#[derive(Debug, PartialEq, Eq)]
+struct JobKey {
+    text: String,
+    digest: u64,
+}
+
+/// Every job's [`JobKey`] under `mode`, in one pass. A figure grid lists
+/// its workloads machine by machine, so a job whose configuration equals
+/// the previous job's reuses that configuration's `Debug` text and the
+/// FNV state after it: only the suffix is rendered and hashed again.
+fn job_keys(jobs: &[Job], mode: ExecMode) -> Vec<JobKey> {
+    let mut prefix: Option<(&PipelineConfig, String, u64)> = None;
+    jobs.iter()
+        .map(|job| {
+            if prefix.as_ref().is_none_or(|(cfg, ..)| **cfg != job.config) {
+                let text = format!("{:?}", job.config);
+                let state = fnv1a64(text.as_bytes());
+                prefix = Some((&job.config, text, state));
+            }
+            let (_, head, state) = prefix.as_ref().expect("rendered above");
+            let mut text = String::with_capacity(head.len() + 256);
+            text.push_str(head);
+            push_key_suffix(&mut text, &job.workload, &job.budget, mode);
+            let digest = fnv1a64_continue(*state, &text.as_bytes()[head.len()..]);
+            JobKey { text, digest }
+        })
+        .collect()
+}
+
+/// A [`Hasher`] that passes a `u64` through unchanged: the keys of a
+/// [`DigestMap`] are FNV-1a digests already.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a64_continue(self.0, bytes);
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+}
+
+/// Values keyed by a job key's digest. Each digest's bucket holds
+/// `(key, value)` pairs and a lookup compares the full key, so two keys
+/// that share a 64-bit digest stay two entries and neither answers for
+/// the other.
+struct DigestMap<K, V> {
+    buckets: HashMap<u64, Vec<(K, V)>, BuildHasherDefault<DigestHasher>>,
+}
+
+impl<K, V> Default for DigestMap<K, V> {
+    fn default() -> Self {
+        DigestMap {
+            buckets: HashMap::default(),
+        }
+    }
+}
+
+impl<K: AsRef<str>, V> DigestMap<K, V> {
+    /// The value stored for `key`, whose digest is `digest`.
+    fn get(&self, digest: u64, key: &str) -> Option<&V> {
+        let bucket = self.buckets.get(&digest)?;
+        bucket
+            .iter()
+            .find(|(k, _)| k.as_ref() == key)
+            .map(|(_, v)| v)
+    }
+
+    /// Store `value` for `key`, whose digest is `digest`, replacing any
+    /// value stored for the same key.
+    fn insert(&mut self, digest: u64, key: K, value: V) {
+        let bucket = self.buckets.entry(digest).or_default();
+        match bucket.iter_mut().find(|(k, _)| k.as_ref() == key.as_ref()) {
+            Some(entry) => entry.1 = value,
+            None => bucket.push((key, value)),
+        }
+    }
 }
 
 impl Job {
@@ -118,19 +226,19 @@ impl Job {
     /// The full memoization key. Every field of the configuration, the
     /// workload and the budget participates via the `Debug` rendering
     /// (plain data throughout, so the rendering is total and stable);
-    /// using the whole string as the map key makes collisions impossible.
+    /// the engine compares the whole string on every memo and store hit,
+    /// so a digest collision can never answer for another job.
     pub fn key(&self) -> String {
-        format!("{:?}|{:?}|{:?}", self.config, self.workload, self.budget)
+        self.key_with_mode(ExecMode::Detailed)
     }
 
     /// [`Job::key`] plus the execution mode. [`ExecMode::Detailed`]
     /// contributes nothing, so a detailed job's key is [`Job::key`] itself
     /// (the key perfbench pins detailed CPIs by).
     pub fn key_with_mode(&self, mode: ExecMode) -> String {
-        match mode {
-            ExecMode::Detailed => self.key(),
-            other => format!("{}|{other:?}", self.key()),
-        }
+        let mut key = format!("{:?}", self.config);
+        push_key_suffix(&mut key, &self.workload, &self.budget, mode);
+        key
     }
 
     /// Stable 64-bit digest of [`Job::key`], for compact display.
@@ -238,7 +346,8 @@ pub struct SweepEngine {
     /// The empty, calibrated report each job's stage profile is added
     /// into; `None` when the engine does not profile.
     profile: Option<StageReport>,
-    cache: Mutex<HashMap<String, Arc<SimStats>>>,
+    /// The memo: every successful run by its key's digest.
+    cache: Mutex<DigestMap<String, Arc<SimStats>>>,
     /// Counters since construction or the last reset; locked once per
     /// finished job.
     metrics: Mutex<SweepSummary>,
@@ -349,7 +458,7 @@ impl SweepEngine {
             result_store,
             warm_memo: WarmMemo::default(),
             profile: None,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(DigestMap::default()),
             metrics: Mutex::new(SweepSummary {
                 workers,
                 stale_checkpoints,
@@ -405,18 +514,41 @@ impl SweepEngine {
     /// is deterministic and the jobs are independent, the returned
     /// statistics are identical whatever the worker count.
     pub fn try_run_jobs(&self, jobs: &[Job]) -> Vec<JobResult> {
+        self.run_keyed(jobs, job_keys(jobs, self.mode))
+    }
+
+    /// [`SweepEngine::try_run_jobs`] with every job's key and digest
+    /// given (`keys[i]` belongs to `jobs[i]`).
+    fn run_keyed(&self, jobs: &[Job], mut keys: Vec<JobKey>) -> Vec<JobResult> {
+        /// Where a job's answer comes from.
+        enum Answer {
+            /// The memo held it.
+            Memo(Arc<SimStats>),
+            /// The `n`th pending run of this batch answers it.
+            Run(usize),
+        }
         let t0 = Instant::now();
-        let keys: Vec<String> = jobs.iter().map(|j| j.key_with_mode(self.mode)).collect();
 
         // First occurrence of every key not already cached gets simulated
-        // (or answered from the on-disk store, when one is attached).
-        let pending: Vec<usize> = {
+        // (or answered from the on-disk store, when one is attached);
+        // later occurrences share its run.
+        let mut pending: Vec<usize> = Vec::new();
+        let answers: Vec<Answer> = {
             let cache = lock_clean(&self.cache);
-            let mut scheduled: HashSet<&str> = HashSet::new();
+            let mut scheduled: DigestMap<&str, usize> = DigestMap::default();
             keys.iter()
                 .enumerate()
-                .filter(|(_, k)| !cache.contains_key(*k) && scheduled.insert(k.as_str()))
-                .map(|(i, _)| i)
+                .map(|(i, k)| {
+                    if let Some(stats) = cache.get(k.digest, &k.text) {
+                        return Answer::Memo(Arc::clone(stats));
+                    }
+                    if let Some(&run) = scheduled.get(k.digest, &k.text) {
+                        return Answer::Run(run);
+                    }
+                    scheduled.insert(k.digest, &k.text, pending.len());
+                    pending.push(i);
+                    Answer::Run(pending.len() - 1)
+                })
                 .collect()
         };
         {
@@ -425,85 +557,72 @@ impl SweepEngine {
             m.cache_hits += (jobs.len() - pending.len()) as u64;
         }
 
-        // Key → error for this batch's failures (failures are never
-        // cached, so the map is batch-local).
-        let mut failed: HashMap<&str, SimError> = HashMap::new();
-        if !pending.is_empty() {
-            let results = parallel_map(self.workers, pending.len(), |k| {
-                let job = &jobs[pending[k]];
-                let key = &keys[pending[k]];
-                // Second cache tier: the on-disk result store. A hit is a
-                // finished run — no simulation, no jobs_run/busy
-                // accounting (like the memo cache, the metrics track work,
-                // not requests). A colliding entry is a plain miss; an
-                // unusable one is counted by cause.
-                if let Some(store) = &self.result_store {
-                    let digest = fnv1a64(key.as_bytes());
-                    match store.load(digest, key) {
-                        Ok(Some(stats)) => {
-                            lock_clean(&self.metrics).store_hits += 1;
-                            return Ok(Arc::new(stats));
-                        }
-                        Ok(None) => {}
-                        Err(e) => lock_clean(&self.metrics).store_misses.count(&e),
+        let results = parallel_map(self.workers, pending.len(), |k| {
+            let job = &jobs[pending[k]];
+            let JobKey { text: key, digest } = &keys[pending[k]];
+            // Second cache tier: the on-disk result store. A hit is a
+            // finished run — no simulation, no jobs_run/busy accounting
+            // (like the memo cache, the metrics track work, not
+            // requests). A colliding entry is a plain miss; an unusable
+            // one is counted by cause.
+            if let Some(store) = &self.result_store {
+                match store.load(*digest, key) {
+                    Ok(Some(stats)) => {
+                        lock_clean(&self.metrics).store_hits += 1;
+                        return Ok(Arc::new(stats));
                     }
+                    Ok(None) => {}
+                    Err(e) => lock_clean(&self.metrics).store_misses.count(&e),
                 }
-                let t = Instant::now();
-                // Isolate panics: a worker that panics must report a
-                // per-job error like any other failure, not unwind through
-                // the pool (and poison the engine for every later batch).
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute(job)))
-                        .unwrap_or_else(|payload| {
-                            Err(SimError::Panicked(panic_message(&*payload)))
-                        });
-                let busy = t.elapsed();
-                let saved = match (&result, &self.result_store) {
-                    (Ok((stats, _)), Some(store)) => {
-                        store.save(fnv1a64(key.as_bytes()), key, stats).is_ok()
-                    }
-                    _ => true,
-                };
-                {
-                    let mut m = lock_clean(&self.metrics);
-                    m.jobs_run += 1;
-                    m.busy += busy;
-                    m.store_save_failures += u64::from(!saved);
-                    match &result {
-                        Ok((stats, report)) => {
-                            m.instructions += job.budget.warmup + stats.total_retired();
-                            m.stack.merge(&stats.loop_cost);
-                            if let (Some(total), Some(report)) = (&mut m.profile, report) {
-                                total.add(report);
-                            }
+            }
+            let t = Instant::now();
+            // Isolate panics: a worker that panics must report a per-job
+            // error like any other failure, not unwind through the pool
+            // (and poison the engine for every later batch).
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute(job)))
+                    .unwrap_or_else(|payload| Err(SimError::Panicked(panic_message(&*payload))));
+            let busy = t.elapsed();
+            let saved = match (&result, &self.result_store) {
+                (Ok((stats, _)), Some(store)) => store.save(*digest, key, stats).is_ok(),
+                _ => true,
+            };
+            {
+                let mut m = lock_clean(&self.metrics);
+                m.jobs_run += 1;
+                m.busy += busy;
+                m.store_save_failures += u64::from(!saved);
+                match &result {
+                    Ok((stats, report)) => {
+                        m.instructions += job.budget.warmup + stats.total_retired();
+                        m.stack.merge(&stats.loop_cost);
+                        if let (Some(total), Some(report)) = (&mut m.profile, report) {
+                            total.add(report);
                         }
-                        Err(_) => m.jobs_failed += 1,
                     }
+                    Err(_) => m.jobs_failed += 1,
                 }
-                result.map(|(stats, _)| Arc::new(stats))
-            });
+            }
+            result.map(|(stats, _)| Arc::new(stats))
+        });
+        // Successes enter the memo; failures are not cached, so a later
+        // request retries.
+        {
             let mut cache = lock_clean(&self.cache);
-            for (&i, result) in pending.iter().zip(results) {
-                match result {
-                    Ok(stats) => {
-                        cache.insert(keys[i].clone(), stats);
-                    }
-                    Err(e) => {
-                        failed.insert(keys[i].as_str(), e);
-                    }
+            for (&i, result) in pending.iter().zip(&results) {
+                if let Ok(stats) = result {
+                    let key = std::mem::take(&mut keys[i].text);
+                    cache.insert(keys[i].digest, key, Arc::clone(stats));
                 }
             }
         }
 
         lock_clean(&self.metrics).wall += t0.elapsed();
-        let cache = lock_clean(&self.cache);
-        keys.iter()
-            .map(|k| match cache.get(k) {
-                Some(stats) => Ok(Arc::clone(stats)),
-                None => Err(failed
-                    .get(k.as_str())
-                    .expect("every requested job was simulated or failed")
-                    .clone()),
+        answers
+            .into_iter()
+            .map(|answer| match answer {
+                Answer::Memo(stats) => Ok(stats),
+                Answer::Run(run) => results[run].clone(),
             })
             .collect()
     }
@@ -963,5 +1082,110 @@ mod tests {
         assert_eq!(engine.summary().stack.cycles, s.stack.cycles);
         engine.reset_metrics();
         assert_eq!(engine.summary().stack, LoopCostStack::default());
+    }
+
+    /// The engine's one-pass keys are exactly [`Job::key_with_mode`] and
+    /// its [`fnv1a64`] digest, job by job.
+    fn assert_keys_match(jobs: &[Job], mode: ExecMode) {
+        let keys = job_keys(jobs, mode);
+        assert_eq!(keys.len(), jobs.len());
+        for (job, key) in jobs.iter().zip(&keys) {
+            let text = job.key_with_mode(mode);
+            assert_eq!(key.digest, fnv1a64(text.as_bytes()), "{text}");
+            assert_eq!(key.text, text);
+        }
+    }
+
+    #[test]
+    fn batch_keys_and_digests_equal_the_per_job_rendering() {
+        let budget = RunBudget::default();
+        let jobs: Vec<Job> = crate::experiments::FigureSpec::ids()
+            .flat_map(|id| {
+                crate::experiments::FigureSpec::for_id(id, &Workload::paper_set(), budget)
+                    .expect("a listed figure")
+                    .jobs()
+            })
+            .collect();
+        let auto = SamplingPlan::parse("auto", budget).expect("auto plan");
+        // Neighbours that differ only in the sign of a zero fault rate
+        // print differently, so neither may reuse the other's text.
+        let rate = |r: f64| PipelineConfig {
+            faults: Some(looseloops_pipeline::FaultPlan::branch_storm(3, r)),
+            ..PipelineConfig::base()
+        };
+        let signed = [0.0, -0.0, -0.0, 0.0]
+            .map(|r| Job::new(rate(r), Workload::Single(Benchmark::Compress), tiny()));
+        for mode in [ExecMode::Detailed, ExecMode::Sampled(auto)] {
+            assert_keys_match(&jobs, mode);
+            assert_keys_match(&signed, mode);
+        }
+        let keys = job_keys(&signed, ExecMode::Detailed);
+        assert!(keys[1].text.contains("branch_flip_rate: -0.0"));
+        assert_ne!(keys[0], keys[1]);
+        assert_eq!((&keys[0], &keys[1]), (&keys[3], &keys[2]));
+    }
+
+    #[test]
+    fn a_digest_bucket_keeps_every_key_apart() {
+        let mut map: DigestMap<String, u32> = DigestMap::default();
+        map.insert(7, "a".into(), 1);
+        map.insert(7, "b".into(), 2);
+        map.insert(7, "a".into(), 3);
+        assert_eq!((map.get(7, "a"), map.get(7, "b")), (Some(&3), Some(&2)));
+        assert_eq!((map.get(7, "c"), map.get(8, "a")), (None, None));
+    }
+
+    #[test]
+    fn jobs_forced_onto_one_digest_are_simulated_and_answered_apart() {
+        let dir = std::env::temp_dir().join(format!("llrs-collide-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::store::ResultStore::open(&dir).expect("open");
+        let forged = |jobs: &[Job]| -> Vec<JobKey> {
+            let keys = job_keys(jobs, ExecMode::Detailed);
+            keys.into_iter()
+                .map(|k| JobKey {
+                    digest: 0x5eed,
+                    ..k
+                })
+                .collect()
+        };
+        let (compress, swim) = (job(Benchmark::Compress), job(Benchmark::Swim));
+        let reference = SweepEngine::new(1).run_jobs(&[compress.clone(), swim.clone()]);
+        let same = |got: &[JobResult], want: &[&Arc<SimStats>]| {
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                assert_eq!(format!("{:?}", g.as_ref().expect("ran")), format!("{w:?}"));
+            }
+        };
+
+        // One batch, one worker: both keys run (the duplicate shares the
+        // first run), and each answer is its own job's.
+        let engine = SweepEngine::with_stores(1, ExecMode::Detailed, None, Some(store.clone()));
+        let batch = [compress.clone(), swim.clone(), compress.clone()];
+        let out = engine.run_keyed(&batch, forged(&batch));
+        same(&out, &[&reference[0], &reference[1], &reference[0]]);
+        let s = engine.summary();
+        assert_eq!((s.jobs_run, s.cache_hits, s.store_hits), (2, 1, 0));
+        // Both sit in the memo's one bucket.
+        let out = engine.run_keyed(&batch[..2], forged(&batch[..2]));
+        same(&out, &[&reference[0], &reference[1]]);
+        assert_eq!(engine.summary().cache_hits, 3);
+
+        // On disk the two share one file, which swim wrote last: a fresh
+        // engine's compress finds swim's key there, a plain miss.
+        let alone = std::slice::from_ref(&compress);
+        let fresh = || SweepEngine::with_stores(1, ExecMode::Detailed, None, Some(store.clone()));
+        let cold = fresh();
+        same(&cold.run_keyed(alone, forged(alone)), &[&reference[0]]);
+        let s = cold.summary();
+        assert_eq!(
+            (s.jobs_run, s.store_hits, s.store_misses.total()),
+            (1, 0, 0)
+        );
+        // It rewrote the file for compress, which now answers from disk.
+        let warm = fresh();
+        same(&warm.run_keyed(alone, forged(alone)), &[&reference[0]]);
+        assert_eq!((warm.summary().jobs_run, warm.summary().store_hits), (0, 1));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

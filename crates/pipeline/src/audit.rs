@@ -222,12 +222,12 @@ impl Machine {
     }
 
     /// Per-thread ROBs hold live instructions in strictly increasing
-    /// program order, and each store queue is exactly the in-order store
-    /// subsequence of its ROB.
+    /// program order, and each store (load) queue is exactly the in-order
+    /// store (load) subsequence of its ROB.
     fn audit_rob(&self) -> Result<(), InvariantViolation> {
         for (t, th) in self.threads.iter().enumerate() {
             let mut last_seq = 0u64;
-            let mut rob_stores = Vec::new();
+            let (mut rob_stores, mut rob_loads) = (Vec::new(), Vec::new());
             for &id in &th.rob {
                 let Some(di) = self.slab.get(id) else {
                     return Err(self.violation(
@@ -245,21 +245,27 @@ impl Machine {
                     ));
                 }
                 last_seq = di.seq;
-                if di.class == looseloops_isa::Class::Store {
-                    rob_stores.push(id);
+                match di.class {
+                    looseloops_isa::Class::Store => rob_stores.push(id),
+                    looseloops_isa::Class::Load => rob_loads.push(id),
+                    _ => {}
                 }
             }
-            let store_q: Vec<_> = th.store_q.iter().copied().collect();
-            if store_q != rob_stores {
-                return Err(self.violation(
-                    InvariantKind::StoreQueueOrder,
-                    format!(
-                        "thread {t} store queue ({} entries) is not the ROB's store \
-                         subsequence ({} stores)",
-                        store_q.len(),
-                        rob_stores.len()
-                    ),
-                ));
+            for (what, queue, rob_subsequence) in [
+                ("store", &th.store_q, &rob_stores),
+                ("load", &th.load_q, &rob_loads),
+            ] {
+                if !queue.iter().eq(rob_subsequence.iter()) {
+                    return Err(self.violation(
+                        InvariantKind::StoreQueueOrder,
+                        format!(
+                            "thread {t} {what} queue ({} entries) is not the ROB's {what} \
+                             subsequence ({} {what}s)",
+                            queue.len(),
+                            rob_subsequence.len()
+                        ),
+                    ));
+                }
             }
         }
         Ok(())
@@ -467,6 +473,21 @@ mod tests {
         let err = m.audit().expect_err("disorder must fail");
         assert_eq!(err.kind, crate::error::InvariantKind::RobOrder);
         m.threads[0].rob.swap(0, 1);
+        assert!(m.audit().is_ok());
+    }
+
+    #[test]
+    fn audit_catches_a_load_queue_that_lost_a_load() {
+        let mut m = Machine::new(PipelineConfig::base(), vec![loop_prog()]).unwrap();
+        while m.threads[0].load_q.is_empty() {
+            m.step_cycle();
+        }
+        assert!(m.audit().is_ok());
+        let load = m.threads[0].load_q.pop_back().expect("a load in flight");
+        let err = m.audit().expect_err("a lost load must fail");
+        assert_eq!(err.kind, crate::error::InvariantKind::StoreQueueOrder);
+        assert!(err.detail.contains("load queue"), "{}", err.detail);
+        m.threads[0].load_q.push_back(load);
         assert!(m.audit().is_ok());
     }
 }

@@ -115,8 +115,11 @@ impl Default for ExecLatencies {
     }
 }
 
-/// Full machine configuration.
-#[derive(Debug, Clone)]
+/// Full machine configuration. Equal configurations print the same
+/// `Debug` text (the sweep engine renders a run of equal configurations'
+/// memo key prefix once), which is why [`FaultPlan`] compares its rates by
+/// bit pattern.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Hardware threads (SMT). 1 or 2 in the paper's runs.
     pub threads: usize,

@@ -417,7 +417,8 @@ pub enum InvariantKind {
     IqConsistency,
     /// ROB sequence numbers out of order, or a dangling instruction handle.
     RobOrder,
-    /// Store queue is not the in-order store subsequence of the ROB.
+    /// A store (or load) queue is not the in-order store (or load)
+    /// subsequence of the ROB.
     StoreQueueOrder,
     /// Renamed-instruction count exceeds the configured in-flight cap.
     InFlightBound,

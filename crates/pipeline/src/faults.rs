@@ -18,7 +18,7 @@
 use looseloops_rng::Rng;
 
 /// A deterministic fault-injection schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
     /// Seed of the injection schedule (same seed → same faults).
     pub seed: u64,
@@ -46,6 +46,28 @@ impl Default for FaultPlan {
             operand_miss_rate: 0.0,
             window: None,
         }
+    }
+}
+
+impl PartialEq for FaultPlan {
+    /// Rates compare by bit pattern, not by `f64` equality: `0.0` and
+    /// `-0.0` are equal floats but print differently, and a configuration's
+    /// `Debug` text is its sweep memo key, so equal plans must print alike.
+    fn eq(&self, other: &FaultPlan) -> bool {
+        let FaultPlan {
+            seed,
+            branch_flip_rate,
+            load_spike_rate,
+            load_spike_cycles,
+            operand_miss_rate,
+            window,
+        } = *self;
+        seed == other.seed
+            && branch_flip_rate.to_bits() == other.branch_flip_rate.to_bits()
+            && load_spike_rate.to_bits() == other.load_spike_rate.to_bits()
+            && load_spike_cycles == other.load_spike_cycles
+            && operand_miss_rate.to_bits() == other.operand_miss_rate.to_bits()
+            && window == other.window
     }
 }
 
@@ -314,5 +336,16 @@ mod tests {
         assert!(FaultPlan::branch_storm(1, -0.1).validate().is_err());
         assert!(FaultPlan::branch_storm(1, f64::NAN).validate().is_err());
         assert!(FaultPlan::branch_storm(1, 1.0).validate().is_ok());
+    }
+
+    #[test]
+    fn plans_are_equal_only_when_they_print_alike() {
+        let zero = FaultPlan::branch_storm(1, 0.0);
+        let negative_zero = FaultPlan::branch_storm(1, -0.0);
+        assert_ne!(format!("{zero:?}"), format!("{negative_zero:?}"));
+        assert_ne!(zero, negative_zero);
+        assert_eq!(zero, FaultPlan::branch_storm(1, 0.0));
+        assert_ne!(zero, FaultPlan::branch_storm(2, 0.0));
+        assert_ne!(zero, zero.in_window(0, 10));
     }
 }

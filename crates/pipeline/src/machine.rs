@@ -101,6 +101,9 @@ pub(crate) struct ThreadState {
     pub(crate) rob: VecDeque<InstId>,
     /// In-flight stores in program order.
     pub(crate) store_q: VecDeque<InstId>,
+    /// In-flight loads in program order: the ROB's load subsequence, so a
+    /// store's ordering check visits loads only.
+    pub(crate) load_q: VecDeque<InstId>,
     /// Count of `store_q` entries whose address is still unknown
     /// (`mem_addr` unset). Incremented at rename, decremented when the
     /// store executes, recomputed on squash.
@@ -295,6 +298,7 @@ impl Machine {
                 transit_q: VecDeque::new(),
                 rob: VecDeque::new(),
                 store_q: VecDeque::new(),
+                load_q: VecDeque::new(),
                 unknown_stores: 0,
                 oldest_unknown_seq: u64::MAX,
                 ras: ReturnAddressStack::new(cfg.ras_entries),

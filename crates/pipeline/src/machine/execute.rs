@@ -426,18 +426,15 @@ impl Machine {
         }
 
         // Memory-order violation: a younger load of ours already executed
-        // against an overlapping address (it read stale data). The ROB is
-        // in program order, so walking it youngest first up to the store
-        // visits exactly the younger instructions and ends on the oldest
-        // violator.
+        // against an overlapping address (it read stale data). The load
+        // queue is in program order, so walking it youngest first up to
+        // the store visits exactly the younger loads and ends on the
+        // oldest violator.
         let mut violator: Option<InstId> = None;
-        for &lid in self.threads[t].rob.iter().rev() {
+        for &lid in self.threads[t].load_q.iter().rev() {
             let l = self.slab.expect(lid);
             if l.seq <= seq {
                 break;
-            }
-            if l.class != Class::Load {
-                continue;
             }
             if let Some(la) = l.mem_addr {
                 if overlaps((addr, size), (la, l.mem_size))

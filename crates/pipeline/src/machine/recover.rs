@@ -131,6 +131,13 @@ impl Machine {
         });
         th.store_q
             .retain(|&id| self.slab.expect(id).seq <= after_seq);
+        while th
+            .load_q
+            .back()
+            .is_some_and(|&id| self.slab.expect(id).seq > after_seq)
+        {
+            th.load_q.pop_back();
+        }
         if th.mb_stall_seq.is_some_and(|s| s > after_seq) {
             th.mb_stall_seq = None;
         }

@@ -210,6 +210,8 @@ impl Machine {
                     if th.oldest_unknown_seq == u64::MAX {
                         th.oldest_unknown_seq = seq;
                     }
+                } else if class == Class::Load {
+                    self.threads[t].load_q.push_back(id);
                 }
                 self.cluster_pressure[cluster] += 1;
                 self.threads[t].rob.push_back(id);

@@ -140,6 +140,9 @@ impl Machine {
             self.hier.access(AccessKind::DataWrite, addr, now);
             let front = self.threads[t].store_q.pop_front();
             debug_assert_eq!(front, Some(id), "stores retire in order");
+        } else if class == Class::Load {
+            let front = self.threads[t].load_q.pop_front();
+            debug_assert_eq!(front, Some(id), "loads retire in order");
         }
 
         if let Some(DestRename { prev, .. }) = di.dest {
